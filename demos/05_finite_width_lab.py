@@ -16,12 +16,12 @@ from jacprop import (
     Hyper,
     NormMode,
     empirical_chi,
-    empirical_ntk,
+    ensemble_ntk,
     find_fixed_point,
     jacobian_profile,
     n0_correction_check,
 )
-from jacprop.ensemble import NetworkParams, resolve_input
+from jacprop.ensemble import resolve_input
 from jacprop.meanfield import trace
 
 cells = [
@@ -56,14 +56,11 @@ print(f"\ninput correction at N0=16: measured {rep.measured:.5f}, "
       f"corrected {rep.corrected_pred:.5f}, uncorrected {rep.uncorrected_pred:.5f}")
 
 # Exact NTK of a small network vs the infinite-width recursion.
-hp = Hyper(math.sqrt(2), 0.0)
-depth, width, n0 = 8, 128, 32
-x = resolve_input(EnsembleConfig(width=width, input_dim=n0, depth=depth,
-                                 n_init=1, seed=3, hyper=hp), 0)
-k1 = hp.sw2 * float(x @ x) / n0
-theory = trace(Activation.relu(), NormMode.VANILLA, hp, depth=depth, k0=k1, l0=0)
-vals = [empirical_ntk(NetworkParams.draw([n0] + [width] * depth, 3, i),
-                      Activation.relu(), hp, NormMode.VANILLA, x)
-        for i in range(10)]
-print(f"\nNTK at depth {depth}: ensemble {np.mean(vals):.3f} +- "
-      f"{np.std(vals, ddof=1)/math.sqrt(10):.3f}, theory {theory.theta[depth]:.3f}")
+cfg = EnsembleConfig(width=128, input_dim=32, depth=8, n_init=10, seed=3,
+                     hyper=Hyper(math.sqrt(2), 0.0), act=Activation.relu())
+x = resolve_input(cfg, 0)
+k1 = cfg.hyper.sw2 * float(x @ x) / cfg.input_dim
+theory = trace(cfg.act, NormMode.VANILLA, cfg.hyper, depth=cfg.depth, k0=k1, l0=0)
+est = ensemble_ntk(cfg)
+print(f"\nNTK at depth {cfg.depth}: ensemble {est.mean:.3f} +- {est.stderr:.3f}, "
+      f"theory {theory.theta[cfg.depth]:.3f}")

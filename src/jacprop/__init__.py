@@ -27,6 +27,7 @@ from .ensemble import (
     NetworkParams,
     empirical_chi,
     empirical_ntk,
+    ensemble_ntk,
     forward,
     jacobian_profile,
     n0_correction_check,
@@ -81,4 +82,5 @@ __all__ = [
     "jacobian_profile",
     "n0_correction_check",
     "empirical_ntk",
+    "ensemble_ntk",
 ]

@@ -17,9 +17,11 @@ are supported:
 * erf, ``phi(x) = erf(x)``;
 * GELU, ``phi(x) = x/2 * (1 + erf(x / sqrt(2)))``.
 
-Each moment has a closed-form evaluator (:func:`moment_closed`) and an
-independent numerical oracle (:func:`moment_quadrature`).  The two are
-kept strictly separate so that tests can use one to validate the other.
+Every moment of every family has a closed form, served by
+:func:`moment_closed`; the library computes with nothing else.  The
+composite Gauss-Legendre quadrature at the end of this module is an
+independent oracle that only the tests and demos call, to validate the
+closed forms.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "moment_closed",
     "moment_quadrature",
     "moment_integrand",
-    "has_closed_form",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -156,21 +157,14 @@ def moment_integrand(act: Activation, kind: MomentKind):
     raise ValueError(f"unknown moment kind: {kind!r}")
 
 
-def has_closed_form(act: Activation, kind: MomentKind) -> bool:
-    """True when :func:`moment_closed` serves an exact expression."""
-    if act.family == "scale_invariant":
-        return True
-    return kind is not MomentKind.DELTA
-
-
 def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
     """Exact Gaussian moment of the activation under h ~ N(0, K).
 
-    The erf and GELU DELTA moments have no tractable closed form and are
-    transparently served by the quadrature oracle instead; use
-    :func:`has_closed_form` to tell the two apart.
+    The erf and GELU curvature moments follow from the same Gaussian
+    integrals as the erf arcsine kernel (Williams 1997).  A NaN kernel is
+    rejected rather than propagated.
     """
-    if K < 0:
+    if not K >= 0:
         raise ValueError(f"kernel K must be nonnegative, got {K}")
     K = float(K)
     if act.family == "scale_invariant":
@@ -190,7 +184,7 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
             return (4.0 / math.pi) / math.sqrt(1.0 + 4.0 * K)
         if kind is MomentKind.PHI1:
             return 0.0
-        return moment_quadrature(act, kind, K)
+        return -8.0 / (math.pi * (1.0 + 4.0 * K) ** 1.5)
     # gelu
     if kind is MomentKind.PHI2:
         return (
@@ -205,7 +199,16 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
         )
     if kind is MomentKind.PHI1:
         return K / math.sqrt(2.0 * math.pi * (1.0 + K))
-    return moment_quadrature(act, kind, K)
+    # phi''^2 is a Gaussian times a polynomial, averaged at the narrowed
+    # variance s2; phi''' phi' reduces to E[h Phi(h)], E[h^2 pdf(h)] and
+    # E[h^3 Phi(h)] under N(0, t2), with Phi and pdf the standard normal's.
+    s2 = K / (1.0 + 2.0 * K)
+    t2 = K / (1.0 + K)
+    even = (4.0 - 8.0 * s2 + 6.0 * s2 * s2) / (2.0 * math.pi * math.sqrt(1.0 + 2.0 * K))
+    h_cdf = t2 / math.sqrt(2.0 * math.pi * (1.0 + t2))
+    h2_pdf = h_cdf / (1.0 + t2)
+    h3_cdf = t2 * (2.0 * h_cdf + h2_pdf)
+    return even + (h3_cdf - 4.0 * h_cdf) / math.sqrt(2.0 * math.pi * (1.0 + K))
 
 
 @lru_cache(maxsize=32)
@@ -226,7 +229,7 @@ def moment_quadrature(
     transition region stays resolved when K is large).  K = 0 collapses
     the measure to a point mass and returns the integrand at 0.
     """
-    if K < 0:
+    if not K >= 0:
         raise ValueError(f"kernel K must be nonnegative, got {K}")
     if nodes < 16:
         raise ValueError(f"quadrature needs at least 16 nodes, got {nodes}")

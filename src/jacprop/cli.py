@@ -24,12 +24,10 @@ from .analysis import fit_exponential, fit_power_law, phase_grid
 from .critical import critical_line, critical_point
 from .ensemble import (
     EnsembleConfig,
-    NetworkParams,
     empirical_chi,
-    empirical_ntk,
+    ensemble_ntk,
     jacobian_profile,
     n0_correction_check,
-    resolve_input,
 )
 from .meanfield import Hyper, NormMode, trace
 
@@ -208,8 +206,8 @@ def _cmd_mc(args) -> int:
         input_file=args.input_file or "", resample_inputs=args.resample_inputs,
         l0=args.l0,
     )
-    if args.task == "chi":
-        est = empirical_chi(cfg)
+    if args.task in ("chi", "ntk"):
+        est = (empirical_chi if args.task == "chi" else ensemble_ntk)(cfg)
         payload = {"mean": est.mean, "stderr": est.stderr, "n": est.n}
     elif args.task == "profile":
         est = jacobian_profile(cfg, l0=args.l0)
@@ -222,19 +220,6 @@ def _cmd_mc(args) -> int:
             _emit_csv(out, "mc profile", config, ["l", "J_mean", "J_stderr"], rows)
         payload = {"mean": est.mean, "stderr": est.stderr, "n": est.n,
                    "series": series}
-    elif args.task == "ntk":
-        vals = []
-        for i in range(cfg.n_init):
-            params = NetworkParams.draw(cfg.layer_dims, cfg.seed, i)
-            x = resolve_input(cfg, i)
-            vals.append(empirical_ntk(params, cfg.act, cfg.hyper, cfg.norm, x,
-                                      groups=cfg.groups))
-        vals = np.asarray(vals)
-        payload = {
-            "mean": float(vals.mean()),
-            "stderr": float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0,
-            "n": int(len(vals)),
-        }
     else:  # n0check
         rep = n0_correction_check(cfg)
         payload = {

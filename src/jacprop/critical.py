@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .activations import Activation, MomentKind, moment_closed
-from .meanfield import Hyper, NormMode, chi_jacobian, kernel_step, trace
+from .meanfield import Hyper, NormMode, chi_delta, chi_jacobian, kernel_step, trace
 
 __all__ = [
     "FixedPoint",
@@ -106,9 +106,9 @@ def find_fixed_point(
     exactly zero.  Divergence (kernel overflow) yields ``converged=False``
     with an infinite ``k_star`` rather than an exception.
     """
-    if k_init < 0:
-        raise ValueError(f"k_init must be nonnegative, got {k_init}")
-    if tol <= 0:
+    if not (math.isfinite(k_init) and k_init >= 0):
+        raise ValueError(f"k_init must be finite and nonnegative, got {k_init}")
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
     def finish(k_star: float, iters: int, converged: bool = True) -> FixedPoint:
@@ -443,21 +443,18 @@ def expansion_coefficient(
     Expanding the kernel map to second order around a marginal fixed
     point (``chi_k = 1``) gives ``K[l] - K* ~ -1 / (c l)`` with ``c`` half
     the second derivative of the map, and hence ``l (1 - chi[l]) ->
-    chi_j'(K*) / c``.  Derivatives are taken by Richardson-extrapolated
-    central differences; ``k_star`` must be an interior (> 0) fixed point.
+    chi_j'(K*) / c``.  Since ``d/dK <f> = <f''> / 2`` under N(0, K),
+    ``chi_j'`` is exactly the curvature moment :func:`chi_delta`; the
+    second derivative of the map is a Richardson-extrapolated central
+    difference.  ``k_star`` must be an interior (> 0) fixed point.
     """
     if k_star <= 0:
         raise ValueError("expansion coefficient needs an interior fixed point")
-    chi = lambda k: chi_jacobian(act, NormMode.VANILLA, hp, k)  # noqa: E731
     g = lambda k: kernel_step(act, NormMode.VANILLA, hp, k)  # noqa: E731
 
-    def d1(f, h):
-        return (f(k_star + h) - f(k_star - h)) / (2.0 * h)
-
-    def d2(f, h):
-        return (f(k_star + h) - 2.0 * f(k_star) + f(k_star - h)) / (h * h)
+    def d2(h):
+        return (g(k_star + h) - 2.0 * g(k_star) + g(k_star - h)) / (h * h)
 
     h = min(step, 0.25 * k_star)
-    chi_p = (4.0 * d1(chi, h / 2.0) - d1(chi, h)) / 3.0
-    g_pp = (4.0 * d2(g, h / 2.0) - d2(g, h)) / 3.0
-    return 2.0 * chi_p / g_pp
+    g_pp = (4.0 * d2(h / 2.0) - d2(h)) / 3.0
+    return 2.0 * chi_delta(act, hp, k_star) / g_pp

@@ -42,6 +42,7 @@ __all__ = [
     "forward",
     "partial_jacobian_norm",
     "empirical_chi",
+    "ensemble_ntk",
     "jacobian_profile",
     "n0_correction_check",
     "empirical_ntk",
@@ -114,7 +115,7 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class JacobianEstimate:
-    """Ensemble mean and standard error of a Jacobian norm."""
+    """Ensemble mean and standard error of a per-member measurement."""
 
     mean: float
     stderr: float
@@ -336,11 +337,25 @@ def _ensemble_map(fn: Callable[[int], object], n: int) -> list:
         return list(pool.map(fn, range(n)))
 
 
+def _members(cfg: EnsembleConfig, measure: Callable) -> np.ndarray:
+    """``measure(params, x)`` for every ensemble member, in member order."""
+
+    def one(i: int):
+        return measure(NetworkParams.draw(cfg.layer_dims, cfg.seed, i), resolve_input(cfg, i))
+
+    return np.array(_ensemble_map(one, cfg.n_init))
+
+
 def _estimate(values: np.ndarray) -> tuple[float, float]:
     n = values.shape[0]
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return mean, stderr
+
+
+def _scalar_estimate(cfg: EnsembleConfig, measure: Callable) -> JacobianEstimate:
+    mean, stderr = _estimate(_members(cfg, measure))
+    return JacobianEstimate(mean=mean, stderr=stderr, n=cfg.n_init)
 
 
 def empirical_chi(cfg: EnsembleConfig) -> JacobianEstimate:
@@ -350,32 +365,25 @@ def empirical_chi(cfg: EnsembleConfig) -> JacobianEstimate:
     this estimates the fixed-point multiplier; depth 50 at width 1000 is
     comfortably in that regime for every supported configuration.
     """
+    return _scalar_estimate(cfg, lambda params, x: partial_jacobian_norm(
+        params, cfg.act, cfg.hyper, cfg.norm, x,
+        cfg.depth - 2, cfg.depth - 1, groups=cfg.groups,
+    ))
 
-    def one(i: int) -> float:
-        params = NetworkParams.draw(cfg.layer_dims, cfg.seed, i)
-        x = resolve_input(cfg, i)
-        return partial_jacobian_norm(
-            params, cfg.act, cfg.hyper, cfg.norm, x,
-            cfg.depth - 2, cfg.depth - 1, groups=cfg.groups,
-        )
 
-    vals = np.array(_ensemble_map(one, cfg.n_init))
-    mean, stderr = _estimate(vals)
-    return JacobianEstimate(mean=mean, stderr=stderr, n=cfg.n_init)
+def ensemble_ntk(cfg: EnsembleConfig) -> JacobianEstimate:
+    """Ensemble estimate of the exact NTK diagonal (see :func:`empirical_ntk`)."""
+    return _scalar_estimate(cfg, lambda params, x: empirical_ntk(
+        params, cfg.act, cfg.hyper, cfg.norm, x, groups=cfg.groups
+    ))
 
 
 def jacobian_profile(cfg: EnsembleConfig, l0: int = 0) -> JacobianEstimate:
     """Ensemble-averaged J^{l0, l} for every layer l in (l0, L]."""
-
-    def one(i: int) -> np.ndarray:
-        params = NetworkParams.draw(cfg.layer_dims, cfg.seed, i)
-        x = resolve_input(cfg, i)
-        return partial_jacobian_norm(
-            params, cfg.act, cfg.hyper, cfg.norm, x, l0, cfg.depth,
-            groups=cfg.groups, profile=True,
-        )
-
-    rows = np.array(_ensemble_map(one, cfg.n_init))
+    rows = _members(cfg, lambda params, x: partial_jacobian_norm(
+        params, cfg.act, cfg.hyper, cfg.norm, x, l0, cfg.depth,
+        groups=cfg.groups, profile=True,
+    ))
     per_layer = rows.mean(axis=0)
     per_stderr = (
         rows.std(axis=0, ddof=1) / math.sqrt(cfg.n_init)
@@ -416,16 +424,9 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
     """
     if cfg.norm is not NormMode.VANILLA:
         raise ValueError("the input correction is derived for the vanilla mode")
-
-    def one(i: int) -> float:
-        params = NetworkParams.draw(cfg.layer_dims, cfg.seed, i)
-        x = resolve_input(cfg, i)
-        return partial_jacobian_norm(
-            params, cfg.act, cfg.hyper, cfg.norm, x, 0, 2, groups=cfg.groups
-        )
-
-    vals = np.array(_ensemble_map(one, cfg.n_init))
-    mean, stderr = _estimate(vals)
+    est = _scalar_estimate(cfg, lambda params, x: partial_jacobian_norm(
+        params, cfg.act, cfg.hyper, cfg.norm, x, 0, 2, groups=cfg.groups
+    ))
 
     x = resolve_input(cfg, 0)
     rho = float(np.dot(x, x)) / cfg.input_dim
@@ -434,8 +435,8 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
     corrected = j0_corrected(cfg.act, cfg.hyper, tr, cfg.input_dim, rho, layer=2)
     uncorrected = float(tr.J[2])
     return N0CorrectionReport(
-        measured=mean,
-        measured_stderr=stderr,
+        measured=est.mean,
+        measured_stderr=est.stderr,
         corrected_pred=corrected,
         uncorrected_pred=uncorrected,
     )

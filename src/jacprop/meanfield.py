@@ -135,8 +135,6 @@ def chi_delta(act: Activation, hp: Hyper, k: float) -> float:
 
     Identically zero for scale-invariant activations.
     """
-    if act.family == "scale_invariant":
-        return 0.0
     return hp.sw2 * moment_closed(act, MomentKind.DELTA, k)
 
 
@@ -221,8 +219,8 @@ def trace(
         raise ValueError(f"depth must be >= 2, got {depth}")
     if not 0 <= l0 < depth:
         raise ValueError(f"l0 must satisfy 0 <= l0 < depth, got {l0}")
-    if k0 < 0:
-        raise ValueError(f"k0 must be nonnegative, got {k0}")
+    if not (math.isfinite(k0) and k0 >= 0):
+        raise ValueError(f"k0 must be finite and nonnegative, got {k0}")
 
     n = depth + 1
     K = np.full(n, np.nan)

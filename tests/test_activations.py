@@ -11,11 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacprop.activations import (
     Activation,
     MomentKind,
-    has_closed_form,
     moment_closed,
     moment_integrand,
     moment_quadrature,
@@ -29,7 +29,7 @@ ALL_ACTS = [RELU, SI21, ERF, GELU]
 
 K_GRID = np.geomspace(1e-3, 10.0, 50)
 
-# adaptive high-precision references for the quadrature-only moments
+# adaptive high-precision references for the curvature moments
 ERF_DELTA_K1 = -0.22776401389349666
 GELU_DELTA_K1 = 0.061258766157976894
 
@@ -113,18 +113,17 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             moment_closed(ERF, MomentKind.PHI2, -0.5)
 
-    def test_delta_closed_form_availability(self):
-        assert has_closed_form(RELU, MomentKind.DELTA)
-        assert not has_closed_form(ERF, MomentKind.DELTA)
-        assert not has_closed_form(GELU, MomentKind.DELTA)
+    @pytest.mark.parametrize("act", ALL_ACTS, ids=lambda a: a.family + str(a.a_plus))
+    def test_nan_kernel_rejected(self, act):
+        for kind in MomentKind:
+            with pytest.raises(ValueError):
+                moment_closed(act, kind, math.nan)
 
 
 class TestQuadratureOracle:
     @pytest.mark.parametrize("act", ALL_ACTS, ids=lambda a: a.family + str(a.a_plus))
     @pytest.mark.parametrize("kind", list(MomentKind))
     def test_closed_matches_quadrature_on_grid(self, act, kind):
-        if not has_closed_form(act, kind):
-            pytest.skip("moment is served by quadrature itself")
         for K in K_GRID[::7]:
             closed = moment_closed(act, kind, K)
             quad = moment_quadrature(act, kind, K, nodes=120)
@@ -149,9 +148,12 @@ class TestQuadratureOracle:
         assert moment_quadrature(GELU, MomentKind.DELTA, 1.0, nodes=200) == pytest.approx(
             GELU_DELTA_K1, rel=1e-11
         )
-        # the closed-form entry point falls back to the same oracle
+        # the closed forms reproduce the same references independently
         assert moment_closed(ERF, MomentKind.DELTA, 1.0) == pytest.approx(
-            ERF_DELTA_K1, rel=1e-9
+            ERF_DELTA_K1, rel=1e-11
+        )
+        assert moment_closed(GELU, MomentKind.DELTA, 1.0) == pytest.approx(
+            GELU_DELTA_K1, rel=1e-11
         )
 
     def test_gelu_delta_pointwise_limit(self):
@@ -166,6 +168,24 @@ class TestQuadratureOracle:
             moment_quadrature(ERF, MomentKind.PHI2, -1.0)
         with pytest.raises(ValueError):
             moment_quadrature(ERF, MomentKind.PHI2, 1.0, nodes=8)
+        with pytest.raises(ValueError):
+            moment_quadrature(ERF, MomentKind.PHI2, math.nan)
+
+    @settings(deadline=None)
+    @given(
+        log_k=st.floats(math.log(1e-3), math.log(100.0)),
+        a_plus=st.floats(-3.0, 3.0),
+        a_minus=st.floats(-3.0, 3.0),
+    )
+    def test_closed_equals_quadrature_property(self, log_k, a_plus, a_minus):
+        K = math.exp(log_k)
+        for act in (Activation.scale_invariant(a_plus, a_minus), ERF, GELU):
+            for kind in MomentKind:
+                closed = moment_closed(act, kind, K)
+                quad = moment_quadrature(act, kind, K)
+                # the absolute floor only covers moments that vanish exactly
+                assert math.isclose(closed, quad, rel_tol=1e-8, abs_tol=1e-12), (
+                    act, kind, K, closed, quad)
 
 
 class TestMomentProperties:

@@ -77,6 +77,14 @@ class TestTheoryTrace:
         assert code == 2
         assert "unknown activation" in err
 
+    def test_nan_k0_fails_without_rows(self, capsys):
+        code, out, err = run_cli(
+            ["theory-trace", "--act", "erf", "--sw", "1", "--sb", "0",
+             "--depth", "5", "--k0", "nan"], capsys)
+        assert code != 0
+        assert "k0" in err
+        assert parse_csv(out)[2] == []
+
     def test_floats_round_trip(self, capsys):
         code, out, _ = run_cli(
             ["theory-trace", "--act", "gelu", "--mode", "vanilla",
@@ -174,6 +182,19 @@ class TestMonteCarlo:
         assert code == 0
         doc = json.loads(out)
         assert doc["mean"] > 0
+
+    def test_ntk_independent_of_worker_count(self, capsys, monkeypatch):
+        args = ["mc", "ntk", "--act", "gelu", "--mode", "post-ln",
+                "--sw", "1.3", "--sb", "0.2", "--width", "24",
+                "--input-dim", "8", "--depth", "4", "--n-init", "5",
+                "--seed", "9"]
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("JACPROP_WORKERS", workers)
+            code, out, _ = run_cli(args, capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_n0check_task(self, capsys):
         args = ["mc", "n0check", "--act", "erf", "--mode", "vanilla",

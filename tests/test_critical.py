@@ -68,6 +68,17 @@ class TestFindFixedPoint:
         # scale-invariant chi is kernel-free, so the limit is still defined
         assert fp.chi_j_star == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("k_init", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, k_init):
+        with pytest.raises(ValueError):
+            find_fixed_point(GELU, NormMode.VANILLA, Hyper(1.5, 0.2), k_init=k_init)
+
+    def test_nan_tolerance_rejected(self):
+        # a NaN tolerance never compares true, so the iteration would run
+        # to max_iter and report a non-fixed point as converged
+        with pytest.raises(ValueError):
+            find_fixed_point(ERF, NormMode.VANILLA, Hyper(1.0, 0.0), tol=math.nan)
+
     def test_stability_ordering_for_erf(self):
         for hp in (Hyper(1.0, 0.2), Hyper(1.4, 0.5), ERF_CRIT):
             fp = find_fixed_point(ERF, NormMode.VANILLA, hp)

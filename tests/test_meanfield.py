@@ -248,6 +248,12 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace(RELU, NormMode.VANILLA, Hyper(1, 0), depth=5, k0=-1.0)
 
+    @pytest.mark.parametrize("k0", [math.nan, math.inf])
+    def test_non_finite_k0_rejected(self, k0):
+        # a NaN or infinite input kernel is bad input, not divergence
+        with pytest.raises(ValueError):
+            trace(ERF, NormMode.VANILLA, Hyper(1, 0), depth=5, k0=k0)
+
 
 class TestJ0Corrected:
     def test_scale_invariant_correction_vanishes(self):
