@@ -162,7 +162,7 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
 
     The erf and GELU curvature moments follow from the same Gaussian
     integrals as the erf arcsine kernel (Williams 1997).  A NaN kernel is
-    rejected rather than propagated.
+    rejected rather than propagated; K = inf gives the K -> inf limit.
     """
     if not K >= 0:
         raise ValueError(f"kernel K must be nonnegative, got {K}")
@@ -175,17 +175,22 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
         if kind is MomentKind.DPHI2:
             return s2
         if kind is MomentKind.PHI1:
-            return (ap - am) * math.sqrt(K / (2.0 * math.pi))
+            return (ap - am) * math.sqrt(K / (2.0 * math.pi)) if ap != am else 0.0
         return 0.0
     if act.family == "erf":
         if kind is MomentKind.PHI2:
+            if K == math.inf:
+                return 1.0
             return (2.0 / math.pi) * math.asin(2.0 * K / (1.0 + 2.0 * K))
         if kind is MomentKind.DPHI2:
             return (4.0 / math.pi) / math.sqrt(1.0 + 4.0 * K)
         if kind is MomentKind.PHI1:
             return 0.0
         return -8.0 / (math.pi * (1.0 + 4.0 * K) ** 1.5)
-    # gelu
+    # gelu; the formulas below meet inf / inf at K = inf
+    if K == math.inf:
+        return {MomentKind.PHI2: math.inf, MomentKind.DPHI2: 0.5,
+                MomentKind.PHI1: math.inf, MomentKind.DELTA: 0.0}[kind]
     if kind is MomentKind.PHI2:
         return (
             K / 4.0

@@ -4,8 +4,10 @@ Every command is deterministic given its flags (including ``--seed``),
 emits CSV with '#'-prefixed header comments carrying the full run
 configuration, or flat JSON with "inf"/"nan" spelled as strings.  Exit
 codes: 0 on success, 2 on usage errors, 1 on runtime failures.  A JSON
-file passed via ``--config`` overrides the corresponding flags, and the
-``JACPROP_WORKERS`` environment variable caps ensemble worker threads.
+file passed via ``--config`` overrides the corresponding flags of the
+chosen subcommand (any other key is a usage error), and the
+``JACPROP_WORKERS`` environment variable (a positive integer) caps
+ensemble worker threads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .analysis import fit_exponential, fit_power_law, phase_grid
 from .critical import critical_line, critical_point
 from .ensemble import (
     EnsembleConfig,
+    _workers,
     empirical_chi,
     ensemble_ntk,
     jacobian_profile,
@@ -197,6 +200,10 @@ def _mc_config(args) -> EnsembleConfig:
 
 
 def _cmd_mc(args) -> int:
+    try:
+        _workers()
+    except ValueError as exc:  # a malformed environment is a usage error
+        raise argparse.ArgumentTypeError(str(exc)) from None
     cfg = _mc_config(args)
     config = dict(
         task=args.task, act=args.act, mode=args.mode, sw=args.sw, sb=args.sb,
@@ -364,8 +371,14 @@ def _apply_config_file(args) -> None:
         return
     with open(args.config) as f:
         overrides = json.load(f)
+    # parsing gave every flag of the chosen subcommand a value
+    known = set(vars(args)) - {"config", "command", "fn"}
     for key, value in overrides.items():
-        setattr(args, key.replace("-", "_"), value)
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown --config key {key!r} for {args.command}")
+        setattr(args, dest, value)
 
 
 def main(argv=None) -> int:

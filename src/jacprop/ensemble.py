@@ -15,10 +15,25 @@ Jacobian of ``y = (v - mean v) / sqrt(var v + eps)`` within a group of
 size ``m`` is ``(t - mean t - y (y . t)/m) / s`` on a tangent ``t``, and
 dropping the mean/variance coupling terms is deliberately not offered.
 
-Ensemble members are independent; every member draws from its own
-seed-derived RNG stream, so estimates are bit-identical for a given
-(seed, config) regardless of how many worker threads evaluate them.  Set
-``JACPROP_WORKERS`` to parallelize over members.
+Every measurement is one forward sweep over the layers.  A member's
+:class:`NetworkParams` holds only one seed stream per layer; the sweep
+draws layer l just before it uses it, carries the tangent block from l0
+in the same pass and stops at the last layer the measurement needs.  A
+member therefore holds one N_l x N_{l-1} weight matrix at a time plus an
+N_l x N_{l0} tangent per configuration: about 15 MB at width 1000 and
+N0 784, whatever the depth, where the whole network would take 8 MB per
+layer.  Configurations that share a draw -- same width, input dimension,
+depth, members, seed, groups and input resampling -- ride one sweep, so
+each layer is drawn once for all of them.  Only :func:`empirical_ntk` (at
+most 256 wide, 12 deep) and the ``weights``/``biases`` oracle properties
+materialize a whole network.
+
+Determinism: every (seed, member, layer) draws from its own seed-derived
+RNG stream and every configuration keeps its own matrix products, so a
+result is bit-identical whether the layers are streamed or materialized,
+whether its configuration runs alone or with others sharing the draw,
+and however many worker threads evaluate the members.  Set
+``JACPROP_WORKERS`` to a positive integer to parallelize over members.
 """
 
 from __future__ import annotations
@@ -89,28 +104,42 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Raw standard-normal draws; hyperparameter scaling happens at use."""
+    """One member's standard-normal draws, produced layer by layer.
 
-    weights: list  # weights[l-1] has shape (N_l, N_{l-1})
-    biases: list   # biases[l-1] has shape (N_l,)
+    Holds the layer sizes and one seed stream per layer; :meth:`layer`
+    draws a layer's weights and biases from its stream, identically on
+    every call.  Hyperparameter scaling happens at use.
+    """
+
     layer_dims: list
+    streams: tuple  # streams[l-1] seeds layer l
 
     @classmethod
     def draw(cls, layer_dims: Sequence[int], seed: int, init_index: int = 0):
-        """Deterministic draw; every (seed, init, layer) has its own stream."""
+        """Deterministic handle; every (seed, init, layer) has its own stream."""
         dims = list(layer_dims)
-        n_layers = len(dims) - 1
         root = np.random.SeedSequence(seed, spawn_key=(0, init_index))
-        weights, biases = [], []
-        for l, child in enumerate(root.spawn(n_layers)):
-            rng = np.random.Generator(np.random.PCG64(child))
-            weights.append(rng.standard_normal((dims[l + 1], dims[l])))
-            biases.append(rng.standard_normal(dims[l + 1]))
-        return cls(weights=weights, biases=biases, layer_dims=dims)
+        return cls(layer_dims=dims, streams=tuple(root.spawn(len(dims) - 1)))
 
     @property
     def depth(self) -> int:
-        return len(self.weights)
+        return len(self.streams)
+
+    def layer(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw (W^l, b^l) of shapes (N_l, N_{l-1}) and (N_l,), weights first."""
+        rng = np.random.Generator(np.random.PCG64(self.streams[l - 1]))
+        dims = self.layer_dims
+        return rng.standard_normal((dims[l], dims[l - 1])), rng.standard_normal(dims[l])
+
+    @property
+    def weights(self) -> list:
+        """Every weight matrix, drawn afresh: ``weights[l-1]`` is W^l."""
+        return [self.layer(l)[0] for l in range(1, self.depth + 1)]
+
+    @property
+    def biases(self) -> list:
+        """Every bias vector, drawn afresh: ``biases[l-1]`` is b^l."""
+        return [self.layer(l)[1] for l in range(1, self.depth + 1)]
 
 
 @dataclass(frozen=True)
@@ -219,6 +248,84 @@ def _block_tangent_t(cache: _LayerCache, norm: NormMode, groups: int, V: np.ndar
     return cache.dphi[:, None] * _gn_apply(cache.y, cache.s, groups, V)
 
 
+class _Probe:
+    """One measurement riding a sweep over one network's layers.
+
+    Carries the forward state of one input and, once the sweep passes
+    layer ``l0``, the tangent block d h^m / d h^{l0}.  It needs layers
+    1..``last``.  ``value`` ends as the squared-norm measurement (an array
+    over layers with ``profile``); with ``keep`` every preactivation and
+    block is recorded in ``hs`` and ``caches`` instead.
+    """
+
+    def __init__(self, dims, act, hp, norm, groups, x, last,
+                 l0=None, profile=False, keep=False):
+        if l0 is not None and not 0 <= l0 < last <= len(dims) - 1:
+            raise ValueError(f"need 0 <= l0 < l <= {len(dims) - 1}, got l0={l0}, l={last}")
+        x = np.asarray(x, dtype=float)
+        if x.shape != (dims[0],):
+            raise ValueError(f"input must have shape ({dims[0]},), got {x.shape}")
+        self.dims, self.act, self.hp, self.norm, self.groups = dims, act, hp, norm, groups
+        self.last, self.l0, self.profile, self.keep = last, l0, profile, keep
+        self.z = x
+        self.cache = None  # block on the latest preactivation
+        self.T = None
+        self.value = np.full(len(dims), np.nan) if profile else None
+        self.hs: list = [None]      # hs[l] = h^l, 1-indexed (with keep)
+        self.caches: list = [None]  # caches[l] built on h^l (with keep)
+
+    def step(self, l: int, W: np.ndarray, b: np.ndarray) -> None:
+        """Advance through layer ``l``, given its raw draws."""
+        scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
+        if self.l0 is not None and l > self.l0:
+            self._tangent(l, W, scale)
+        if l < self.last or self.keep:
+            h = scale * (W @ self.z) + self.hp.sigma_b * b
+            if self.keep:
+                self.hs.append(h)
+            if l < self.last:
+                self.cache = _block(self.act, self.norm, self.groups, h)
+                self.z = self.cache.z
+                if self.keep:
+                    self.caches.append(self.cache)
+
+    def _tangent(self, l, W, scale):
+        n = self.dims[l]
+        if l == self.last == self.l0 + 1 and not self.profile:
+            # one layer map, (1/N_l)|M|_F^2 = (1/N_l)|M^T|_F^2 in O(N^2): the
+            # block-Jacobian transpose acts on the scaled weight transpose
+            if l == 1:
+                self.value = scale * scale * float(np.sum(W * W)) / n
+            else:
+                V = _block_tangent_t(self.cache, self.norm, self.groups, W.T * scale)
+                self.value = float(np.sum(V * V)) / n
+            return
+        if l == 1:
+            self.T = scale * W  # W @ I is W, bit for bit
+        else:
+            T = np.eye(self.dims[l - 1]) if l == self.l0 + 1 else self.T
+            self.T = scale * (W @ _block_tangent(self.cache, self.norm, self.groups, T))
+        if self.profile:
+            self.value[l] = float(np.sum(self.T * self.T)) / n
+        elif l == self.last:
+            self.value = float(np.sum(self.T * self.T)) / n
+
+
+def _sweep(layer: Callable[[int], tuple], probes: list) -> None:
+    """Advance every probe through layers 1.. of one network in one pass.
+
+    ``layer(l)`` returns (W^l, b^l); it is called once per layer, only up
+    to the last layer a probe needs, and the previous layer is released
+    before the next one is drawn.
+    """
+    for l in range(1, max(p.last for p in probes) + 1):
+        W, b = layer(l)
+        for p in probes:
+            if l <= p.last:
+                p.step(l, W, b)
+        del W, b
+
+
 def _forward_cached(
     params: NetworkParams,
     act: Activation,
@@ -227,22 +334,11 @@ def _forward_cached(
     x: np.ndarray,
     groups: int = 1,
 ):
-    dims = params.layer_dims
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dims[0],):
-        raise ValueError(f"input must have shape ({dims[0]},), got {x.shape}")
-    hs: list = [None]        # hs[l] = h^l, 1-indexed
-    caches: list = [None]    # caches[l] built on h^l, feeding layer l+1
-    z = x
-    for l in range(1, params.depth + 1):
-        scale = hp.sigma_w / math.sqrt(dims[l - 1])
-        h = scale * (params.weights[l - 1] @ z) + hp.sigma_b * params.biases[l - 1]
-        hs.append(h)
-        if l < params.depth:
-            cache = _block(act, norm, groups, h)
-            caches.append(cache)
-            z = cache.z
-    return hs, caches
+    """Preactivations ``[None, h^1 .. h^L]`` and blocks ``[None, c^1 .. c^{L-1}]``."""
+    probe = _Probe(params.layer_dims, act, hp, norm, groups, x,
+                   last=params.depth, keep=True)
+    _sweep(params.layer, [probe])
+    return probe.hs, probe.caches
 
 
 def forward(
@@ -279,43 +375,12 @@ def partial_jacobian_norm(
     A full tangent basis is propagated through the forward pass, so the
     result is exact per draw, including the cross-neuron derivative terms
     of the normalization.  With ``profile=True`` the norm is recorded at
-    every layer in (l0, L] and an array indexed by layer is returned.
+    every layer in (l0, l] and an array indexed by layer (NaN elsewhere,
+    of length L + 1) is returned.  Layers after ``l`` are never drawn.
     """
-    L = params.depth
-    if not 0 <= l0 < l <= L:
-        raise ValueError(f"need 0 <= l0 < l <= {L}, got l0={l0}, l={l}")
-    dims = params.layer_dims
-    hs, caches = _forward_cached(params, act, hp, norm, x, groups)
-    if not profile and l == l0 + 1:
-        return _one_step_jacobian_sq(params, hp, norm, caches, groups, l0)
-    out = np.full(L + 1, np.nan) if profile else None
-    T = np.eye(dims[l0])
-    for m in range(l0, l):
-        scale = hp.sigma_w / math.sqrt(dims[m])
-        if m == 0:
-            T = scale * (params.weights[0] @ T)
-        else:
-            T = scale * (params.weights[m] @ _block_tangent(caches[m], norm, groups, T))
-        if profile:
-            out[m + 1] = float(np.sum(T * T)) / dims[m + 1]
-    if profile:
-        return out
-    return float(np.sum(T * T)) / dims[l]
-
-
-def _one_step_jacobian_sq(params, hp, norm, caches, groups, l0):
-    """(1/N_{l0+1}) |M|_F^2 for a single layer map, in O(N^2).
-
-    Uses |M|_F = |M^T|_F: the block-Jacobian transpose is applied to the
-    scaled weight transpose, avoiding an N x N by N x N product.
-    """
-    dims = params.layer_dims
-    scale = hp.sigma_w / math.sqrt(dims[l0])
-    W = params.weights[l0]
-    if l0 == 0:
-        return scale * scale * float(np.sum(W * W)) / dims[1]
-    V = _block_tangent_t(caches[l0], norm, groups, W.T * scale)
-    return float(np.sum(V * V)) / dims[l0 + 1]
+    probe = _Probe(params.layer_dims, act, hp, norm, groups, x, l, l0, profile)
+    _sweep(params.layer, [probe])
+    return probe.value
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +388,15 @@ def _one_step_jacobian_sq(params, hp, norm, caches, groups, l0):
 
 
 def _workers() -> int:
+    """Worker threads from ``JACPROP_WORKERS`` (default 1); bad values raise."""
+    text = os.environ.get(_WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(_WORKERS_ENV, "1")))
+        n = int(text)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"{_WORKERS_ENV} must be a positive integer, got {text!r}")
+    return n
 
 
 def _ensemble_map(fn: Callable[[int], object], n: int) -> list:
@@ -337,13 +407,48 @@ def _ensemble_map(fn: Callable[[int], object], n: int) -> list:
         return list(pool.map(fn, range(n)))
 
 
-def _members(cfg: EnsembleConfig, measure: Callable) -> np.ndarray:
-    """``measure(params, x)`` for every ensemble member, in member order."""
+#: Fields that configurations sharing one draw per member must agree on.
+_SHARED_DRAW = ("width", "input_dim", "depth", "n_init", "seed", "groups", "resample_inputs")
+
+
+def _batch(cfgs) -> tuple[list, bool]:
+    """``(configs, single)`` for one config or a sequence sharing a draw."""
+    if isinstance(cfgs, EnsembleConfig):
+        return [cfgs], True
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("need at least one config")
+    for cfg in cfgs[1:]:
+        differ = [k for k in _SHARED_DRAW if getattr(cfg, k) != getattr(cfgs[0], k)]
+        if differ:
+            raise ValueError(f"configs sharing a draw differ in {', '.join(differ)}")
+    return cfgs, False
+
+
+def _members(cfgs: list, measure: Callable) -> list:
+    """``measure(params, xs)`` for every member, ``xs`` holding each config's
+    input; returns one array per config, rows in member order."""
+    first = cfgs[0]
 
     def one(i: int):
-        return measure(NetworkParams.draw(cfg.layer_dims, cfg.seed, i), resolve_input(cfg, i))
+        params = NetworkParams.draw(first.layer_dims, first.seed, i)
+        return measure(params, [resolve_input(cfg, i) for cfg in cfgs])
 
-    return np.array(_ensemble_map(one, cfg.n_init))
+    rows = _ensemble_map(one, first.n_init)
+    return [np.array([row[k] for row in rows]) for k in range(len(cfgs))]
+
+
+def _swept(cfgs: list, l0: int, l: int, profile: bool = False) -> list:
+    """Per-config member values of J^{l0, l}, all configs in one sweep per member."""
+
+    def measure(params, xs):
+        probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
+                         cfg.groups, x, l, l0, profile)
+                  for cfg, x in zip(cfgs, xs)]
+        _sweep(params.layer, probes)
+        return [p.value for p in probes]
+
+    return _members(cfgs, measure)
 
 
 def _estimate(values: np.ndarray) -> tuple[float, float]:
@@ -353,48 +458,55 @@ def _estimate(values: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
-def _scalar_estimate(cfg: EnsembleConfig, measure: Callable) -> JacobianEstimate:
-    mean, stderr = _estimate(_members(cfg, measure))
-    return JacobianEstimate(mean=mean, stderr=stderr, n=cfg.n_init)
+def _scalar_estimate(values: np.ndarray) -> JacobianEstimate:
+    mean, stderr = _estimate(values)
+    return JacobianEstimate(mean=mean, stderr=stderr, n=values.shape[0])
 
 
-def empirical_chi(cfg: EnsembleConfig) -> JacobianEstimate:
+def empirical_chi(cfg: EnsembleConfig | Sequence[EnsembleConfig]):
     """Ensemble estimate of the near-output multiplier J^{L-2, L-1}.
 
     For homogeneous networks deep enough that the kernel has plateaued
     this estimates the fixed-point multiplier; depth 50 at width 1000 is
-    comfortably in that regime for every supported configuration.
+    comfortably in that regime for every supported configuration.  Layer
+    L is never drawn.  Given a sequence of configs that share a draw,
+    returns one estimate per config.
     """
-    return _scalar_estimate(cfg, lambda params, x: partial_jacobian_norm(
-        params, cfg.act, cfg.hyper, cfg.norm, x,
-        cfg.depth - 2, cfg.depth - 1, groups=cfg.groups,
-    ))
+    cfgs, single = _batch(cfg)
+    L = cfgs[0].depth
+    ests = [_scalar_estimate(v) for v in _swept(cfgs, L - 2, L - 1)]
+    return ests[0] if single else ests
 
 
 def ensemble_ntk(cfg: EnsembleConfig) -> JacobianEstimate:
     """Ensemble estimate of the exact NTK diagonal (see :func:`empirical_ntk`)."""
-    return _scalar_estimate(cfg, lambda params, x: empirical_ntk(
-        params, cfg.act, cfg.hyper, cfg.norm, x, groups=cfg.groups
-    ))
+    (values,) = _members([cfg], lambda params, xs: [empirical_ntk(
+        params, cfg.act, cfg.hyper, cfg.norm, xs[0], groups=cfg.groups
+    )])
+    return _scalar_estimate(values)
 
 
-def jacobian_profile(cfg: EnsembleConfig, l0: int = 0) -> JacobianEstimate:
-    """Ensemble-averaged J^{l0, l} for every layer l in (l0, L]."""
-    rows = _members(cfg, lambda params, x: partial_jacobian_norm(
-        params, cfg.act, cfg.hyper, cfg.norm, x, l0, cfg.depth,
-        groups=cfg.groups, profile=True,
-    ))
-    per_layer = rows.mean(axis=0)
-    per_stderr = (
-        rows.std(axis=0, ddof=1) / math.sqrt(cfg.n_init)
-        if cfg.n_init > 1
-        else np.zeros_like(per_layer)
-    )
-    mean, stderr = _estimate(rows[:, cfg.depth])
-    return JacobianEstimate(
-        mean=mean, stderr=stderr, n=cfg.n_init,
-        per_layer=per_layer, per_layer_stderr=per_stderr,
-    )
+def jacobian_profile(cfg: EnsembleConfig | Sequence[EnsembleConfig], l0: int = 0):
+    """Ensemble-averaged J^{l0, l} for every layer l in (l0, L].
+
+    Given a sequence of configs that share a draw, returns one estimate
+    per config.
+    """
+    cfgs, single = _batch(cfg)
+    L = cfgs[0].depth
+    ests = []
+    for rows in _swept(cfgs, l0, L, profile=True):
+        n = rows.shape[0]
+        per_layer = rows.mean(axis=0)
+        per_stderr = (
+            rows.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(per_layer)
+        )
+        mean, stderr = _estimate(rows[:, L])
+        ests.append(JacobianEstimate(
+            mean=mean, stderr=stderr, n=n,
+            per_layer=per_layer, per_layer_stderr=per_stderr,
+        ))
+    return ests[0] if single else ests
 
 
 @dataclass(frozen=True)
@@ -424,9 +536,8 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
     """
     if cfg.norm is not NormMode.VANILLA:
         raise ValueError("the input correction is derived for the vanilla mode")
-    est = _scalar_estimate(cfg, lambda params, x: partial_jacobian_norm(
-        params, cfg.act, cfg.hyper, cfg.norm, x, 0, 2, groups=cfg.groups
-    ))
+    (values,) = _swept([cfg], 0, 2)
+    est = _scalar_estimate(values)
 
     x = resolve_input(cfg, 0)
     rho = float(np.dot(x, x)) / cfg.input_dim
@@ -471,7 +582,10 @@ def empirical_ntk(
             f"network too large for the exact NTK (width {max(dims)}, depth {L}); "
             "pass allow_large=True to override"
         )
-    hs, caches = _forward_cached(params, act, hp, norm, x, groups)
+    drawn = [params.layer(l) for l in range(1, L + 1)]  # reused by both sweeps
+    probe = _Probe(dims, act, hp, norm, groups, x, last=L, keep=True)
+    _sweep(lambda l: drawn[l - 1], [probe])
+    caches = probe.caches
     z_inputs = [np.asarray(x, dtype=float)] + [c.z for c in caches[1:]]
 
     total = 0.0
@@ -483,7 +597,7 @@ def empirical_ntk(
         total += hp.sb2 * g_sq
         if l > 1:
             scale = hp.sigma_w / math.sqrt(dims[l - 1])
-            A = scale * (G @ params.weights[l - 1])  # d h^L / d z^{l-1}
+            A = scale * (G @ drawn[l - 1][0])  # d h^L / d z^{l-1}
             cache = caches[l - 1]
             if norm is not NormMode.VANILLA:
                 # gain/shift gradients: u = gamma * y + beta at gamma=1, beta=0

@@ -33,7 +33,9 @@ from jacprop.ensemble import (
     NetworkParams,
     _block,
     _forward_cached,
+    empirical_chi,
     empirical_ntk,
+    jacobian_profile,
     n0_correction_check,
     partial_jacobian_norm,
     resolve_input,
@@ -262,27 +264,19 @@ def test_criterion_5_empirical_chi_grid():
     t0 = time.time()
     width, n0, depth, n_init, seed = 1000, 100, 50, 30, 2024
     cells = _cell_setup()
-    dims = [n0] + [width] * depth
-    rng_x = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, 0))))
-    x_unit = rng_x.standard_normal(n0)
-
-    sums = np.zeros(len(cells))
-    sq_sums = np.zeros(len(cells))
     # standard-normal draws are shared across cells: the sigma scaling and
     # the normalization mode act only in the forward pass
-    for i in range(n_init):
-        params = NetworkParams.draw(dims, seed, i)
-        for c, (name, act, mode, hp, chi, std) in enumerate(cells):
-            val = partial_jacobian_norm(
-                params, act, hp, mode, std * x_unit, depth - 2, depth - 1
-            )
-            sums[c] += val
-            sq_sums[c] += val * val
+    ests = empirical_chi([
+        EnsembleConfig(width=width, input_dim=n0, depth=depth, n_init=n_init,
+                       seed=seed, hyper=hp, norm=mode, act=act,
+                       input_source=("gaussian", 0.0, std))
+        for name, act, mode, hp, chi, std in cells
+    ])
 
     worst = 0.0
     failures = []
     for c, (name, act, mode, hp, chi, std) in enumerate(cells):
-        mean = sums[c] / n_init
+        mean = ests[c].mean
         rel = abs(mean - chi) / chi
         worst = max(worst, rel)
         if rel > 0.05:
@@ -299,45 +293,19 @@ def test_criterion_5_empirical_chi_grid():
 # 6. empirical depth scaling at criticality
 
 
-def _profile_two_hyperparams(n0, width, depth, n_init, seed, acts_hps, input_std):
-    """Ensemble J^{0,l} profiles sharing weight draws, streaming layers."""
-    out = {k: np.zeros(depth + 1) for k in acts_hps}
-    for i in range(n_init):
-        root = np.random.SeedSequence(seed, spawn_key=(0, i))
-        children = root.spawn(depth)
-        x_ss = np.random.SeedSequence(seed, spawn_key=(1, 0))
-        x = input_std * np.random.Generator(np.random.PCG64(x_ss)).standard_normal(n0)
-        state = {
-            k: {"z": x, "T": np.eye(n0), "dim": n0} for k in acts_hps
-        }
-        for l, child in enumerate(children, start=1):
-            gen = np.random.Generator(np.random.PCG64(child))
-            W = gen.standard_normal((width, n0 if l == 1 else width))
-            b = gen.standard_normal(width)
-            for key, (act, hp) in acts_hps.items():
-                st = state[key]
-                scale = hp.sigma_w / math.sqrt(st["dim"])
-                h = scale * (W @ st["z"]) + hp.sigma_b * b
-                T = scale * (W @ st["T"]) if l == 1 else scale * (
-                    W @ (act(st["h"], 1)[:, None] * st["T"])
-                )
-                st.update(z=act(h), h=h, T=T, dim=width)
-                out[key][l] += float(np.sum(T * T)) / width / n_init
-    return out
-
-
 @pytest.mark.slow
 def test_criterion_6_empirical_scaling_exponents():
     t0 = time.time()
     n0, width, depth, n_init, seed = 128, 1000, 250, 25, 7
-    acts_hps = {
-        "erf": (ERF, Hyper(math.sqrt(PI / 4), 0.0)),
-        "relu": (RELU, Hyper(math.sqrt(2), 0.0)),
-    }
-    profiles = _profile_two_hyperparams(n0, width, depth, n_init, seed,
-                                        acts_hps, input_std=0.5)
-    series_erf = {l: profiles["erf"][l] for l in range(1, depth + 1)}
-    series_relu = {l: profiles["relu"][l] for l in range(1, depth + 1)}
+    erf, relu = jacobian_profile([
+        EnsembleConfig(width=width, input_dim=n0, depth=depth, n_init=n_init,
+                       seed=seed, hyper=hp, act=act,
+                       input_source=("gaussian", 0.0, 0.5))
+        for act, hp in ((ERF, Hyper(math.sqrt(PI / 4), 0.0)),
+                        (RELU, Hyper(math.sqrt(2), 0.0)))
+    ], l0=0)
+    series_erf = {l: erf.per_layer[l] for l in range(1, depth + 1)}
+    series_relu = {l: relu.per_layer[l] for l in range(1, depth + 1)}
     fit_erf = fit_power_law(series_erf, l_min=101)
     fit_relu = fit_power_law(series_relu, l_min=101)
     zeta_erf, zeta_relu = -fit_erf.slope, -fit_relu.slope
@@ -358,24 +326,21 @@ def test_criterion_7_correlation_lengths():
     t0 = time.time()
     n0, width, depth, n_init, seed = 64, 600, 30, 12, 99
     sw2s = [1.0, 1.5, 2.5, 3.0]
+    # vanilla and LayerNorm on preactivations at the same hyperparameters,
+    # every cell on the same draws
+    profiles = jacobian_profile([
+        EnsembleConfig(width=width, input_dim=n0, depth=depth, n_init=n_init,
+                       seed=seed, hyper=Hyper(math.sqrt(sw2), 0.0), norm=norm,
+                       act=RELU)
+        for sw2 in sw2s for norm in (NormMode.VANILLA, NormMode.PRE_LN)
+    ], l0=0)
     worst = 0.0
     xi_pairs = []
-    for sw2 in sw2s:
-        hp = Hyper(math.sqrt(sw2), 0.0)
-        acts_hps = {"van": (RELU, hp)}
-        prof = _profile_two_hyperparams(n0, width, depth, n_init, seed,
-                                        acts_hps, input_std=1.0)["van"]
-        fit = fit_exponential({l: prof[l] for l in range(1, depth + 1)}, l_min=5)
+    for k, sw2 in enumerate(sw2s):
+        van, pre = profiles[2 * k], profiles[2 * k + 1]
+        fit = fit_exponential({l: van.per_layer[l] for l in range(1, depth + 1)}, l_min=5)
         xi_target = 1.0 / abs(math.log(sw2 / 2.0))
         worst = max(worst, abs(fit.xi - xi_target) / xi_target)
-
-        # LayerNorm on preactivations at the same hyperparameters
-        cfg = EnsembleConfig(width=width, input_dim=n0, depth=depth,
-                             n_init=n_init, seed=seed, hyper=hp,
-                             norm=NormMode.PRE_LN, act=RELU)
-        from jacprop.ensemble import jacobian_profile
-
-        pre = jacobian_profile(cfg, l0=0)
         fit_pre = fit_exponential(
             {l: pre.per_layer[l] for l in range(1, depth + 1)}, l_min=5)
         xi_pairs.append((fit.xi, fit_pre.xi))

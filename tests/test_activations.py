@@ -119,6 +119,29 @@ class TestClosedForms:
             with pytest.raises(ValueError):
                 moment_closed(act, kind, math.nan)
 
+    LINEAR = Activation.scale_invariant(1.0, 1.0)
+    INF_LIMITS = [
+        (RELU, [math.inf, 0.5, math.inf, 0.0]),
+        (SI21, [math.inf, 2.5, math.inf, 0.0]),
+        (LINEAR, [math.inf, 1.0, 0.0, 0.0]),
+        (ERF, [1.0, 0.0, 0.0, 0.0]),
+        (GELU, [math.inf, 0.5, math.inf, 0.0]),
+    ]
+
+    @pytest.mark.parametrize("kind", list(MomentKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("act,limits", INF_LIMITS,
+                             ids=["relu", "si21", "linear", "erf", "gelu"])
+    def test_infinite_kernel_gives_the_limit(self, act, limits, kind):
+        limit = limits[list(MomentKind).index(kind)]
+        at_inf = moment_closed(act, kind, math.inf)
+        assert not math.isnan(at_inf)
+        assert at_inf == limit
+        if math.isfinite(limit):
+            # the slowest approach, erf PHI2, is 1 - (2/pi)/sqrt(2K)
+            assert moment_closed(act, kind, 1e12) == pytest.approx(limit, abs=1e-5)
+        else:
+            assert moment_closed(act, kind, 1e12) > 1e5
+
 
 class TestQuadratureOracle:
     @pytest.mark.parametrize("act", ALL_ACTS, ids=lambda a: a.family + str(a.a_plus))

@@ -196,6 +196,14 @@ class TestMonteCarlo:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_malformed_worker_count_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("JACPROP_WORKERS", "two")
+        out = tmp_path / "chi.json"
+        code, _, err = run_cli(self.ARGS + ["-o", str(out)], capsys)
+        assert code == 2
+        assert "JACPROP_WORKERS" in err
+        assert not out.exists()
+
     def test_n0check_task(self, capsys):
         args = ["mc", "n0check", "--act", "erf", "--mode", "vanilla",
                 "--sw", "1.0", "--sb", "0", "--width", "256",
@@ -276,3 +284,14 @@ class TestConfigFile:
         assert len(rows) == 7
         comments = [line for line in out.splitlines() if line.startswith("#")]
         assert any("sb=0.5" in c for c in comments)
+
+    @pytest.mark.parametrize("key", ["depht", "width"])  # a typo, another command's flag
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 7}))
+        code, out, err = run_cli(
+            ["--config", str(cfg), "theory-trace", "--act", "relu",
+             "--sw", "1", "--sb", "0", "--depth", "9"], capsys)
+        assert code == 2
+        assert repr(key) in err
+        assert out == ""

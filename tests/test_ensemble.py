@@ -406,3 +406,96 @@ class TestEnsembleDrivers:
             self._cfg(n_init=0)
         with pytest.raises(ValueError):
             self._cfg(groups=3)  # does not divide 128
+
+
+class TestStreaming:
+    """Layers are drawn one at a time, once per member for every config."""
+
+    def _cfg(self, **kw):
+        base = dict(width=48, input_dim=16, depth=6, n_init=2, seed=77,
+                    hyper=Hyper(1.3, 0.4), act=GELU)
+        base.update(kw)
+        return EnsembleConfig(**base)
+
+    def _batch(self):
+        return [
+            self._cfg(),
+            self._cfg(act=ERF, norm=NormMode.PRE_LN, hyper=Hyper(1.1, 0.2)),
+            self._cfg(act=RELU, norm=NormMode.POST_LN,
+                      input_source=("gaussian", 0.0, 0.6)),
+        ]
+
+    def test_layers_reproduce_the_golden_draw(self):
+        # math.fsum and the leading entries of the materialized draw of
+        # [5, 7, 3] at seed 17, member 1, before layers were streamed
+        golden = [
+            (-9.494355678410475, [-0.9325572541645556, -0.6837847384318761]),
+            (1.178326769779499, [0.3680246599082732, 0.964734091079519]),
+            (3.8403771789469294, [0.5350281288614901, 0.45254551968142315]),
+            (1.9139743228631139, [0.2851925319855623, 0.6399690110610416]),
+        ]
+        params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
+        drawn = [a for l in (1, 2) for a in params.layer(l)]
+        assert [a.shape for a in drawn] == [(7, 5), (7,), (3, 7), (3,)]
+        for a, (total, head) in zip(drawn, golden):
+            assert math.fsum(a.ravel()) == total
+            assert a.ravel()[:2].tolist() == head
+        again = params.layer(2)
+        assert np.array_equal(again[0], drawn[2]) and np.array_equal(again[1], drawn[3])
+        assert np.array_equal(params.weights[1], drawn[2])
+        assert np.array_equal(params.biases[0], drawn[1])
+
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    def test_peak_memory_below_eight_layers(self, norm):
+        import tracemalloc
+
+        cfg = EnsembleConfig(width=256, input_dim=256, depth=40, n_init=1, seed=3,
+                             hyper=Hyper(1.3, 0.4), act=GELU, norm=norm)
+        layer_bytes = 256 * 256 * 8
+        for run in (empirical_chi, jacobian_profile):
+            tracemalloc.start()
+            try:
+                run(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * layer_bytes, (run.__name__, peak / layer_bytes)
+
+    def test_shared_draw_counts(self, monkeypatch):
+        calls = []
+        layer = NetworkParams.layer
+
+        def counted(self, l):
+            calls.append(l)
+            return layer(self, l)
+
+        monkeypatch.setattr(NetworkParams, "layer", counted)
+        empirical_chi(self._batch())
+        # 2 members x layers 1..5: J^{4,5} never needs layer 6
+        assert sorted(calls) == sorted([1, 2, 3, 4, 5] * 2)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_batch_bit_identical_to_single_runs(self, workers, monkeypatch):
+        monkeypatch.setenv("JACPROP_WORKERS", workers)
+        cfgs = self._batch()
+        for run in (empirical_chi, lambda c: jacobian_profile(c, l0=1)):
+            batch = run(cfgs)
+            assert len(batch) == len(cfgs)
+            for cfg, got in zip(cfgs, batch):
+                alone = run(cfg)
+                assert (got.mean, got.stderr, got.n) == (alone.mean, alone.stderr, alone.n)
+                for a, b in ((got.per_layer, alone.per_layer),
+                             (got.per_layer_stderr, alone.per_layer_stderr)):
+                    assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+
+    def test_batch_must_share_the_draw(self):
+        with pytest.raises(ValueError, match="seed"):
+            empirical_chi([self._cfg(), self._cfg(seed=78)])
+        with pytest.raises(ValueError):
+            jacobian_profile([])
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", ""])
+    def test_malformed_worker_count_raises(self, value, monkeypatch):
+        monkeypatch.setenv("JACPROP_WORKERS", value)
+        with pytest.raises(ValueError, match="JACPROP_WORKERS"):
+            empirical_chi(self._cfg())

@@ -51,8 +51,11 @@ class TestKernelStep:
             )
 
     def test_overflow_returns_inf(self):
+        # a diverged vanilla kernel stays inf; it never reaches the moments'
+        # K = inf limits (erf's would give a finite next kernel)
         hp = Hyper(2.0, 0.0)
-        assert kernel_step(RELU, NormMode.VANILLA, hp, math.inf) == math.inf
+        for act in (RELU, SI21, ERF, GELU):
+            assert kernel_step(act, NormMode.VANILLA, hp, math.inf) == math.inf
 
     def test_negative_kernel_rejected(self):
         with pytest.raises(ValueError):
