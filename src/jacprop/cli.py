@@ -5,9 +5,10 @@ emits CSV with '#'-prefixed header comments carrying the full run
 configuration, or flat JSON with "inf"/"nan" spelled as strings.  Exit
 codes: 0 on success, 2 on usage errors, 1 on runtime failures.  A JSON
 file passed via ``--config`` overrides the corresponding flags of the
-chosen subcommand (any other key is a usage error), and the
-``JACPROP_WORKERS`` environment variable (a positive integer) caps
-ensemble worker threads.
+chosen subcommand, each value checked by the flag's own type and choices
+(a switch takes only true/false; any other key or a bad value is a usage
+error), and the ``JACPROP_WORKERS`` environment variable (a positive
+integer) caps ensemble worker threads.
 """
 
 from __future__ import annotations
@@ -65,14 +66,8 @@ def parse_mode(text: str) -> NormMode:
 
 
 def _fmt(v) -> str:
-    """Round-trip-safe scalar formatting for CSV cells."""
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return format(v, ".17g")
-    return str(v)
+    """Round-trip-safe scalar formatting for CSV cells ("nan", "inf", "-inf")."""
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def _json_safe(obj):
@@ -82,11 +77,7 @@ def _json_safe(obj):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
+        return v if math.isfinite(v) else _fmt(v)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -366,26 +357,44 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config_file(args) -> None:
-    if not getattr(args, "config", None):
+def _config_value(key: str, action: argparse.Action, value):
+    """``value`` checked and converted as the flag's own parser would."""
+    bad = argparse.ArgumentTypeError(f"bad --config value {json.dumps(value)} for key {key!r}")
+    if action.nargs == 0:  # a switch takes JSON true or false only
+        if not isinstance(value, bool):
+            raise bad
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise bad
+    try:
+        value = (action.type or str)(str(value))
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        raise bad from None
+    if action.choices is not None and value not in action.choices:
+        raise bad
+    return value
+
+
+def _apply_config_file(parser, args) -> None:
+    if not args.config:
         return
     with open(args.config) as f:
         overrides = json.load(f)
-    # parsing gave every flag of the chosen subcommand a value
-    known = set(vars(args)) - {"config", "command", "fn"}
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    actions = {a.dest: a for a in sub.choices[args.command]._actions if a.dest != "help"}
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise argparse.ArgumentTypeError(
                 f"unknown --config key {key!r} for {args.command}")
-        setattr(args, dest, value)
+        setattr(args, action.dest, _config_value(key, action, value))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(parser, args)
         return args.fn(args)
     except argparse.ArgumentTypeError as exc:  # bad flag vocabulary
         print(f"jacprop: error: {exc}", file=sys.stderr)

@@ -120,7 +120,7 @@ def find_fixed_point(
             if kernel_step(act, mode, hp, 0.0) == 0.0:
                 k_star = 0.0
         chi_k = _kernel_derivative(act, mode, hp, k_star)
-        chi_j = chi_jacobian(act, mode, hp, k_star if k_star > 0 else _ln_safe(mode, hp, k_star))
+        chi_j = chi_jacobian(act, mode, hp, k_star)
         return FixedPoint(k_star, chi_k, chi_j, converged, iters)
 
     if mode in (NormMode.PRE_LN, NormMode.POST_LN):
@@ -170,14 +170,6 @@ def find_fixed_point(
     if k < ZERO_FLOOR:
         k = 0.0
     return finish(k, it)
-
-
-def _ln_safe(mode: NormMode, hp: Hyper, k: float) -> float:
-    # chi_jacobian(PRE_LN) divides by the kernel; a vanishing fixed kernel
-    # only happens for sigma_w = sigma_b = 0, which has no sensible chi.
-    if mode is NormMode.PRE_LN and k <= 0:
-        raise ValueError("pre-LN fixed kernel is zero; chi undefined")
-    return k
 
 
 def _saturated_chi(act: Activation, hp: Hyper) -> float:

@@ -15,6 +15,11 @@ Jacobian of ``y = (v - mean v) / sqrt(var v + eps)`` within a group of
 size ``m`` is ``(t - mean t - y (y . t)/m) / s`` on a tangent ``t``, and
 dropping the mean/variance coupling terms is deliberately not offered.
 
+A hidden block h^l -> z^l is a chain of stages whose order is the
+normalization mode: phi (vanilla), normalize then phi (pre-LN), phi then
+normalize (post-LN).  Every stage's Jacobian is symmetric, so the block's
+transpose is the chain reversed.
+
 Every measurement is one forward sweep over the layers.  A member's
 :class:`NetworkParams` holds only one seed stream per layer; the sweep
 draws layer l just before it uses it, carries the tangent block from l0
@@ -208,44 +213,52 @@ def _gn_apply(y: np.ndarray, s: np.ndarray, groups: int, T: np.ndarray) -> np.nd
     return out.reshape(n, k)
 
 
-@dataclass
-class _LayerCache:
-    """Intermediates of one hidden block h^l -> z^l."""
-
-    h: np.ndarray                 # preactivations
-    z: np.ndarray                 # block output fed into the next weights
-    dphi: np.ndarray              # phi' at the point where phi was applied
-    y: np.ndarray | None = None   # normalized vector (LN modes)
-    s: np.ndarray | None = None   # per-group std (LN modes)
+def _phi(act: Activation, groups: int, v: np.ndarray):
+    """The phi stage on ``v``: ((diag(phi') as a map, None), phi(v))."""
+    dphi = act(v, 1)
+    return (lambda T: dphi[:, None] * T, None), act(v)
 
 
-def _block(act: Activation, norm: NormMode, groups: int, h: np.ndarray) -> _LayerCache:
-    if norm is NormMode.VANILLA:
-        return _LayerCache(h=h, z=act(h), dphi=act(h, 1))
-    if norm is NormMode.PRE_LN:
-        y, s = _gn_stats(h, groups)
-        return _LayerCache(h=h, z=act(y), dphi=act(y, 1), y=y, s=s)
-    a = act(h)
-    y, s = _gn_stats(a, groups)
-    return _LayerCache(h=h, z=y, dphi=act(h, 1), y=y, s=s)
+def _norm(act: Activation, groups: int, v: np.ndarray):
+    """The group-normalization stage on ``v``: ((its Jacobian, y), y)."""
+    y, s = _gn_stats(v, groups)
+    return (lambda T: _gn_apply(y, s, groups, T), y), y
 
 
-def _block_tangent(cache: _LayerCache, norm: NormMode, groups: int, T: np.ndarray):
-    """d z^l / d h^l applied to tangent columns ``T``."""
-    if norm is NormMode.VANILLA:
-        return cache.dphi[:, None] * T
-    if norm is NormMode.PRE_LN:
-        return cache.dphi[:, None] * _gn_apply(cache.y, cache.s, groups, T)
-    return _gn_apply(cache.y, cache.s, groups, cache.dphi[:, None] * T)
+#: Each mode's hidden block h^l -> z^l: its stages, in the order applied.
+_STAGES = {
+    NormMode.VANILLA: (_phi,),
+    NormMode.PRE_LN: (_norm, _phi),
+    NormMode.POST_LN: (_phi, _norm),
+}
 
 
-def _block_tangent_t(cache: _LayerCache, norm: NormMode, groups: int, V: np.ndarray):
-    """Transpose of the block Jacobian on ``V`` (the LN Jacobian is symmetric)."""
-    if norm is NormMode.VANILLA:
-        return cache.dphi[:, None] * V
-    if norm is NormMode.PRE_LN:
-        return _gn_apply(cache.y, cache.s, groups, cache.dphi[:, None] * V)
-    return cache.dphi[:, None] * _gn_apply(cache.y, cache.s, groups, V)
+class _Block:
+    """One hidden block h^l -> z^l through the mode's stages, each kept as
+    (its symmetric Jacobian on tangent columns, y if it normalizes else None)."""
+
+    def __init__(self, act: Activation, norm: NormMode, groups: int, h: np.ndarray):
+        self.stages = []
+        for run in _STAGES[norm]:
+            stage, h = run(act, groups, h)
+            self.stages.append(stage)
+        self.z = h
+
+    def tangent(self, T: np.ndarray) -> np.ndarray:
+        """d z^l / d h^l applied to tangent columns ``T``: the stages in order."""
+        for jac, _ in self.stages:
+            T = jac(T)
+        return T
+
+    def tangent_t(self, V: np.ndarray, gain_shift: list | None = None) -> np.ndarray:
+        """Its transpose on ``V``: the stages in reverse.  With ``gain_shift``,
+        each norm stage appends the squared gradients of its gain and shift
+        (u = gamma * y + beta at gamma=1, beta=0)."""
+        for jac, y in reversed(self.stages):
+            if gain_shift is not None and y is not None:
+                gain_shift.append(float(np.sum((V * V) * (y**2 + 1.0)[:, None])))
+            V = jac(V)
+        return V
 
 
 class _Probe:
@@ -255,7 +268,7 @@ class _Probe:
     layer ``l0``, the tangent block d h^m / d h^{l0}.  It needs layers
     1..``last``.  ``value`` ends as the squared-norm measurement (an array
     over layers with ``profile``); with ``keep`` every preactivation and
-    block is recorded in ``hs`` and ``caches`` instead.
+    block is recorded in ``hs`` and ``blocks`` instead.
     """
 
     def __init__(self, dims, act, hp, norm, groups, x, last,
@@ -265,14 +278,16 @@ class _Probe:
         x = np.asarray(x, dtype=float)
         if x.shape != (dims[0],):
             raise ValueError(f"input must have shape ({dims[0]},), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("input must be finite, got NaN or inf entries")
         self.dims, self.act, self.hp, self.norm, self.groups = dims, act, hp, norm, groups
         self.last, self.l0, self.profile, self.keep = last, l0, profile, keep
         self.z = x
-        self.cache = None  # block on the latest preactivation
+        self.block = None  # block on the latest preactivation
         self.T = None
         self.value = np.full(len(dims), np.nan) if profile else None
         self.hs: list = [None]      # hs[l] = h^l, 1-indexed (with keep)
-        self.caches: list = [None]  # caches[l] built on h^l (with keep)
+        self.blocks: list = [None]  # blocks[l] built on h^l (with keep)
 
     def step(self, l: int, W: np.ndarray, b: np.ndarray) -> None:
         """Advance through layer ``l``, given its raw draws."""
@@ -284,10 +299,10 @@ class _Probe:
             if self.keep:
                 self.hs.append(h)
             if l < self.last:
-                self.cache = _block(self.act, self.norm, self.groups, h)
-                self.z = self.cache.z
+                self.block = _Block(self.act, self.norm, self.groups, h)
+                self.z = self.block.z
                 if self.keep:
-                    self.caches.append(self.cache)
+                    self.blocks.append(self.block)
 
     def _tangent(self, l, W, scale):
         n = self.dims[l]
@@ -297,14 +312,14 @@ class _Probe:
             if l == 1:
                 self.value = scale * scale * float(np.sum(W * W)) / n
             else:
-                V = _block_tangent_t(self.cache, self.norm, self.groups, W.T * scale)
+                V = self.block.tangent_t(W.T * scale)
                 self.value = float(np.sum(V * V)) / n
             return
         if l == 1:
             self.T = scale * W  # W @ I is W, bit for bit
         else:
             T = np.eye(self.dims[l - 1]) if l == self.l0 + 1 else self.T
-            self.T = scale * (W @ _block_tangent(self.cache, self.norm, self.groups, T))
+            self.T = scale * (W @ self.block.tangent(T))
         if self.profile:
             self.value[l] = float(np.sum(self.T * self.T)) / n
         elif l == self.last:
@@ -326,21 +341,6 @@ def _sweep(layer: Callable[[int], tuple], probes: list) -> None:
         del W, b
 
 
-def _forward_cached(
-    params: NetworkParams,
-    act: Activation,
-    hp: Hyper,
-    norm: NormMode,
-    x: np.ndarray,
-    groups: int = 1,
-):
-    """Preactivations ``[None, h^1 .. h^L]`` and blocks ``[None, c^1 .. c^{L-1}]``."""
-    probe = _Probe(params.layer_dims, act, hp, norm, groups, x,
-                   last=params.depth, keep=True)
-    _sweep(params.layer, [probe])
-    return probe.hs, probe.caches
-
-
 def forward(
     params: NetworkParams,
     act: Activation,
@@ -355,8 +355,10 @@ def forward(
     input).  Normalization, when enabled, acts inside every hidden block
     with the layer's empirical mean and variance, gain 1 and shift 0.
     """
-    hs, _ = _forward_cached(params, act, hp, norm, x, groups)
-    return hs
+    probe = _Probe(params.layer_dims, act, hp, norm, groups, x,
+                   last=params.depth, keep=True)
+    _sweep(params.layer, [probe])
+    return probe.hs
 
 
 def partial_jacobian_norm(
@@ -451,16 +453,17 @@ def _swept(cfgs: list, l0: int, l: int, profile: bool = False) -> list:
     return _members(cfgs, measure)
 
 
-def _estimate(values: np.ndarray) -> tuple[float, float]:
+def _estimate(values: np.ndarray):
+    """Mean and standard error over the members (axis 0)."""
     n = values.shape[0]
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    mean = values.mean(axis=0)
+    stderr = values.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     return mean, stderr
 
 
 def _scalar_estimate(values: np.ndarray) -> JacobianEstimate:
     mean, stderr = _estimate(values)
-    return JacobianEstimate(mean=mean, stderr=stderr, n=values.shape[0])
+    return JacobianEstimate(mean=float(mean), stderr=float(stderr), n=values.shape[0])
 
 
 def empirical_chi(cfg: EnsembleConfig | Sequence[EnsembleConfig]):
@@ -496,16 +499,9 @@ def jacobian_profile(cfg: EnsembleConfig | Sequence[EnsembleConfig], l0: int = 0
     L = cfgs[0].depth
     ests = []
     for rows in _swept(cfgs, l0, L, profile=True):
-        n = rows.shape[0]
-        per_layer = rows.mean(axis=0)
-        per_stderr = (
-            rows.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(per_layer)
-        )
-        mean, stderr = _estimate(rows[:, L])
-        ests.append(JacobianEstimate(
-            mean=mean, stderr=stderr, n=n,
-            per_layer=per_layer, per_layer_stderr=per_stderr,
-        ))
+        per_layer, per_stderr = _estimate(rows)
+        est = _scalar_estimate(rows[:, L])
+        ests.append(JacobianEstimate(est.mean, est.stderr, est.n, per_layer, per_stderr))
     return ests[0] if single else ests
 
 
@@ -585,8 +581,8 @@ def empirical_ntk(
     drawn = [params.layer(l) for l in range(1, L + 1)]  # reused by both sweeps
     probe = _Probe(dims, act, hp, norm, groups, x, last=L, keep=True)
     _sweep(lambda l: drawn[l - 1], [probe])
-    caches = probe.caches
-    z_inputs = [np.asarray(x, dtype=float)] + [c.z for c in caches[1:]]
+    blocks = probe.blocks
+    z_inputs = [np.asarray(x, dtype=float)] + [b.z for b in blocks[1:]]
 
     total = 0.0
     G = np.eye(dims[L])  # d h^L / d h^l, starting at l = L
@@ -598,10 +594,7 @@ def empirical_ntk(
         if l > 1:
             scale = hp.sigma_w / math.sqrt(dims[l - 1])
             A = scale * (G @ drawn[l - 1][0])  # d h^L / d z^{l-1}
-            cache = caches[l - 1]
-            if norm is not NormMode.VANILLA:
-                # gain/shift gradients: u = gamma * y + beta at gamma=1, beta=0
-                Tu = A * cache.dphi[None, :] if norm is NormMode.PRE_LN else A
-                total += float(np.sum((Tu * Tu) * (cache.y**2 + 1.0)[None, :]))
-            G = _block_tangent_t(cache, norm, groups, A.T).T
+            gain_shift = []
+            G = blocks[l - 1].tangent_t(A.T, gain_shift).T
+            total += sum(gain_shift)
     return total / dims[L]

@@ -31,10 +31,10 @@ from jacprop.critical import (
 from jacprop.ensemble import (
     EnsembleConfig,
     NetworkParams,
-    _block,
-    _forward_cached,
+    _Block,
     empirical_chi,
     empirical_ntk,
+    forward,
     jacobian_profile,
     n0_correction_check,
     partial_jacobian_norm,
@@ -388,13 +388,11 @@ def test_criterion_9_brute_force_oracles():
     x = rng.normal(size=16)
     hp = Hyper(1.3, 0.5)
     for mode in MODES:
-        _, caches = _forward_cached(params, GELU, hp, mode, x)
-        from jacprop.ensemble import _block_tangent
-
+        hs = forward(params, GELU, hp, mode, x)
         M = np.eye(64)
         for m in (1, 2, 3):
             scale = hp.sigma_w / math.sqrt(dims[m])
-            B = _block_tangent(caches[m], mode, 1, np.eye(64))
+            B = _Block(GELU, mode, 1, hs[m]).tangent(np.eye(64))
             M = (scale * params.weights[m] @ B) @ M
         dense = float(np.sum(M * M)) / 64
         fast = partial_jacobian_norm(params, GELU, hp, mode, x, 1, 4)
@@ -466,15 +464,15 @@ def test_criterion_9_brute_force_oracles():
     hp3 = Hyper(1.3, 0.4)
     for mode in (NormMode.PRE_LN, NormMode.POST_LN):
         got = partial_jacobian_norm(p3, GELU, hp3, mode, x3, 1, 3)
-        hs, _ = _forward_cached(p3, GELU, hp3, mode, x3)
+        hs = forward(p3, GELU, hp3, mode, x3)
         eps = 1e-6
 
         def tail(h1):
             h = h1
             for m in (1, 2):
-                cache = _block(GELU, mode, 1, h)
+                z = _Block(GELU, mode, 1, h).z
                 scale = hp3.sigma_w / math.sqrt(dims3[m])
-                h = scale * (p3.weights[m] @ cache.z) + hp3.sigma_b * p3.biases[m]
+                h = scale * (p3.weights[m] @ z) + hp3.sigma_b * p3.biases[m]
             return h
 
         J = np.zeros((12, 12))

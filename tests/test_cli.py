@@ -214,6 +214,18 @@ class TestMonteCarlo:
         doc = json.loads(out)
         assert set(doc) >= {"measured", "corrected_pred", "uncorrected_pred"}
 
+    def test_non_finite_input_file_exits_one(self, capsys, tmp_path):
+        x = np.ones(16, dtype="<f4")
+        x[3] = np.nan
+        path = tmp_path / "input.bin"
+        x.tofile(path)
+        out = tmp_path / "chi.json"
+        code, _, err = run_cli(self.ARGS + ["--input-file", str(path), "-o", str(out)],
+                               capsys)
+        assert code == 1
+        assert "finite" in err
+        assert not out.exists()
+
     def test_runtime_error_exits_one(self, capsys):
         args = ["mc", "chi", "--act", "relu", "--mode", "vanilla",
                 "--sw", "1", "--sb", "0", "--width", "16",
@@ -295,3 +307,29 @@ class TestConfigFile:
         assert code == 2
         assert repr(key) in err
         assert out == ""
+
+    @pytest.mark.parametrize("value", ["7", 7])
+    def test_value_parsed_like_the_flag(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"depth": value}))
+        code, out, _ = run_cli(
+            ["--config", str(cfg), "theory-trace", "--act", "relu",
+             "--sw", "1", "--sb", "0", "--depth", "9"], capsys)
+        flag = run_cli(["theory-trace", "--act", "relu", "--sw", "1", "--sb", "0",
+                        "--depth", "7"], capsys)
+        assert (code, out) == flag[:2]
+
+    @pytest.mark.parametrize("entry", [{"depth": "seven"}, {"depth": 7.9},
+                                       {"ntk_lag": "no"}, {"mode": "pre_ln"}])
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(entry))
+        out = tmp_path / "trace.csv"
+        code, _, err = run_cli(
+            ["--config", str(cfg), "theory-trace", "--act", "relu",
+             "--sw", "1", "--sb", "0", "--depth", "9", "-o", str(out)], capsys)
+        assert code == 2
+        assert not out.exists()
+        key, = entry
+        if key != "mode":  # --mode is checked by its command, like on the command line
+            assert repr(key) in err

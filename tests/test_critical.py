@@ -73,6 +73,11 @@ class TestFindFixedPoint:
         with pytest.raises(ValueError):
             find_fixed_point(GELU, NormMode.VANILLA, Hyper(1.5, 0.2), k_init=k_init)
 
+    def test_pre_ln_zero_kernel_rejected(self):
+        # sigma_w = sigma_b = 0 pins the pre-LN kernel to zero: no multiplier
+        with pytest.raises(ValueError):
+            find_fixed_point(ERF, NormMode.PRE_LN, Hyper(0.0, 0.0))
+
     def test_nan_tolerance_rejected(self):
         # a NaN tolerance never compares true, so the iteration would run
         # to max_iter and report a non-fixed point as converged

@@ -18,9 +18,7 @@ from jacprop.activations import Activation
 from jacprop.ensemble import (
     EnsembleConfig,
     NetworkParams,
-    _block,
-    _block_tangent,
-    _forward_cached,
+    _Block,
     empirical_chi,
     empirical_ntk,
     forward,
@@ -70,14 +68,14 @@ def mini_forward(ws, bs, gammas, betas, act, hp, norm, x, groups=1):
 def dense_layer_maps(params, act, hp, norm, x, groups=1):
     """Explicit per-layer Jacobian matrices, built column by column."""
     dims = params.layer_dims
-    _, caches = _forward_cached(params, act, hp, norm, x, groups)
+    hs = forward(params, act, hp, norm, x, groups)
     maps = []
     for m in range(params.depth):
         scale = hp.sigma_w / math.sqrt(dims[m])
         if m == 0:
             maps.append(scale * params.weights[0])
         else:
-            B = _block_tangent(caches[m], norm, groups, np.eye(dims[m]))
+            B = _Block(act, norm, groups, hs[m]).tangent(np.eye(dims[m]))
             maps.append(scale * params.weights[m] @ B)
     return maps
 
@@ -100,10 +98,11 @@ class TestForward:
         params = NetworkParams.draw([16, 64, 64, 64], seed=3)
         hp = Hyper(1.3, 0.4)
         x = np.random.default_rng(0).normal(size=16)
-        _, caches = _forward_cached(params, GELU, hp, NormMode.POST_LN, x)
-        for cache in caches[1:]:
-            assert abs(np.mean(cache.z)) <= 1e-12
-            assert np.mean(cache.z**2) == pytest.approx(1.0, abs=1e-9)
+        hs = forward(params, GELU, hp, NormMode.POST_LN, x)
+        for h in hs[1:-1]:
+            z = _Block(GELU, NormMode.POST_LN, 1, h).z
+            assert abs(np.mean(z)) <= 1e-12
+            assert np.mean(z**2) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_independent_reimplementation(self):
         params = NetworkParams.draw([5, 8, 8, 8], seed=7)
@@ -139,6 +138,19 @@ class TestForward:
         params = NetworkParams.draw([4, 8], seed=0)
         with pytest.raises(ValueError):
             forward(params, RELU, Hyper(1, 0), NormMode.VANILLA, np.zeros(5))
+        # a non-finite entry must not come back as J = 0 (ReLU) or NaN
+        params = NetworkParams.draw([4, 8, 8, 8], seed=0)
+        hp = Hyper(1.4, 0.1)
+        for bad, norm in ((math.nan, NormMode.VANILLA), (math.inf, NormMode.PRE_LN)):
+            x = [bad, 1.0, 2.0, 3.0]
+            with pytest.raises(ValueError, match="finite"):
+                forward(params, RELU, hp, norm, x)
+            with pytest.raises(ValueError, match="finite"):
+                partial_jacobian_norm(params, RELU, hp, norm, x, 1, 3)
+            cfg = EnsembleConfig(width=8, input_dim=4, depth=3, n_init=2, seed=0,
+                                 hyper=hp, norm=norm, input_source=("array", x))
+            with pytest.raises(ValueError, match="finite"):
+                empirical_chi(cfg)
 
 
 class TestPartialJacobianNorm:
@@ -186,15 +198,14 @@ class TestPartialJacobianNorm:
         x = np.random.default_rng(6).normal(size=6)
         got = partial_jacobian_norm(params, GELU, hp, norm, x, 1, 3)
 
-        hs, _ = _forward_cached(params, GELU, hp, norm, x)
+        hs = forward(params, GELU, hp, norm, x)
         eps = 1e-6
 
         def tail(h1):
             z = None
             h = h1
             for m in (1, 2):
-                cache = _block(GELU, norm, 1, h)
-                z = cache.z
+                z = _Block(GELU, norm, 1, h).z
                 scale = hp.sigma_w / math.sqrt(dims[m])
                 h = scale * (params.weights[m] @ z) + hp.sigma_b * params.biases[m]
             return h
@@ -207,15 +218,19 @@ class TestPartialJacobianNorm:
         assert got == pytest.approx(np.sum(J * J) / dims[3], rel=1e-6)
 
     def test_one_step_shortcut_equals_generic(self):
+        # the shortcut runs the block's stages in reverse, the generic
+        # path in order
         dims = [6, 24, 24]
         params = NetworkParams.draw(dims, seed=2)
         hp = Hyper(1.1, 0.2)
         x = np.random.default_rng(7).normal(size=6)
-        for norm in ALL_MODES:
-            quick = partial_jacobian_norm(params, ERF, hp, norm, x, 1, 2)
-            prof = partial_jacobian_norm(params, ERF, hp, norm, x, 1, 2, profile=True)
-            # same quantity, different contraction order: ulp-level only
-            assert quick == pytest.approx(prof[2], rel=1e-13)
+        for groups in (1, 2):
+            for norm in ALL_MODES:
+                quick = partial_jacobian_norm(params, ERF, hp, norm, x, 1, 2, groups)
+                prof = partial_jacobian_norm(params, ERF, hp, norm, x, 1, 2, groups,
+                                             profile=True)
+                # same quantity, different contraction order: ulp-level only
+                assert quick == pytest.approx(prof[2], rel=1e-13), (norm, groups)
 
     def test_single_layer_from_input_expectation(self):
         # J^{0,1} = sigma_w^2 |W|_F^2 / (N0 N1) -> sigma_w^2 in expectation
@@ -254,36 +269,39 @@ class TestEmpiricalNtk:
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     def test_finite_difference_parameter_gradients(self, norm):
-        dims = [3, 2, 2]
-        params = NetworkParams.draw(dims, seed=5)
-        hp = Hyper(1.1, 0.6)
-        x = np.random.default_rng(9).normal(size=3)
-        got = empirical_ntk(params, ERF, hp, norm, x)
-
-        gam = [np.ones(2)]
-        bet = [np.zeros(2)]
-        eps = 1e-6
-        total = 0.0
-        packs = [("w", params.weights), ("b", params.biases)]
+        cases = [([3, 2, 2], 1)]
         if norm is not NormMode.VANILLA:
-            packs += [("g", gam), ("e", bet)]
-        for which, arrs in packs:
-            for li, arr in enumerate(arrs):
-                it = np.nditer(arr, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
+            cases.append(([3, 6, 6, 6], 2))  # the gain/shift term per group
+        for dims, groups in cases:
+            params = NetworkParams.draw(dims, seed=5)
+            hp = Hyper(1.1, 0.6)
+            x = np.random.default_rng(9).normal(size=3)
+            got = empirical_ntk(params, ERF, hp, norm, x, groups=groups)
 
-                    def run(sign):
-                        ws = [a.copy() for a in params.weights]
-                        bs = [b.copy() for b in params.biases]
-                        gs = [g.copy() for g in gam]
-                        es = [e.copy() for e in bet]
-                        {"w": ws, "b": bs, "g": gs, "e": es}[which][li][idx] += sign * eps
-                        return mini_forward(ws, bs, gs, es, ERF, hp, norm, x)
+            gam = [np.ones(n) for n in dims[1:-1]]
+            bet = [np.zeros(n) for n in dims[1:-1]]
+            eps = 1e-6
+            total = 0.0
+            packs = [("w", params.weights), ("b", params.biases)]
+            if norm is not NormMode.VANILLA:
+                packs += [("g", gam), ("e", bet)]
+            for which, arrs in packs:
+                for li, arr in enumerate(arrs):
+                    it = np.nditer(arr, flags=["multi_index"])
+                    for _ in it:
+                        idx = it.multi_index
 
-                    g = (run(+1) - run(-1)) / (2 * eps)
-                    total += float(np.sum(g * g))
-        assert got == pytest.approx(total / dims[2], rel=1e-6)
+                        def run(sign):
+                            ws = [a.copy() for a in params.weights]
+                            bs = [b.copy() for b in params.biases]
+                            gs = [g.copy() for g in gam]
+                            es = [e.copy() for e in bet]
+                            {"w": ws, "b": bs, "g": gs, "e": es}[which][li][idx] += sign * eps
+                            return mini_forward(ws, bs, gs, es, ERF, hp, norm, x, groups)
+
+                        g = (run(+1) - run(-1)) / (2 * eps)
+                        total += float(np.sum(g * g))
+            assert got == pytest.approx(total / dims[-1], rel=1e-6), (dims, groups)
 
     def test_mean_matches_theory_at_relu_criticality(self):
         hp = Hyper(math.sqrt(2), 0.0)
@@ -304,6 +322,83 @@ class TestEmpiricalNtk:
             empirical_ntk(params, RELU, Hyper(1, 0), NormMode.VANILLA, np.zeros(4))
         empirical_ntk(params, RELU, Hyper(1, 0), NormMode.VANILLA, np.zeros(4),
                       allow_large=True)
+
+
+class TestGoldenBits:
+    """Exact bits of every block path, so that no rewrite of the block moves a result.
+
+    Per activation, mode and group count on one [5, 8, 8, 8] net at seed
+    23: J^{1,2} (one-step, the stages reversed), J^{1,3} (generic, the
+    stages in order), the profile J^{0,l} for l = 1..3 and the NTK (the
+    reversed stages plus the gain/shift term), as ``float.hex``.
+    """
+
+    GOLDEN = {
+        ("relu", "VANILLA", 1): (
+            "0x1.6b2945b8e64b2p-1", "0x1.24307591938e2p-2", "0x1.d8095e255aeb4p+0",
+            "0x1.0a32abb0d0221p+0", "0x1.90c774fecf4ccp-3", "0x1.08ccc6fa649eap+1",
+        ),
+        ("relu", "VANILLA", 2): (
+            "0x1.6b2945b8e64b2p-1", "0x1.24307591938e2p-2", "0x1.d8095e255aeb4p+0",
+            "0x1.0a32abb0d0221p+0", "0x1.90c774fecf4ccp-3", "0x1.08ccc6fa649eap+1",
+        ),
+        ("relu", "PRE_LN", 1): (
+            "0x1.38a3fe05121b6p-2", "0x1.8fb41535529d6p-5", "0x1.d8095e255aeb4p+0",
+            "0x1.098849be2056fp-1", "0x1.e63c0310258d0p-5", "0x1.57d4970b9709cp+1",
+        ),
+        ("relu", "PRE_LN", 2): (
+            "0x1.310c977550964p+0", "0x1.37ee2c1631818p-2", "0x1.d8095e255aeb4p+0",
+            "0x1.8abe50d81380cp+1", "0x1.9e7cb4b08df24p-1", "0x1.92b412bf4e30dp+1",
+        ),
+        ("relu", "POST_LN", 1): (
+            "0x1.41bb1f36b0086p+0", "0x1.63de94f52e022p-2", "0x1.d8095e255aeb4p+0",
+            "0x1.578e684b525dcp+1", "0x1.17d886dfab25cp-1", "0x1.10056f45fb354p+3",
+        ),
+        ("relu", "POST_LN", 2): (
+            "0x1.2b630a8932e14p+3", "0x1.ec30b668be284p-1", "0x1.d8095e255aeb4p+0",
+            "0x1.86663cbb534e6p+4", "0x1.3a15a03f0fea8p+1", "0x1.0ed0c2dac287ap+3",
+        ),
+        ("gelu", "VANILLA", 1): (
+            "0x1.22ad2b591b5b5p-1", "0x1.90fbfcea30b34p-3", "0x1.d8095e255aeb4p+0",
+            "0x1.aa5b69a927b38p-1", "0x1.9da98d7762240p-4", "0x1.8524d3becf466p+0",
+        ),
+        ("gelu", "VANILLA", 2): (
+            "0x1.22ad2b591b5b5p-1", "0x1.90fbfcea30b34p-3", "0x1.d8095e255aeb4p+0",
+            "0x1.aa5b69a927b38p-1", "0x1.9da98d7762240p-4", "0x1.8524d3becf466p+0",
+        ),
+        ("gelu", "PRE_LN", 1): (
+            "0x1.c2926359431f8p-3", "0x1.17e58552e8566p-5", "0x1.d8095e255aeb4p+0",
+            "0x1.c11541ea61405p-2", "0x1.241e90b2985eep-5", "0x1.56e2d06fb724ep+1",
+        ),
+        ("gelu", "PRE_LN", 2): (
+            "0x1.62a906a039f14p+0", "0x1.f1fc6e201b3e4p-2", "0x1.d8095e255aeb4p+0",
+            "0x1.d2264f5e3cc37p+1", "0x1.562dfec735617p+0", "0x1.d081bfddfad0ap+1",
+        ),
+        ("gelu", "POST_LN", 1): (
+            "0x1.78ae8186aa3cap-1", "0x1.7556c608cf95ep-3", "0x1.d8095e255aeb4p+0",
+            "0x1.641da6aceabe7p+0", "0x1.71134f822a2fcp-3", "0x1.f0dd3c736b9e5p+2",
+        ),
+        ("gelu", "POST_LN", 2): (
+            "0x1.ef15620a4ac5ap+1", "0x1.a3012aa92efd1p-1", "0x1.d8095e255aeb4p+0",
+            "0x1.2a68004718620p+3", "0x1.822347afc7f67p+0", "0x1.1016c17a9b4a0p+3",
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: "-".join(map(str, k)))
+    def test_values_are_bit_identical(self, key):
+        act_name, mode_name, groups = key
+        act, norm = getattr(Activation, act_name)(), NormMode[mode_name]
+        params = NetworkParams.draw([5, 8, 8, 8], seed=23)
+        hp = Hyper(1.3, 0.4)
+        x = np.array([0.7, -1.2, 0.3, 2.1, -0.4])
+        prof = partial_jacobian_norm(params, act, hp, norm, x, 0, 3, groups, profile=True)
+        got = [
+            partial_jacobian_norm(params, act, hp, norm, x, 1, 2, groups),
+            partial_jacobian_norm(params, act, hp, norm, x, 1, 3, groups),
+            *prof[1:],
+            empirical_ntk(params, act, hp, norm, x, groups),
+        ]
+        assert [float(v).hex() for v in got] == list(self.GOLDEN[key])
 
 
 class TestEnsembleDrivers:
