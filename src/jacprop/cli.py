@@ -48,11 +48,13 @@ def parse_activation(text: str) -> Activation:
         return Activation.gelu()
     if text.startswith("scale-invariant:"):
         parts = text.split(":")
-        if len(parts) != 3:
+        try:
+            a_plus, a_minus = map(float, parts[1:])
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected scale-invariant:a+:a-, got {text!r}"
-            )
-        return Activation.scale_invariant(float(parts[1]), float(parts[2]))
+            ) from None
+        return Activation.scale_invariant(a_plus, a_minus)
     raise argparse.ArgumentTypeError(f"unknown activation {text!r}")
 
 
@@ -63,6 +65,18 @@ def parse_mode(text: str) -> NormMode:
         raise argparse.ArgumentTypeError(
             f"unknown mode {text!r}; choose from {sorted(_MODES)}"
         ) from None
+
+
+def _checked(parse):
+    """Argparse type for a vocabulary flag: ``parse`` checks the text, which
+    is kept as given for the run record."""
+
+    def check(text: str) -> str:
+        parse(text)
+        return text
+
+    check.__name__ = parse.__name__
+    return check
 
 
 def _fmt(v) -> str:
@@ -159,14 +173,15 @@ def _cmd_phase_diagram(args) -> int:
     config = dict(act=args.act, mode=args.mode, sw2_min=args.sw2_min,
                   sw2_max=args.sw2_max, sb2_min=args.sb2_min,
                   sb2_max=args.sb2_max, resolution=args.resolution)
+    # a diverged cell carries the saturated large-kernel chi; 1 flags it
     rows = [
-        (grid.sigma_w[i] ** 2, grid.sigma_b[j] ** 2, grid.chi[i, j])
+        (grid.sigma_w[i] ** 2, grid.sigma_b[j] ** 2, grid.chi[i, j], int(grid.diverged[i, j]))
         for i in range(grid.sigma_w.size)
         for j in range(grid.sigma_b.size)
     ]
     with _open_out(args) as out:
         _emit_csv(out, "phase-diagram", config,
-                  ["sigma_w_sq", "sigma_b_sq", "chi"], rows)
+                  ["sigma_w_sq", "sigma_b_sq", "chi", "diverged"], rows)
     return 0
 
 
@@ -289,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp, mc=False):
-        sp.add_argument("--act", required=True,
+        sp.add_argument("--act", required=True, type=_checked(parse_activation),
                         help="relu | erf | gelu | scale-invariant:a+:a-")
-        sp.add_argument("--mode", default="vanilla",
+        sp.add_argument("--mode", default="vanilla", type=_checked(parse_mode),
                         help="vanilla | pre-ln | post-ln")
         sp.add_argument("--out", "-o", help="output path (default stdout)")
         if mc:

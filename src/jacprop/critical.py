@@ -280,18 +280,24 @@ def _line_point(
     return CriticalLinePoint(sigma_w, sigma_b, abs(fp.chi_j_star - 1.0), fp.k_star)
 
 
+#: A negative sigma_b^2 = K* - sigma_w^2 <phi^2> above this many K* is
+#: rounding in the difference of two terms of size K*, read as zero.
+_SB2_ROUNDING = 1e-12
+
+
 def gelu_parametric_line(k_star: float, act: Activation | None = None):
     """Exact vanilla-GELU critical pair ``(sigma_w, sigma_b)`` at kernel ``k_star``.
 
     Eliminating the arcsin term between the fixed-point and criticality
     conditions leaves ``sigma_w^2 = 1 / <phi'(h)^2>`` and ``sigma_b^2 =
     K* - sigma_w^2 <phi(h)^2>``, both evaluated at ``K*``; scanning ``K*``
-    draws the whole line.
+    draws the whole line.  Given ``act`` it is that activation's pair, as
+    :func:`critical_point` uses it; ``sigma_b`` is NaN when none is real.
     """
     act = act or Activation.gelu()
     sw2 = 1.0 / moment_closed(act, MomentKind.DPHI2, k_star)
     sb2 = k_star - sw2 * moment_closed(act, MomentKind.PHI2, k_star)
-    if sb2 < 0 and sb2 > -1e-12:
+    if -_SB2_ROUNDING * k_star <= sb2 < 0:
         sb2 = 0.0
     return math.sqrt(sw2), math.sqrt(sb2) if sb2 >= 0 else math.nan
 
@@ -351,7 +357,7 @@ def critical_point(
     points: list[CriticalLinePoint] = []
 
     def add_point(k_star: float):
-        sigma_w, sigma_b = _point_at_kernel(act, k_star)
+        sigma_w, sigma_b = gelu_parametric_line(k_star, act)
         if math.isnan(sigma_b):
             return
         hp = Hyper(sigma_w, sigma_b)
@@ -370,16 +376,6 @@ def critical_point(
             if k_star > 1e-9:  # the boundary root was already collected
                 add_point(k_star)
     return points
-
-
-def _point_at_kernel(act: Activation, k_star: float):
-    sw2 = 1.0 / moment_closed(act, MomentKind.DPHI2, k_star)
-    sb2 = k_star - sw2 * moment_closed(act, MomentKind.PHI2, k_star)
-    if sb2 < 0:
-        if sb2 < -1e-10:
-            return math.nan, math.nan
-        sb2 = 0.0
-    return math.sqrt(sw2), math.sqrt(sb2)
 
 
 @dataclass(frozen=True)

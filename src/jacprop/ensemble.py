@@ -33,12 +33,27 @@ each layer is drawn once for all of them.  Only :func:`empirical_ntk` (at
 most 256 wide, 12 deep) and the ``weights``/``biases`` oracle properties
 materialize a whole network.
 
+The ensemble drivers draw no weight matrix below l0.  J^{l0, l} depends
+on layers 1..l0 only through h^{l0}, and for one input, given z^{l-1},
+``W^l z^{l-1}`` is exactly N(0, |z^{l-1}|^2 I).  So each layer l <= l0
+draws (xi^l, b^l), 2 N_l normals from its own stream
+(:meth:`NetworkParams.conditional`), and sets ``h^l = (sigma_w /
+sqrt(N_{l-1})) |z^{l-1}| xi^l + sigma_b b^l``: ``empirical_chi`` draws one
+matrix per member instead of L - 1.
+
 Determinism: every (seed, member, layer) draws from its own seed-derived
-RNG stream and every configuration keeps its own matrix products, so a
-result is bit-identical whether the layers are streamed or materialized,
-whether its configuration runs alone or with others sharing the draw,
-and however many worker threads evaluate the members.  Set
-``JACPROP_WORKERS`` to a positive integer to parallelize over members.
+RNG stream and every configuration keeps its own matrix products.  A
+driver's member is an exact sample of the network's law, not a
+materialized network: below l0 it is the conditional draw above, and
+configurations sharing a sweep share xi^l there, so only each one's own
+law is exact, not their joint law under one dense W^l.  The functions
+that take an explicit :class:`NetworkParams` (:func:`forward`,
+:func:`partial_jacobian_norm`, :func:`empirical_ntk`) use every weight,
+and their results are bit-identical whether the layers are streamed or
+materialized.  A driver's result is bit-identical whether its
+configuration runs alone or with others sharing the draw, and however
+many worker threads evaluate the members.  Set ``JACPROP_WORKERS`` to a
+positive integer to parallelize over members.
 """
 
 from __future__ import annotations
@@ -130,11 +145,23 @@ class NetworkParams:
     def depth(self) -> int:
         return len(self.streams)
 
+    def _rng(self, l: int) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.streams[l - 1]))
+
     def layer(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (W^l, b^l) of shapes (N_l, N_{l-1}) and (N_l,), weights first."""
-        rng = np.random.Generator(np.random.PCG64(self.streams[l - 1]))
-        dims = self.layer_dims
+        rng, dims = self._rng(l), self.layer_dims
         return rng.standard_normal((dims[l], dims[l - 1])), rng.standard_normal(dims[l])
+
+    def conditional(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw (xi^l, b^l), both of shape (N_l,), xi first, from layer l's stream.
+
+        For one input z, ``W^l z`` is N(0, |z|^2 I), which is the law of
+        ``|z| xi^l``: a layer that only carries a forward pass needs 2 N_l
+        normals instead of N_l (N_{l-1} + 1).
+        """
+        rng, n = self._rng(l), self.layer_dims[l]
+        return rng.standard_normal(n), rng.standard_normal(n)
 
     @property
     def weights(self) -> list:
@@ -201,22 +228,43 @@ def _gn_stats(v: np.ndarray, groups: int, eps: float = LN_EPS):
     return y.reshape(-1), s
 
 
+#: numpy evaluates ``a - b`` in place when ``a`` is an unnamed temporary
+#: of at least this many bytes (temporary elision).
+_ELIDE_BYTES = 256 * 1024
+
+
 def _gn_apply(y: np.ndarray, s: np.ndarray, groups: int, T: np.ndarray) -> np.ndarray:
-    """Exact normalization Jacobian applied to tangent columns ``T``."""
+    """Exact normalization Jacobian applied to tangent columns ``T``.
+
+    The result's memory order decides the summation order of every later
+    reduction, so ``T`` is overwritten only where that keeps the order of
+    the allocating expression ``T - mean - y proj``: always for a C-ordered
+    ``T``, and for any other from the elision size up, where numpy itself
+    reused the first temporary.  A smaller non-C ``T`` gets a fresh array.
+    """
     n, k = T.shape
     m = n // groups
     Tg = T.reshape(groups, m, k)
     yg = y.reshape(groups, m)
     proj = np.einsum("gm,gmk->gk", yg, Tg) / m
-    out = Tg - Tg.mean(axis=1, keepdims=True) - yg[:, :, None] * proj[:, None, :]
-    out /= s[:, None, None]
-    return out.reshape(n, k)
+    if Tg.flags.c_contiguous or Tg.nbytes >= _ELIDE_BYTES:
+        Tg -= Tg.mean(axis=1, keepdims=True)
+        Tg -= yg[:, :, None] * proj[:, None, :]
+    else:
+        Tg = Tg - Tg.mean(axis=1, keepdims=True) - yg[:, :, None] * proj[:, None, :]
+    Tg /= s[:, None, None]
+    return Tg.reshape(n, k)
 
 
 def _phi(act: Activation, groups: int, v: np.ndarray):
-    """The phi stage on ``v``: ((diag(phi') as a map, None), phi(v))."""
-    dphi = act(v, 1)
-    return (lambda T: dphi[:, None] * T, None), act(v)
+    """The phi stage on ``v``: ((diag(phi') in place, None), phi(v))."""
+    dphi = act(v, 1)[:, None]
+
+    def jac(T):
+        T *= dphi
+        return T
+
+    return (jac, None), act(v)
 
 
 def _norm(act: Activation, groups: int, v: np.ndarray):
@@ -235,7 +283,11 @@ _STAGES = {
 
 class _Block:
     """One hidden block h^l -> z^l through the mode's stages, each kept as
-    (its symmetric Jacobian on tangent columns, y if it normalizes else None)."""
+    (its symmetric Jacobian on tangent columns, y if it normalizes else None).
+
+    Both tangent maps work in place where the memory order allows: the
+    caller gives up the block it passes in and uses the one returned.
+    """
 
     def __init__(self, act: Activation, norm: NormMode, groups: int, h: np.ndarray):
         self.stages = []
@@ -268,7 +320,8 @@ class _Probe:
     layer ``l0``, the tangent block d h^m / d h^{l0}.  It needs layers
     1..``last``.  ``value`` ends as the squared-norm measurement (an array
     over layers with ``profile``); with ``keep`` every preactivation and
-    block is recorded in ``hs`` and ``blocks`` instead.
+    block is recorded in ``hs`` and ``blocks`` instead.  Layers at or
+    below ``l0`` only carry its forward pass (:meth:`forward_only`).
     """
 
     def __init__(self, dims, act, hp, norm, groups, x, last,
@@ -289,20 +342,34 @@ class _Probe:
         self.hs: list = [None]      # hs[l] = h^l, 1-indexed (with keep)
         self.blocks: list = [None]  # blocks[l] built on h^l (with keep)
 
+    def forward_only(self, l: int) -> bool:
+        return not self.keep and self.l0 is not None and l <= self.l0
+
     def step(self, l: int, W: np.ndarray, b: np.ndarray) -> None:
         """Advance through layer ``l``, given its raw draws."""
         scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
         if self.l0 is not None and l > self.l0:
             self._tangent(l, W, scale)
         if l < self.last or self.keep:
-            h = scale * (W @ self.z) + self.hp.sigma_b * b
+            self._advance(l, scale * (W @ self.z), b)
+
+    def sample(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
+        """Advance through a forward-only layer ``l`` given (xi^l, b^l) of
+        :meth:`NetworkParams.conditional`: ``|z^{l-1}| xi^l`` stands in for
+        ``W^l z^{l-1}``, with exactly its law."""
+        scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
+        self._advance(l, scale * (math.sqrt(float(self.z @ self.z)) * xi), b)
+
+    def _advance(self, l: int, wz: np.ndarray, b: np.ndarray) -> None:
+        """Set h^l from its scaled weight term ``wz`` and the bias draw."""
+        h = wz + self.hp.sigma_b * b
+        if self.keep:
+            self.hs.append(h)
+        if l < self.last:
+            self.block = _Block(self.act, self.norm, self.groups, h)
+            self.z = self.block.z
             if self.keep:
-                self.hs.append(h)
-            if l < self.last:
-                self.block = _Block(self.act, self.norm, self.groups, h)
-                self.z = self.block.z
-                if self.keep:
-                    self.blocks.append(self.block)
+                self.blocks.append(self.block)
 
     def _tangent(self, l, W, scale):
         n = self.dims[l]
@@ -313,27 +380,37 @@ class _Probe:
                 self.value = scale * scale * float(np.sum(W * W)) / n
             else:
                 V = self.block.tangent_t(W.T * scale)
-                self.value = float(np.sum(V * V)) / n
+                V *= V
+                self.value = float(np.sum(V)) / n
             return
         if l == 1:
             self.T = scale * W  # W @ I is W, bit for bit
         else:
             T = np.eye(self.dims[l - 1]) if l == self.l0 + 1 else self.T
-            self.T = scale * (W @ self.block.tangent(T))
+            self.T = W @ self.block.tangent(T)
+            self.T *= scale
         if self.profile:
             self.value[l] = float(np.sum(self.T * self.T)) / n
         elif l == self.last:
             self.value = float(np.sum(self.T * self.T)) / n
 
 
-def _sweep(layer: Callable[[int], tuple], probes: list) -> None:
+def _sweep(layer: Callable[[int], tuple], probes: list,
+           conditional: Callable[[int], tuple] | None = None) -> None:
     """Advance every probe through layers 1.. of one network in one pass.
 
     ``layer(l)`` returns (W^l, b^l); it is called once per layer, only up
     to the last layer a probe needs, and the previous layer is released
-    before the next one is drawn.
+    before the next one is drawn.  Given ``conditional`` (the ensemble
+    drivers), a layer that every probe only passes forward through is
+    not drawn: ``conditional(l)`` returns (xi^l, b^l) instead.
     """
     for l in range(1, max(p.last for p in probes) + 1):
+        if conditional is not None and all(p.forward_only(l) for p in probes):
+            xi, b = conditional(l)
+            for p in probes:
+                p.sample(l, xi, b)
+            continue
         W, b = layer(l)
         for p in probes:
             if l <= p.last:
@@ -447,7 +524,7 @@ def _swept(cfgs: list, l0: int, l: int, profile: bool = False) -> list:
         probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
                          cfg.groups, x, l, l0, profile)
                   for cfg, x in zip(cfgs, xs)]
-        _sweep(params.layer, probes)
+        _sweep(params.layer, probes, params.conditional)
         return [p.value for p in probes]
 
     return _members(cfgs, measure)

@@ -70,12 +70,23 @@ class TestTheoryTrace:
             main(["theory-trace", "--act", "relu", "--sw", "1", "--sb", "0"])
         assert exc.value.code == 2
 
+    @staticmethod
+    def _usage_error(capsys, flags) -> str:
+        # checked by the flags' types, like --depth
+        with pytest.raises(SystemExit) as exc:
+            main(["theory-trace", *flags, "--sw", "1", "--sb", "0", "--depth", "5"])
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
     def test_unknown_activation_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            ["theory-trace", "--act", "tanh", "--mode", "vanilla",
-             "--sw", "1", "--sb", "0", "--depth", "5"], capsys)
-        assert code == 2
-        assert "unknown activation" in err
+        err = self._usage_error(capsys, ["--act", "tanh", "--mode", "vanilla"])
+        assert "unknown activation 'tanh'" in err
+        err = self._usage_error(capsys, ["--act", "scale-invariant:1:x"])
+        assert "expected scale-invariant:a+:a-" in err
+
+    def test_unknown_mode_is_usage_error(self, capsys):
+        err = self._usage_error(capsys, ["--act", "relu", "--mode", "batch-norm"])
+        assert "unknown mode 'batch-norm'" in err
 
     def test_nan_k0_fails_without_rows(self, capsys):
         code, out, err = run_cli(
@@ -129,7 +140,7 @@ class TestPhaseDiagram:
              "--sb2-max", "1", "--resolution", "4"], capsys)
         assert code == 0
         _, header, rows = parse_csv(out)
-        assert header == ["sigma_w_sq", "sigma_b_sq", "chi"]
+        assert header == ["sigma_w_sq", "sigma_b_sq", "chi", "diverged"]
         assert len(rows) == 16
         by_sw = {}
         for r in rows:
@@ -138,6 +149,8 @@ class TestPhaseDiagram:
             assert len(chis) == 1  # independent of sigma_b
         for r in rows:
             assert float(r[2]) == pytest.approx(float(r[0]) / 2, rel=1e-10)
+            # the ReLU kernel runs away exactly when sigma_w^2 > 2
+            assert r[3] == ("1" if float(r[0]) > 2 else "0")
 
 
 class TestMonteCarlo:
@@ -331,5 +344,17 @@ class TestConfigFile:
         assert code == 2
         assert not out.exists()
         key, = entry
-        if key != "mode":  # --mode is checked by its command, like on the command line
-            assert repr(key) in err
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("entry", [{"mode": "foo"}, {"act": "tanh"},
+                                       {"act": "scale-invariant:1"}, {"act": 1}])
+    def test_bad_vocabulary_names_the_key(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(entry))
+        code, out, err = run_cli(
+            ["--config", str(cfg), "theory-trace", "--act", "relu",
+             "--sw", "1", "--sb", "0", "--depth", "9"], capsys)
+        key, = entry
+        assert code == 2
+        assert out == ""
+        assert f"for key {key!r}" in err

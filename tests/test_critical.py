@@ -203,6 +203,15 @@ class TestCriticalPoint:
         with pytest.raises(ValueError):
             critical_point(RELU, NormMode.PRE_LN)
 
+    def test_line_and_point_share_the_rounding_clamp(self):
+        # sigma_b^2 = K - <phi^2> / <phi'^2> vanishes exactly for a
+        # scale-invariant phi; at this K* it rounds to -5.8e-11, which the
+        # line used to read as no solution and the point as sigma_b = 0
+        act = Activation.scale_invariant(1.0, -0.3)
+        sigma_w, sigma_b = gelu_parametric_line(396268.86387014785, act)
+        assert sigma_w == pytest.approx(math.sqrt(2.0 / 1.09), rel=1e-14)
+        assert sigma_b == 0.0
+
 
 class TestCorrelationLength:
     def test_values(self):

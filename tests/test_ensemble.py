@@ -13,12 +13,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from jacprop.activations import Activation
 from jacprop.ensemble import (
     EnsembleConfig,
     NetworkParams,
     _Block,
+    _gn_apply,
+    _gn_stats,
+    _swept,
     empirical_chi,
     empirical_ntk,
     forward,
@@ -231,6 +236,24 @@ class TestPartialJacobianNorm:
                                              profile=True)
                 # same quantity, different contraction order: ulp-level only
                 assert quick == pytest.approx(prof[2], rel=1e-13), (norm, groups)
+
+    @pytest.mark.parametrize("shape", [(126, 256), (128, 256), (200, 200)])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_normalization_in_place_keeps_the_allocating_order(self, shape, groups, order):
+        # the shapes straddle numpy's temporary-elision size; the result's
+        # memory order is the summation order of every later reduction
+        n, k = shape
+        rng = np.random.default_rng(3)
+        y, s = _gn_stats(rng.normal(size=n), groups)
+        T = np.asarray(rng.normal(size=(n, k)), order=order)
+        Tg, yg = T.reshape(groups, n // groups, k), y.reshape(groups, -1)
+        proj = np.einsum("gm,gmk->gk", yg, Tg) / (n // groups)
+        want = Tg - Tg.mean(axis=1, keepdims=True) - yg[:, :, None] * proj[:, None, :]
+        want /= s[:, None, None]
+        want = want.reshape(n, k)
+        got = _gn_apply(y, s, groups, T.copy(order="K"))
+        assert got.strides == want.strides and np.array_equal(got, want)
 
     def test_single_layer_from_input_expectation(self):
         # J^{0,1} = sigma_w^2 |W|_F^2 / (N0 N1) -> sigma_w^2 in expectation
@@ -557,17 +580,18 @@ class TestStreaming:
             assert peak < 8 * layer_bytes, (run.__name__, peak / layer_bytes)
 
     def test_shared_draw_counts(self, monkeypatch):
-        calls = []
-        layer = NetworkParams.layer
+        calls = {"layer": [], "conditional": []}
+        for name in calls:
+            def counted(self, l, name=name, draw=getattr(NetworkParams, name)):
+                calls[name].append(l)
+                return draw(self, l)
 
-        def counted(self, l):
-            calls.append(l)
-            return layer(self, l)
-
-        monkeypatch.setattr(NetworkParams, "layer", counted)
+            monkeypatch.setattr(NetworkParams, name, counted)
         empirical_chi(self._batch())
-        # 2 members x layers 1..5: J^{4,5} never needs layer 6
-        assert sorted(calls) == sorted([1, 2, 3, 4, 5] * 2)
+        # 2 members: J^{4,5} draws only layer 5 as a matrix, samples layers
+        # 1..4 from their single-input law and never needs layer 6
+        assert sorted(calls["layer"]) == [5] * 2
+        assert sorted(calls["conditional"]) == sorted([1, 2, 3, 4] * 2)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_batch_bit_identical_to_single_runs(self, workers, monkeypatch):
@@ -594,3 +618,139 @@ class TestStreaming:
         monkeypatch.setenv("JACPROP_WORKERS", value)
         with pytest.raises(ValueError, match="JACPROP_WORKERS"):
             empirical_chi(self._cfg())
+
+
+class RankOneBelow:
+    """A member's network made dense: W^l = xi^l zhat^{l-1 T} for l <= l0.
+
+    (xi^l, b^l) are the member's conditional draws and zhat^{l-1} is the
+    unit activation that reaches layer l, so W^l z^{l-1} = |z^{l-1}| xi^l
+    up to rounding; layers above l0 are the member's own matrices.  The
+    explicit-network functions run on it as on any ``NetworkParams``.
+    """
+
+    def __init__(self, cfg: EnsembleConfig, l0: int, member: int = 0):
+        self.params = NetworkParams.draw(cfg.layer_dims, cfg.seed, member)
+        self.layer_dims, self.depth = self.params.layer_dims, self.params.depth
+        self.below = {}
+        z = resolve_input(cfg, member)
+        for l in range(1, l0 + 1):
+            xi, b = self.params.conditional(l)
+            W = np.outer(xi, z / np.linalg.norm(z))
+            self.below[l] = (W, b)
+            h = (cfg.hyper.sigma_w / math.sqrt(z.size)) * (W @ z) + cfg.hyper.sigma_b * b
+            z = _Block(cfg.act, cfg.norm, cfg.groups, h).z
+
+    def layer(self, l):
+        return self.below[l] if l in self.below else self.params.layer(l)
+
+
+class TestConditionalLaw:
+    """The drivers sample layers 1..l0 from their single-input law."""
+
+    def _cfg(self, **kw):
+        base = dict(width=24, input_dim=10, depth=6, n_init=1, seed=41,
+                    hyper=Hyper(1.3, 0.4), act=GELU)
+        base.update(kw)
+        return EnsembleConfig(**base)
+
+    def test_conditional_draw_is_two_vectors_from_the_layer_stream(self):
+        params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
+        xi, b = params.conditional(2)
+        rng = np.random.Generator(np.random.PCG64(params.streams[1]))
+        both = rng.standard_normal(6)
+        assert np.array_equal(xi, both[:3]) and np.array_equal(b, both[3:])
+        # xi opens the stream the weights open: the first row-major entries of W^2
+        assert np.array_equal(xi, params.layer(2)[0].ravel()[:3])
+
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_rank_one_network_reproduces_a_member(self, norm, groups):
+        cfg = self._cfg(norm=norm, groups=groups)
+        x = resolve_input(cfg, 0)
+        args = (cfg.act, cfg.hyper, norm, x)
+        L = cfg.depth
+        # empirical_chi: J^{L-2, L-1} through the one-step path
+        dense = RankOneBelow(cfg, L - 2)
+        want = partial_jacobian_norm(dense, *args, L - 2, L - 1, groups)
+        assert empirical_chi(cfg).mean == pytest.approx(want, rel=1e-10)
+        # jacobian_profile from l0 = 2: the tangent carried layer by layer
+        dense = RankOneBelow(cfg, 2)
+        want = partial_jacobian_norm(dense, *args, 2, L, groups, profile=True)
+        got = jacobian_profile(cfg, l0=2).per_layer
+        assert np.isnan(got[:3]).all()
+        np.testing.assert_allclose(got[3:], want[3:], rtol=1e-10)
+
+    @pytest.mark.parametrize("norm, act, hp", [
+        (NormMode.VANILLA, ERF, Hyper(2.0, 0.3)),
+        (NormMode.PRE_LN, RELU, Hyper(1.4, 0.6)),
+        (NormMode.POST_LN, GELU, Hyper(1.2, 0.2)),
+    ])
+    def test_member_law_matches_materialized_networks(self, norm, act, hp):
+        # J^{3,5} depends on layers 1..3 only through h^3; the drivers'
+        # members and dense members (another seed) must share its law
+        n = 400
+        cfg = EnsembleConfig(width=12, input_dim=6, depth=5, n_init=n, seed=3,
+                             hyper=hp, norm=norm, act=act)
+        x = resolve_input(cfg, 0)
+        (chain,) = _swept([cfg], 3, 5)
+        dense = np.array([
+            partial_jacobian_norm(NetworkParams.draw(cfg.layer_dims, 1003, i),
+                                  act, hp, norm, x, 3, 5)
+            for i in range(n)
+        ])
+        se = math.hypot(chain.std(ddof=1), dense.std(ddof=1)) / math.sqrt(n)
+        assert abs(chain.mean() - dense.mean()) <= 4 * se
+        assert ks_2samp(chain, dense).pvalue > 1e-3
+
+
+def _with_workers(workers: int, fn):
+    old = os.environ.get("JACPROP_WORKERS")
+    os.environ["JACPROP_WORKERS"] = str(workers)
+    try:
+        return fn()
+    finally:
+        if old is None:
+            del os.environ["JACPROP_WORKERS"]
+        else:
+            os.environ["JACPROP_WORKERS"] = old
+
+
+def _bits(est):
+    arrays = [a.tobytes() for a in (est.per_layer, est.per_layer_stderr) if a is not None]
+    return (est.mean, est.stderr, est.n, *arrays)
+
+
+_MODES = st.sampled_from(ALL_MODES)
+_ACTS = st.sampled_from([RELU, ERF, GELU])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    groups=st.sampled_from([1, 2]), half_width=st.integers(2, 6),
+    input_dim=st.integers(1, 7), depth=st.integers(2, 6), n_init=st.integers(1, 4),
+    seed=st.integers(0, 2**20), resample=st.booleans(), l0_from_top=st.integers(1, 6),
+    acts=st.tuples(_ACTS, _ACTS), modes=st.tuples(_MODES, _MODES),
+    sws=st.tuples(st.floats(0.5, 2.5), st.floats(0.5, 2.5)), sb=st.floats(0.0, 1.0),
+)
+def test_drivers_bit_identical_across_workers_and_batches(
+        groups, half_width, input_dim, depth, n_init, seed, resample, l0_from_top,
+        acts, modes, sws, sb):
+    l0 = max(depth - l0_from_top, 0)
+    cfgs = [
+        EnsembleConfig(width=2 * half_width, input_dim=input_dim, depth=depth,
+                       n_init=n_init, seed=seed, hyper=Hyper(sw, sb), norm=mode,
+                       act=act, groups=groups, resample_inputs=resample)
+        for act, mode, sw in zip(acts, modes, sws)
+    ]
+    runs = {
+        "chi": empirical_chi,
+        "profile": lambda c: jacobian_profile(c, l0=l0),
+    }
+    for name, run in runs.items():
+        want = [_bits(run(cfg)) for cfg in cfgs]
+        for workers in (1, 2, 3):
+            batch = _with_workers(workers, lambda: run(cfgs))
+            assert [_bits(e) for e in batch] == want, (name, workers)
+        alone = _with_workers(3, lambda: [_bits(run(cfg)) for cfg in cfgs])
+        assert alone == want, name
