@@ -18,20 +18,30 @@ dropping the mean/variance coupling terms is deliberately not offered.
 A hidden block h^l -> z^l is a chain of stages whose order is the
 normalization mode: phi (vanilla), normalize then phi (pre-LN), phi then
 normalize (post-LN).  Every stage's Jacobian is symmetric, so the block's
-transpose is the chain reversed.
+transpose is the chain reversed.  Every stage's Jacobian is also diagonal
+plus low rank -- diag(phi'), and per group ``(I - 1 1^T/m - y y^T/m) / s``
+-- so a block's is ``B = diag(lam) + U V^T`` with rank at most 2 g.
 
 Every measurement is one forward sweep over the layers.  A member's
 :class:`NetworkParams` holds only one seed stream per layer; the sweep
 draws layer l just before it uses it, carries the tangent block from l0
 in the same pass and stops at the last layer the measurement needs.  A
-member therefore holds one N_l x N_{l-1} weight matrix at a time plus an
-N_l x N_{l0} tangent per configuration: about 15 MB at width 1000 and
-N0 784, whatever the depth, where the whole network would take 8 MB per
-layer.  Configurations that share a draw -- same width, input dimension,
-depth, members, seed, groups and input resampling -- ride one sweep, so
-each layer is drawn once for all of them.  Only :func:`empirical_ntk` (at
-most 256 wide, 12 deep) and the ``weights``/``biases`` oracle properties
-materialize a whole network.
+profile or multi-step member therefore holds one N_l x N_{l-1} weight
+matrix at a time plus an N_l x N_{l0} tangent per configuration: about
+15 MB at width 1000 and N0 784, whatever the depth, where the whole
+network would take 8 MB per layer.  A one-step measurement J^{l0, l0+1}
+(``empirical_chi``) carries no tangent at all: with c_j = |W e_j|^2, P =
+W U and Q = W diag(lam) V,
+
+    |W B|_F^2 = sum_j lam_j^2 c_j + 2 tr(P^T Q) + tr(V^T V P^T P),
+
+so the sweep takes c once per drawn layer and each configuration adds
+one N_l x 4 g product: a member holds the drawn layer and O(N g) more,
+about 8 MB at width 1000.  Configurations that share a draw -- same
+width, input dimension, depth, members, seed, groups and input
+resampling -- ride one sweep, so each layer is drawn once for all of
+them.  Only :func:`empirical_ntk` (at most 256 wide, 12 deep) and the
+``weights``/``biases`` oracle properties materialize a whole network.
 
 The ensemble drivers draw no weight matrix below l0.  J^{l0, l} depends
 on layers 1..l0 only through h^{l0}, and for one input, given z^{l-1},
@@ -40,6 +50,16 @@ draws (xi^l, b^l), 2 N_l normals from its own stream
 (:meth:`NetworkParams.conditional`), and sets ``h^l = (sigma_w /
 sqrt(N_{l-1})) |z^{l-1}| xi^l + sigma_b b^l``: ``empirical_chi`` draws one
 matrix per member instead of L - 1.
+
+Summation order: the one-step factor form sums in another order than the
+dense transpose ``tangent_t`` on ``W^T`` (kept for :func:`empirical_ntk`
+and as the tests' oracle), so the two agree to rounding: relative 1e-12,
+or 1e-12 of the terms' size before they cancel where a group's Jacobian
+nearly vanishes (a two-unit group, a post-LN group with one active ReLU
+unit); a one-unit group's Jacobian is exactly zero on both paths.  The
+normalization Jacobian works in place and keeps the tangent block's
+memory order, so every later reduction sums in an order set by the
+caller, whatever the block's size or numpy's temporary elision.
 
 Determinism: every (seed, member, layer) draws from its own seed-derived
 RNG stream and every configuration keeps its own matrix products.  A
@@ -62,7 +82,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,8 +130,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
-        if self.n_init < 1:
-            raise ValueError(f"n_init must be >= 1, got {self.n_init}")
+        for name in ("width", "input_dim", "n_init", "groups"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.width % self.groups != 0:
             raise ValueError(
                 f"groups ({self.groups}) must divide the width ({self.width})"
@@ -228,49 +249,73 @@ def _gn_stats(v: np.ndarray, groups: int, eps: float = LN_EPS):
     return y.reshape(-1), s
 
 
-#: numpy evaluates ``a - b`` in place when ``a`` is an unnamed temporary
-#: of at least this many bytes (temporary elision).
-_ELIDE_BYTES = 256 * 1024
-
-
 def _gn_apply(y: np.ndarray, s: np.ndarray, groups: int, T: np.ndarray) -> np.ndarray:
-    """Exact normalization Jacobian applied to tangent columns ``T``.
+    """Exact normalization Jacobian applied to tangent columns ``T``, in place.
 
-    The result's memory order decides the summation order of every later
-    reduction, so ``T`` is overwritten only where that keeps the order of
-    the allocating expression ``T - mean - y proj``: always for a C-ordered
-    ``T``, and for any other from the elision size up, where numpy itself
-    reused the first temporary.  A smaller non-C ``T`` gets a fresh array.
+    ``T`` keeps its memory order, which sets the summation order of every
+    later reduction over the returned block.
     """
     n, k = T.shape
     m = n // groups
     Tg = T.reshape(groups, m, k)
     yg = y.reshape(groups, m)
     proj = np.einsum("gm,gmk->gk", yg, Tg) / m
-    if Tg.flags.c_contiguous or Tg.nbytes >= _ELIDE_BYTES:
-        Tg -= Tg.mean(axis=1, keepdims=True)
-        Tg -= yg[:, :, None] * proj[:, None, :]
-    else:
-        Tg = Tg - Tg.mean(axis=1, keepdims=True) - yg[:, :, None] * proj[:, None, :]
+    Tg -= Tg.mean(axis=1, keepdims=True)
+    Tg -= yg[:, :, None] * proj[:, None, :]
     Tg /= s[:, None, None]
     return Tg.reshape(n, k)
 
 
+class _Stage(NamedTuple):
+    """One stage of a hidden block, on the vector it acts on."""
+
+    jac: Callable  # its symmetric Jacobian on tangent columns, in place
+    y: np.ndarray | None  # the normalized vector if it normalizes, else None
+    factors: Callable  # () -> (lam, U, V): the Jacobian as diag(lam) + U V^T
+
+
+def _diagonal(lam: np.ndarray) -> tuple:
+    """Factors of diag(lam): rank 0."""
+    return lam, np.empty((lam.size, 0)), np.empty((lam.size, 0))
+
+
+def _compose(first: tuple, then: tuple) -> tuple:
+    """Factors of ``then @ first``: (L2 + U2 V2^T)(L1 + U1 V1^T) = L2 L1
+    + [L2 U1, U2] [V1, L1 V2 + V1 (U1^T V2)]^T, ranks adding."""
+    l1, U1, V1 = first
+    l2, U2, V2 = then
+    return (l2 * l1,
+            np.hstack([l2[:, None] * U1, U2]),
+            np.hstack([V1, l1[:, None] * V2 + V1 @ (U1.T @ V2)]))
+
+
 def _phi(act: Activation, groups: int, v: np.ndarray):
-    """The phi stage on ``v``: ((diag(phi') in place, None), phi(v))."""
-    dphi = act(v, 1)[:, None]
+    """The phi stage on ``v``: (diag(phi'(v)), phi(v)), phi' taken at use."""
 
     def jac(T):
-        T *= dphi
+        T *= act(v, 1)[:, None]
         return T
 
-    return (jac, None), act(v)
+    return _Stage(jac, None, lambda: _diagonal(act(v, 1))), act(v)
 
 
 def _norm(act: Activation, groups: int, v: np.ndarray):
-    """The group-normalization stage on ``v``: ((its Jacobian, y), y)."""
+    """The group-normalization stage on ``v``: (its Jacobian, y).
+
+    Per group of size m the Jacobian is (I - 1 1^T/m - y y^T/m) / s: the
+    diagonal 1/s plus rank two.
+    """
     y, s = _gn_stats(v, groups)
-    return (lambda T: _gn_apply(y, s, groups, T), y), y
+
+    def factors():
+        m = v.size // groups
+        if m == 1:  # y = 0 and I - 1 1^T = 0: exactly zero, not a cancelled sum
+            return _diagonal(np.zeros(v.size))
+        E = np.repeat(np.eye(groups), m, axis=0)  # group indicators, n x g
+        U = np.hstack([E, E * y[:, None]])
+        return np.repeat(1.0 / s, m), U, U * np.tile(-1.0 / (m * s), 2)
+
+    return _Stage(lambda T: _gn_apply(y, s, groups, T), y, factors), y
 
 
 #: Each mode's hidden block h^l -> z^l: its stages, in the order applied.
@@ -282,11 +327,10 @@ _STAGES = {
 
 
 class _Block:
-    """One hidden block h^l -> z^l through the mode's stages, each kept as
-    (its symmetric Jacobian on tangent columns, y if it normalizes else None).
+    """One hidden block h^l -> z^l through the mode's stages.
 
-    Both tangent maps work in place where the memory order allows: the
-    caller gives up the block it passes in and uses the one returned.
+    Both tangent maps work in place: the caller gives up the block it
+    passes in and uses the one returned.
     """
 
     def __init__(self, act: Activation, norm: NormMode, groups: int, h: np.ndarray):
@@ -298,19 +342,27 @@ class _Block:
 
     def tangent(self, T: np.ndarray) -> np.ndarray:
         """d z^l / d h^l applied to tangent columns ``T``: the stages in order."""
-        for jac, _ in self.stages:
-            T = jac(T)
+        for stage in self.stages:
+            T = stage.jac(T)
         return T
 
     def tangent_t(self, V: np.ndarray, gain_shift: list | None = None) -> np.ndarray:
         """Its transpose on ``V``: the stages in reverse.  With ``gain_shift``,
         each norm stage appends the squared gradients of its gain and shift
         (u = gamma * y + beta at gamma=1, beta=0)."""
-        for jac, y in reversed(self.stages):
-            if gain_shift is not None and y is not None:
-                gain_shift.append(float(np.sum((V * V) * (y**2 + 1.0)[:, None])))
-            V = jac(V)
+        for stage in reversed(self.stages):
+            if gain_shift is not None and stage.y is not None:
+                gain_shift.append(float(np.sum((V * V) * (stage.y**2 + 1.0)[:, None])))
+            V = stage.jac(V)
         return V
+
+    def factors(self) -> tuple:
+        """d z^l / d h^l as (lam, U, V), equal to diag(lam) + U V^T, of rank
+        at most 2 g: the stages' factors composed in order."""
+        out = _diagonal(np.ones(self.z.size))
+        for stage in self.stages:
+            out = _compose(out, stage.factors())
+        return out
 
 
 class _Probe:
@@ -345,10 +397,17 @@ class _Probe:
     def forward_only(self, l: int) -> bool:
         return not self.keep and self.l0 is not None and l <= self.l0
 
-    def step(self, l: int, W: np.ndarray, b: np.ndarray) -> None:
-        """Advance through layer ``l``, given its raw draws."""
+    def one_step(self, l: int) -> bool:
+        """Whether layer ``l`` ends a one-step measurement J^{l-1, l}."""
+        return not self.profile and self.l0 is not None and l == self.last == self.l0 + 1
+
+    def step(self, l: int, W: np.ndarray, b: np.ndarray, colsq) -> None:
+        """Advance through layer ``l``, given its raw draws and, for a
+        one-step measurement, its squared column norms ``colsq``."""
         scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
-        if self.l0 is not None and l > self.l0:
+        if self.one_step(l):
+            self._one_step_norm(l, W, colsq, scale)
+        elif self.l0 is not None and l > self.l0:
             self._tangent(l, W, scale)
         if l < self.last or self.keep:
             self._advance(l, scale * (W @ self.z), b)
@@ -371,18 +430,21 @@ class _Probe:
             if self.keep:
                 self.blocks.append(self.block)
 
+    def _one_step_norm(self, l, W, colsq, scale):
+        """(1/N_l) |scale W B|_F^2 for the block Jacobian B = diag(lam) + U V^T
+        at l0 (the identity at l = 1), with c_j = |W e_j|^2, P = W U and
+        Q = W diag(lam) V: sum_j lam_j^2 c_j + 2 tr(P^T Q) + tr(V^T V P^T P),
+        from one N_l x 2r product and no N_l x N_{l0} tangent."""
+        lam, U, V = self.block.factors() if l > 1 else _diagonal(np.ones(self.dims[0]))
+        r = U.shape[1]
+        PQ = W @ np.hstack([U, lam[:, None] * V])
+        P, Q = PQ[:, :r], PQ[:, r:]
+        sq = (lam * lam) @ colsq + 2.0 * np.sum(P * Q) + np.sum((V.T @ V) * (P.T @ P))
+        self.value = scale * scale * float(sq) / self.dims[l]
+
     def _tangent(self, l, W, scale):
+        """Carry the tangent block d h^l / d h^{l0} through layer ``l``."""
         n = self.dims[l]
-        if l == self.last == self.l0 + 1 and not self.profile:
-            # one layer map, (1/N_l)|M|_F^2 = (1/N_l)|M^T|_F^2 in O(N^2): the
-            # block-Jacobian transpose acts on the scaled weight transpose
-            if l == 1:
-                self.value = scale * scale * float(np.sum(W * W)) / n
-            else:
-                V = self.block.tangent_t(W.T * scale)
-                V *= V
-                self.value = float(np.sum(V)) / n
-            return
         if l == 1:
             self.T = scale * W  # W @ I is W, bit for bit
         else:
@@ -403,7 +465,9 @@ def _sweep(layer: Callable[[int], tuple], probes: list,
     to the last layer a probe needs, and the previous layer is released
     before the next one is drawn.  Given ``conditional`` (the ensemble
     drivers), a layer that every probe only passes forward through is
-    not drawn: ``conditional(l)`` returns (xi^l, b^l) instead.
+    not drawn: ``conditional(l)`` returns (xi^l, b^l) instead.  A drawn
+    layer that ends a one-step measurement has its squared column norms
+    taken once, for every probe.
     """
     for l in range(1, max(p.last for p in probes) + 1):
         if conditional is not None and all(p.forward_only(l) for p in probes):
@@ -412,9 +476,10 @@ def _sweep(layer: Callable[[int], tuple], probes: list,
                 p.sample(l, xi, b)
             continue
         W, b = layer(l)
+        colsq = np.einsum("ij,ij->j", W, W) if any(p.one_step(l) for p in probes) else None
         for p in probes:
             if l <= p.last:
-                p.step(l, W, b)
+                p.step(l, W, b, colsq)
         del W, b
 
 

@@ -239,6 +239,16 @@ class TestMonteCarlo:
         assert "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--groups", "0"), ("--width", "0"), ("--input-dim", "0"), ("--depth", "1"),
+    ])
+    def test_bad_size_exits_one_naming_the_field(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "chi.json"
+        code, _, err = run_cli(self.ARGS + [flag, value, "-o", str(out)], capsys)
+        assert code == 1
+        assert f"{flag[2:].replace('-', '_')} must be" in err
+        assert not out.exists()
+
     def test_runtime_error_exits_one(self, capsys):
         args = ["mc", "chi", "--act", "relu", "--mode", "vanilla",
                 "--sw", "1", "--sb", "0", "--width", "16",

@@ -21,6 +21,7 @@ from jacprop.ensemble import (
     EnsembleConfig,
     NetworkParams,
     _Block,
+    _compose,
     _gn_apply,
     _gn_stats,
     _swept,
@@ -158,6 +159,21 @@ class TestForward:
                 empirical_chi(cfg)
 
 
+def dense_one_step(params, act, hp, norm, x, l0, groups=1):
+    """J^{l0, l0+1} from the dense block transpose on the scaled W^T, and
+    the size of the factor form's terms before they cancel,
+    scale^2 |W|_F^2 max lam^2 / N_{l0+1}, which bounds its rounding."""
+    dims = params.layer_dims
+    scale = hp.sigma_w / math.sqrt(dims[l0])
+    W = params.weights[l0]
+    V, lam = scale * W.T, np.ones(1)
+    if l0 > 0:
+        block = _Block(act, norm, groups, forward(params, act, hp, norm, x, groups)[l0])
+        V, lam = block.tangent_t(V), block.factors()[0]
+    n = dims[l0 + 1]
+    return float(np.sum(V * V)) / n, scale**2 * float(np.sum(W * W)) * np.max(lam**2) / n
+
+
 class TestPartialJacobianNorm:
     def test_linear_network_dense_weight_oracle(self):
         dims = [8, 16, 12, 20, 10]
@@ -223,8 +239,8 @@ class TestPartialJacobianNorm:
         assert got == pytest.approx(np.sum(J * J) / dims[3], rel=1e-6)
 
     def test_one_step_shortcut_equals_generic(self):
-        # the shortcut runs the block's stages in reverse, the generic
-        # path in order
+        # the shortcut composes the block's factors, the generic path
+        # carries a tangent basis through the stages in order
         dims = [6, 24, 24]
         params = NetworkParams.draw(dims, seed=2)
         hp = Hyper(1.1, 0.2)
@@ -237,12 +253,52 @@ class TestPartialJacobianNorm:
                 # same quantity, different contraction order: ulp-level only
                 assert quick == pytest.approx(prof[2], rel=1e-13), (norm, groups)
 
-    @pytest.mark.parametrize("shape", [(126, 256), (128, 256), (200, 200)])
+    @pytest.mark.parametrize("dims, groups", [
+        ([5, 8, 12, 6], 1), ([5, 8, 12, 6], 2),
+        ([7, 12, 16, 24, 6], 1), ([7, 12, 16, 24, 6], 2), ([7, 12, 16, 24, 6], 4),
+    ])
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    @pytest.mark.parametrize("act", [RELU, ERF, GELU], ids=["relu", "erf", "gelu"])
+    def test_one_step_factors_equal_the_dense_transpose(self, act, norm, dims, groups):
+        params = NetworkParams.draw(dims, seed=29)
+        hp = Hyper(1.2, 0.3)
+        x = np.random.default_rng(12).normal(size=dims[0])
+        hs = forward(params, act, hp, norm, x, groups)
+        for l0 in range(len(dims) - 1):
+            if l0 > 0:
+                block = _Block(act, norm, groups, hs[l0])
+                lam, U, V = block.factors()
+                np.testing.assert_allclose(np.diag(lam) + U @ V.T,
+                                           block.tangent(np.eye(dims[l0])),
+                                           rtol=1e-12, atol=1e-12 * np.max(np.abs(lam)))
+            want, size = dense_one_step(params, act, hp, norm, x, l0, groups)
+            got = partial_jacobian_norm(params, act, hp, norm, x, l0, l0 + 1, groups)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * size), l0
+
+    @pytest.mark.parametrize("norm", [NormMode.PRE_LN, NormMode.POST_LN])
+    @pytest.mark.parametrize("act", [ERF, GELU], ids=["erf", "gelu"])
+    def test_one_unit_groups_give_exactly_zero(self, act, norm):
+        # y = 0 and I - 1 1^T = 0 per group, at 1/s = 1e6: a cancelled sum
+        # of the factor terms would leave ~1e-4 of rounding
+        params = NetworkParams.draw([4, 6, 6, 5], seed=8)
+        x = np.random.default_rng(13).normal(size=4)
+        args = (params, act, Hyper(1.2, 0.3), norm, x)
+        assert dense_one_step(*args, 1, groups=6)[0] == 0.0
+        assert partial_jacobian_norm(*args, 1, 2, groups=6) == 0.0
+
+    def test_factor_composition_is_the_matrix_product(self):
+        rng = np.random.default_rng(14)
+        dense = lambda f: np.diag(f[0]) + f[1] @ f[2].T
+        first, then = [(rng.normal(size=9), rng.normal(size=(9, r)), rng.normal(size=(9, r)))
+                       for r in (2, 3)]
+        np.testing.assert_allclose(dense(_compose(first, then)), dense(then) @ dense(first),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(126, 256), (200, 200), (8, 8)])
     @pytest.mark.parametrize("groups", [1, 2])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_normalization_in_place_keeps_the_allocating_order(self, shape, groups, order):
-        # the shapes straddle numpy's temporary-elision size; the result's
-        # memory order is the summation order of every later reduction
+    def test_normalization_updates_the_block_in_place(self, shape, groups, order):
+        # one order for every block size: the caller's, kept by working in place
         n, k = shape
         rng = np.random.default_rng(3)
         y, s = _gn_stats(rng.normal(size=n), groups)
@@ -250,10 +306,10 @@ class TestPartialJacobianNorm:
         Tg, yg = T.reshape(groups, n // groups, k), y.reshape(groups, -1)
         proj = np.einsum("gm,gmk->gk", yg, Tg) / (n // groups)
         want = Tg - Tg.mean(axis=1, keepdims=True) - yg[:, :, None] * proj[:, None, :]
-        want /= s[:, None, None]
-        want = want.reshape(n, k)
-        got = _gn_apply(y, s, groups, T.copy(order="K"))
-        assert got.strides == want.strides and np.array_equal(got, want)
+        want = (want / s[:, None, None]).reshape(n, k)
+        got = _gn_apply(y, s, groups, T)
+        assert np.shares_memory(got, T) and got.strides == T.strides
+        np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_single_layer_from_input_expectation(self):
         # J^{0,1} = sigma_w^2 |W|_F^2 / (N0 N1) -> sigma_w^2 in expectation
@@ -351,9 +407,10 @@ class TestGoldenBits:
     """Exact bits of every block path, so that no rewrite of the block moves a result.
 
     Per activation, mode and group count on one [5, 8, 8, 8] net at seed
-    23: J^{1,2} (one-step, the stages reversed), J^{1,3} (generic, the
-    stages in order), the profile J^{0,l} for l = 1..3 and the NTK (the
-    reversed stages plus the gain/shift term), as ``float.hex``.
+    23: J^{1,2} (one-step, from the block's diagonal-plus-low-rank
+    factors), J^{1,3} (generic, the stages in order), the profile J^{0,l}
+    for l = 1..3 and the NTK (the reversed stages plus the gain/shift
+    term), as ``float.hex``.
     """
 
     GOLDEN = {
@@ -370,23 +427,23 @@ class TestGoldenBits:
             "0x1.098849be2056fp-1", "0x1.e63c0310258d0p-5", "0x1.57d4970b9709cp+1",
         ),
         ("relu", "PRE_LN", 2): (
-            "0x1.310c977550964p+0", "0x1.37ee2c1631818p-2", "0x1.d8095e255aeb4p+0",
+            "0x1.310c977550965p+0", "0x1.37ee2c1631818p-2", "0x1.d8095e255aeb4p+0",
             "0x1.8abe50d81380cp+1", "0x1.9e7cb4b08df24p-1", "0x1.92b412bf4e30dp+1",
         ),
         ("relu", "POST_LN", 1): (
-            "0x1.41bb1f36b0086p+0", "0x1.63de94f52e022p-2", "0x1.d8095e255aeb4p+0",
+            "0x1.41bb1f36b0087p+0", "0x1.63de94f52e022p-2", "0x1.d8095e255aeb4p+0",
             "0x1.578e684b525dcp+1", "0x1.17d886dfab25cp-1", "0x1.10056f45fb354p+3",
         ),
         ("relu", "POST_LN", 2): (
-            "0x1.2b630a8932e14p+3", "0x1.ec30b668be284p-1", "0x1.d8095e255aeb4p+0",
+            "0x1.2b630a8932e16p+3", "0x1.ec30b668be284p-1", "0x1.d8095e255aeb4p+0",
             "0x1.86663cbb534e6p+4", "0x1.3a15a03f0fea8p+1", "0x1.0ed0c2dac287ap+3",
         ),
         ("gelu", "VANILLA", 1): (
-            "0x1.22ad2b591b5b5p-1", "0x1.90fbfcea30b34p-3", "0x1.d8095e255aeb4p+0",
+            "0x1.22ad2b591b5b4p-1", "0x1.90fbfcea30b34p-3", "0x1.d8095e255aeb4p+0",
             "0x1.aa5b69a927b38p-1", "0x1.9da98d7762240p-4", "0x1.8524d3becf466p+0",
         ),
         ("gelu", "VANILLA", 2): (
-            "0x1.22ad2b591b5b5p-1", "0x1.90fbfcea30b34p-3", "0x1.d8095e255aeb4p+0",
+            "0x1.22ad2b591b5b4p-1", "0x1.90fbfcea30b34p-3", "0x1.d8095e255aeb4p+0",
             "0x1.aa5b69a927b38p-1", "0x1.9da98d7762240p-4", "0x1.8524d3becf466p+0",
         ),
         ("gelu", "PRE_LN", 1): (
@@ -394,15 +451,15 @@ class TestGoldenBits:
             "0x1.c11541ea61405p-2", "0x1.241e90b2985eep-5", "0x1.56e2d06fb724ep+1",
         ),
         ("gelu", "PRE_LN", 2): (
-            "0x1.62a906a039f14p+0", "0x1.f1fc6e201b3e4p-2", "0x1.d8095e255aeb4p+0",
+            "0x1.62a906a039f18p+0", "0x1.f1fc6e201b3e4p-2", "0x1.d8095e255aeb4p+0",
             "0x1.d2264f5e3cc37p+1", "0x1.562dfec735617p+0", "0x1.d081bfddfad0ap+1",
         ),
         ("gelu", "POST_LN", 1): (
-            "0x1.78ae8186aa3cap-1", "0x1.7556c608cf95ep-3", "0x1.d8095e255aeb4p+0",
+            "0x1.78ae8186aa3ccp-1", "0x1.7556c608cf95ep-3", "0x1.d8095e255aeb4p+0",
             "0x1.641da6aceabe7p+0", "0x1.71134f822a2fcp-3", "0x1.f0dd3c736b9e5p+2",
         ),
         ("gelu", "POST_LN", 2): (
-            "0x1.ef15620a4ac5ap+1", "0x1.a3012aa92efd1p-1", "0x1.d8095e255aeb4p+0",
+            "0x1.ef15620a4ac55p+1", "0x1.a3012aa92efd1p-1", "0x1.d8095e255aeb4p+0",
             "0x1.2a68004718620p+3", "0x1.822347afc7f67p+0", "0x1.1016c17a9b4a0p+3",
         ),
     }
@@ -524,6 +581,10 @@ class TestEnsembleDrivers:
             self._cfg(n_init=0)
         with pytest.raises(ValueError):
             self._cfg(groups=3)  # does not divide 128
+        for name in ("width", "input_dim", "groups"):
+            for bad in (0, -4):
+                with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                    self._cfg(**{name: bad})
 
 
 class TestStreaming:
@@ -578,6 +639,23 @@ class TestStreaming:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * layer_bytes, (run.__name__, peak / layer_bytes)
+
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    def test_one_step_peak_memory_below_one_and_a_half_layers(self, norm):
+        # the one-step norm needs the drawn layer, its column norms and thin
+        # factors: no transposed copy and no N x N tangent
+        import tracemalloc
+
+        cfg = EnsembleConfig(width=256, input_dim=256, depth=40, n_init=1, seed=3,
+                             hyper=Hyper(1.3, 0.4), act=GELU, norm=norm)
+        layer_bytes = 256 * 256 * 8
+        tracemalloc.start()
+        try:
+            empirical_chi(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * layer_bytes, peak / layer_bytes
 
     def test_shared_draw_counts(self, monkeypatch):
         calls = {"layer": [], "conditional": []}
@@ -754,3 +832,23 @@ def test_drivers_bit_identical_across_workers_and_batches(
             assert [_bits(e) for e in batch] == want, (name, workers)
         alone = _with_workers(3, lambda: [_bits(run(cfg)) for cfg in cfgs])
         assert alone == want, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    groups=st.sampled_from([1, 2, 4]), group_sizes=st.lists(st.integers(2, 5), min_size=1,
+                                                            max_size=3),
+    n0=st.integers(1, 7), n_out=st.integers(1, 7), act=_ACTS, norm=_MODES,
+    seed=st.integers(0, 2**20), sw=st.floats(0.5, 2.5), sb=st.floats(0.0, 1.0),
+)
+def test_one_step_factors_match_the_dense_transpose_on_any_shape(
+        groups, group_sizes, n0, n_out, act, norm, seed, sw, sb):
+    # two-unit groups included, where the Jacobian nearly vanishes
+    dims = [n0] + [groups * m for m in group_sizes] + [n_out]
+    params = NetworkParams.draw(dims, seed)
+    hp = Hyper(sw, sb)
+    x = np.random.default_rng(seed).normal(size=n0)
+    for l0 in range(len(dims) - 1):
+        want, size = dense_one_step(params, act, hp, norm, x, l0, groups)
+        got = partial_jacobian_norm(params, act, hp, norm, x, l0, l0 + 1, groups)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * size), (dims, l0)
