@@ -25,23 +25,37 @@ plus low rank -- diag(phi'), and per group ``(I - 1 1^T/m - y y^T/m) / s``
 Every measurement is one forward sweep over the layers.  A member's
 :class:`NetworkParams` holds only one seed stream per layer; the sweep
 draws layer l just before it uses it, carries the tangent block from l0
-in the same pass and stops at the last layer the measurement needs.  A
-profile or multi-step member therefore holds one N_l x N_{l-1} weight
-matrix at a time plus an N_l x N_{l0} tangent per configuration: about
-15 MB at width 1000 and N0 784, whatever the depth, where the whole
-network would take 8 MB per layer.  A one-step measurement J^{l0, l0+1}
+in the same pass and stops at the last layer the measurement needs.  No
+drawn layer is ever whole: its stream fills one reused buffer a row block
+at a time (:meth:`NetworkParams.rows`, the bits of :meth:`NetworkParams.layer`),
+and each block gives its rows of W z, of W (B T) and of the one-step
+product below before the next block is drawn.  A block has at least as
+many rows as the widest product has columns (so the tangent GEMM stays
+square or taller) and at least 1 MB of entries; the layer splits into
+equal blocks rounded up to a multiple of 8 rows, because OpenBLAS sums a
+GEMV over a block of another height in another order, and a layer that
+fits in one block is one block.  The tangent ping-pongs between two
+buffers, the dead one taking ``T * T`` for the norm.  A profile or
+multi-step member therefore holds one row block plus two N x N_{l0}
+tangent buffers per configuration: about 17 MB at width 1000 and N0 784
+(a 4 MB block and two 6.3 MB tangents), whatever the depth, where one
+whole layer is 8 MB.  A one-step measurement J^{l0, l0+1}
 (``empirical_chi``) carries no tangent at all: with c_j = |W e_j|^2, P =
 W U and Q = W diag(lam) V,
 
     |W B|_F^2 = sum_j lam_j^2 c_j + 2 tr(P^T Q) + tr(V^T V P^T P),
 
-so the sweep takes c once per drawn layer and each configuration adds
-one N_l x 4 g product: a member holds the drawn layer and O(N g) more,
-about 8 MB at width 1000.  Configurations that share a draw -- same
-width, input dimension, depth, members, seed, groups and input
+so the sweep sums c over the row blocks once per drawn layer and each
+configuration fills one N_l x 4 g product: a member holds a 1 MB row
+block and O(N g) more at width 1000.  Configurations that share a draw --
+same width, input dimension, depth, members, seed, groups and input
 resampling -- ride one sweep, so each layer is drawn once for all of
-them.  Only :func:`empirical_ntk` (at most 256 wide, 12 deep) and the
-``weights``/``biases`` oracle properties materialize a whole network.
+them.  Only :func:`empirical_ntk` (at most 256 wide, 12 deep; it passes
+each layer to the sweep as one block) and the ``weights``/``biases``
+oracle properties materialize a whole network.  Before the first member,
+a driver refuses (``ValueError``) a run whose members -- tangent buffers
+plus one row block, times ``JACPROP_WORKERS`` -- would not fit in
+physical memory.
 
 The ensemble drivers draw no weight matrix below l0.  J^{l0, l} depends
 on layers 1..l0 only through h^{l0}, and for one input, given z^{l-1},
@@ -53,10 +67,15 @@ matrix per member instead of L - 1.
 
 Summation order: the one-step factor form sums in another order than the
 dense transpose ``tangent_t`` on ``W^T`` (kept for :func:`empirical_ntk`
-and as the tests' oracle), so the two agree to rounding: relative 1e-12,
+and as the tests' oracle), and its column norms and N_l x 4 g product are
+summed per row block, so its value moves by rounding with the block
+height (relative 1e-13); the forward pass and every tangent are
+bit-identical whether a layer arrives whole or in blocks.  The one-step
+form and the dense transpose agree to rounding: relative 1e-12,
 or 1e-12 of the terms' size before they cancel where a group's Jacobian
 nearly vanishes (a two-unit group, a post-LN group with one active ReLU
-unit); a one-unit group's Jacobian is exactly zero on both paths.  The
+unit); a one-unit group's Jacobian is exactly zero on both paths, and
+:class:`EnsembleConfig` refuses one-unit groups in a normalizing mode.  The
 normalization Jacobian works in place and keeps the tangent block's
 memory order, so every later reduction sums in an order set by the
 caller, whatever the block's size or numpy's temporary elision.
@@ -69,20 +88,22 @@ configurations sharing a sweep share xi^l there, so only each one's own
 law is exact, not their joint law under one dense W^l.  The functions
 that take an explicit :class:`NetworkParams` (:func:`forward`,
 :func:`partial_jacobian_norm`, :func:`empirical_ntk`) use every weight,
-and their results are bit-identical whether the layers are streamed or
-materialized.  A driver's result is bit-identical whether its
-configuration runs alone or with others sharing the draw, and however
-many worker threads evaluate the members.  Set ``JACPROP_WORKERS`` to a
-positive integer to parallelize over members.
+and their results, one-step values aside (above), are bit-identical
+whether the layers arrive in row blocks or whole.  A driver's result is
+bit-identical whether its configuration runs alone or with others sharing
+the draw, and however many worker threads evaluate the members.  Set
+``JACPROP_WORKERS`` to a positive integer to parallelize over members;
+the process keeps one thread pool per worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,6 +127,10 @@ __all__ = [
 
 #: Guard added under the square root of every finite-width normalization.
 LN_EPS = 1e-12
+
+#: Least entries of a row block (1 MB): below it, per-block call overhead
+#: outgrows the memory saved.  See :func:`_block_rows`.
+_BLOCK_MIN = 1 << 17
 
 _WORKERS_ENV = "JACPROP_WORKERS"
 
@@ -136,6 +161,11 @@ class EnsembleConfig:
         if self.width % self.groups != 0:
             raise ValueError(
                 f"groups ({self.groups}) must divide the width ({self.width})"
+            )
+        if self.norm is not NormMode.VANILLA and self.groups == self.width:
+            raise ValueError(
+                f"groups ({self.groups}) leaves one unit per group, whose normalized "
+                f"value is identically 0: {self.norm.name} needs groups <= width / 2"
             )
 
     @property
@@ -173,6 +203,22 @@ class NetworkParams:
         """Draw (W^l, b^l) of shapes (N_l, N_{l-1}) and (N_l,), weights first."""
         rng, dims = self._rng(l), self.layer_dims
         return rng.standard_normal((dims[l], dims[l - 1])), rng.standard_normal(dims[l])
+
+    def rows(self, l: int, buf: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Draw W^l block by block into ``buf``, then b^l into ``b``.
+
+        Yields (first row, block) for blocks of ``buf.shape[0]`` rows (the
+        last may be shorter), each a view of ``buf`` that the next block
+        overwrites; ``b`` is filled once the last block has been taken.  The
+        stream is read in the order of :meth:`layer`, so the bits are its.
+        """
+        rng, n = self._rng(l), self.layer_dims[l]
+        height = buf.shape[0]
+        for i in range(0, n, height):
+            blk = buf[:min(height, n - i)]
+            rng.standard_normal(out=blk)
+            yield i, blk
+        rng.standard_normal(out=b)
 
     def conditional(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (xi^l, b^l), both of shape (N_l,), xi first, from layer l's stream.
@@ -261,7 +307,9 @@ def _gn_apply(y: np.ndarray, s: np.ndarray, groups: int, T: np.ndarray) -> np.nd
     yg = y.reshape(groups, m)
     proj = np.einsum("gm,gmk->gk", yg, Tg) / m
     Tg -= Tg.mean(axis=1, keepdims=True)
-    Tg -= yg[:, :, None] * proj[:, None, :]
+    step = max(1, _BLOCK_MIN // (groups * k))  # the rank-one update, row block by row block
+    for i in range(0, m, step):
+        Tg[:, i:i + step] -= yg[:, i:i + step, None] * proj[:, None, :]
     Tg /= s[:, None, None]
     return Tg.reshape(n, k)
 
@@ -365,6 +413,27 @@ class _Block:
         return out
 
 
+def _block_rows(n: int, m: int, k: int) -> int:
+    """Rows per block of an n x m layer whose widest product has ``k`` columns.
+
+    A block has at least ``k`` rows, so that its product with a k-column
+    tangent is a GEMM at least as tall as it is wide, and at least
+    ``_BLOCK_MIN`` entries.  The layer splits into blocks of equal height,
+    rounded up to a multiple of 8 rows: OpenBLAS sums a GEMV over a block of
+    another height in another order.  A layer that fits in one block is one.
+    """
+    want = max(k, -(-_BLOCK_MIN // m))
+    if want >= n:
+        return n
+    count = -(-n // want)
+    return min(n, -(-n // (8 * count)) * 8)
+
+
+def _view(flat: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The leading n x k block of a flat buffer, C-ordered."""
+    return flat[:n * k].reshape(n, k)
+
+
 class _Probe:
     """One measurement riding a sweep over one network's layers.
 
@@ -374,6 +443,11 @@ class _Probe:
     over layers with ``profile``); with ``keep`` every preactivation and
     block is recorded in ``hs`` and ``blocks`` instead.  Layers at or
     below ``l0`` only carry its forward pass (:meth:`forward_only`).
+
+    A drawn layer reaches it in row blocks: :meth:`start` readies the
+    layer's products, :meth:`take` fills their rows for one block and
+    :meth:`finish` completes them.  The tangent lives in one of two
+    buffers and the next layer's is written into the other.
     """
 
     def __init__(self, dims, act, hp, norm, groups, x, last,
@@ -389,7 +463,10 @@ class _Probe:
         self.last, self.l0, self.profile, self.keep = last, l0, profile, keep
         self.z = x
         self.block = None  # block on the latest preactivation
-        self.T = None
+        self.T = None      # d h^{l-1} / d h^{l0}, in buffer ``pair[cur]``
+        self.pair, self.cur = None, 0
+        self.wz = self.out = self.F = None  # the drawn layer's products
+        self.lam = self.V = None  # one-step factors of the block at l0
         self.value = np.full(len(dims), np.nan) if profile else None
         self.hs: list = [None]      # hs[l] = h^l, 1-indexed (with keep)
         self.blocks: list = [None]  # blocks[l] built on h^l (with keep)
@@ -401,23 +478,79 @@ class _Probe:
         """Whether layer ``l`` ends a one-step measurement J^{l-1, l}."""
         return not self.profile and self.l0 is not None and l == self.last == self.l0 + 1
 
-    def step(self, l: int, W: np.ndarray, b: np.ndarray, colsq) -> None:
-        """Advance through layer ``l``, given its raw draws and, for a
-        one-step measurement, its squared column norms ``colsq``."""
-        scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
-        if self.one_step(l):
-            self._one_step_norm(l, W, colsq, scale)
-        elif self.l0 is not None and l > self.l0:
-            self._tangent(l, W, scale)
-        if l < self.last or self.keep:
-            self._advance(l, scale * (W @ self.z), b)
-
     def sample(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
         """Advance through a forward-only layer ``l`` given (xi^l, b^l) of
         :meth:`NetworkParams.conditional`: ``|z^{l-1}| xi^l`` stands in for
         ``W^l z^{l-1}``, with exactly its law."""
         scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
         self._advance(l, scale * (math.sqrt(float(self.z @ self.z)) * xi), b)
+
+    def start(self, l: int) -> int:
+        """Ready the products of drawn layer ``l`` with its rows: W z, and
+        W (B T) or the one-step W [U, lam V].  Returns the widest one's
+        column count."""
+        n = self.dims[l]
+        self.wz = np.empty(n) if l < self.last or self.keep else None
+        if self.one_step(l):
+            # the block Jacobian at l0 (the identity at l = 1) as diag(lam) + U V^T
+            lam, U, V = self.block.factors() if l > 1 else _diagonal(np.ones(self.dims[0]))
+            self.lam, self.V = lam, V
+            self.F = np.hstack([U, lam[:, None] * V])
+            self.out = np.empty((n, self.F.shape[1]))
+        elif self.l0 is not None and l > self.l0:
+            k = self.dims[self.l0]
+            if self.pair is None:
+                size = max(self.dims[self.l0:self.last + 1]) * k
+                self.pair = (np.empty(size), np.empty(size))
+            if l == 1:
+                self.F = None  # W I is W, bit for bit
+            else:
+                if l == self.l0 + 1:
+                    self.T = _view(self.pair[self.cur], k, k)
+                    self.T.fill(0.0)
+                    np.fill_diagonal(self.T, 1.0)
+                self.F = self.block.tangent(self.T)
+            self.out = _view(self.pair[1 - self.cur], n, k)
+        return 1 if self.out is None else self.out.shape[1]
+
+    def take(self, i: int, blk: np.ndarray) -> None:
+        """Fill rows i.. of the layer's products from its row block ``blk``."""
+        rows = slice(i, i + blk.shape[0])
+        if self.wz is not None:
+            np.matmul(blk, self.z, out=self.wz[rows])
+        if self.out is not None:
+            if self.F is None:
+                self.out[rows] = blk
+            else:
+                np.matmul(blk, self.F, out=self.out[rows])
+
+    def finish(self, l: int, b: np.ndarray, colsq) -> None:
+        """Complete layer ``l`` from its bias draw ``b`` and, for a one-step
+        measurement, its squared column norms ``colsq``."""
+        scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
+        n = self.dims[l]
+        if self.one_step(l):
+            # (1/N_l) |scale W B|_F^2 with c_j = |W e_j|^2, P = W U and
+            # Q = W diag(lam) V: sum_j lam_j^2 c_j + 2 tr(P^T Q) + tr(V^T V P^T P)
+            lam, V = self.lam, self.V
+            P, Q = self.out[:, :V.shape[1]], self.out[:, V.shape[1]:]
+            sq = (lam * lam) @ colsq + 2.0 * np.sum(P * Q) + np.sum((V.T @ V) * (P.T @ P))
+            self.value = scale * scale * float(sq) / n
+        elif self.out is not None:
+            T = self.out
+            T *= scale
+            if self.profile or l == self.last:
+                TT = _view(self.pair[self.cur], *T.shape)  # the dead buffer
+                norm = float(np.sum(np.multiply(T, T, out=TT))) / n
+                if self.profile:
+                    self.value[l] = norm
+                else:
+                    self.value = norm
+            self.T, self.cur = T, 1 - self.cur
+        if self.wz is not None:
+            self.wz *= scale
+            self._advance(l, self.wz, b)
+        self.wz = self.out = self.F = None
 
     def _advance(self, l: int, wz: np.ndarray, b: np.ndarray) -> None:
         """Set h^l from its scaled weight term ``wz`` and the bias draw."""
@@ -430,57 +563,45 @@ class _Probe:
             if self.keep:
                 self.blocks.append(self.block)
 
-    def _one_step_norm(self, l, W, colsq, scale):
-        """(1/N_l) |scale W B|_F^2 for the block Jacobian B = diag(lam) + U V^T
-        at l0 (the identity at l = 1), with c_j = |W e_j|^2, P = W U and
-        Q = W diag(lam) V: sum_j lam_j^2 c_j + 2 tr(P^T Q) + tr(V^T V P^T P),
-        from one N_l x 2r product and no N_l x N_{l0} tangent."""
-        lam, U, V = self.block.factors() if l > 1 else _diagonal(np.ones(self.dims[0]))
-        r = U.shape[1]
-        PQ = W @ np.hstack([U, lam[:, None] * V])
-        P, Q = PQ[:, :r], PQ[:, r:]
-        sq = (lam * lam) @ colsq + 2.0 * np.sum(P * Q) + np.sum((V.T @ V) * (P.T @ P))
-        self.value = scale * scale * float(sq) / self.dims[l]
 
-    def _tangent(self, l, W, scale):
-        """Carry the tangent block d h^l / d h^{l0} through layer ``l``."""
-        n = self.dims[l]
-        if l == 1:
-            self.T = scale * W  # W @ I is W, bit for bit
-        else:
-            T = np.eye(self.dims[l - 1]) if l == self.l0 + 1 else self.T
-            self.T = W @ self.block.tangent(T)
-            self.T *= scale
-        if self.profile:
-            self.value[l] = float(np.sum(self.T * self.T)) / n
-        elif l == self.last:
-            self.value = float(np.sum(self.T * self.T)) / n
-
-
-def _sweep(layer: Callable[[int], tuple], probes: list,
+def _sweep(rows: Callable, probes: list,
            conditional: Callable[[int], tuple] | None = None) -> None:
     """Advance every probe through layers 1.. of one network in one pass.
 
-    ``layer(l)`` returns (W^l, b^l); it is called once per layer, only up
-    to the last layer a probe needs, and the previous layer is released
-    before the next one is drawn.  Given ``conditional`` (the ensemble
-    drivers), a layer that every probe only passes forward through is
-    not drawn: ``conditional(l)`` returns (xi^l, b^l) instead.  A drawn
-    layer that ends a one-step measurement has its squared column norms
-    taken once, for every probe.
+    ``rows(l, buf, b)`` is :meth:`NetworkParams.rows` or follows it: it
+    yields layer l's row blocks and fills ``b``.  It is called once per
+    layer, only up to the last layer a probe needs, with one buffer that
+    every layer reuses, of :func:`_block_rows` rows for the widest product
+    a probe takes.  Given ``conditional`` (the ensemble drivers), a layer
+    that every probe only passes forward through is not drawn:
+    ``conditional(l)`` returns (xi^l, b^l) instead.  A drawn layer that
+    ends a one-step measurement has its squared column norms summed block
+    by block, once for every probe.
     """
+    dims = probes[0].dims
+    flat = np.empty(0)
     for l in range(1, max(p.last for p in probes) + 1):
         if conditional is not None and all(p.forward_only(l) for p in probes):
             xi, b = conditional(l)
             for p in probes:
                 p.sample(l, xi, b)
             continue
-        W, b = layer(l)
-        colsq = np.einsum("ij,ij->j", W, W) if any(p.one_step(l) for p in probes) else None
-        for p in probes:
-            if l <= p.last:
-                p.step(l, W, b, colsq)
-        del W, b
+        active = [p for p in probes if l <= p.last]
+        n, m = dims[l], dims[l - 1]
+        h = _block_rows(n, m, max(p.start(l) for p in active))
+        if flat.size < h * m:
+            flat = None  # released before its successor is allocated
+            flat = np.empty(h * m)
+        colsq = np.zeros(m) if any(p.one_step(l) for p in active) else None
+        b = np.empty(n)
+        for i, blk in rows(l, _view(flat, h, m), b):
+            if colsq is not None:
+                colsq += np.einsum("ij,ij->j", blk, blk)
+            for p in active:
+                p.take(i, blk)
+        del blk  # a view that would keep a replaced buffer alive
+        for p in active:
+            p.finish(l, b, colsq)
 
 
 def forward(
@@ -499,7 +620,7 @@ def forward(
     """
     probe = _Probe(params.layer_dims, act, hp, norm, groups, x,
                    last=params.depth, keep=True)
-    _sweep(params.layer, [probe])
+    _sweep(params.rows, [probe])
     return probe.hs
 
 
@@ -523,7 +644,7 @@ def partial_jacobian_norm(
     of length L + 1) is returned.  Layers after ``l`` are never drawn.
     """
     probe = _Probe(params.layer_dims, act, hp, norm, groups, x, l, l0, profile)
-    _sweep(params.layer, [probe])
+    _sweep(params.rows, [probe])
     return probe.value
 
 
@@ -543,12 +664,18 @@ def _workers() -> int:
     return n
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """One executor per worker count, kept for the life of the process: its
+    threads, and the allocator arenas they own, serve every driver call."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _ensemble_map(fn: Callable[[int], object], n: int) -> list:
     w = _workers()
     if w == 1:
         return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, range(n)))
+    return list(_pool(w).map(fn, range(n)))
 
 
 #: Fields that configurations sharing one draw per member must agree on.
@@ -582,14 +709,42 @@ def _members(cfgs: list, measure: Callable) -> list:
     return [np.array([row[k] for row in rows]) for k in range(len(cfgs))]
 
 
+def _check_fits(cfgs: list, l0: int, l: int, profile: bool) -> None:
+    """Refuse a measurement of J^{l0, l} whose members would not fit in
+    physical memory, before any is drawn.
+
+    A member holds, per configuration, its two tangent buffers (2 N x N_{l0}
+    with N the widest layer from l0 to l; a one-step measurement holds one
+    N_l x 4 g product instead) and one row block of the drawn layers; every
+    worker thread holds one member.
+    """
+    dims = cfgs[0].layer_dims
+    if not profile and l == l0 + 1:
+        k = 4 * cfgs[0].groups
+        carried = dims[l] * k
+    else:
+        k = dims[l0]
+        carried = 2 * max(dims[l0:l + 1]) * k
+    block = max(_block_rows(dims[j], dims[j - 1], k) * dims[j - 1] for j in range(l0 + 1, l + 1))
+    workers = _workers()
+    need = 8 * (len(cfgs) * carried + block) * workers
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"the run would hold about {need / 2**30:.3g} GiB ({workers} worker(s) "
+            f"x one member), more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _swept(cfgs: list, l0: int, l: int, profile: bool = False) -> list:
     """Per-config member values of J^{l0, l}, all configs in one sweep per member."""
+    _check_fits(cfgs, l0, l, profile)
 
     def measure(params, xs):
         probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
                          cfg.groups, x, l, l0, profile)
                   for cfg, x in zip(cfgs, xs)]
-        _sweep(params.layer, probes, params.conditional)
+        _sweep(params.rows, probes, params.conditional)
         return [p.value for p in probes]
 
     return _members(cfgs, measure)
@@ -721,8 +876,13 @@ def empirical_ntk(
             "pass allow_large=True to override"
         )
     drawn = [params.layer(l) for l in range(1, L + 1)]  # reused by both sweeps
+
+    def whole(l, buf, b):  # each drawn layer as one block
+        W, b[:] = drawn[l - 1]
+        yield 0, W
+
     probe = _Probe(dims, act, hp, norm, groups, x, last=L, keep=True)
-    _sweep(lambda l: drawn[l - 1], [probe])
+    _sweep(whole, [probe])
     blocks = probe.blocks
     z_inputs = [np.asarray(x, dtype=float)] + [b.z for b in blocks[1:]]
 

@@ -249,6 +249,28 @@ class TestMonteCarlo:
         assert f"{flag[2:].replace('-', '_')} must be" in err
         assert not out.exists()
 
+    def test_one_unit_groups_exit_one(self, capsys, tmp_path):
+        # 16 groups of one unit normalize to 0: a constant network, not a measurement
+        out = tmp_path / "chi.json"
+        args = ["mc", "chi", "--act", "relu", "--mode", "pre-ln", "--sw", "1.4", "--sb", "0",
+                "--width", "16", "--input-dim", "4", "--depth", "4", "--n-init", "2",
+                "--seed", "1", "--groups", "16", "-o", str(out)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert "groups (16)" in err
+        assert not out.exists()
+
+    def test_run_larger_than_memory_exits_one(self, capsys, tmp_path):
+        out = tmp_path / "profile.json"
+        series = tmp_path / "profile.csv"
+        args = ["mc", "profile", "--act", "erf", "--mode", "vanilla", "--sw", "1", "--sb", "0",
+                "--width", "2000000", "--input-dim", "1000000", "--depth", "3",
+                "--n-init", "1", "--seed", "1", "--series-out", str(series), "-o", str(out)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert "physical memory" in err
+        assert not out.exists() and not series.exists()
+
     def test_runtime_error_exits_one(self, capsys):
         args = ["mc", "chi", "--act", "relu", "--mode", "vanilla",
                 "--sw", "1", "--sb", "0", "--width", "16",

@@ -20,7 +20,9 @@ from jacprop.activations import Activation
 from jacprop.ensemble import (
     EnsembleConfig,
     NetworkParams,
+    _BLOCK_MIN,
     _Block,
+    _block_rows,
     _compose,
     _gn_apply,
     _gn_stats,
@@ -586,6 +588,29 @@ class TestEnsembleDrivers:
                 with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                     self._cfg(**{name: bad})
 
+    @pytest.mark.parametrize("norm", [NormMode.PRE_LN, NormMode.POST_LN])
+    def test_one_unit_groups_rejected(self, norm):
+        # a one-unit group normalizes to 0, so the network would be constant
+        with pytest.raises(ValueError, match=r"groups \(128\)"):
+            self._cfg(norm=norm, groups=128)
+        self._cfg(norm=norm, groups=64)
+        self._cfg(groups=128)  # vanilla ignores groups
+
+    def test_run_larger_than_memory_refused_before_drawing(self):
+        import tracemalloc
+
+        cfg = self._cfg(width=2_000_000, input_dim=1_000_000, depth=3, n_init=2)
+        tracemalloc.start()
+        try:
+            for run in (jacobian_profile, n0_correction_check,
+                        lambda c: jacobian_profile([c, c], l0=1)):
+                with pytest.raises(ValueError, match="physical memory"):
+                    run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 class TestStreaming:
     """Layers are drawn one at a time, once per member for every config."""
@@ -657,18 +682,67 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 1.5 * layer_bytes, peak / layer_bytes
 
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    def test_profile_peak_memory_is_two_tangents_and_a_row_block(self, norm):
+        # width 1024 takes two row blocks per layer; the normalization's
+        # rank-one update adds at most one block of _BLOCK_MIN entries, and
+        # a buffer kept past its layer would add the first layer's block
+        import tracemalloc
+
+        n, k = 1024, 512
+        cfg = EnsembleConfig(width=n, input_dim=k, depth=6, n_init=1, seed=3,
+                             hyper=Hyper(1.3, 0.4), act=GELU, norm=norm)
+        block = _block_rows(n, n, k) * n * 8
+        assert block < n * n * 8
+        bound = 2 * n * k * 8 + block + _BLOCK_MIN * 8 + 64 * n * 8
+        tracemalloc.start()
+        try:
+            jacobian_profile(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    def test_one_step_peak_memory_below_a_quarter_layer(self, norm):
+        import tracemalloc
+
+        cfg = EnsembleConfig(width=1024, input_dim=256, depth=40, n_init=1, seed=3,
+                             hyper=Hyper(1.3, 0.4), act=GELU, norm=norm, groups=2)
+        tracemalloc.start()
+        try:
+            empirical_chi(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 1024 * 1024 * 8, peak / (1024 * 1024 * 8)
+
+    def test_width_4096_input_check_peak_below_8_mb(self):
+        # a 4096 x 4096 layer is 134 MB; its row blocks are 1 MB
+        import tracemalloc
+
+        cfg = EnsembleConfig(width=4096, input_dim=16, depth=2, n_init=1, seed=3,
+                             hyper=Hyper(1.0, 0.0), act=ERF)
+        tracemalloc.start()
+        try:
+            n0_correction_check(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
+
     def test_shared_draw_counts(self, monkeypatch):
-        calls = {"layer": [], "conditional": []}
+        calls = {"rows": [], "conditional": []}
         for name in calls:
-            def counted(self, l, name=name, draw=getattr(NetworkParams, name)):
+            def counted(self, l, *args, name=name, draw=getattr(NetworkParams, name)):
                 calls[name].append(l)
-                return draw(self, l)
+                return draw(self, l, *args)
 
             monkeypatch.setattr(NetworkParams, name, counted)
         empirical_chi(self._batch())
         # 2 members: J^{4,5} draws only layer 5 as a matrix, samples layers
         # 1..4 from their single-input law and never needs layer 6
-        assert sorted(calls["layer"]) == [5] * 2
+        assert sorted(calls["rows"]) == [5] * 2
         assert sorted(calls["conditional"]) == sorted([1, 2, 3, 4] * 2)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -698,6 +772,68 @@ class TestStreaming:
             empirical_chi(self._cfg())
 
 
+class WholeLayers:
+    """A network whose layers reach the sweep whole, each as one row block."""
+
+    def __init__(self, params: NetworkParams):
+        self.params = params
+        self.layer_dims, self.depth = params.layer_dims, params.depth
+
+    def rows(self, l, buf, b):
+        W, b[:] = self.params.layer(l)
+        yield 0, W
+
+
+class TestRowBlocks:
+    """Drawn layers stream in row blocks with the bits of whole layers."""
+
+    DIMS = [24, 200, 904, 1000, 776]
+
+    def test_blocks_reproduce_the_layer_draw(self):
+        params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
+        for l in (1, 2):
+            W, bias = params.layer(l)
+            for height in (1, 3, 8, W.shape[0]):
+                got, b = np.empty_like(W), np.empty(W.shape[0])
+                starts = []
+                for i, blk in params.rows(l, np.empty((height, W.shape[1])), b):
+                    starts.append(i)
+                    got[i:i + blk.shape[0]] = blk
+                assert starts == list(range(0, W.shape[0], height))
+                assert got.tobytes() == W.tobytes() and b.tobytes() == bias.tobytes()
+
+    def test_layers_span_several_blocks(self):
+        # the oracle below sees blocks of equal height with a shorter last
+        # one, on square and non-square layers, for tangents of 24 and 200
+        dims = self.DIMS
+        for k, layers in ((24, (2, 3, 4)), (200, (2, 4))):
+            for l in layers:
+                h = _block_rows(dims[l], dims[l - 1], k)
+                assert h % 8 == 0 and dims[l] % h != 0 and h < dims[l], (k, l, h)
+
+    @pytest.mark.parametrize("norm, groups", [
+        (NormMode.VANILLA, 1), (NormMode.PRE_LN, 1), (NormMode.PRE_LN, 2),
+        (NormMode.PRE_LN, 4), (NormMode.POST_LN, 1), (NormMode.POST_LN, 2),
+        (NormMode.POST_LN, 4),
+    ])
+    def test_streamed_equals_whole_layers(self, norm, groups):
+        params = NetworkParams.draw(self.DIMS, seed=19)
+        whole = WholeLayers(params)
+        x = np.random.default_rng(20).normal(size=self.DIMS[0])
+        hp = Hyper(1.3, 0.4)
+        hs = [forward(p, GELU, hp, norm, x, groups) for p in (params, whole)]
+        assert [h.tobytes() for h in hs[0][1:]] == [h.tobytes() for h in hs[1][1:]]
+        for l0, l, profile in ((0, 4, True), (1, 4, True), (1, 4, False), (0, 3, False)):
+            got, want = (partial_jacobian_norm(p, ERF, hp, norm, x, l0, l, groups,
+                                               profile=profile) for p in (params, whole))
+            assert [float(v).hex() for v in np.ravel(got)] == \
+                [float(v).hex() for v in np.ravel(want)], (l0, l, profile)
+        for l0 in (1, 2, 3):
+            got, want = (partial_jacobian_norm(p, RELU, hp, norm, x, l0, l0 + 1, groups)
+                         for p in (params, whole))
+            assert got == pytest.approx(want, rel=1e-13), l0
+
+
 class RankOneBelow:
     """A member's network made dense: W^l = xi^l zhat^{l-1 T} for l <= l0.
 
@@ -719,8 +855,12 @@ class RankOneBelow:
             h = (cfg.hyper.sigma_w / math.sqrt(z.size)) * (W @ z) + cfg.hyper.sigma_b * b
             z = _Block(cfg.act, cfg.norm, cfg.groups, h).z
 
-    def layer(self, l):
-        return self.below[l] if l in self.below else self.params.layer(l)
+    def rows(self, l, buf, b):
+        if l not in self.below:
+            yield from self.params.rows(l, buf, b)
+            return
+        W, b[:] = self.below[l]
+        yield 0, W
 
 
 class TestConditionalLaw:
