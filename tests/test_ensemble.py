@@ -759,6 +759,25 @@ class TestStreaming:
                              (got.per_layer_stderr, alone.per_layer_stderr)):
                     assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
 
+    def test_concurrent_drivers_share_one_pool(self, monkeypatch):
+        # every driver call with 3 workers maps its members on the same
+        # kept pool; callers on other threads must still get their own bits
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setenv("JACPROP_WORKERS", "3")
+        cfgs = self._batch()
+        want = [_bits(empirical_chi(cfg)) for cfg in cfgs] * 2
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                futures = [callers.submit(empirical_chi, cfg) for cfg in cfgs * 2]
+                got = [_bits(f.result(timeout=60)) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert got == want
+
     def test_batch_must_share_the_draw(self):
         with pytest.raises(ValueError, match="seed"):
             empirical_chi([self._cfg(), self._cfg(seed=78)])
