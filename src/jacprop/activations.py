@@ -96,14 +96,14 @@ class Activation:
     def eval(self, x, order: int = 0):
         """Evaluate the activation or one of its derivatives.
 
-        ``order`` selects phi (0), phi' (1), phi'' (2) or phi''' (3).
-        Accepts scalars or numpy arrays.  For the scale-invariant family
-        the derivative at exactly 0 is taken from the ``a_minus`` branch
-        and orders >= 2 are identically zero; the convention is measure
-        zero under every Gaussian average.
+        ``order`` selects phi (0), phi' (1), phi'' (2), phi''' (3) or
+        phi'''' (4).  Accepts scalars or numpy arrays.  For the
+        scale-invariant family the derivative at exactly 0 is taken from
+        the ``a_minus`` branch and orders >= 2 are identically zero; the
+        convention is measure zero under every Gaussian average.
         """
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"derivative order must be in 0..3, got {order}")
+        if order not in (0, 1, 2, 3, 4):
+            raise ValueError(f"derivative order must be in 0..4, got {order}")
         x = np.asarray(x, dtype=float)
         if self.family == "scale_invariant":
             if order == 0:
@@ -119,7 +119,9 @@ class Activation:
                 return g
             if order == 2:
                 return -2.0 * x * g
-            return (4.0 * x * x - 2.0) * g
+            if order == 3:
+                return (4.0 * x * x - 2.0) * g
+            return (12.0 * x - 8.0 * x * x * x) * g
         # gelu: x * Phi(x) with Phi the standard normal CDF
         pdf = np.exp(-0.5 * x * x) / _SQRT_2PI
         cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
@@ -129,7 +131,9 @@ class Activation:
             return cdf + x * pdf
         if order == 2:
             return (2.0 - x * x) * pdf
-        return x * (x * x - 4.0) * pdf
+        if order == 3:
+            return x * (x * x - 4.0) * pdf
+        return (7.0 * x * x - x**4 - 4.0) * pdf
 
     def __call__(self, x, order: int = 0):
         return self.eval(x, order)
@@ -142,6 +146,9 @@ class MomentKind(Enum):
     DPHI2 = "dphi2"    # <phi'(h)^2>
     PHI1 = "phi1"      # <phi(h)>
     DELTA = "delta"    # <phi''(h)^2 + phi'''(h) phi'(h)>
+    # d/dK <phi^2> and d^2/dK^2 <phi^2>, by d/dK <f> = <f''> / 2
+    PHI2_D1 = "phi2_d1"  # <phi'(h)^2 + phi(h) phi''(h)>
+    PHI2_D2 = "phi2_d2"  # <3 phi''^2 + 4 phi' phi''' + phi phi''''> / 2
 
 
 def moment_integrand(act: Activation, kind: MomentKind):
@@ -154,6 +161,14 @@ def moment_integrand(act: Activation, kind: MomentKind):
         return lambda h: act.eval(h, 0)
     if kind is MomentKind.DELTA:
         return lambda h: act.eval(h, 2) ** 2 + act.eval(h, 3) * act.eval(h, 1)
+    if kind is MomentKind.PHI2_D1:
+        return lambda h: act.eval(h, 1) ** 2 + act.eval(h, 0) * act.eval(h, 2)
+    if kind is MomentKind.PHI2_D2:
+        return lambda h: 0.5 * (
+            3.0 * act.eval(h, 2) ** 2
+            + 4.0 * act.eval(h, 1) * act.eval(h, 3)
+            + act.eval(h, 0) * act.eval(h, 4)
+        )
     raise ValueError(f"unknown moment kind: {kind!r}")
 
 
@@ -161,8 +176,9 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
     """Exact Gaussian moment of the activation under h ~ N(0, K).
 
     The erf and GELU curvature moments follow from the same Gaussian
-    integrals as the erf arcsine kernel (Williams 1997).  A NaN kernel is
-    rejected rather than propagated; K = inf gives the K -> inf limit.
+    integrals as the erf arcsine kernel (Williams 1997); the two kernel
+    derivatives of ``<phi^2>`` are those of its closed form.  A NaN kernel
+    is rejected rather than propagated; K = inf gives the K -> inf limit.
     """
     if not K >= 0:
         raise ValueError(f"kernel K must be nonnegative, got {K}")
@@ -172,7 +188,7 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
         s2 = 0.5 * (ap * ap + am * am)
         if kind is MomentKind.PHI2:
             return s2 * K
-        if kind is MomentKind.DPHI2:
+        if kind in (MomentKind.DPHI2, MomentKind.PHI2_D1):
             return s2
         if kind is MomentKind.PHI1:
             return (ap - am) * math.sqrt(K / (2.0 * math.pi)) if ap != am else 0.0
@@ -186,11 +202,19 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
             return (4.0 / math.pi) / math.sqrt(1.0 + 4.0 * K)
         if kind is MomentKind.PHI1:
             return 0.0
+        if kind is MomentKind.PHI2_D1:
+            return (4.0 / math.pi) / ((1.0 + 2.0 * K) * math.sqrt(1.0 + 4.0 * K))
+        if kind is MomentKind.PHI2_D2:
+            if K == math.inf:  # the formula meets inf / inf
+                return 0.0
+            a, b = 1.0 + 2.0 * K, 1.0 + 4.0 * K
+            return -(16.0 / math.pi) * (1.0 + 3.0 * K) / (a * a * b * math.sqrt(b))
         return -8.0 / (math.pi * (1.0 + 4.0 * K) ** 1.5)
     # gelu; the formulas below meet inf / inf at K = inf
     if K == math.inf:
         return {MomentKind.PHI2: math.inf, MomentKind.DPHI2: 0.5,
-                MomentKind.PHI1: math.inf, MomentKind.DELTA: 0.0}[kind]
+                MomentKind.PHI1: math.inf, MomentKind.DELTA: 0.0,
+                MomentKind.PHI2_D1: 0.5, MomentKind.PHI2_D2: 0.0}[kind]
     if kind is MomentKind.PHI2:
         return (
             K / 4.0
@@ -204,6 +228,12 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
         )
     if kind is MomentKind.PHI1:
         return K / math.sqrt(2.0 * math.pi * (1.0 + K))
+    if kind is MomentKind.PHI2_D1:
+        a, t = 1.0 + 2.0 * K, K / (1.0 + K)
+        return 0.25 + (1.0 / (2.0 * math.pi)) * (
+            math.asin(t)
+            + t * (5.0 + 11.0 * K + 4.0 * K * K) / ((1.0 + K) * a * math.sqrt(a))
+        )
     # phi''^2 is a Gaussian times a polynomial, averaged at the narrowed
     # variance s2; phi''' phi' reduces to E[h Phi(h)], E[h^2 pdf(h)] and
     # E[h^3 Phi(h)] under N(0, t2), with Phi and pdf the standard normal's.
@@ -213,7 +243,15 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
     h_cdf = t2 / math.sqrt(2.0 * math.pi * (1.0 + t2))
     h2_pdf = h_cdf / (1.0 + t2)
     h3_cdf = t2 * (2.0 * h_cdf + h2_pdf)
-    return even + (h3_cdf - 4.0 * h_cdf) / math.sqrt(2.0 * math.pi * (1.0 + K))
+    delta = even + (h3_cdf - 4.0 * h_cdf) / math.sqrt(2.0 * math.pi * (1.0 + K))
+    if kind is MomentKind.DELTA:
+        return delta
+    # PHI2_D2 - DELTA = <phi''^2 + 2 phi' phi''' + phi phi''''> / 2
+    # = (2 + 2K - 10K^2 - 13K^3 + K^4) / (2 pi (1+K)^3 (1+2K)^(5/2)); the
+    # quartic over (1+K)^3 is written in c = 1 + K, so it cannot overflow.
+    a, c = 1.0 + 2.0 * K, 1.0 + K
+    quartic = c - 17.0 + (35.0 + (4.0 / c - 21.0) / c) / c
+    return delta + quartic / (2.0 * math.pi * a * a * math.sqrt(a))
 
 
 @lru_cache(maxsize=32)

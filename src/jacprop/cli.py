@@ -79,6 +79,17 @@ def _checked(parse):
     return check
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for a count that must be at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _fmt(v) -> str:
     """Round-trip-safe scalar formatting for CSV cells ("nan", "inf", "-inf")."""
     return format(v, ".17g") if isinstance(v, float) else str(v)
@@ -108,11 +119,14 @@ def _open_out(args):
         yield sys.stdout  # never closed
 
 
-def _emit_csv(stream, command: str, config: dict, columns: list, rows) -> None:
+def _emit_csv(stream, command: str, config: dict, columns: list, rows,
+              result: dict | None = None) -> None:
     print(f"# jacprop {__version__}", file=stream)
     print(f"# command: {command}", file=stream)
-    cfg = " ".join(f"{k}={_fmt(v)}" for k, v in config.items())
-    print(f"# config: {cfg}", file=stream)
+    for label, fields in (("config", config), ("result", result)):
+        if fields is not None:
+            line = " ".join(f"{k}={_fmt(v)}" for k, v in fields.items())
+            print(f"# {label}: {line}", file=stream)
     print(",".join(columns), file=stream)
     for row in rows:
         print(",".join(_fmt(v) for v in row), file=stream)
@@ -143,20 +157,21 @@ def _cmd_theory_trace(args) -> int:
     ]
     with _open_out(args) as out:
         _emit_csv(out, "theory-trace", config,
-                  ["l", "K", "chi_j", "chi_delta", "J", "Theta"], rows)
+                  ["l", "K", "chi_j", "chi_delta", "J", "Theta"], rows,
+                  result=dict(diverged=tr.diverged, truncated_at=tr.truncated_at))
     return 0
 
 
 def _cmd_critical(args) -> int:
     act = parse_activation(args.act)
     mode = parse_mode(args.mode)
-    config = dict(act=args.act, mode=args.mode, tol=args.tol)
+    config = dict(act=args.act, mode=args.mode)
     if args.point:
         points = critical_point(act, mode)
     else:
         sweep = np.linspace(args.sw_min, args.sw_max, args.sw_steps)
         config.update(sw_min=args.sw_min, sw_max=args.sw_max, sw_steps=args.sw_steps)
-        points = critical_line(act, mode, sweep, tol=args.tol)
+        points = critical_line(act, mode, sweep)
     rows = [(p.sigma_w, p.sigma_b, p.residual, p.k_star) for p in points]
     with _open_out(args) as out:
         _emit_csv(out, "critical", config,
@@ -329,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--point", action="store_true")
     c.add_argument("--sw-min", type=float, default=0.5)
     c.add_argument("--sw-max", type=float, default=3.0)
-    c.add_argument("--sw-steps", type=int, default=26)
-    c.add_argument("--tol", type=float, default=1e-10)
+    c.add_argument("--sw-steps", type=_positive_int, default=26)
     c.set_defaults(fn=_cmd_critical)
 
     d = sub.add_parser("phase-diagram", help="chi* on a sigma^2 grid")
@@ -339,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--sw2-max", type=float, default=9.0)
     d.add_argument("--sb2-min", type=float, default=0.0)
     d.add_argument("--sb2-max", type=float, default=4.0)
-    d.add_argument("--resolution", type=int, default=20)
+    d.add_argument("--resolution", type=_positive_int, default=20)
     d.set_defaults(fn=_cmd_phase_diagram)
 
     m = sub.add_parser("mc", help="finite-width Monte-Carlo measurements")

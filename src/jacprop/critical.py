@@ -18,10 +18,17 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .activations import Activation, MomentKind, moment_closed
-from .meanfield import Hyper, NormMode, chi_delta, chi_jacobian, kernel_step, trace
+from .meanfield import (
+    Hyper,
+    NormMode,
+    chi_delta,
+    chi_jacobian,
+    chi_kernel,
+    kernel_step,
+    trace,
+)
 
 __all__ = [
     "FixedPoint",
@@ -76,17 +83,6 @@ class CriticalLinePoint:
         return not math.isnan(self.sigma_b)
 
 
-def _kernel_derivative(
-    act: Activation, mode: NormMode, hp: Hyper, k: float, step: float = 1e-6
-) -> float:
-    """d kernel_step / dK at ``k`` by second-order finite differences."""
-    g = lambda x: kernel_step(act, mode, hp, x)  # noqa: E731
-    h = step * max(1.0, abs(k))
-    if k >= h:
-        return (g(k + h) - g(k - h)) / (2.0 * h)
-    return (-3.0 * g(k) + 4.0 * g(k + h) - g(k + 2.0 * h)) / (2.0 * h)
-
-
 def find_fixed_point(
     act: Activation,
     mode: NormMode,
@@ -103,7 +99,9 @@ def find_fixed_point(
     kernel map.  Smooth activations iterate; a Newton polish on
     ``kernel_step(K) - K`` handles the algebraic slowdown near
     criticality, and convergence below :data:`ZERO_FLOOR` is reported as
-    exactly zero.  Divergence (kernel overflow) yields ``converged=False``
+    exactly zero.  ``chi_k_star`` and the Newton slope are the exact map
+    derivative :func:`~jacprop.meanfield.chi_kernel`, never a finite
+    difference.  Divergence (kernel overflow) yields ``converged=False``
     with an infinite ``k_star`` rather than an exception.
     """
     if not (math.isfinite(k_init) and k_init >= 0):
@@ -119,7 +117,7 @@ def find_fixed_point(
         if 0 < k_star < max(ZERO_FLOOR, 1e4 * tol):
             if kernel_step(act, mode, hp, 0.0) == 0.0:
                 k_star = 0.0
-        chi_k = _kernel_derivative(act, mode, hp, k_star)
+        chi_k = chi_kernel(act, mode, hp, k_star)
         chi_j = chi_jacobian(act, mode, hp, k_star)
         return FixedPoint(k_star, chi_k, chi_j, converged, iters)
 
@@ -127,7 +125,7 @@ def find_fixed_point(
         return finish(kernel_step(act, mode, hp, k_init), 1)
 
     if act.family == "scale_invariant":
-        chi_k = hp.sw2 * 0.5 * (act.a_plus**2 + act.a_minus**2)
+        chi_k = chi_kernel(act, mode, hp, k_init)  # the same at every kernel
         if chi_k < 1.0:
             return finish(hp.sb2 / (1.0 - chi_k), 0)
         if chi_k == 1.0 and hp.sb2 == 0.0:
@@ -147,7 +145,7 @@ def find_fixed_point(
         # Picard stalled (chi_k near 1); polish with Newton on g(K) - K.
         for it2 in range(200):
             f = kernel_step(act, mode, hp, k) - k
-            fp = _kernel_derivative(act, mode, hp, k) - 1.0
+            fp = chi_kernel(act, mode, hp, k) - 1.0
             if fp == 0.0:
                 break
             k_new = k - f / fp
@@ -174,7 +172,7 @@ def find_fixed_point(
 
 def _saturated_chi(act: Activation, hp: Hyper) -> float:
     """Limit of the Jacobian multiplier along a divergent kernel."""
-    return hp.sw2 * moment_closed(act, MomentKind.DPHI2, 1e12)
+    return hp.sw2 * moment_closed(act, MomentKind.DPHI2, math.inf)
 
 
 def chi_star(
@@ -217,13 +215,14 @@ def critical_line(
     act: Activation,
     mode: NormMode,
     sweep: Sequence[float],
-    tol: float = 1e-10,
 ) -> list[CriticalLinePoint]:
     """Solve ``chi_star(sigma_w, sigma_b) = 1`` for each ``sigma_w``.
 
     Roots are bracketed in ``sigma_b`` starting from ``[0, 10 sigma_w]``
-    with geometric expansion, then refined by Brent's method.  A sweep
-    value admitting no root produces a NaN entry and the scan continues.
+    with geometric expansion, then refined by Brent's method; a residual
+    within :data:`_ZERO_BIAS_SNAP` of zero at ``sigma_b = 0`` is that root.
+    A sweep value admitting no root produces a NaN entry and the scan
+    continues.
     The vanilla GELU line is served by the exact parametric form (see
     :func:`gelu_parametric_line`), which is numerically stable along the
     entire line; the generic root finder remains available for
@@ -232,15 +231,22 @@ def critical_line(
     out = []
     for sigma_w in sweep:
         if act.family == "gelu" and mode is NormMode.VANILLA:
-            out.append(_gelu_vanilla_point(act, float(sigma_w), tol))
+            out.append(_gelu_vanilla_point(act, float(sigma_w)))
             continue
-        out.append(_solve_line_point(act, mode, float(sigma_w), tol))
+        out.append(_solve_line_point(act, mode, float(sigma_w)))
     return out
 
 
+#: A line residual ``chi_star - 1`` this small at ``sigma_b = 0`` puts the
+#: line point on the zero-bias axis.
+_ZERO_BIAS_SNAP = 1e-10
+
+
 def _solve_line_point(
-    act: Activation, mode: NormMode, sigma_w: float, tol: float
+    act: Activation, mode: NormMode, sigma_w: float
 ) -> CriticalLinePoint:
+    from scipy.optimize import brentq  # kept out of ``import jacprop``
+
     no_solution = CriticalLinePoint(sigma_w, math.nan, math.nan, math.nan)
     if sigma_w <= 0:
         return no_solution
@@ -254,7 +260,7 @@ def _solve_line_point(
         return no_solution
 
     r0 = f(0.0) - 1.0
-    if abs(r0) <= max(tol, 1e-12):
+    if abs(r0) <= _ZERO_BIAS_SNAP:
         return _line_point(act, mode, sigma_w, 0.0)
     # chi is monotone in sigma_b for every implemented mode, but the
     # direction differs (LN modes decrease, vanilla GELU increases), so
@@ -302,9 +308,9 @@ def gelu_parametric_line(k_star: float, act: Activation | None = None):
     return math.sqrt(sw2), math.sqrt(sb2) if sb2 >= 0 else math.nan
 
 
-def _gelu_vanilla_point(
-    act: Activation, sigma_w: float, tol: float
-) -> CriticalLinePoint:
+def _gelu_vanilla_point(act: Activation, sigma_w: float) -> CriticalLinePoint:
+    from scipy.optimize import brentq  # kept out of ``import jacprop``
+
     no_solution = CriticalLinePoint(sigma_w, math.nan, math.nan, math.nan)
     sw_of_k = lambda k: gelu_parametric_line(k, act)[0]  # noqa: E731
     # sigma_w(K*) falls monotonically from 2 at K*=0 toward sqrt(2).
@@ -325,56 +331,47 @@ def _gelu_vanilla_point(
     return CriticalLinePoint(sigma_w, sigma_b, residual, k_star)
 
 
+#: Fixed kernels of the vanilla critical points, the zeros of
+#: ``<phi phi''>(K)`` (derived in :func:`critical_point`).
+_CRITICAL_KERNELS = {"erf": (0.0,), "gelu": (0.0, (3.0 + math.sqrt(17.0)) / 2.0)}
+
+
 def critical_point(
-    act: Activation,
-    mode: NormMode = NormMode.VANILLA,
-    k_max: float = 50.0,
-    k_grid: int = 400,
+    act: Activation, mode: NormMode = NormMode.VANILLA
 ) -> list[CriticalLinePoint]:
     """Solve ``chi_j_star = 1`` and ``chi_k_star = 1`` simultaneously.
 
     Only the vanilla mode has isolated critical points (the LayerNorm
     modes satisfy the kernel condition trivially and are critical on
-    lines).  The joint system is reduced to a single equation in the
-    fixed-point kernel: ``sigma_w^2 = 1 / <phi'^2>(K)`` enforces the
-    Jacobian condition, after which roots of ``chi_k(K) - 1`` are found
-    on a grid over ``[0, k_max]``.  All roots are returned, ordered by
-    increasing kernel.
+    lines).  The Jacobian condition at a fixed kernel ``K*`` is
+    ``sigma_w^2 = 1 / <phi'^2>(K*)``.  There the kernel slope is
+    ``chi_k = sigma_w^2 <phi'^2 + phi phi''> = 1 + <phi phi''> /
+    <phi'^2>`` (see :func:`~jacprop.meanfield.chi_kernel`), so the critical
+    kernels are exactly the zeros of ``<phi phi''> = PHI2_D1 - DPHI2``:
+
+    * erf: ``-(8K/pi) / ((1+2K) sqrt(1+4K))``, zero only at ``K* = 0``;
+    * GELU: ``K (2 + 3K - K^2) / (2 pi (1+K)^2 (1+2K)^(3/2))``, zero at
+      ``K* = 0`` and ``K* = (3 + sqrt(17)) / 2``;
+    * scale-invariant: identically zero, and every ``K*`` gives the same
+      pair ``(1/sqrt(<phi'^2>), 0)``, reported once with ``K* = 0``.
+
+    Each ``K*`` is mapped to ``(sigma_w, sigma_b)`` by
+    :func:`gelu_parametric_line`.  No root finder is involved; the points
+    are ordered by increasing kernel.
     """
     if mode is not NormMode.VANILLA:
         raise ValueError("critical points exist only in the vanilla mode")
 
     if act.family == "scale_invariant":
-        s2 = 0.5 * (act.a_plus**2 + act.a_minus**2)
-        sigma_w = math.sqrt(1.0 / s2)
+        sigma_w = math.sqrt(1.0 / moment_closed(act, MomentKind.DPHI2, 0.0))
         return [CriticalLinePoint(sigma_w, 0.0, 0.0, 0.0)]
 
-    def chi_k_residual(k: float) -> float:
-        sw2 = 1.0 / moment_closed(act, MomentKind.DPHI2, k)
-        hp = Hyper(math.sqrt(sw2), 0.0)
-        return _kernel_derivative(act, NormMode.VANILLA, hp, k) - 1.0
-
-    points: list[CriticalLinePoint] = []
-
-    def add_point(k_star: float):
+    points = []
+    for k_star in _CRITICAL_KERNELS[act.family]:
         sigma_w, sigma_b = gelu_parametric_line(k_star, act)
-        if math.isnan(sigma_b):
-            return
         hp = Hyper(sigma_w, sigma_b)
         residual = abs(chi_jacobian(act, NormMode.VANILLA, hp, k_star) - 1.0)
         points.append(CriticalLinePoint(sigma_w, sigma_b, residual, k_star))
-
-    if abs(chi_k_residual(0.0)) <= 1e-8:
-        add_point(0.0)
-    grid = np.linspace(0.0, k_max, k_grid + 1)
-    vals = [chi_k_residual(k) for k in grid]
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0 and a > 0:
-            add_point(a)
-        elif fa * fb < 0:
-            k_star = brentq(chi_k_residual, a, b, xtol=1e-13)
-            if k_star > 1e-9:  # the boundary root was already collected
-                add_point(k_star)
     return points
 
 
@@ -423,26 +420,19 @@ def exponent_numeric(
     return ExponentEstimate(zeta=zeta, dk_coeff=dk, window=(fit_from, depth))
 
 
-def expansion_coefficient(
-    act: Activation, hp: Hyper, k_star: float, step: float = 1e-2
-) -> float:
+def expansion_coefficient(act: Activation, hp: Hyper, k_star: float) -> float:
     """Asymptotic value of ``l * (1 - chi[l])`` along the attracting branch.
 
     Expanding the kernel map to second order around a marginal fixed
     point (``chi_k = 1``) gives ``K[l] - K* ~ -1 / (c l)`` with ``c`` half
     the second derivative of the map, and hence ``l (1 - chi[l]) ->
     chi_j'(K*) / c``.  Since ``d/dK <f> = <f''> / 2`` under N(0, K),
-    ``chi_j'`` is exactly the curvature moment :func:`chi_delta`; the
-    second derivative of the map is a Richardson-extrapolated central
-    difference.  ``k_star`` must be an interior (> 0) fixed point.
+    ``chi_j'`` is exactly the curvature moment :func:`chi_delta` and the
+    map's second derivative is ``sigma_w^2`` times the ``PHI2_D2`` moment
+    ``d^2 <phi^2> / dK^2``; both are closed forms.  ``k_star`` must be an
+    interior (> 0) fixed point.
     """
     if k_star <= 0:
         raise ValueError("expansion coefficient needs an interior fixed point")
-    g = lambda k: kernel_step(act, NormMode.VANILLA, hp, k)  # noqa: E731
-
-    def d2(h):
-        return (g(k_star + h) - 2.0 * g(k_star) + g(k_star - h)) / (h * h)
-
-    h = min(step, 0.25 * k_star)
-    g_pp = (4.0 * d2(h / 2.0) - d2(h)) / 3.0
+    g_pp = hp.sw2 * moment_closed(act, MomentKind.PHI2_D2, k_star)
     return 2.0 * chi_delta(act, hp, k_star) / g_pp

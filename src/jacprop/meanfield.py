@@ -37,6 +37,7 @@ __all__ = [
     "MeanFieldTrace",
     "kernel_step",
     "chi_jacobian",
+    "chi_kernel",
     "chi_delta",
     "ntk_step",
     "trace",
@@ -128,6 +129,19 @@ def chi_jacobian(act: Activation, mode: NormMode, hp: Hyper, k: float) -> float:
             "post-LN multiplier undefined"
         )
     return hp.sw2 * moment_closed(act, MomentKind.DPHI2, q) / var
+
+
+def chi_kernel(act: Activation, mode: NormMode, hp: Hyper, k: float) -> float:
+    """Slope ``d kernel_step / dK`` of the kernel map at kernel ``k``.
+
+    In the vanilla mode this is ``sigma_w^2 d<phi^2>/dK = sigma_w^2
+    <phi'^2 + phi phi''>`` (the parallel susceptibility ``sigma_w^2 <h phi
+    phi'> / K`` of Roberts, Yaida & Hanin 2022), in closed form.  Both
+    LayerNorm maps are constant in ``k``, so their slope is exactly zero.
+    """
+    if mode is not NormMode.VANILLA:
+        return 0.0
+    return hp.sw2 * moment_closed(act, MomentKind.PHI2_D1, k)
 
 
 def chi_delta(act: Activation, hp: Hyper, k: float) -> float:

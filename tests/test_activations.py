@@ -53,7 +53,7 @@ class TestEval:
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
-            RELU.eval(1.0, 4)
+            RELU.eval(1.0, 5)
         with pytest.raises(ValueError):
             GELU.eval(1.0, -1)
 
@@ -69,9 +69,10 @@ class TestEval:
         x = np.linspace(-3, 3, 11)
         assert np.all(SI21.eval(x, 2) == 0)
         assert np.all(SI21.eval(x, 3) == 0)
+        assert np.all(SI21.eval(x, 4) == 0)
 
     @pytest.mark.parametrize("act", [ERF, GELU])
-    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_derivatives_match_finite_differences(self, act, order):
         x = np.linspace(-4, 4, 81)
         h = 1e-5
@@ -121,11 +122,11 @@ class TestClosedForms:
 
     LINEAR = Activation.scale_invariant(1.0, 1.0)
     INF_LIMITS = [
-        (RELU, [math.inf, 0.5, math.inf, 0.0]),
-        (SI21, [math.inf, 2.5, math.inf, 0.0]),
-        (LINEAR, [math.inf, 1.0, 0.0, 0.0]),
-        (ERF, [1.0, 0.0, 0.0, 0.0]),
-        (GELU, [math.inf, 0.5, math.inf, 0.0]),
+        (RELU, [math.inf, 0.5, math.inf, 0.0, 0.5, 0.0]),
+        (SI21, [math.inf, 2.5, math.inf, 0.0, 2.5, 0.0]),
+        (LINEAR, [math.inf, 1.0, 0.0, 0.0, 1.0, 0.0]),
+        (ERF, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        (GELU, [math.inf, 0.5, math.inf, 0.0, 0.5, 0.0]),
     ]
 
     @pytest.mark.parametrize("kind", list(MomentKind), ids=lambda k: k.value)
@@ -209,6 +210,35 @@ class TestQuadratureOracle:
                 # the absolute floor only covers moments that vanish exactly
                 assert math.isclose(closed, quad, rel_tol=1e-8, abs_tol=1e-12), (
                     act, kind, K, closed, quad)
+
+
+class TestKernelDerivativeKinds:
+    """PHI2_D1 and PHI2_D2 are the first two K-derivatives of PHI2."""
+
+    @staticmethod
+    def central_difference(act, kind, K):
+        h = 1e-5 * K
+        return (moment_closed(act, kind, K + h) - moment_closed(act, kind, K - h)) / (2 * h)
+
+    @pytest.mark.parametrize("act", ALL_ACTS, ids=lambda a: a.family + str(a.a_plus))
+    def test_phi2_d1_is_the_slope_of_phi2(self, act):
+        for K in K_GRID[::7]:
+            fd = self.central_difference(act, MomentKind.PHI2, K)
+            assert moment_closed(act, MomentKind.PHI2_D1, K) == pytest.approx(
+                fd, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("act", ALL_ACTS, ids=lambda a: a.family + str(a.a_plus))
+    def test_phi2_d2_is_the_slope_of_phi2_d1(self, act):
+        for K in K_GRID[::7]:
+            fd = self.central_difference(act, MomentKind.PHI2_D1, K)
+            assert moment_closed(act, MomentKind.PHI2_D2, K) == pytest.approx(
+                fd, rel=1e-7, abs=1e-9)
+
+    def test_gelu_kernel_derivatives_at_zero(self):
+        # at K = 0 the measure is a point mass at h = 0
+        assert moment_closed(GELU, MomentKind.PHI2_D1, 0.0) == 0.25
+        assert moment_closed(GELU, MomentKind.PHI2_D2, 0.0) == pytest.approx(
+            3 / math.pi, rel=1e-15)
 
 
 class TestMomentProperties:

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jacprop
+from jacprop.activations import Activation
 from jacprop.cli import main, parse_activation, parse_mode
+from jacprop.meanfield import Hyper, NormMode, trace
 
 
 def run_cli(args, capsys):
@@ -25,6 +31,16 @@ def parse_csv(text):
         elif line:
             rows.append(line.split(","))
     return comments, header, rows
+
+
+def test_import_leaves_the_root_finders_out():
+    # scipy.optimize is imported only by the critical-line solvers that use it
+    code = "import sys, jacprop.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(jacprop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 class TestParsers:
@@ -96,6 +112,20 @@ class TestTheoryTrace:
         assert "k0" in err
         assert parse_csv(out)[2] == []
 
+    @pytest.mark.parametrize("sw,depth", [(2.0, 1200), (1.0, 40)])
+    def test_result_line_reports_the_trace(self, capsys, sw, depth):
+        code, out, _ = run_cli(
+            ["theory-trace", "--act", "relu", "--sw", str(sw), "--sb", "0",
+             "--depth", str(depth)], capsys)
+        assert code == 0
+        comments, _, rows = parse_csv(out)
+        assert comments[2].startswith("# config:")
+        tr = trace(Activation.relu(), NormMode.VANILLA, Hyper(sw, 0.0), depth, 1.0)
+        assert tr.diverged == (sw == 2.0)  # one run of inf rows, one finite
+        assert comments[3] == (
+            f"# result: diverged={tr.diverged} truncated_at={tr.truncated_at}")
+        assert len(rows) == depth
+
     def test_floats_round_trip(self, capsys):
         code, out, _ = run_cli(
             ["theory-trace", "--act", "gelu", "--mode", "vanilla",
@@ -121,6 +151,14 @@ class TestCritical:
         assert float(rows[0][0]) == pytest.approx(2.0, abs=1e-5)
         assert float(rows[1][0]) == pytest.approx(1.408, abs=1e-3)
         assert float(rows[1][1]) == pytest.approx(0.416, abs=1e-3)
+
+    def test_header_has_no_tolerance(self, capsys):
+        _, out, _ = run_cli(["critical", "--point", "--act", "gelu"], capsys)
+        comments, _, _ = parse_csv(out)
+        assert comments[2] == "# config: act=gelu mode=vanilla"
+        with pytest.raises(SystemExit) as exc:
+            main(["critical", "--point", "--act", "gelu", "--tol", "1e-9"])
+        assert exc.value.code == 2
 
     def test_erf_pre_ln_line_slope(self, capsys):
         code, out, _ = run_cli(
@@ -328,6 +366,32 @@ class TestFitCommand:
         assert doc["zeta"] == pytest.approx(1.0, abs=0.06)
 
 
+class TestEmptySweep:
+    CASES = [(["critical", "--line", "--act", "erf"], "sw_steps"),
+             (["phase-diagram", "--act", "erf"], "resolution")]
+
+    @pytest.mark.parametrize("command,key", CASES, ids=["line", "grid"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_flag_is_usage_error(self, capsys, tmp_path, command, key, value):
+        out = tmp_path / "out.csv"
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, value, "-o", str(out)])
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key", CASES, ids=["line", "grid"])
+    def test_config_is_usage_error(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 0}))
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(["--config", str(cfg), *command, "-o", str(out)], capsys)
+        assert code == 2
+        assert repr(key) in err
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_overrides_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -351,6 +415,15 @@ class TestConfigFile:
              "--sw", "1", "--sb", "0", "--depth", "9"], capsys)
         assert code == 2
         assert repr(key) in err
+        assert out == ""
+
+    def test_removed_tolerance_is_unknown_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": 1e-9}))
+        code, out, err = run_cli(
+            ["--config", str(cfg), "critical", "--point", "--act", "gelu"], capsys)
+        assert code == 2
+        assert "'tol'" in err
         assert out == ""
 
     @pytest.mark.parametrize("value", ["7", 7])

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jacprop.activations import Activation
+from jacprop.activations import Activation, MomentKind, moment_closed
 from jacprop.critical import (
     chi_star,
     correlation_length,
@@ -17,7 +18,7 @@ from jacprop.critical import (
     gelu_parametric_line,
     _solve_line_point,
 )
-from jacprop.meanfield import Hyper, NormMode, kernel_step
+from jacprop.meanfield import Hyper, NormMode, chi_delta, chi_kernel, kernel_step
 
 RELU = Activation.relu()
 ERF = Activation.erf()
@@ -32,6 +33,74 @@ def gelu_critical_point() -> tuple[Hyper, float]:
     k_star = (3 + math.sqrt(17)) / 2
     sw, sb = gelu_parametric_line(k_star)
     return Hyper(sw, sb), k_star
+
+
+def kernel_derivative(act, mode, hp, k, step=1e-6):
+    """Oracle: d kernel_step / dK at ``k`` by second-order finite differences.
+
+    Central where ``k`` exceeds the step, one-sided (forward) next to zero.
+    The library computes the same slope in closed form (``chi_kernel``).
+    """
+    g = lambda x: kernel_step(act, mode, hp, x)  # noqa: E731
+    h = step * max(1.0, abs(k))
+    if k >= h:
+        return (g(k + h) - g(k - h)) / (2.0 * h)
+    return (-3.0 * g(k) + 4.0 * g(k + h) - g(k + 2.0 * h)) / (2.0 * h)
+
+
+def scanned_critical_kernels(act, k_max=50.0, k_grid=400):
+    """Oracle: roots of chi_k - 1 on sigma_w^2 = 1 / <phi'^2>, by a K-grid
+    scan and Brent refinement of the finite-difference residual."""
+    from scipy.optimize import brentq
+
+    def residual(k):
+        sw2 = 1.0 / moment_closed(act, MomentKind.DPHI2, k)
+        return kernel_derivative(act, NormMode.VANILLA, Hyper(math.sqrt(sw2), 0.0), k) - 1.0
+
+    roots = [0.0] if abs(residual(0.0)) <= 1e-8 else []
+    grid = np.linspace(0.0, k_max, k_grid + 1)
+    vals = [residual(k) for k in grid]
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if fa * fb < 0:
+            k_star = brentq(residual, a, b, xtol=1e-13)
+            if k_star > 1e-9:  # the boundary root was already collected
+                roots.append(k_star)
+    return roots
+
+
+class TestKernelSlope:
+    @settings(deadline=None)
+    @given(
+        log_k=st.floats(math.log(1e-3), math.log(100.0)),
+        sigma_w=st.floats(0.1, 3.0),
+        sigma_b=st.floats(0.0, 2.0),
+        a_plus=st.floats(-3.0, 3.0),
+        a_minus=st.floats(-3.0, 3.0),
+    )
+    def test_chi_kernel_matches_the_finite_difference(
+        self, log_k, sigma_w, sigma_b, a_plus, a_minus
+    ):
+        k = math.exp(log_k)
+        hp = Hyper(sigma_w, sigma_b)
+        for act in (ERF, GELU, Activation.scale_invariant(a_plus, a_minus)):
+            for mode in NormMode:
+                exact = chi_kernel(act, mode, hp, k)
+                fd = kernel_derivative(act, mode, hp, k)
+                # the floor covers the finite difference's rounding, at
+                # most ulp(g) / 2h = 4.4e-10 for maps below 8 at K < 1
+                assert math.isclose(exact, fd, rel_tol=1e-7, abs_tol=1e-9), (
+                    act, mode, k, exact, fd)
+
+    def test_ln_maps_have_zero_slope(self):
+        for mode in (NormMode.PRE_LN, NormMode.POST_LN):
+            assert chi_kernel(GELU, mode, Hyper(1.3, 0.4), 2.0) == 0.0
+
+    def test_fixed_point_reports_the_exact_slope(self):
+        hp = Hyper(1.0, 0.2)
+        fp = find_fixed_point(ERF, NormMode.VANILLA, hp)
+        assert fp.chi_k_star == chi_kernel(ERF, NormMode.VANILLA, hp, fp.k_star)
+        assert fp.chi_k_star == pytest.approx(
+            kernel_derivative(ERF, NormMode.VANILLA, hp, fp.k_star), rel=1e-8)
 
 
 class TestFindFixedPoint:
@@ -60,13 +129,18 @@ class TestFindFixedPoint:
     def test_post_ln_immediate(self):
         fp = find_fixed_point(ERF, NormMode.POST_LN, Hyper(1.0, 2.0))
         assert fp.k_star == 5.0 and fp.iterations == 1
-        assert fp.chi_k_star == pytest.approx(0.0, abs=1e-9)
+        assert fp.chi_k_star == 0.0
 
     def test_divergence_reported_not_raised(self):
         fp = find_fixed_point(RELU, NormMode.VANILLA, Hyper(2.0, 0.5))
         assert not fp.converged and math.isinf(fp.k_star)
         # scale-invariant chi is kernel-free, so the limit is still defined
         assert fp.chi_j_star == pytest.approx(2.0)
+
+    def test_divergent_gelu_carries_the_exact_saturated_multiplier(self):
+        fp = find_fixed_point(GELU, NormMode.VANILLA, Hyper(3.0, 0.0))
+        assert fp.diverged
+        assert fp.chi_j_star == 4.5  # sigma_w^2 <phi'^2>(K = inf) = 9 / 2
 
     @pytest.mark.parametrize("k_init", [math.nan, math.inf])
     def test_non_finite_start_rejected(self, k_init):
@@ -157,7 +231,7 @@ class TestCriticalLine:
         # From-zero iteration sees the lower attracting branch; its
         # order/chaos boundary sits near (not on) the half-stable line.
         (para,) = critical_line(GELU, NormMode.VANILLA, [1.8])
-        generic = _solve_line_point(GELU, NormMode.VANILLA, 1.8, 1e-10)
+        generic = _solve_line_point(GELU, NormMode.VANILLA, 1.8)
         assert generic.found
         assert abs(generic.sigma_b - para.sigma_b) < 0.05
 
@@ -188,7 +262,24 @@ class TestCriticalPoint:
         assert pts[0].sigma_b == pytest.approx(0.0, abs=1e-6)
         assert pts[1].sigma_w == pytest.approx(1.408, abs=1e-3)
         assert pts[1].sigma_b == pytest.approx(0.416, abs=1e-3)
-        assert pts[1].k_star == pytest.approx((3 + math.sqrt(17)) / 2, rel=1e-6)
+        assert pts[1].k_star == (3 + math.sqrt(17)) / 2
+
+    @pytest.mark.parametrize("act", [ERF, GELU], ids=["erf", "gelu"])
+    def test_closed_form_kernels_match_the_oracle_scan(self, act):
+        # the scan on the finite-difference residual finds the same roots
+        # of <phi phi''> to the finite difference's accuracy
+        scanned = scanned_critical_kernels(act)
+        exact = [p.k_star for p in critical_point(act)]
+        assert len(scanned) == len(exact)
+        for k_scan, k_exact in zip(scanned, exact):
+            assert k_scan == pytest.approx(k_exact, rel=1e-8, abs=1e-12)
+
+    def test_kernel_condition_holds_exactly(self):
+        for act in (ERF, GELU):
+            for p in critical_point(act):
+                hp = Hyper(p.sigma_w, p.sigma_b)
+                assert chi_kernel(act, NormMode.VANILLA, hp, p.k_star) == pytest.approx(
+                    1.0, rel=1e-14)
 
     def test_points_lie_on_lines(self):
         for act in (RELU, ERF, GELU):
@@ -302,6 +393,9 @@ class TestExpansionCoefficient:
         # above, so the multiplier exceeds one and the coefficient is
         # negative.
         assert coef == pytest.approx(-64.985, rel=1e-3)
+        assert coef == 2.0 * chi_delta(GELU, hp, k_star) / (
+            hp.sw2 * moment_closed(GELU, MomentKind.PHI2_D2, k_star))
+        assert coef == pytest.approx(-64.984845, abs=1e-6)
         # the deep-trace estimator moves toward the same limit from above
         from jacprop.meanfield import trace
 
@@ -309,6 +403,17 @@ class TestExpansionCoefficient:
         vals = np.arange(1, 200_001) * (1.0 - tr.chi_j[1:])
         assert -66.0 < vals[-1] < -50.0
         assert abs(vals[-1] - coef) < abs(vals[10_000] - coef)
+
+    def test_map_curvature_matches_the_richardson_oracle(self):
+        hp, k_star = gelu_critical_point()
+        g = lambda k: kernel_step(GELU, NormMode.VANILLA, hp, k)  # noqa: E731
+
+        def d2(h):
+            return (g(k_star + h) - 2.0 * g(k_star) + g(k_star - h)) / (h * h)
+
+        richardson = (4.0 * d2(5e-3) - d2(1e-2)) / 3.0
+        exact = hp.sw2 * moment_closed(GELU, MomentKind.PHI2_D2, k_star)
+        assert exact == pytest.approx(richardson, rel=1e-6)
 
     def test_interior_point_required(self):
         with pytest.raises(ValueError):
