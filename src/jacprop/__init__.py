@@ -41,7 +41,6 @@ from .meanfield import (
     chi_jacobian,
     j0_corrected,
     kernel_step,
-    ntk_step,
     trace,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "kernel_step",
     "chi_jacobian",
     "chi_delta",
-    "ntk_step",
     "trace",
     "j0_corrected",
     "FixedPoint",

@@ -42,7 +42,8 @@ __all__ = [
     "moment_integrand",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
+_SQRT_2PI = math.sqrt(_TWO_PI)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # Truncation of the substituted variable t = h / sqrt(2K).  exp(-t^2) at
@@ -151,6 +152,11 @@ class MomentKind(Enum):
     PHI2_D2 = "phi2_d2"  # <3 phi''^2 + 4 phi' phi''' + phi phi''''> / 2
 
 
+# bound once: an Enum attribute lookup costs more than most closed forms
+_PHI2, _DPHI2, _PHI1 = MomentKind.PHI2, MomentKind.DPHI2, MomentKind.PHI1
+_DELTA, _PHI2_D1, _PHI2_D2 = MomentKind.DELTA, MomentKind.PHI2_D1, MomentKind.PHI2_D2
+
+
 def moment_integrand(act: Activation, kind: MomentKind):
     """Return the plain function of h whose N(0, K) average is the moment."""
     if kind is MomentKind.PHI2:
@@ -172,13 +178,36 @@ def moment_integrand(act: Activation, kind: MomentKind):
     raise ValueError(f"unknown moment kind: {kind!r}")
 
 
+#: Above this kernel the erf and GELU moments equal their leading large-K
+#: terms to double precision (the next are K^(-1/2) < 1e-75 smaller); below
+#: it no closed form overflows (GELU's ``K * K`` would from 1.3e154).
+K_LARGE = 1e150
+_GELU_R3 = 1.0 / (8.0 * math.sqrt(2.0) * math.pi)  # GELU DELTA ~ -_GELU_R3 K^(-3/2)
+
+
+def _large_kernel(family: str, kind: MomentKind, K: float) -> float:
+    """Leading large-K term of an erf or GELU moment, in powers of K^(-1/2);
+    the decaying ones underflow rather than overflow, and K = inf is the limit."""
+    r = 1.0 / math.sqrt(K)
+    r3 = r * r * r
+    if family == "erf":
+        return {_PHI2: 1.0, _DPHI2: (2.0 / math.pi) * r, _PHI1: 0.0,
+                _DELTA: -r3 / math.pi, _PHI2_D1: r3 / math.pi,
+                _PHI2_D2: -(1.5 / math.pi) * r3 * r * r}[kind]
+    return {_PHI2: 0.5 * K, _DPHI2: 0.5, _PHI1: math.sqrt(K / _TWO_PI),
+            _DELTA: -_GELU_R3 * r3, _PHI2_D1: 0.5,
+            _PHI2_D2: -5.0 * _GELU_R3 * r3 * r * r}[kind]
+
+
 def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
     """Exact Gaussian moment of the activation under h ~ N(0, K).
 
     The erf and GELU curvature moments follow from the same Gaussian
     integrals as the erf arcsine kernel (Williams 1997); the two kernel
     derivatives of ``<phi^2>`` are those of its closed form.  A NaN kernel
-    is rejected rather than propagated; K = inf gives the K -> inf limit.
+    is rejected rather than propagated.  Above :data:`K_LARGE`, K = inf
+    included, the smooth families give their leading large-K terms, so no
+    power or product in the closed forms can overflow.
     """
     if not K >= 0:
         raise ValueError(f"kernel K must be nonnegative, got {K}")
@@ -186,51 +215,45 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
     if act.family == "scale_invariant":
         ap, am = act.a_plus, act.a_minus
         s2 = 0.5 * (ap * ap + am * am)
-        if kind is MomentKind.PHI2:
+        if kind is _PHI2:
             return s2 * K
-        if kind in (MomentKind.DPHI2, MomentKind.PHI2_D1):
+        if kind in (_DPHI2, _PHI2_D1):
             return s2
-        if kind is MomentKind.PHI1:
-            return (ap - am) * math.sqrt(K / (2.0 * math.pi)) if ap != am else 0.0
+        if kind is _PHI1:
+            return (ap - am) * math.sqrt(K / _TWO_PI) if ap != am else 0.0
         return 0.0
+    if K > K_LARGE:
+        return _large_kernel(act.family, kind, K)
     if act.family == "erf":
-        if kind is MomentKind.PHI2:
-            if K == math.inf:
-                return 1.0
+        if kind is _PHI2:
             return (2.0 / math.pi) * math.asin(2.0 * K / (1.0 + 2.0 * K))
-        if kind is MomentKind.DPHI2:
+        if kind is _DPHI2:
             return (4.0 / math.pi) / math.sqrt(1.0 + 4.0 * K)
-        if kind is MomentKind.PHI1:
+        if kind is _PHI1:
             return 0.0
-        if kind is MomentKind.PHI2_D1:
+        if kind is _PHI2_D1:
             return (4.0 / math.pi) / ((1.0 + 2.0 * K) * math.sqrt(1.0 + 4.0 * K))
-        if kind is MomentKind.PHI2_D2:
-            if K == math.inf:  # the formula meets inf / inf
-                return 0.0
+        if kind is _PHI2_D2:
             a, b = 1.0 + 2.0 * K, 1.0 + 4.0 * K
             return -(16.0 / math.pi) * (1.0 + 3.0 * K) / (a * a * b * math.sqrt(b))
         return -8.0 / (math.pi * (1.0 + 4.0 * K) ** 1.5)
-    # gelu; the formulas below meet inf / inf at K = inf
-    if K == math.inf:
-        return {MomentKind.PHI2: math.inf, MomentKind.DPHI2: 0.5,
-                MomentKind.PHI1: math.inf, MomentKind.DELTA: 0.0,
-                MomentKind.PHI2_D1: 0.5, MomentKind.PHI2_D2: 0.0}[kind]
-    if kind is MomentKind.PHI2:
+    # gelu
+    if kind is _PHI2:
         return (
             K / 4.0
-            + (K / (2.0 * math.pi)) * math.asin(K / (1.0 + K))
+            + (K / _TWO_PI) * math.asin(K / (1.0 + K))
             + K * K / (math.pi * (1.0 + K) * math.sqrt(1.0 + 2.0 * K))
         )
-    if kind is MomentKind.DPHI2:
-        return 0.25 + (1.0 / (2.0 * math.pi)) * (
+    if kind is _DPHI2:
+        return 0.25 + (1.0 / _TWO_PI) * (
             math.asin(K / (1.0 + K))
             + K * (3.0 + 5.0 * K) / ((1.0 + K) * (1.0 + 2.0 * K) ** 1.5)
         )
-    if kind is MomentKind.PHI1:
+    if kind is _PHI1:
         return K / math.sqrt(2.0 * math.pi * (1.0 + K))
-    if kind is MomentKind.PHI2_D1:
+    if kind is _PHI2_D1:
         a, t = 1.0 + 2.0 * K, K / (1.0 + K)
-        return 0.25 + (1.0 / (2.0 * math.pi)) * (
+        return 0.25 + (1.0 / _TWO_PI) * (
             math.asin(t)
             + t * (5.0 + 11.0 * K + 4.0 * K * K) / ((1.0 + K) * a * math.sqrt(a))
         )
@@ -244,7 +267,7 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
     h2_pdf = h_cdf / (1.0 + t2)
     h3_cdf = t2 * (2.0 * h_cdf + h2_pdf)
     delta = even + (h3_cdf - 4.0 * h_cdf) / math.sqrt(2.0 * math.pi * (1.0 + K))
-    if kind is MomentKind.DELTA:
+    if kind is _DELTA:
         return delta
     # PHI2_D2 - DELTA = <phi''^2 + 2 phi' phi''' + phi phi''''> / 2
     # = (2 + 2K - 10K^2 - 13K^3 + K^4) / (2 pi (1+K)^3 (1+2K)^(5/2)); the

@@ -147,10 +147,9 @@ def _cmd_theory_trace(args) -> int:
     act = parse_activation(args.act)
     mode = parse_mode(args.mode)
     hp = Hyper(args.sw, args.sb)
-    tr = trace(act, mode, hp, args.depth, args.k0, l0=args.l0,
-               ntk_kernel_lag=args.ntk_lag)
+    tr = trace(act, mode, hp, args.depth, args.k0, l0=args.l0)
     config = dict(act=args.act, mode=args.mode, sw=args.sw, sb=args.sb,
-                  depth=args.depth, k0=args.k0, l0=args.l0, ntk_lag=args.ntk_lag)
+                  depth=args.depth, k0=args.k0, l0=args.l0)
     rows = [
         (l, tr.K[l], tr.chi_j[l], tr.chi_delta[l], tr.J[l], tr.theta[l])
         for l in range(1, args.depth + 1)
@@ -333,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--depth", type=int, required=True)
     t.add_argument("--k0", type=float, default=1.0, help="first-layer kernel")
     t.add_argument("--l0", type=int, default=0)
-    t.add_argument("--ntk-lag", action="store_true",
-                   help="use the lagged-kernel NTK recursion variant")
     t.set_defaults(fn=_cmd_theory_trace)
 
     c = sub.add_parser("critical", help="critical lines and points")

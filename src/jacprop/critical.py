@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .activations import Activation, MomentKind, moment_closed
+from .activations import K_LARGE, Activation, MomentKind, moment_closed
 from .meanfield import (
     Hyper,
     NormMode,
+    block_law,
     chi_delta,
     chi_jacobian,
     chi_kernel,
@@ -93,16 +94,18 @@ def find_fixed_point(
 ) -> FixedPoint:
     """Locate the fixed point of the kernel map by Picard iteration.
 
-    Both LayerNorm modes reach their fixed kernel after a single step and
-    return immediately.  Scale-invariant activations in the vanilla mode
-    use the closed-form ``K* = sigma_b^2 / (1 - chi_k)`` of the affine
-    kernel map.  Smooth activations iterate; a Newton polish on
-    ``kernel_step(K) - K`` handles the algebraic slowdown near
-    criticality, and convergence below :data:`ZERO_FLOOR` is reported as
-    exactly zero.  ``chi_k_star`` and the Newton slope are the exact map
-    derivative :func:`~jacprop.meanfield.chi_kernel`, never a finite
-    difference.  Divergence (kernel overflow) yields ``converged=False``
-    with an infinite ``k_star`` rather than an exception.
+    An affine kernel map -- a scale-invariant phi, or any block with a
+    norm, whose map is constant -- takes the closed form ``K* = g(0) / (1 -
+    chi_k)`` with no iteration.  Smooth activations without a norm
+    iterate; a Newton polish on ``kernel_step(K) - K`` handles the
+    algebraic slowdown near criticality, and convergence below
+    :data:`ZERO_FLOOR` is reported as exactly zero.  ``chi_k_star`` and the
+    Newton slope are the exact map derivative
+    :func:`~jacprop.meanfield.chi_kernel`, never a finite difference.
+    Divergence (a kernel beyond :data:`OVERFLOW`, or beyond
+    :data:`~jacprop.activations.K_LARGE` with a K -> inf slope above one)
+    yields ``converged=False`` with an infinite ``k_star`` rather than an
+    exception.
     """
     if not (math.isfinite(k_init) and k_init >= 0):
         raise ValueError(f"k_init must be finite and nonnegative, got {k_init}")
@@ -121,21 +124,24 @@ def find_fixed_point(
         chi_j = chi_jacobian(act, mode, hp, k_star)
         return FixedPoint(k_star, chi_k, chi_j, converged, iters)
 
-    if mode in (NormMode.PRE_LN, NormMode.POST_LN):
-        return finish(kernel_step(act, mode, hp, k_init), 1)
-
-    if act.family == "scale_invariant":
+    if act.family == "scale_invariant" or mode.normalizes:
+        # The map is affine, g(K) = g(0) + chi_k K: phi is linear on each
+        # half-line, or a norm makes the map constant (chi_k = 0).
         chi_k = chi_kernel(act, mode, hp, k_init)  # the same at every kernel
+        g0 = kernel_step(act, mode, hp, 0.0)
         if chi_k < 1.0:
-            return finish(hp.sb2 / (1.0 - chi_k), 0)
-        if chi_k == 1.0 and hp.sb2 == 0.0:
+            return finish(g0 / (1.0 - chi_k), 0)
+        if chi_k == 1.0 and g0 == 0.0:
             return finish(k_init, 0)  # every kernel is fixed
         return finish(math.inf, 0, converged=False)
 
+    # Beyond K_LARGE the map is affine with its K -> inf slope, so a kernel
+    # there diverges if that slope exceeds one.
+    k_cap = K_LARGE if chi_kernel(act, mode, hp, math.inf) > 1.0 else OVERFLOW
     k = float(k_init)
     for it in range(1, max_iter + 1):
         k_next = kernel_step(act, mode, hp, k)
-        if not math.isfinite(k_next) or k_next > OVERFLOW:
+        if not k_next <= k_cap:
             return finish(math.inf, it, converged=False)
         if abs(k_next - k) <= tol * max(1.0, abs(k_next)):
             k = k_next
@@ -198,19 +204,6 @@ def correlation_length(chi: float) -> float:
     return 1.0 / abs(math.log(chi))
 
 
-def _chi_of_sigma_b(
-    act: Activation, mode: NormMode, sigma_w: float
-) -> Callable[[float], float]:
-    # Iterating from K = 0 always starts inside the attraction basin of
-    # the lowest fixed point (the maps are monotone increasing with
-    # g(0) >= 0), which keeps the sweep well defined next to tangent
-    # bifurcations where larger starts would overshoot into divergence.
-    def f(sigma_b: float) -> float:
-        return chi_star(act, mode, Hyper(sigma_w, sigma_b), k_init=0.0)
-
-    return f
-
-
 def critical_line(
     act: Activation,
     mode: NormMode,
@@ -218,117 +211,81 @@ def critical_line(
 ) -> list[CriticalLinePoint]:
     """Solve ``chi_star(sigma_w, sigma_b) = 1`` for each ``sigma_w``.
 
-    Roots are bracketed in ``sigma_b`` starting from ``[0, 10 sigma_w]``
-    with geometric expansion, then refined by Brent's method; a residual
-    within :data:`_ZERO_BIAS_SNAP` of zero at ``sigma_b = 0`` is that root.
-    A sweep value admitting no root produces a NaN entry and the scan
-    continues.
-    The vanilla GELU line is served by the exact parametric form (see
-    :func:`gelu_parametric_line`), which is numerically stable along the
-    entire line; the generic root finder remains available for
-    cross-checking.
+    Every family and mode is served by one parametrization of the line by
+    its fixed kernel (:func:`gelu_parametric_line`): each ``sigma_w`` is
+    inverted for ``K*`` by one bracketed Brent solve, and ``K*`` gives
+    ``sigma_b``.  ``sigma_w(K*)`` rises for vanilla erf and every LayerNorm
+    line, and is constant for a vanilla scale-invariant phi.  For vanilla
+    GELU, whose half-stable points no iteration from a start kernel can
+    reach, it falls from 2 to 1.3985 near ``K* = 10`` and then creeps back
+    toward sqrt(2).  The bracket ``[0, K]`` grows by ``K = 1, 4, 16, ...``
+    up to :data:`OVERFLOW` until ``sigma_w(K)`` crosses the requested
+    value, and Brent's method finds the root inside it.  A sweep value
+    admitting no root produces a NaN entry and the scan continues.
     """
-    out = []
-    for sigma_w in sweep:
-        if act.family == "gelu" and mode is NormMode.VANILLA:
-            out.append(_gelu_vanilla_point(act, float(sigma_w)))
-            continue
-        out.append(_solve_line_point(act, mode, float(sigma_w)))
-    return out
+    return [_invert_line(act, mode, float(sigma_w)) for sigma_w in sweep]
 
 
-#: A line residual ``chi_star - 1`` this small at ``sigma_b = 0`` puts the
-#: line point on the zero-bias axis.
-_ZERO_BIAS_SNAP = 1e-10
+#: A line residual ``chi - 1`` this small at the ``K* = 0`` end of the
+#: line (vanilla erf at sqrt(pi/4), vanilla GELU at 2, and the whole
+#: degenerate vanilla scale-invariant line) puts the point there.
+_LINE_END = 1e-10
 
 
-def _solve_line_point(
-    act: Activation, mode: NormMode, sigma_w: float
-) -> CriticalLinePoint:
+def _invert_line(act: Activation, mode: NormMode, sigma_w: float) -> CriticalLinePoint:
     from scipy.optimize import brentq  # kept out of ``import jacprop``
 
     no_solution = CriticalLinePoint(sigma_w, math.nan, math.nan, math.nan)
     if sigma_w <= 0:
         return no_solution
-    f = _chi_of_sigma_b(act, mode, sigma_w)
-
-    if act.family == "scale_invariant" and mode is NormMode.VANILLA:
-        # chi is independent of both K and sigma_b; the line degenerates.
-        chi = f(0.0)
-        if abs(chi - 1.0) <= 1e-9:
-            return _line_point(act, mode, sigma_w, 0.0)
+    sw_of_k = lambda k: gelu_parametric_line(k, act, mode)[0]  # noqa: E731
+    sw0 = sw_of_k(0.0)
+    ratio = sigma_w / sw0 if sw0 > 0 else math.inf
+    if abs(ratio * ratio - 1.0) <= _LINE_END:
+        k_star = 0.0
+    else:
+        above = sw0 > sigma_w
+        k_hi = 1.0
+        while (sw_of_k(k_hi) > sigma_w) == above and k_hi < OVERFLOW:
+            k_hi *= 4.0
+        if (sw_of_k(k_hi) > sigma_w) == above:
+            return no_solution
+        k_star = brentq(lambda k: sw_of_k(k) - sigma_w, 0.0, k_hi, xtol=1e-13)
+    _, sigma_b = gelu_parametric_line(k_star, act, mode)
+    if math.isnan(sigma_b):
         return no_solution
-
-    r0 = f(0.0) - 1.0
-    if abs(r0) <= _ZERO_BIAS_SNAP:
-        return _line_point(act, mode, sigma_w, 0.0)
-    # chi is monotone in sigma_b for every implemented mode, but the
-    # direction differs (LN modes decrease, vanilla GELU increases), so
-    # the bracket expands until the residual changes sign either way.
-    lo, hi = 0.0, 10.0 * sigma_w
-    r_hi = f(hi) - 1.0
-    expansions = 0
-    while r_hi * r0 > 0 and expansions < 60:
-        lo, hi = hi, 2.0 * hi
-        r_hi = f(hi) - 1.0
-        expansions += 1
-    if r_hi * r0 > 0:
-        return no_solution
-    sigma_b = brentq(lambda b: f(b) - 1.0, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    return _line_point(act, mode, sigma_w, sigma_b)
+    residual = abs(chi_jacobian(act, mode, Hyper(sigma_w, sigma_b), k_star) - 1.0)
+    return CriticalLinePoint(sigma_w, sigma_b, residual, k_star)
 
 
-def _line_point(
-    act: Activation, mode: NormMode, sigma_w: float, sigma_b: float
-) -> CriticalLinePoint:
-    hp = Hyper(sigma_w, sigma_b)
-    fp = find_fixed_point(act, mode, hp, k_init=0.0)
-    return CriticalLinePoint(sigma_w, sigma_b, abs(fp.chi_j_star - 1.0), fp.k_star)
-
-
-#: A negative sigma_b^2 = K* - sigma_w^2 <phi^2> above this many K* is
-#: rounding in the difference of two terms of size K*, read as zero.
+#: A negative sigma_b^2 = K* - sigma_w^2 m2 above this many K* is rounding
+#: in the difference of two terms of size K*, read as zero.
 _SB2_ROUNDING = 1e-12
 
 
-def gelu_parametric_line(k_star: float, act: Activation | None = None):
-    """Exact vanilla-GELU critical pair ``(sigma_w, sigma_b)`` at kernel ``k_star``.
+def gelu_parametric_line(
+    k_star: float, act: Activation | None = None, mode: NormMode = NormMode.VANILLA
+):
+    """Exact critical pair ``(sigma_w, sigma_b)`` whose fixed kernel is ``k_star``.
 
-    Eliminating the arcsin term between the fixed-point and criticality
-    conditions leaves ``sigma_w^2 = 1 / <phi'(h)^2>`` and ``sigma_b^2 =
-    K* - sigma_w^2 <phi(h)^2>``, both evaluated at ``K*``; scanning ``K*``
-    draws the whole line.  Given ``act`` it is that activation's pair, as
-    :func:`critical_point` uses it; ``sigma_b`` is NaN when none is real.
+    The block law at ``K*`` (:func:`~jacprop.meanfield.block_law`) fixes
+    both parameters: the criticality condition ``sigma_w^2 <phi'^2>(q) /
+    divisor = 1`` gives ``sigma_w^2 = divisor / <phi'^2>(q)``, and the
+    fixed-point condition ``K* = sigma_w^2 m2 + sigma_b^2`` then gives
+    ``sigma_b^2``.  Scanning ``K*`` draws the whole line, in every mode.
+    ``act`` defaults to GELU and ``mode`` to vanilla, where the pair is
+    ``(1 / sqrt(<phi'^2>), sqrt(K* - <phi^2> / <phi'^2>))`` at ``K*``, as
+    :func:`critical_point` uses it.  ``sigma_w`` is inf when ``<phi'^2>``
+    vanishes and ``sigma_b`` is NaN when none is real.
     """
     act = act or Activation.gelu()
-    sw2 = 1.0 / moment_closed(act, MomentKind.DPHI2, k_star)
-    sb2 = k_star - sw2 * moment_closed(act, MomentKind.PHI2, k_star)
+    law = block_law(act, mode, k_star)
+    d = moment_closed(act, MomentKind.DPHI2, law.q)
+    sw2 = law.divisor / d if d > 0 else math.inf
+    sb2 = k_star - sw2 * law.m2
     if -_SB2_ROUNDING * k_star <= sb2 < 0:
         sb2 = 0.0
     return math.sqrt(sw2), math.sqrt(sb2) if sb2 >= 0 else math.nan
-
-
-def _gelu_vanilla_point(act: Activation, sigma_w: float) -> CriticalLinePoint:
-    from scipy.optimize import brentq  # kept out of ``import jacprop``
-
-    no_solution = CriticalLinePoint(sigma_w, math.nan, math.nan, math.nan)
-    sw_of_k = lambda k: gelu_parametric_line(k, act)[0]  # noqa: E731
-    # sigma_w(K*) falls monotonically from 2 at K*=0 toward sqrt(2).
-    k_hi = 1.0
-    while sw_of_k(k_hi) > sigma_w and k_hi < 1e8:
-        k_hi *= 4.0
-    if sigma_w > sw_of_k(0.0) or sw_of_k(k_hi) > sigma_w:
-        return no_solution
-    if sigma_w == sw_of_k(0.0):
-        k_star = 0.0
-    else:
-        k_star = brentq(lambda k: sw_of_k(k) - sigma_w, 0.0, k_hi, xtol=1e-13)
-    _, sigma_b = gelu_parametric_line(k_star, act)
-    if math.isnan(sigma_b):
-        return no_solution
-    hp = Hyper(sigma_w, sigma_b)
-    residual = abs(chi_jacobian(act, NormMode.VANILLA, hp, k_star) - 1.0)
-    return CriticalLinePoint(sigma_w, sigma_b, residual, k_star)
 
 
 #: Fixed kernels of the vanilla critical points, the zeros of
@@ -359,7 +316,7 @@ def critical_point(
     :func:`gelu_parametric_line`.  No root finder is involved; the points
     are ordered by increasing kernel.
     """
-    if mode is not NormMode.VANILLA:
+    if mode.normalizes:
         raise ValueError("critical points exist only in the vanilla mode")
 
     if act.family == "scale_invariant":
@@ -406,7 +363,7 @@ def exponent_numeric(
     if fit_from < 1 or depth < 2 * fit_from:
         raise ValueError("need depth >= 2 * fit_from and fit_from >= 1")
     if k0 is None:
-        k0 = 0.3 if mode is NormMode.VANILLA else 1.0
+        k0 = 1.0 if mode.normalizes else 0.3
     fp = find_fixed_point(act, mode, hp, k_init=k0)
     if not abs(fp.chi_j_star - 1.0) <= 1e-2:
         raise ValueError(

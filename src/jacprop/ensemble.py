@@ -16,9 +16,9 @@ size ``m`` is ``(t - mean t - y (y . t)/m) / s`` on a tangent ``t``, and
 dropping the mean/variance coupling terms is deliberately not offered.
 
 A hidden block h^l -> z^l is a chain of stages whose order is the
-normalization mode: phi (vanilla), normalize then phi (pre-LN), phi then
-normalize (post-LN).  Every stage's Jacobian is symmetric, so the block's
-transpose is the chain reversed.  Every stage's Jacobian is also diagonal
+normalization mode, as :attr:`NormMode.stages` lists it: phi (vanilla),
+normalize then phi (pre-LN), phi then normalize (post-LN).  Every stage's
+Jacobian is symmetric, so the block's transpose is the chain reversed.  Every stage's Jacobian is also diagonal
 plus low rank -- diag(phi'), and per group ``(I - 1 1^T/m - y y^T/m) / s``
 -- so a block's is ``B = diag(lam) + U V^T`` with rank at most 2 g.
 
@@ -162,7 +162,7 @@ class EnsembleConfig:
             raise ValueError(
                 f"groups ({self.groups}) must divide the width ({self.width})"
             )
-        if self.norm is not NormMode.VANILLA and self.groups == self.width:
+        if self.norm.normalizes and self.groups == self.width:
             raise ValueError(
                 f"groups ({self.groups}) leaves one unit per group, whose normalized "
                 f"value is identically 0: {self.norm.name} needs groups <= width / 2"
@@ -366,12 +366,8 @@ def _norm(act: Activation, groups: int, v: np.ndarray):
     return _Stage(lambda T: _gn_apply(y, s, groups, T), y, factors), y
 
 
-#: Each mode's hidden block h^l -> z^l: its stages, in the order applied.
-_STAGES = {
-    NormMode.VANILLA: (_phi,),
-    NormMode.PRE_LN: (_norm, _phi),
-    NormMode.POST_LN: (_phi, _norm),
-}
+#: The stages that :attr:`NormMode.stages` names.
+_STAGE_RUNS = {"phi": _phi, "norm": _norm}
 
 
 class _Block:
@@ -383,8 +379,8 @@ class _Block:
 
     def __init__(self, act: Activation, norm: NormMode, groups: int, h: np.ndarray):
         self.stages = []
-        for run in _STAGES[norm]:
-            stage, h = run(act, groups, h)
+        for name in norm.stages:
+            stage, h = _STAGE_RUNS[name](act, groups, h)
             self.stages.append(stage)
         self.z = h
 
@@ -827,7 +823,7 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
     N0) chi_delta |x|^2 / N0`` and is visible only for activations with
     curvature (erf, GELU) at small input dimension.  Vanilla mode only.
     """
-    if cfg.norm is not NormMode.VANILLA:
+    if cfg.norm.normalizes:
         raise ValueError("the input correction is derived for the vanilla mode")
     (values,) = _swept([cfg], 0, 2)
     est = _scalar_estimate(values)

@@ -5,20 +5,21 @@ biases, explicit ``sigma_w / sqrt(N)`` and ``sigma_b`` scaling) the
 infinite-width limit closes four per-layer scalars into recursions:
 
 * the preactivation second moment ``K[l]`` (the GP kernel diagonal),
-  ``K[l+1] = sigma_w^2 <phi(h)^2> + sigma_b^2`` with ``h ~ N(0, K[l])``;
-* the Jacobian multiplier ``chi_j[l] = sigma_w^2 <phi'(h)^2>``, which
-  propagates squared Frobenius norms of layer-to-layer Jacobians,
+  ``K[l+1] = sigma_w^2 m2 + sigma_b^2`` with ``m2`` the second moment of
+  the block's output under ``h ~ N(0, K[l])``;
+* the Jacobian multiplier ``chi_j[l] = sigma_w^2 <phi'(h)^2> / divisor``,
+  which propagates squared Frobenius norms of layer-to-layer Jacobians,
   ``J[l0, l+1] = chi_j[l] * J[l0, l]``, seeded by ``J[l0, l0+1] =
   chi_j[l0]``;
 * the curvature moment ``chi_delta[l] = sigma_w^2 <phi''^2 + phi''' phi'>``
   entering the O(1/N0) input correction and the LayerNorm NTK;
 * the NTK diagonal ``Theta[l]``.
 
-Normalization modes change where the Gaussian moments are evaluated:
-LayerNorm on preactivations pins the post-normalization kernel to 1 and
-divides the Jacobian multiplier by the running kernel; LayerNorm on
-activations pins the kernel to ``sigma_w^2 + sigma_b^2`` and divides by
-the activation variance.
+A normalization mode is the order of a block's stages, and every quantity
+above is read off the block's law at kernel ``K`` (:func:`block_law`):
+LayerNorm on preactivations feeds phi unit variance and divides by the
+kernel; LayerNorm on activations divides by the activation variance and
+pins the next kernel to ``sigma_w^2 + sigma_b^2``.
 """
 
 from __future__ import annotations
@@ -26,20 +27,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .activations import Activation, MomentKind, moment_closed
+from .activations import _DPHI2, _PHI1, _PHI2, Activation, MomentKind, moment_closed
 
 __all__ = [
     "Hyper",
     "NormMode",
+    "BlockLaw",
     "MeanFieldTrace",
+    "block_law",
     "kernel_step",
     "chi_jacobian",
     "chi_kernel",
     "chi_delta",
-    "ntk_step",
     "trace",
     "j0_corrected",
 ]
@@ -71,75 +74,114 @@ class Hyper:
 
 
 class NormMode(Enum):
-    """Where (if anywhere) LayerNorm acts inside each layer."""
+    """Where (if anywhere) LayerNorm acts inside each layer.
 
-    VANILLA = "vanilla"
-    PRE_LN = "pre_ln"    # normalize preactivations, then apply phi
-    POST_LN = "post_ln"  # apply phi, then normalize the activations
+    Each mode is its hidden block h^l -> z^l as a chain of stages, in the
+    order applied (``stages``): the Monte-Carlo blocks run these stages,
+    and :func:`block_law` walks them for the infinite-width law.
+    """
+
+    VANILLA = ("vanilla", ("phi",))
+    PRE_LN = ("pre_ln", ("norm", "phi"))   # normalize preactivations, then apply phi
+    POST_LN = ("post_ln", ("phi", "norm"))  # apply phi, then normalize the activations
+
+    def __new__(cls, value: str, stages: tuple):
+        mode = object.__new__(cls)
+        mode._value_ = value
+        mode.stages = stages
+        # True when the block has a norm stage
+        mode.normalizes = "norm" in stages
+        # each stage with the stages behind it, for the walk in block_law
+        mode._walk = tuple((st, stages[i + 1:]) for i, st in enumerate(stages))
+        return mode
+
+
+class BlockLaw(NamedTuple):
+    """A block's infinite-width law at input kernel ``K`` (:func:`block_law`)."""
+
+    q: float  # the variance phi sees
+    divisor: float  # the variance the norm divides by; 1 without a norm
+    m2: float  # the second moment of the block's output
+    after_norm: tuple | None  # the stages behind the norm; None without one
+
+
+def block_law(act: Activation, mode: NormMode, k: float) -> BlockLaw:
+    """Walk the mode's stages from an N(0, ``k``) preactivation.
+
+    phi sees the current variance as ``q`` and leaves ``<phi^2>(q)``; a
+    norm divides by the variance of its input (the kernel itself, or
+    ``<phi^2> - <phi>^2`` after phi) and leaves unit variance:
+
+    ========  =====  ===========  ==========
+    mode      q      divisor      m2
+    ========  =====  ===========  ==========
+    vanilla   K      1            <phi^2>(K)
+    pre-LN    1      K            <phi^2>(1)
+    post-LN   K      Var phi(K)   1
+    ========  =====  ===========  ==========
+    """
+    q, divisor, var, m2, after_norm = k, 1.0, k, k, None
+    for stage, behind in mode._walk:
+        if stage == "phi":
+            q, m2, var = var, moment_closed(act, _PHI2, var), None
+        else:
+            if var is None:  # phi's output, whose mean is not zero
+                var = m2 - moment_closed(act, _PHI1, q) ** 2
+            divisor, var, m2, after_norm = var, 1.0, 1.0, behind
+    return tuple.__new__(BlockLaw, (q, divisor, m2, after_norm))
 
 
 def kernel_step(act: Activation, mode: NormMode, hp: Hyper, k: float) -> float:
-    """One layer of the kernel recursion; returns inf on overflow.
+    """One layer of the kernel recursion, ``sigma_w^2 m2 + sigma_b^2``.
 
-    Vanilla propagates the running kernel; LayerNorm on preactivations
-    feeds unit-variance inputs into phi regardless of ``k``; LayerNorm on
-    activations pins the next kernel to ``sigma_w^2 + sigma_b^2`` exactly.
+    A norm fixes ``m2`` (``<phi^2>(1)`` before phi, 1 after it), so both
+    LayerNorm maps are constant in ``k``.  A diverged kernel stays inf,
+    and so does a step that overflows.
     """
-    if mode is NormMode.POST_LN:
-        return hp.sw2 + hp.sb2
-    if mode is NormMode.PRE_LN:
-        return hp.sw2 * moment_closed(act, MomentKind.PHI2, 1.0) + hp.sb2
-    if not math.isfinite(k):
+    if not 0 <= k < math.inf:
+        if k < 0:
+            raise ValueError(f"kernel must be nonnegative, got {k}")
         return math.inf
-    if k < 0:
-        raise ValueError(f"kernel must be nonnegative, got {k}")
-    out = hp.sw2 * moment_closed(act, MomentKind.PHI2, k) + hp.sb2
-    return out if math.isfinite(out) else math.inf
-
-
-def _post_ln_variance(act: Activation, q: float) -> float:
-    """Variance of phi(h) under h ~ N(0, q); the PostLN denominator."""
-    return (
-        moment_closed(act, MomentKind.PHI2, q)
-        - moment_closed(act, MomentKind.PHI1, q) ** 2
-    )
+    out = hp.sw2 * block_law(act, mode, k).m2 + hp.sb2
+    return out if out < math.inf else math.inf
 
 
 def chi_jacobian(act: Activation, mode: NormMode, hp: Hyper, k: float) -> float:
-    """Per-layer multiplier of the partial-Jacobian recursion.
+    """Per-layer multiplier of the partial-Jacobian recursion at kernel ``k``.
 
-    For the pre-LN mode ``k`` is the *current* kernel (it enters the
-    denominator; the derivative moment itself is taken at unit variance).
-    For the post-LN mode the moments are taken at the pinned kernel
-    ``sigma_w^2 + sigma_b^2`` and ``k`` is ignored.
+    ``sigma_w^2 <phi'^2>(q) / divisor`` from :func:`block_law`: pre-LN
+    takes the derivative moment at unit variance and divides by ``k``,
+    post-LN takes it at ``k`` and divides by the activation variance
+    there.  A non-finite ``k`` gives NaN; a nonpositive divisor raises.
     """
-    if mode is NormMode.VANILLA:
-        if not math.isfinite(k):
-            return math.nan
-        return hp.sw2 * moment_closed(act, MomentKind.DPHI2, k)
-    if mode is NormMode.PRE_LN:
-        if k <= 0:
+    if not math.isfinite(k):
+        return math.nan
+    return _chi_j(act, mode, hp, block_law(act, mode, k), k)[0]
+
+
+def _chi_j(act: Activation, mode: NormMode, hp: Hyper, law: BlockLaw, k: float):
+    """The multiplier and its numerator ``sigma_w^2 <phi'^2>(q)``."""
+    if law.divisor <= 0:
+        if mode.stages[0] == "norm":  # it divides by the kernel itself
             raise ValueError(f"pre-LN multiplier needs a positive kernel, got {k}")
-        return hp.sw2 * moment_closed(act, MomentKind.DPHI2, 1.0) / k
-    q = hp.sw2 + hp.sb2
-    var = _post_ln_variance(act, q)
-    if var <= 0:
         raise ValueError(
-            f"degenerate activation variance {var} at kernel {q}; "
+            f"degenerate activation variance {law.divisor} at kernel {law.q}; "
             "post-LN multiplier undefined"
         )
-    return hp.sw2 * moment_closed(act, MomentKind.DPHI2, q) / var
+    top = hp.sw2 * moment_closed(act, _DPHI2, law.q)
+    return top / law.divisor, top
 
 
 def chi_kernel(act: Activation, mode: NormMode, hp: Hyper, k: float) -> float:
     """Slope ``d kernel_step / dK`` of the kernel map at kernel ``k``.
 
-    In the vanilla mode this is ``sigma_w^2 d<phi^2>/dK = sigma_w^2
+    Without a norm this is ``sigma_w^2 d<phi^2>/dK = sigma_w^2
     <phi'^2 + phi phi''>`` (the parallel susceptibility ``sigma_w^2 <h phi
-    phi'> / K`` of Roberts, Yaida & Hanin 2022), in closed form.  Both
-    LayerNorm maps are constant in ``k``, so their slope is exactly zero.
+    phi'> / K`` of Roberts, Yaida & Hanin 2022), in closed form.  A
+    normalizing block's map is constant in ``k``, so its slope is exactly
+    zero.
     """
-    if mode is not NormMode.VANILLA:
+    if mode.normalizes:
         return 0.0
     return hp.sw2 * moment_closed(act, MomentKind.PHI2_D1, k)
 
@@ -150,34 +192,6 @@ def chi_delta(act: Activation, hp: Hyper, k: float) -> float:
     Identically zero for scale-invariant activations.
     """
     return hp.sw2 * moment_closed(act, MomentKind.DELTA, k)
-
-
-def ntk_step(
-    mode: NormMode,
-    chi_j: float,
-    chi_d: float,
-    kernel_term: float,
-    sigma_w: float,
-    theta_prev: float,
-    chi_j_unit: float | None = None,
-) -> float:
-    """One layer of the NTK recursion.
-
-    ``chi_j`` is the mode's Jacobian multiplier at the previous layer and
-    ``kernel_term`` the kernel entering additively.  LayerNorm modes add
-    the gain/shift parameter gradients: pre-LN needs ``chi_j_unit``, the
-    plain ``sigma_w^2 <phi'^2>`` at unit variance (not divided by the
-    kernel), together with ``chi_d`` at unit variance; post-LN adds a
-    constant ``2 sigma_w^2``.
-    """
-    base = chi_j * theta_prev + kernel_term
-    if mode is NormMode.VANILLA:
-        return base
-    if mode is NormMode.PRE_LN:
-        if chi_j_unit is None:
-            raise ValueError("pre-LN NTK step requires chi_j_unit")
-        return base + 2.0 * chi_j_unit + 2.0 * chi_d
-    return base + 2.0 * sigma_w * sigma_w
 
 
 @dataclass
@@ -214,20 +228,18 @@ def trace(
     l0: int = 0,
     *,
     overflow: float = DEFAULT_OVERFLOW,
-    ntk_kernel_lag: bool = False,
 ) -> MeanFieldTrace:
     """Run the coupled kernel / Jacobian / NTK recursions for ``depth`` layers.
 
     ``k0`` is the first-layer kernel ``K[1] = sigma_w^2 |x|^2 / N0 +
-    sigma_b^2``, computed by the caller from a concrete input.  ``l0`` is
-    the starting layer of the recorded partial Jacobian.  When a kernel or
-    Jacobian entry exceeds ``overflow`` the trace is truncated there, the
-    remaining entries are set to inf and ``diverged`` is flagged; nothing
-    raises, so phase-diagram sweeps over chaotic regions run to completion.
-
-    ``ntk_kernel_lag`` selects the variant NTK recursion in which the
-    additive kernel term enters with one layer of lag (``K[l-1]`` instead
-    of ``K[l]``); the default follows the term-by-term derivation.
+    sigma_b^2``, computed by the caller from a concrete input; every layer,
+    the first included, reads its multipliers off the block law at its own
+    kernel.  ``l0`` is the starting layer of the recorded partial
+    Jacobian.  When a kernel or Jacobian entry exceeds ``overflow`` the
+    trace is truncated there, the remaining entries are set to inf and
+    ``diverged`` is flagged; nothing raises, so phase-diagram sweeps over
+    chaotic regions run to completion.  The NTK is ``Theta[l] = chi_j[l-1]
+    Theta[l-1] + K[l]`` plus the gain and shift terms of layer ``l-1``'s norm.
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2, got {depth}")
@@ -242,36 +254,34 @@ def trace(
     cd = np.full(n, np.nan)
     J = np.full(n, np.nan)
     theta = np.full(n, np.nan)
+    gains = [()] * n
 
     cj[0] = hp.sw2  # linear input layer: d h^1 / d h^0 carries sigma_w/sqrt(N0)
     K[1] = k0
-
-    # kernel at which chi_delta is evaluated, per mode
-    if mode is NormMode.PRE_LN:
-        delta_kernel = lambda k: 1.0  # noqa: E731 - tiny local dispatch
-        chi_j_unit = hp.sw2 * moment_closed(act, MomentKind.DPHI2, 1.0)
-    elif mode is NormMode.POST_LN:
-        delta_kernel = lambda k: hp.sw2 + hp.sb2  # noqa: E731
-        chi_j_unit = None
-    else:
-        delta_kernel = lambda k: k  # noqa: E731
-        chi_j_unit = None
 
     diverged = False
     truncated_at = None
 
     for l in range(1, depth + 1):
-        if not math.isfinite(K[l]) or K[l] > overflow:
+        k = K[l]
+        if not math.isfinite(k) or k > overflow:
             diverged = True
             truncated_at = l
             K[l:] = np.inf
             cj[l:] = np.inf
             cd[l:] = np.inf
             break
-        cj[l] = chi_jacobian(act, mode, hp, K[l])
-        cd[l] = chi_delta(act, hp, delta_kernel(K[l]))
+        law = block_law(act, mode, k)
+        cj[l], top = _chi_j(act, mode, hp, law, k)
+        cd[l] = chi_delta(act, hp, law.q)
+        if law.after_norm is not None:
+            # the norm's gain and shift add sigma_w^2 <g'(u)^2 (1 + u^2)> over
+            # its unit-variance output u, g the stages behind it: 2 sigma_w^2
+            # alone, and by Gaussian integration by parts 2 sigma_w^2 <phi'^2>
+            # + 2 chi_delta through phi
+            gains[l] = (2.0 * top, 2.0 * cd[l]) if law.after_norm else (2.0 * hp.sw2,)
         if l < depth:
-            K[l + 1] = kernel_step(act, mode, hp, K[l])
+            K[l + 1] = hp.sw2 * law.m2 + hp.sb2  # a non-finite one truncates next
 
     last = truncated_at if truncated_at is not None else depth + 1
 
@@ -287,10 +297,10 @@ def trace(
 
     theta[1] = K[1]
     for l in range(2, min(depth, last - 1) + 1):
-        kterm = K[l - 1] if ntk_kernel_lag else K[l]
-        theta[l] = ntk_step(
-            mode, cj[l - 1], cd[l - 1], kterm, hp.sigma_w, theta[l - 1], chi_j_unit
-        )
+        t = cj[l - 1] * theta[l - 1] + K[l]
+        for term in gains[l - 1]:
+            t = t + term
+        theta[l] = t
     if last <= depth:
         theta[last:] = np.inf
 

@@ -256,3 +256,56 @@ class TestMomentProperties:
     def test_dphi2_strictly_decreasing_for_erf(self):
         vals = [moment_closed(ERF, MomentKind.DPHI2, K) for K in K_GRID]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestLargeKernels:
+    """No closed form overflows at large finite K, and each meets its K -> inf limit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(log_k=st.floats(100.0, 308.0))
+    def test_finite_and_on_the_limit(self, log_k):
+        K = 10.0 ** log_k
+        for act in ALL_ACTS:
+            for kind in MomentKind:
+                got = moment_closed(act, kind, K)
+                limit = moment_closed(act, kind, math.inf)
+                assert not math.isnan(got), (act, kind, K)
+                if math.isfinite(limit):
+                    if K >= 1e200:
+                        assert math.isclose(got, limit, rel_tol=1e-6, abs_tol=1e-6), (
+                            act, kind, K, got, limit)
+                else:  # PHI2 and PHI1 grow without bound
+                    assert 0 < moment_closed(act, kind, K / 2) <= got, (act, kind, K)
+
+    @pytest.mark.parametrize("act", [ERF, GELU], ids=["erf", "gelu"])
+    def test_leading_terms_continue_the_closed_forms(self, act):
+        # across the switch to the leading large-K terms the value moves by
+        # rounding only, except GELU's curvature moments, whose closed forms
+        # cancel there to below 1e-220 (checked at high precision below)
+        below, above = 1e150, math.nextafter(1e150, math.inf)
+        for kind in MomentKind:
+            if act is GELU and kind in (MomentKind.DELTA, MomentKind.PHI2_D2):
+                continue
+            a, b = moment_closed(act, kind, below), moment_closed(act, kind, above)
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300), (kind, a, b)
+
+    def test_gelu_curvature_leading_terms(self):
+        # the GELU closed forms of DELTA and PHI2_D2 in 120-digit arithmetic at
+        # K = 1e30 against the leading terms -c K^(-3/2) and -5 c K^(-5/2)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 120
+        K = mp.mpf(10) ** 30
+        s2, t2 = K / (1 + 2 * K), K / (1 + K)
+        even = (4 - 8 * s2 + 6 * s2 * s2) / (2 * mp.pi * mp.sqrt(1 + 2 * K))
+        h_cdf = t2 / mp.sqrt(2 * mp.pi * (1 + t2))
+        h3_cdf = t2 * (2 * h_cdf + h_cdf / (1 + t2))
+        delta = even + (h3_cdf - 4 * h_cdf) / mp.sqrt(2 * mp.pi * (1 + K))
+        a, c = 1 + 2 * K, 1 + K
+        d2 = delta + (c - 17 + (35 + (4 / c - 21) / c) / c) / (2 * mp.pi * a ** 2.5)
+        coef = 1 / (8 * math.sqrt(2) * math.pi)
+        assert float(delta * K ** 1.5) == pytest.approx(-coef, rel=1e-12)
+        assert float(d2 * K ** 2.5) == pytest.approx(-5 * coef, rel=1e-12)
+        big = 1e160
+        assert moment_closed(GELU, MomentKind.DELTA, big) == pytest.approx(
+            -coef * big ** -1.5, rel=1e-14)
+        assert moment_closed(GELU, MomentKind.PHI2_D2, big) == 0.0  # K^(-5/2) underflows

@@ -437,15 +437,20 @@ class TestConfigFile:
                         "--depth", "7"], capsys)
         assert (code, out) == flag[:2]
 
-    @pytest.mark.parametrize("entry", [{"depth": "seven"}, {"depth": 7.9},
-                                       {"ntk_lag": "no"}, {"mode": "pre_ln"}])
-    def test_bad_value_is_usage_error(self, capsys, tmp_path, entry):
+    @pytest.mark.parametrize("entry, argv", [
+        ({"depth": "seven"}, ["theory-trace", "--act", "relu", "--sw", "1", "--sb", "0",
+                              "--depth", "9"]),
+        ({"depth": 7.9}, ["theory-trace", "--act", "relu", "--sw", "1", "--sb", "0",
+                          "--depth", "9"]),
+        ({"point": "no"}, ["critical", "--act", "relu", "--line"]),
+        ({"mode": "pre_ln"}, ["theory-trace", "--act", "relu", "--sw", "1", "--sb", "0",
+                              "--depth", "9"]),
+    ], ids=["depth-seven", "depth-7.9", "point-no", "mode-pre_ln"])
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, entry, argv):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(entry))
-        out = tmp_path / "trace.csv"
-        code, _, err = run_cli(
-            ["--config", str(cfg), "theory-trace", "--act", "relu",
-             "--sw", "1", "--sb", "0", "--depth", "9", "-o", str(out)], capsys)
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(["--config", str(cfg), *argv, "-o", str(out)], capsys)
         assert code == 2
         assert not out.exists()
         key, = entry

@@ -16,7 +16,6 @@ from jacprop.critical import (
     exponent_numeric,
     find_fixed_point,
     gelu_parametric_line,
-    _solve_line_point,
 )
 from jacprop.meanfield import Hyper, NormMode, chi_delta, chi_kernel, kernel_step
 
@@ -46,6 +45,37 @@ def kernel_derivative(act, mode, hp, k, step=1e-6):
     if k >= h:
         return (g(k + h) - g(k - h)) / (2.0 * h)
     return (-3.0 * g(k) + 4.0 * g(k + h) - g(k + 2.0 * h)) / (2.0 * h)
+
+
+def sigma_b_search(act, mode, sigma_w):
+    """Oracle: the line's sigma_b at ``sigma_w`` by a nested search.
+
+    Brent's method over sigma_b on ``chi_star - 1``, every evaluation
+    iterating the kernel map to its fixed point from K = 0, with the
+    bracket ``[0, 10 sigma_w]`` doubling until the residual changes sign;
+    a residual within 1e-10 at sigma_b = 0 is that root, and NaN means no
+    root.  From K = 0 the iteration sees the lowest fixed point, so on the
+    vanilla GELU line it finds the order/chaos boundary of the attracting
+    branch, not the half-stable line.
+    """
+    from scipy.optimize import brentq
+
+    def residual(sigma_b):
+        return chi_star(act, mode, Hyper(sigma_w, sigma_b), k_init=0.0) - 1.0
+
+    r0 = residual(0.0)
+    if abs(r0) <= 1e-10:
+        return 0.0
+    lo, hi = 0.0, 10.0 * sigma_w
+    r_hi = residual(hi)
+    for _ in range(60):
+        if r_hi * r0 <= 0:
+            break
+        lo, hi = hi, 2.0 * hi
+        r_hi = residual(hi)
+    if r_hi * r0 > 0:
+        return math.nan
+    return brentq(residual, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def scanned_critical_kernels(act, k_max=50.0, k_grid=400):
@@ -127,8 +157,9 @@ class TestFindFixedPoint:
         assert fp.k_star == pytest.approx(k_star, rel=1e-6)
 
     def test_post_ln_immediate(self):
+        # a norm makes the kernel map constant: the affine closed form
         fp = find_fixed_point(ERF, NormMode.POST_LN, Hyper(1.0, 2.0))
-        assert fp.k_star == 5.0 and fp.iterations == 1
+        assert fp.k_star == 5.0 and fp.iterations == 0
         assert fp.chi_k_star == 0.0
 
     def test_divergence_reported_not_raised(self):
@@ -231,9 +262,41 @@ class TestCriticalLine:
         # From-zero iteration sees the lower attracting branch; its
         # order/chaos boundary sits near (not on) the half-stable line.
         (para,) = critical_line(GELU, NormMode.VANILLA, [1.8])
-        generic = _solve_line_point(GELU, NormMode.VANILLA, 1.8)
-        assert generic.found
-        assert abs(generic.sigma_b - para.sigma_b) < 0.05
+        generic = sigma_b_search(GELU, NormMode.VANILLA, 1.8)
+        assert not math.isnan(generic)
+        assert abs(generic - para.sigma_b) < 0.05
+
+    # every family and mode but vanilla GELU, whose half-stable line the
+    # search cannot see (test_gelu_generic_scan_finds_nearby_bifurcation_boundary)
+    @pytest.mark.parametrize("act, mode", [
+        (act, mode)
+        for act in (RELU, Activation.scale_invariant(1.0, -0.3), ERF, GELU)
+        for mode in NormMode
+        if not (act is GELU and mode is NormMode.VANILLA)
+    ], ids=lambda v: v.name if isinstance(v, NormMode) else f"{v.family}:{v.a_minus}")
+    def test_parametric_line_matches_the_sigma_b_search(self, act, mode):
+        sweep = [0.6, 0.9, 1.5, 2.5]
+        if act.family == "scale_invariant" and mode is NormMode.VANILLA:
+            sweep.append(1.0 / math.sqrt(moment_closed(act, MomentKind.DPHI2, 0.0)))
+        for sw, p in zip(sweep, critical_line(act, mode, sweep)):
+            oracle = sigma_b_search(act, mode, sw)
+            assert p.found == (not math.isnan(oracle)), (sw, p, oracle)
+            if p.found:
+                assert abs(p.sigma_b - oracle) <= 1e-9, (sw, p, oracle)
+                assert p.residual <= 1e-12
+                # K* is a fixed point of the map at the point found
+                gap = kernel_step(act, mode, Hyper(sw, p.sigma_b), p.k_star) - p.k_star
+                assert abs(gap) <= 1e-12 * max(1.0, p.k_star)
+
+    def test_line_ends(self):
+        # the K* = 0 ends, and the constant sigma_w(K*) of a vanilla scale-invariant phi
+        (erf_end,) = critical_line(ERF, NormMode.VANILLA, [math.sqrt(PI / 4)])
+        (gelu_end,) = critical_line(GELU, NormMode.VANILLA, [2.0])
+        (relu,) = critical_line(RELU, NormMode.VANILLA, [math.sqrt(2)])
+        for p in (erf_end, gelu_end, relu):
+            assert p.k_star == 0.0 and p.sigma_b == 0.0 and p.residual <= 1e-15
+        off, = critical_line(RELU, NormMode.VANILLA, [math.sqrt(2) * (1 + 1e-9)])
+        assert not off.found
 
     def test_gelu_line_outside_admissible_range(self):
         pts = critical_line(GELU, NormMode.VANILLA, [1.0, 2.5])

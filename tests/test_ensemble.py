@@ -29,6 +29,7 @@ from jacprop.ensemble import (
     _swept,
     empirical_chi,
     empirical_ntk,
+    ensemble_ntk,
     forward,
     jacobian_profile,
     n0_correction_check,
@@ -610,6 +611,40 @@ class TestEnsembleDrivers:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+class TestPostLnAgainstTheory:
+    """Post-LN members against ``trace`` from the input's own kernel.
+
+    With input std 0.5 the first kernel, about 0.65, is far from the
+    sigma_w^2 + sigma_b^2 = 2.34 that every later post-LN layer sees, so
+    the first block's multiplier tells the two apart (about 3.5 times in
+    J^{0,2}).
+    """
+
+    HP = Hyper(1.5, 0.3)
+
+    def _cfg(self, act, **kw):
+        return EnsembleConfig(hyper=self.HP, norm=NormMode.POST_LN, act=act,
+                              input_source=("gaussian", 0.0, 0.5), **kw)
+
+    def _trace(self, cfg):
+        x = resolve_input(cfg)
+        k0 = self.HP.sw2 * float(x @ x) / cfg.input_dim + self.HP.sb2
+        return trace(cfg.act, NormMode.POST_LN, self.HP, cfg.depth, k0)
+
+    @pytest.mark.parametrize("act", [RELU, ERF], ids=["relu", "erf"])
+    def test_profile_within_four_stderr(self, act):
+        cfg = self._cfg(act, width=128, input_dim=64, depth=6, n_init=20, seed=5)
+        est, tr = jacobian_profile(cfg), self._trace(cfg)
+        z = (est.per_layer[1:] - tr.J[1:]) / est.per_layer_stderr[1:]
+        assert np.all(np.abs(z) <= 4.0), z
+
+    @pytest.mark.parametrize("act", [RELU, ERF], ids=["relu", "erf"])
+    def test_ntk_within_four_stderr(self, act):
+        cfg = self._cfg(act, width=128, input_dim=64, depth=4, n_init=80, seed=6)
+        est, tr = ensemble_ntk(cfg), self._trace(cfg)
+        assert abs(est.mean - tr.theta[4]) <= 4.0 * est.stderr, (est, tr.theta[4])
 
 
 class TestStreaming:

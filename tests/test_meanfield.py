@@ -13,7 +13,6 @@ from jacprop.meanfield import (
     chi_jacobian,
     j0_corrected,
     kernel_step,
-    ntk_step,
     trace,
 )
 
@@ -104,7 +103,7 @@ class TestChiJacobian:
     def test_scale_invariant_post_ln_closed_form(self):
         ap, am = 2.0, 1.0
         hp = Hyper(1.4, 0.6)
-        got = chi_jacobian(SI21, NormMode.POST_LN, hp, 123.0)  # kernel arg ignored
+        got = chi_jacobian(SI21, NormMode.POST_LN, hp, hp.sw2 + hp.sb2)  # the fixed kernel
         expect = (
             hp.sw2 / (hp.sw2 + hp.sb2)
             * PI * (ap**2 + am**2)
@@ -115,7 +114,7 @@ class TestChiJacobian:
     def test_erf_post_ln_closed_form(self):
         hp = Hyper(1.1, 0.8)
         q = hp.sw2 + hp.sb2
-        got = chi_jacobian(ERF, NormMode.POST_LN, hp, 0.0)
+        got = chi_jacobian(ERF, NormMode.POST_LN, hp, q)
         expect = 2 * hp.sw2 / (
             math.sqrt(1 + 4 * q) * math.asin(2 * q / (1 + 2 * q))
         )
@@ -134,7 +133,7 @@ class TestChiJacobian:
             + 4 * q**2 / math.sqrt(1 + 2 * q)
             + 2 * q * (1 + q) * b
         )
-        assert chi_jacobian(GELU, NormMode.POST_LN, hp, 0.0) == pytest.approx(
+        assert chi_jacobian(GELU, NormMode.POST_LN, hp, q) == pytest.approx(
             num / den, rel=1e-12
         )
 
@@ -160,20 +159,30 @@ class TestChiDelta:
         assert chi_delta(GELU, hp, 0.0) == pytest.approx(exact)
 
 
-class TestNtkStep:
+class TestNtkRecursion:
+    """The NTK diagonal as :func:`trace` builds it from the block law."""
+
     def test_vanilla_linear_recurrence(self):
-        assert ntk_step(NormMode.VANILLA, 1.0, 0.0, 1.0, 1.0, 5.0) == 6.0
+        # ReLU at (1, 1) from its fixed kernel 2: chi_j = 1/2, Theta' = Theta/2 + 2
+        tr = trace(RELU, NormMode.VANILLA, Hyper(1.0, 1.0), depth=4, k0=2.0)
+        assert list(tr.theta[1:]) == [2.0, 3.0, 3.5, 3.75]
 
     def test_post_ln_relu(self):
+        # the norm is the block's output: its gain and shift add 2 sigma_w^2
         chi_bar = PI / (PI - 1)
-        theta = ntk_step(NormMode.POST_LN, chi_bar, 0.0, 1.0, 1.0, 2.0)
-        assert theta == pytest.approx(chi_bar * 2.0 + 1.0 + 2.0)
+        tr = trace(RELU, NormMode.POST_LN, Hyper(1.0, 0.0), depth=3, k0=1.0)
+        assert tr.chi_j[1] == pytest.approx(chi_bar, rel=1e-15)
+        assert tr.theta[2] == pytest.approx(chi_bar * 1.0 + 1.0 + 2.0, rel=1e-15)
 
-    def test_pre_ln_requires_unit_chi(self):
-        with pytest.raises(ValueError):
-            ntk_step(NormMode.PRE_LN, 0.9, 0.1, 1.0, 1.0, 1.0)
-        got = ntk_step(NormMode.PRE_LN, 0.9, 0.1, 1.0, 1.0, 1.0, chi_j_unit=0.8)
-        assert got == pytest.approx(0.9 + 1.0 + 1.6 + 0.2)
+    def test_pre_ln_adds_unit_chi_and_curvature(self):
+        # the norm feeds phi: 2 sigma_w^2 <phi'^2>(1) and then 2 chi_delta(1)
+        tr = trace(RELU, NormMode.PRE_LN, Hyper(1.0, 0.0), depth=3, k0=0.5)
+        assert list(tr.theta[1:]) == [0.5, 2.0, 3.5]
+        hp = Hyper(1.2, 0.3)
+        tr = trace(GELU, NormMode.PRE_LN, hp, depth=3, k0=0.8)
+        unit = hp.sw2 * moment_closed(GELU, MomentKind.DPHI2, 1.0)
+        assert tr.theta[2] == (
+            tr.chi_j[1] * tr.theta[1] + tr.K[2] + 2.0 * unit + 2.0 * tr.chi_delta[1])
 
 
 class TestTrace:
@@ -203,6 +212,16 @@ class TestTrace:
         np.testing.assert_allclose(tr.K[2:], 5.0)
         assert tr.K[1] == 0.3
 
+    def test_post_ln_first_block_sees_the_input_kernel(self):
+        # the first block's norm divides by the activation variance at k0
+        hp = Hyper(1.5, 0.3)
+        for act in (RELU, ERF, GELU):
+            tr = trace(act, NormMode.POST_LN, hp, depth=4, k0=0.65, l0=0)
+            assert tr.chi_j[1] == chi_jacobian(act, NormMode.POST_LN, hp, 0.65)
+            assert tr.chi_j[2] == chi_jacobian(act, NormMode.POST_LN, hp, hp.sw2 + hp.sb2)
+            assert tr.chi_j[1] != tr.chi_j[2]
+            assert tr.J[2] == tr.chi_j[0] * tr.chi_j[1]
+
     def test_pre_ln_kernel_constant_from_second_layer(self):
         hp = Hyper(1.3, 0.5)
         tr = trace(ERF, NormMode.PRE_LN, hp, depth=10, k0=0.9, l0=0)
@@ -218,13 +237,6 @@ class TestTrace:
         tr = trace(RELU, NormMode.VANILLA, hp, depth=64, k0=1.0, l0=0)
         ls = np.arange(1, 65)
         np.testing.assert_allclose(tr.theta[1:], ls * 1.0, rtol=1e-12)
-
-    def test_ntk_kernel_lag_variant(self):
-        hp = Hyper(1.0, 0.3)
-        a = trace(ERF, NormMode.VANILLA, hp, depth=6, k0=1.0, l0=0)
-        b = trace(ERF, NormMode.VANILLA, hp, depth=6, k0=1.0, l0=0, ntk_kernel_lag=True)
-        assert b.theta[2] == pytest.approx(a.chi_j[1] * a.theta[1] + a.K[1])
-        assert a.theta[2] == pytest.approx(a.chi_j[1] * a.theta[1] + a.K[2])
 
     def test_pre_ln_theta_includes_parameter_terms(self):
         hp = Hyper(1.0, 0.5)
@@ -300,7 +312,8 @@ class TestCriticalLineMultipliers:
     def test_relu_post_ln(self):
         sw = 1.7
         hp = Hyper(sw, sw / math.sqrt(PI - 1))
-        assert abs(chi_jacobian(RELU, NormMode.POST_LN, hp, 0.0) - 1) <= 1e-10
+        k_fix = hp.sw2 + hp.sb2
+        assert abs(chi_jacobian(RELU, NormMode.POST_LN, hp, k_fix) - 1) <= 1e-10
 
     def test_erf_pre_ln(self):
         sw = 1.9
