@@ -22,6 +22,11 @@ Every moment of every family has a closed form, served by
 composite Gauss-Legendre quadrature at the end of this module is an
 independent oracle that only the tests and demos call, to validate the
 closed forms.
+
+The closed forms need only :mod:`math`, so the theory half loads no
+scipy.  ``scipy.special`` is imported on first use: by the first erf or
+GELU array evaluation in :meth:`Activation.eval` (the Monte-Carlo half,
+whose erf bits are scipy's) and by the first quadrature call.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf as _erf, roots_legendre
 
 __all__ = [
     "Activation",
@@ -52,6 +56,13 @@ _T_MAX = 13.5
 # All non-polynomial structure of the supported activations lives within
 # |h| <~ 4; panels are split there so spectral accuracy survives large K.
 _FEATURE_SCALE = 4.0
+
+
+def _erf(x):
+    """scipy's array erf, the bit source of every erf and GELU member."""
+    from scipy.special import erf  # first use only: the theory half never gets here
+
+    return erf(x)
 
 
 @dataclass(frozen=True)
@@ -124,10 +135,11 @@ class Activation:
                 return (4.0 * x * x - 2.0) * g
             return (12.0 * x - 8.0 * x * x * x) * g
         # gelu: x * Phi(x) with Phi the standard normal CDF
+        if order < 2:
+            cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
+            if order == 0:
+                return x * cdf
         pdf = np.exp(-0.5 * x * x) / _SQRT_2PI
-        cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
-        if order == 0:
-            return x * cdf
         if order == 1:
             return cdf + x * pdf
         if order == 2:
@@ -185,6 +197,16 @@ K_LARGE = 1e150
 _GELU_R3 = 1.0 / (8.0 * math.sqrt(2.0) * math.pi)  # GELU DELTA ~ -_GELU_R3 K^(-3/2)
 
 
+#: Above this kernel GELU's DELTA and PHI2_D2 take their rational forms
+#: -(K^3 - 9K^2 - 12K - 4) / (2 pi (1+K)^2 (1+2K)^(5/2)) and
+#: -(5K^3 - 11K^2 - 18K - 6) / (2 pi (1+K)^3 (1+2K)^(5/2)), written in
+#: u = 1/K.  The general closed forms cancel there: two K^(-1/2) terms
+#: leave -K^(-3/2) / (8 sqrt(2) pi) in DELTA, and PHI2_D2 cancels that
+#: again to K^(-5/2).  Below this kernel they lose at most about 1e-11
+#: relative (checked at 120 digits), and they keep their bits.
+K_GELU_CURVATURE = 1e2
+
+
 def _large_kernel(family: str, kind: MomentKind, K: float) -> float:
     """Leading large-K term of an erf or GELU moment, in powers of K^(-1/2);
     the decaying ones underflow rather than overflow, and K = inf is the limit."""
@@ -205,7 +227,9 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
     The erf and GELU curvature moments follow from the same Gaussian
     integrals as the erf arcsine kernel (Williams 1997); the two kernel
     derivatives of ``<phi^2>`` are those of its closed form.  A NaN kernel
-    is rejected rather than propagated.  Above :data:`K_LARGE`, K = inf
+    is rejected rather than propagated.  Above :data:`K_GELU_CURVATURE`,
+    GELU's ``DELTA`` and ``PHI2_D2`` take rational forms in 1/K, since
+    the general closed forms cancel there.  Above :data:`K_LARGE`, K = inf
     included, the smooth families give their leading large-K terms, so no
     power or product in the closed forms can overflow.
     """
@@ -251,6 +275,13 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
         )
     if kind is _PHI1:
         return K / math.sqrt(2.0 * math.pi * (1.0 + K))
+    if K > K_GELU_CURVATURE and kind in (_DELTA, _PHI2_D2):
+        u, r = 1.0 / K, 1.0 / math.sqrt(K)
+        c, b = 1.0 + u, 2.0 + u
+        den = _TWO_PI * c * c * b * b * math.sqrt(b)
+        if kind is _DELTA:
+            return -(1.0 - u * (9.0 + u * (12.0 + 4.0 * u))) / den * (r * r * r)
+        return -(5.0 - u * (11.0 + u * (18.0 + 6.0 * u))) / (den * c) * (r * r * r * r * r)
     if kind is _PHI2_D1:
         a, t = 1.0 + 2.0 * K, K / (1.0 + K)
         return 0.25 + (1.0 / _TWO_PI) * (
@@ -279,8 +310,9 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
 
 @lru_cache(maxsize=32)
 def _legendre_nodes(n: int):
-    x, w = roots_legendre(n)
-    return x, w
+    from scipy.special import roots_legendre  # the oracle's only scipy use
+
+    return roots_legendre(n)
 
 
 def moment_quadrature(

@@ -14,6 +14,7 @@ that this module extracts numerically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -220,8 +221,10 @@ def critical_line(
     reach, it falls from 2 to 1.3985 near ``K* = 10`` and then creeps back
     toward sqrt(2).  The bracket ``[0, K]`` grows by ``K = 1, 4, 16, ...``
     up to :data:`OVERFLOW` until ``sigma_w(K)`` crosses the requested
-    value, and Brent's method finds the root inside it.  A sweep value
-    admitting no root produces a NaN entry and the scan continues.
+    value, and Brent's method finds the root inside it.  The solver is
+    this module's port of scipy's ``brentq`` (same iterates, same bits),
+    so a line loads no scipy.  A sweep value admitting no root produces a
+    NaN entry and the scan continues.
     """
     return [_invert_line(act, mode, float(sigma_w)) for sigma_w in sweep]
 
@@ -233,8 +236,6 @@ _LINE_END = 1e-10
 
 
 def _invert_line(act: Activation, mode: NormMode, sigma_w: float) -> CriticalLinePoint:
-    from scipy.optimize import brentq  # kept out of ``import jacprop``
-
     no_solution = CriticalLinePoint(sigma_w, math.nan, math.nan, math.nan)
     if sigma_w <= 0:
         return no_solution
@@ -250,12 +251,76 @@ def _invert_line(act: Activation, mode: NormMode, sigma_w: float) -> CriticalLin
             k_hi *= 4.0
         if (sw_of_k(k_hi) > sigma_w) == above:
             return no_solution
-        k_star = brentq(lambda k: sw_of_k(k) - sigma_w, 0.0, k_hi, xtol=1e-13)
+        k_star, _ = _brentq(lambda k: sw_of_k(k) - sigma_w, 0.0, k_hi)
     _, sigma_b = gelu_parametric_line(k_star, act, mode)
     if math.isnan(sigma_b):
         return no_solution
     residual = abs(chi_jacobian(act, mode, Hyper(sigma_w, sigma_b), k_star) - 1.0)
     return CriticalLinePoint(sigma_w, sigma_b, residual, k_star)
+
+
+#: Brent's relative tolerance, scipy's smallest (and default) ``rtol``.
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+
+
+def _brentq(f, xa: float, xb: float, xtol: float = 1e-13,
+            maxiter: int = 100) -> tuple[float, int]:
+    """Root of ``f`` in the sign-changing bracket ``[xa, xb]``, and the
+    iteration count, by Brent's zeroin (Brent 1973, "Algorithms for
+    Minimization without Derivatives", ch. 4).
+
+    A statement-for-statement port of scipy's ``brentq.c``, with its
+    ``rtol`` and ``maxiter`` defaults, sign test and stopping rule, so it
+    takes the same iterates to the same bits without loading
+    ``scipy.optimize``.  The root is bracketed to within ``xtol + 4 eps
+    |x|``.  A root at a bracket end takes 0 iterations.  A bracket without
+    a sign change, a NaN value or ``maxiter`` iterations without
+    convergence raise.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("brentq: the function is NaN at a bracket end")
+    if fpre == 0:
+        return xpre, 0
+    if fcur == 0:
+        return xcur, 0
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("brentq: f(a) and f(b) must have different signs")
+    for it in range(1, maxiter + 1):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, it
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"brentq: the function is NaN at {xcur!r}")
+    raise RuntimeError(f"brentq: no convergence after {maxiter} iterations, value is {xcur!r}")
 
 
 #: A negative sigma_b^2 = K* - sigma_w^2 m2 above this many K* is rounding
@@ -310,7 +375,9 @@ def critical_point(
     * GELU: ``K (2 + 3K - K^2) / (2 pi (1+K)^2 (1+2K)^(3/2))``, zero at
       ``K* = 0`` and ``K* = (3 + sqrt(17)) / 2``;
     * scale-invariant: identically zero, and every ``K*`` gives the same
-      pair ``(1/sqrt(<phi'^2>), 0)``, reported once with ``K* = 0``.
+      pair ``(1/sqrt(<phi'^2>), 0)``, reported once with ``K* = 0``; with
+      ``a_plus = a_minus = 0`` no ``sigma_w`` is critical, and the one
+      point is all NaN, like a line point with no solution.
 
     Each ``K*`` is mapped to ``(sigma_w, sigma_b)`` by
     :func:`gelu_parametric_line`.  No root finder is involved; the points
@@ -320,8 +387,10 @@ def critical_point(
         raise ValueError("critical points exist only in the vanilla mode")
 
     if act.family == "scale_invariant":
-        sigma_w = math.sqrt(1.0 / moment_closed(act, MomentKind.DPHI2, 0.0))
-        return [CriticalLinePoint(sigma_w, 0.0, 0.0, 0.0)]
+        d = moment_closed(act, MomentKind.DPHI2, 0.0)
+        if d == 0:  # phi' = 0: no sigma_w is critical, as on the line
+            return [CriticalLinePoint(math.nan, math.nan, math.nan, math.nan)]
+        return [CriticalLinePoint(math.sqrt(1.0 / d), 0.0, 0.0, 0.0)]
 
     points = []
     for k_star in _CRITICAL_KERNELS[act.family]:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacprop.activations import (
+    K_GELU_CURVATURE,
     Activation,
     MomentKind,
     moment_closed,
@@ -280,21 +281,32 @@ class TestLargeKernels:
     @pytest.mark.parametrize("act", [ERF, GELU], ids=["erf", "gelu"])
     def test_leading_terms_continue_the_closed_forms(self, act):
         # across the switch to the leading large-K terms the value moves by
-        # rounding only, except GELU's curvature moments, whose closed forms
-        # cancel there to below 1e-220 (checked at high precision below)
+        # rounding only (GELU's curvature moments take their rational forms there)
         below, above = 1e150, math.nextafter(1e150, math.inf)
         for kind in MomentKind:
-            if act is GELU and kind in (MomentKind.DELTA, MomentKind.PHI2_D2):
-                continue
             a, b = moment_closed(act, kind, below), moment_closed(act, kind, above)
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300), (kind, a, b)
 
     def test_gelu_curvature_leading_terms(self):
         # the GELU closed forms of DELTA and PHI2_D2 in 120-digit arithmetic at
         # K = 1e30 against the leading terms -c K^(-3/2) and -5 c K^(-5/2)
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 120
-        K = mp.mpf(10) ** 30
+        delta, d2 = gelu_curvature_exact(1e30)
+        coef = 1 / (8 * math.sqrt(2) * math.pi)
+        assert float(delta) * 1e45 == pytest.approx(-coef, rel=1e-12)
+        assert float(d2) * 1e75 == pytest.approx(-5 * coef, rel=1e-12)
+        big = 1e160
+        assert moment_closed(GELU, MomentKind.DELTA, big) == pytest.approx(
+            -coef * big ** -1.5, rel=1e-14)
+        assert moment_closed(GELU, MomentKind.PHI2_D2, big) == 0.0  # K^(-5/2) underflows
+
+
+def gelu_curvature_exact(K, dps=120):
+    """Oracle: GELU's DELTA and PHI2_D2 closed forms in ``dps``-digit
+    arithmetic, as mpmath numbers.  At K they lose about 2 log10(K) digits
+    to cancellation, so 120 digits serve up to K = 1e30."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        K = mp.mpf(K)
         s2, t2 = K / (1 + 2 * K), K / (1 + K)
         even = (4 - 8 * s2 + 6 * s2 * s2) / (2 * mp.pi * mp.sqrt(1 + 2 * K))
         h_cdf = t2 / mp.sqrt(2 * mp.pi * (1 + t2))
@@ -302,10 +314,30 @@ class TestLargeKernels:
         delta = even + (h3_cdf - 4 * h_cdf) / mp.sqrt(2 * mp.pi * (1 + K))
         a, c = 1 + 2 * K, 1 + K
         d2 = delta + (c - 17 + (35 + (4 / c - 21) / c) / c) / (2 * mp.pi * a ** 2.5)
-        coef = 1 / (8 * math.sqrt(2) * math.pi)
-        assert float(delta * K ** 1.5) == pytest.approx(-coef, rel=1e-12)
-        assert float(d2 * K ** 2.5) == pytest.approx(-5 * coef, rel=1e-12)
-        big = 1e160
-        assert moment_closed(GELU, MomentKind.DELTA, big) == pytest.approx(
-            -coef * big ** -1.5, rel=1e-14)
-        assert moment_closed(GELU, MomentKind.PHI2_D2, big) == 0.0  # K^(-5/2) underflows
+        return +delta, +d2
+
+
+class TestGeluCurvatureAtLargeKernels:
+    """Above ``K_GELU_CURVATURE`` GELU's DELTA and PHI2_D2 lose nothing to cancellation."""
+
+    KINDS = (MomentKind.DELTA, MomentKind.PHI2_D2)
+
+    @pytest.mark.parametrize("K", [math.nextafter(K_GELU_CURVATURE, math.inf), 1e3, 1e4,
+                                   1e6, 1e8, 1e10, 1e14, 1e20, 1e30])
+    def test_matches_the_high_precision_closed_form(self, K):
+        for kind, exact in zip(self.KINDS, gelu_curvature_exact(K)):
+            assert moment_closed(GELU, kind, K) == pytest.approx(float(exact), rel=2e-15), kind
+
+    def test_delta_keeps_its_value_at_large_kernels(self):
+        # the general closed form read 0.0 here, where the value is -2.8e-32
+        got = moment_closed(GELU, MomentKind.DELTA, 1e20)
+        assert got == pytest.approx(-2.813488487990956e-32, rel=1e-15)
+
+    def test_continuous_at_the_switch(self):
+        # the general closed forms are good to 1e-11 at the switch, the
+        # rational forms above it to rounding
+        below, above = K_GELU_CURVATURE, math.nextafter(K_GELU_CURVATURE, math.inf)
+        for kind, exact in zip(self.KINDS, gelu_curvature_exact(below)):
+            a, b = moment_closed(GELU, kind, below), moment_closed(GELU, kind, above)
+            assert a == pytest.approx(float(exact), rel=1e-11), kind
+            assert b == pytest.approx(a, rel=1e-11), kind

@@ -33,14 +33,69 @@ def parse_csv(text):
     return comments, header, rows
 
 
-def test_import_leaves_the_root_finders_out():
-    # scipy.optimize is imported only by the critical-line solvers that use it
-    code = "import sys, jacprop.cli; print('scipy.optimize' in sys.modules)"
+def run_fresh(code, **env):
+    """stdout of ``code`` run in a fresh interpreter that imports this jacprop."""
     src = os.path.dirname(os.path.dirname(jacprop.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+#: Every theory command, in one interpreter, then the scipy modules it loaded.
+THEORY_COMMANDS = """
+import os, sys, jacprop
+from jacprop.cli import main
+trace = os.path.join({tmp!r}, "trace.csv")
+runs = [
+    ["theory-trace", "--act", "erf", "--sw", "0.886", "--sb", "0", "--depth", "300",
+     "-o", trace],
+    ["theory-trace", "--act", "gelu", "--mode", "pre-ln", "--sw", "1.3", "--sb", "0.4",
+     "--depth", "5", "-o", os.devnull],
+    ["critical", "--point", "--act", "erf", "-o", os.devnull],
+    ["critical", "--point", "--act", "gelu", "-o", os.devnull],
+    ["phase-diagram", "--act", "gelu", "--resolution", "4", "-o", os.devnull],
+    ["fit", "--series", trace, "--j-col", "J", "--l-min", "50", "-o", os.devnull],
+]
+runs += [["critical", "--line", "--act", act, "--mode", mode, "--sw-steps", "6",
+          "-o", os.devnull]
+         for act in ("relu", "erf", "gelu") for mode in ("vanilla", "pre-ln", "post-ln")]
+codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_theory_half_loads_no_scipy(tmp_path):
+    out = run_fresh(THEORY_COMMANDS.format(tmp=str(tmp_path)))
+    assert out.strip() == f"{[0] * 15} []"
+
+
+def test_a_monte_carlo_erf_run_loads_scipy_special():
+    # the counter-check: the Monte-Carlo half takes its erf bits from scipy
+    code = """
+import os, sys
+from jacprop.cli import main
+before = "scipy.special" in sys.modules
+code = main(["mc", "chi", "--act", "erf", "--sw", "1", "--sb", "0", "--width", "16",
+             "--input-dim", "8", "--depth", "4", "--n-init", "2", "-o", os.devnull])
+print(before, code, "scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
+"""
+    assert run_fresh(code).split() == ["False", "0", "True", "False"]
+
+
+def test_a_lazy_erf_import_in_worker_threads_keeps_the_bits():
+    # the first scipy.special import happens inside the pool's threads
+    code = """
+import sys
+from jacprop import Activation, EnsembleConfig, Hyper, NormMode, empirical_chi
+cfg = EnsembleConfig(width=64, input_dim=16, depth=6, n_init=6, seed=5, hyper=Hyper(1.2, 0.3),
+                     norm=NormMode.PRE_LN, act=Activation.erf())
+assert "scipy.special" not in sys.modules
+est = empirical_chi(cfg)
+print(est.mean.hex(), est.stderr.hex())
+"""
+    one = run_fresh(code, JACPROP_WORKERS="1")
+    assert run_fresh(code, JACPROP_WORKERS="2") == one
 
 
 class TestParsers:
@@ -168,6 +223,18 @@ class TestCritical:
         slopes = [float(r[1]) / float(r[0]) for r in rows]
         for s in slopes:
             assert s == pytest.approx(0.324, abs=1e-3)
+
+    def test_no_slope_means_no_critical_point_or_line(self, capsys):
+        # phi' = 0: --point and --line both report "no solution" rows, exit 0
+        act = ["--act", "scale-invariant:0:0"]
+        code_p, out_p, err_p = run_cli(["critical", "--point", *act], capsys)
+        code_l, out_l, err_l = run_cli(["critical", "--line", *act, "--sw-steps", "3"], capsys)
+        assert (code_p, err_p, code_l, err_l) == (0, "", 0, "")
+        (point,) = parse_csv(out_p)[2]
+        assert point == ["nan"] * 4
+        lines = parse_csv(out_l)[2]
+        assert [r[0] for r in lines] == ["0.5", "1.75", "3"]
+        assert all(r[1:] == ["nan"] * 3 for r in lines)
 
 
 class TestPhaseDiagram:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacprop import critical
 from jacprop.activations import Activation, MomentKind, moment_closed
 from jacprop.critical import (
+    _brentq,
     chi_star,
     correlation_length,
     critical_line,
@@ -353,6 +355,14 @@ class TestCriticalPoint:
                 if line[0].found:
                     assert line[0].sigma_b == pytest.approx(p.sigma_b, abs=1e-6)
 
+    def test_no_slope_gives_the_lines_no_solution_row(self):
+        # <phi'^2> = 0: no sigma_w is critical, on the line or at a point
+        act = Activation.scale_invariant(0.0, 0.0)
+        (p,) = critical_point(act)
+        assert all(math.isnan(v) for v in (p.sigma_w, p.sigma_b, p.residual, p.k_star))
+        line = critical_line(act, NormMode.VANILLA, [0.5, math.sqrt(2), 3.0])
+        assert not p.found and not any(q.found for q in line)
+
     def test_ln_modes_rejected(self):
         with pytest.raises(ValueError):
             critical_point(RELU, NormMode.PRE_LN)
@@ -481,3 +491,57 @@ class TestExpansionCoefficient:
     def test_interior_point_required(self):
         with pytest.raises(ValueError):
             expansion_coefficient(ERF, ERF_CRIT, 0.0)
+
+
+class TestBrentq:
+    """``_brentq`` is scipy's ``brentq``: the same bits in the same iterations."""
+
+    @staticmethod
+    def scipy_brentq(f, a, b, **kw):
+        from scipy.optimize import brentq
+
+        root, info = brentq(f, a, b, xtol=kw.get("xtol", 1e-13),
+                            maxiter=kw.get("maxiter", 100), full_output=True)
+        # at a root on a bracket end scipy returns before its loop and leaves
+        # the iteration count unset (it reads stale memory); none ran
+        return root, 0 if f(a) == 0 or f(b) == 0 else info.iterations
+
+    def assert_same(self, f, a, b, **kw):
+        ours = _brentq(f, a, b, **kw)
+        theirs = self.scipy_brentq(f, a, b, **kw)
+        assert (ours[0].hex(), ours[1]) == (theirs[0].hex(), theirs[1])
+        return ours
+
+    def test_every_line_inversion(self, monkeypatch):
+        # each family x mode on the CLI's default sweep (0.5 .. 3, 26 steps)
+        solves = []
+
+        def checked(f, a, b):
+            solves.append(self.assert_same(f, a, b))
+            return solves[-1]
+
+        monkeypatch.setattr(critical, "_brentq", checked)
+        sweep = np.linspace(0.5, 3.0, 26)
+        for act in (RELU, Activation.scale_invariant(2.0, 1.0), ERF, GELU):
+            for mode in NormMode:
+                critical_line(act, mode, sweep)
+        assert len(solves) > 200
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+        (lambda x: x - 1.0, 1.0, 3.0),                      # root at the left end
+        (lambda x: x - 3.0, 1.0, 3.0),                      # root at the right end
+        (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),    # a flat step
+        (lambda x: math.exp(x) - 1e-3, -20.0, 5.0),
+    ], ids=["cubic", "left-end", "right-end", "step", "exp"])
+    def test_textbook_brackets(self, f, a, b):
+        self.assert_same(f, a, b)
+        self.assert_same(f, a, b, xtol=1e-3)
+
+    def test_a_zero_iteration_cap_raises(self):
+        with pytest.raises(RuntimeError, match="no convergence"):
+            _brentq(lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, maxiter=0)
+
+    def test_a_bracket_without_a_sign_change_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
