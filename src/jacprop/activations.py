@@ -197,16 +197,6 @@ K_LARGE = 1e150
 _GELU_R3 = 1.0 / (8.0 * math.sqrt(2.0) * math.pi)  # GELU DELTA ~ -_GELU_R3 K^(-3/2)
 
 
-#: Above this kernel GELU's DELTA and PHI2_D2 take their rational forms
-#: -(K^3 - 9K^2 - 12K - 4) / (2 pi (1+K)^2 (1+2K)^(5/2)) and
-#: -(5K^3 - 11K^2 - 18K - 6) / (2 pi (1+K)^3 (1+2K)^(5/2)), written in
-#: u = 1/K.  The general closed forms cancel there: two K^(-1/2) terms
-#: leave -K^(-3/2) / (8 sqrt(2) pi) in DELTA, and PHI2_D2 cancels that
-#: again to K^(-5/2).  Below this kernel they lose at most about 1e-11
-#: relative (checked at 120 digits), and they keep their bits.
-K_GELU_CURVATURE = 1e2
-
-
 def _large_kernel(family: str, kind: MomentKind, K: float) -> float:
     """Leading large-K term of an erf or GELU moment, in powers of K^(-1/2);
     the decaying ones underflow rather than overflow, and K = inf is the limit."""
@@ -227,9 +217,10 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
     The erf and GELU curvature moments follow from the same Gaussian
     integrals as the erf arcsine kernel (Williams 1997); the two kernel
     derivatives of ``<phi^2>`` are those of its closed form.  A NaN kernel
-    is rejected rather than propagated.  Above :data:`K_GELU_CURVATURE`,
-    GELU's ``DELTA`` and ``PHI2_D2`` take rational forms in 1/K, since
-    the general closed forms cancel there.  Above :data:`K_LARGE`, K = inf
+    is rejected rather than propagated.  GELU's ``DELTA`` and ``PHI2_D2``
+    are rational in K and sqrt(1 + 2K); they are written in x = K/(1+K),
+    p = 1/(1+K), q = 1/(1+2K) and y = K/(1+2K), all in [0, 1], so they
+    neither overflow nor cancel at any kernel.  Above :data:`K_LARGE`, K = inf
     included, the smooth families give their leading large-K terms, so no
     power or product in the closed forms can overflow.
     """
@@ -275,37 +266,20 @@ def moment_closed(act: Activation, kind: MomentKind, K: float) -> float:
         )
     if kind is _PHI1:
         return K / math.sqrt(2.0 * math.pi * (1.0 + K))
-    if K > K_GELU_CURVATURE and kind in (_DELTA, _PHI2_D2):
-        u, r = 1.0 / K, 1.0 / math.sqrt(K)
-        c, b = 1.0 + u, 2.0 + u
-        den = _TWO_PI * c * c * b * b * math.sqrt(b)
-        if kind is _DELTA:
-            return -(1.0 - u * (9.0 + u * (12.0 + 4.0 * u))) / den * (r * r * r)
-        return -(5.0 - u * (11.0 + u * (18.0 + 6.0 * u))) / (den * c) * (r * r * r * r * r)
     if kind is _PHI2_D1:
         a, t = 1.0 + 2.0 * K, K / (1.0 + K)
         return 0.25 + (1.0 / _TWO_PI) * (
             math.asin(t)
             + t * (5.0 + 11.0 * K + 4.0 * K * K) / ((1.0 + K) * a * math.sqrt(a))
         )
-    # phi''^2 is a Gaussian times a polynomial, averaged at the narrowed
-    # variance s2; phi''' phi' reduces to E[h Phi(h)], E[h^2 pdf(h)] and
-    # E[h^3 Phi(h)] under N(0, t2), with Phi and pdf the standard normal's.
-    s2 = K / (1.0 + 2.0 * K)
-    t2 = K / (1.0 + K)
-    even = (4.0 - 8.0 * s2 + 6.0 * s2 * s2) / (2.0 * math.pi * math.sqrt(1.0 + 2.0 * K))
-    h_cdf = t2 / math.sqrt(2.0 * math.pi * (1.0 + t2))
-    h2_pdf = h_cdf / (1.0 + t2)
-    h3_cdf = t2 * (2.0 * h_cdf + h2_pdf)
-    delta = even + (h3_cdf - 4.0 * h_cdf) / math.sqrt(2.0 * math.pi * (1.0 + K))
+    # DELTA = -(K^3 - 9K^2 - 12K - 4) / (2 pi (1+K)^2 (1+2K)^(5/2)) and
+    # PHI2_D2 = -(5K^3 - 11K^2 - 18K - 6) / (2 pi (1+K)^3 (1+2K)^(5/2))
+    x, p = K / (1.0 + K), 1.0 / (1.0 + K)
+    q, y = 1.0 / (1.0 + 2.0 * K), K / (1.0 + 2.0 * K)
+    root = _TWO_PI * math.sqrt(1.0 + 2.0 * K)
     if kind is _DELTA:
-        return delta
-    # PHI2_D2 - DELTA = <phi''^2 + 2 phi' phi''' + phi phi''''> / 2
-    # = (2 + 2K - 10K^2 - 13K^3 + K^4) / (2 pi (1+K)^3 (1+2K)^(5/2)); the
-    # quartic over (1+K)^3 is written in c = 1 + K, so it cannot overflow.
-    a, c = 1.0 + 2.0 * K, 1.0 + K
-    quartic = c - 17.0 + (35.0 + (4.0 / c - 21.0) / c) / c
-    return delta + quartic / (2.0 * math.pi * a * a * math.sqrt(a))
+        return -q * (x * x * y - q * (9.0 * x * x + 12.0 * x * p + 4.0 * p * p)) / root
+    return -q * q * (5.0 * x * x * x - p * (11.0 * x * x + 18.0 * x * p + 6.0 * p * p)) / root
 
 
 @lru_cache(maxsize=32)

@@ -90,6 +90,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sweep_bounds(args, *names) -> None:
+    """Refuse a sweep bound that is NaN, infinite or negative, naming its flag."""
+    for name in names:
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value >= 0):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be finite and nonnegative, got {value}")
+
+
 def _fmt(v) -> str:
     """Round-trip-safe scalar formatting for CSV cells ("nan", "inf", "-inf")."""
     return format(v, ".17g") if isinstance(v, float) else str(v)
@@ -168,6 +177,7 @@ def _cmd_critical(args) -> int:
     if args.point:
         points = critical_point(act, mode)
     else:
+        _sweep_bounds(args, "sw_min", "sw_max")
         sweep = np.linspace(args.sw_min, args.sw_max, args.sw_steps)
         config.update(sw_min=args.sw_min, sw_max=args.sw_max, sw_steps=args.sw_steps)
         points = critical_line(act, mode, sweep)
@@ -181,6 +191,7 @@ def _cmd_critical(args) -> int:
 def _cmd_phase_diagram(args) -> int:
     act = parse_activation(args.act)
     mode = parse_mode(args.mode)
+    _sweep_bounds(args, "sw2_min", "sw2_max", "sb2_min", "sb2_max")
     sw = np.sqrt(np.linspace(args.sw2_min, args.sw2_max, args.resolution))
     sb = np.sqrt(np.linspace(args.sb2_min, args.sb2_max, args.resolution))
     grid = phase_grid(act, mode, sw, sb)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .activations import K_LARGE, Activation, MomentKind, moment_closed
 from .meanfield import (
+    OVERFLOW,
     Hyper,
     NormMode,
     block_law,
@@ -48,8 +49,10 @@ __all__ = [
 
 #: Below this value an iterated kernel is reported as exactly zero.
 ZERO_FLOOR = 1e-14
-#: Iterates beyond this are declared divergent.
-OVERFLOW = 1e300
+#: Picard steps before the Newton polish takes over.
+MAX_ITER = 100_000
+#: Relative step at which an iteration counts as converged.
+TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,10 +93,11 @@ def find_fixed_point(
     mode: NormMode,
     hp: Hyper,
     k_init: float = 1.0,
-    max_iter: int = 100_000,
-    tol: float = 1e-12,
 ) -> FixedPoint:
     """Locate the fixed point of the kernel map by Picard iteration.
+
+    Picard runs until a step moves the kernel by at most :data:`TOL`
+    relative, for at most :data:`MAX_ITER` steps.
 
     An affine kernel map -- a scale-invariant phi, or any block with a
     norm, whose map is constant -- takes the closed form ``K* = g(0) / (1 -
@@ -110,15 +114,13 @@ def find_fixed_point(
     """
     if not (math.isfinite(k_init) and k_init >= 0):
         raise ValueError(f"k_init must be finite and nonnegative, got {k_init}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
     def finish(k_star: float, iters: int, converged: bool = True) -> FixedPoint:
         if math.isinf(k_star):
             return FixedPoint(math.inf, math.inf, _saturated_chi(act, hp), False, iters)
         # Iterates crawling toward the K* = 0 fixed point stall at the
         # step-size tolerance; snap to zero when zero is actually fixed.
-        if 0 < k_star < max(ZERO_FLOOR, 1e4 * tol):
+        if 0 < k_star < max(ZERO_FLOOR, 1e4 * TOL):
             if kernel_step(act, mode, hp, 0.0) == 0.0:
                 k_star = 0.0
         chi_k = chi_kernel(act, mode, hp, k_star)
@@ -140,11 +142,11 @@ def find_fixed_point(
     # there diverges if that slope exceeds one.
     k_cap = K_LARGE if chi_kernel(act, mode, hp, math.inf) > 1.0 else OVERFLOW
     k = float(k_init)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         k_next = kernel_step(act, mode, hp, k)
         if not k_next <= k_cap:
             return finish(math.inf, it, converged=False)
-        if abs(k_next - k) <= tol * max(1.0, abs(k_next)):
+        if abs(k_next - k) <= TOL * max(1.0, abs(k_next)):
             k = k_next
             break
         k = k_next
@@ -158,7 +160,7 @@ def find_fixed_point(
             k_new = k - f / fp
             if k_new < 0.0:
                 k_new = 0.5 * k
-            if abs(k_new - k) <= tol * max(1.0, abs(k_new)):
+            if abs(k_new - k) <= TOL * max(1.0, abs(k_new)):
                 k = k_new
                 break
             k = k_new
@@ -168,9 +170,9 @@ def find_fixed_point(
         # A stalled map need not have a fixed point at all (a "ghost"
         # bottleneck just past a tangent bifurcation slows Picard the
         # same way); accept the polished value only if it is a root.
-        if abs(kernel_step(act, mode, hp, k) - k) > 100.0 * tol * max(1.0, k):
-            return finish(math.inf, max_iter, converged=False)
-        return finish(k, max_iter)
+        if abs(kernel_step(act, mode, hp, k) - k) > 100.0 * TOL * max(1.0, k):
+            return finish(math.inf, MAX_ITER, converged=False)
+        return finish(k, MAX_ITER)
 
     if k < ZERO_FLOOR:
         k = 0.0
@@ -223,10 +225,15 @@ def critical_line(
     up to :data:`OVERFLOW` until ``sigma_w(K)`` crosses the requested
     value, and Brent's method finds the root inside it.  The solver is
     this module's port of scipy's ``brentq`` (same iterates, same bits),
-    so a line loads no scipy.  A sweep value admitting no root produces a
-    NaN entry and the scan continues.
+    so a line loads no scipy.  A sweep value admitting no root (zero
+    among them) produces a NaN entry and the scan continues; a NaN,
+    infinite or negative one raises.
     """
-    return [_invert_line(act, mode, float(sigma_w)) for sigma_w in sweep]
+    sweep = [float(sigma_w) for sigma_w in sweep]
+    for sigma_w in sweep:
+        if not (math.isfinite(sigma_w) and sigma_w >= 0):
+            raise ValueError(f"sigma_w must be finite and nonnegative, got {sigma_w}")
+    return [_invert_line(act, mode, sigma_w) for sigma_w in sweep]
 
 
 #: A line residual ``chi - 1`` this small at the ``K* = 0`` end of the
@@ -237,7 +244,7 @@ _LINE_END = 1e-10
 
 def _invert_line(act: Activation, mode: NormMode, sigma_w: float) -> CriticalLinePoint:
     no_solution = CriticalLinePoint(sigma_w, math.nan, math.nan, math.nan)
-    if sigma_w <= 0:
+    if sigma_w == 0:
         return no_solution
     sw_of_k = lambda k: gelu_parametric_line(k, act, mode)[0]  # noqa: E731
     sw0 = sw_of_k(0.0)

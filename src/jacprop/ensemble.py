@@ -10,17 +10,18 @@ Jacobians, the near-output multiplier estimating the fixed-point
 NTK of small networks.
 
 Jacobians are computed by propagating a full tangent basis through the
-same forward pass, with the normalization differentiated exactly: the
-Jacobian of ``y = (v - mean v) / sqrt(var v + eps)`` within a group of
-size ``m`` is ``(t - mean t - y (y . t)/m) / s`` on a tangent ``t``, and
-dropping the mean/variance coupling terms is deliberately not offered.
+same forward pass, with the normalization differentiated exactly
+(dropping its mean/variance coupling terms is deliberately not offered).
 
 A hidden block h^l -> z^l is a chain of stages whose order is the
 normalization mode, as :attr:`NormMode.stages` lists it: phi (vanilla),
 normalize then phi (pre-LN), phi then normalize (post-LN).  Every stage's
-Jacobian is symmetric, so the block's transpose is the chain reversed.  Every stage's Jacobian is also diagonal
-plus low rank -- diag(phi'), and per group ``(I - 1 1^T/m - y y^T/m) / s``
--- so a block's is ``B = diag(lam) + U V^T`` with rank at most 2 g.
+Jacobian is diagonal plus low rank -- diag(phi'), and per group ``(I - 1
+1^T/m - y y^T/m) / s`` for ``y = (v - mean v) / s`` -- so a block's is ``B
+= diag(lam) + U V^T`` of rank at most 2 g.  These factors are its only
+Jacobian: tangents ``lam T + U (V^T T)``, the NTK's gradient rows ``A lam
++ (A U) V^T`` and the one-step product below read them.  The tests' oracle
+builds each stage as an explicit matrix.
 
 Every measurement is one forward sweep over the layers.  A member's
 :class:`NetworkParams` holds only one seed stream per layer; the sweep
@@ -65,20 +66,16 @@ draws (xi^l, b^l), 2 N_l normals from its own stream
 sqrt(N_{l-1})) |z^{l-1}| xi^l + sigma_b b^l``: ``empirical_chi`` draws one
 matrix per member instead of L - 1.
 
-Summation order: the one-step factor form sums in another order than the
-dense transpose ``tangent_t`` on ``W^T`` (kept for :func:`empirical_ntk`
-and as the tests' oracle), and its column norms and N_l x 4 g product are
-summed per row block, so its value moves by rounding with the block
-height (relative 1e-13); the forward pass and every tangent are
-bit-identical whether a layer arrives whole or in blocks.  The one-step
-form and the dense transpose agree to rounding: relative 1e-12,
-or 1e-12 of the terms' size before they cancel where a group's Jacobian
-nearly vanishes (a two-unit group, a post-LN group with one active ReLU
-unit); a one-unit group's Jacobian is exactly zero on both paths, and
-:class:`EnsembleConfig` refuses one-unit groups in a normalizing mode.  The
-normalization Jacobian works in place and keeps the tangent block's
-memory order, so every later reduction sums in an order set by the
-caller, whatever the block's size or numpy's temporary elision.
+Summation order: the one-step form sums in another order than the dense
+product ``W B``, and its column norms and N_l x 4 g product are summed per
+row block, so its value moves by rounding with the block height (relative
+1e-13); the forward pass and every tangent are bit-identical whether a
+layer arrives whole or in blocks.  The one-step form and the dense
+product agree to rounding: relative 1e-12, or 1e-12 of the terms' size
+before they cancel where a group's Jacobian nearly vanishes (a two-unit
+group, a post-LN group with one active ReLU unit); a one-unit group's
+Jacobian is exactly zero, and :class:`EnsembleConfig` refuses one-unit
+groups in a normalizing mode.
 
 Determinism: every (seed, member, layer) draws from its own seed-derived
 RNG stream and every configuration keeps its own matrix products.  A
@@ -103,7 +100,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -131,6 +128,10 @@ LN_EPS = 1e-12
 #: Least entries of a row block (1 MB): below it, per-block call overhead
 #: outgrows the memory saved.  See :func:`_block_rows`.
 _BLOCK_MIN = 1 << 17
+
+#: Entries per row block of a tangent's rank update (256 KB).  Temporaries
+#: of _BLOCK_MIN entries there left ``mc-profile``'s peak RSS 1 MB higher.
+_UPDATE_MIN = 1 << 15
 
 _WORKERS_ENV = "JACPROP_WORKERS"
 
@@ -284,42 +285,15 @@ def resolve_input(cfg: EnsembleConfig, init_index: int = 0) -> np.ndarray:
 # forward pass and exact block Jacobians
 
 
-def _gn_stats(v: np.ndarray, groups: int, eps: float = LN_EPS):
+def _gn_stats(v: np.ndarray, groups: int):
     """Per-group normalization of ``v``; returns (y, s) with y flattened."""
     m = v.size // groups
     vg = v.reshape(groups, m)
     mu = vg.mean(axis=1, keepdims=True)
     var = vg.var(axis=1)
-    s = np.sqrt(var + eps)
+    s = np.sqrt(var + LN_EPS)
     y = (vg - mu) / s[:, None]
     return y.reshape(-1), s
-
-
-def _gn_apply(y: np.ndarray, s: np.ndarray, groups: int, T: np.ndarray) -> np.ndarray:
-    """Exact normalization Jacobian applied to tangent columns ``T``, in place.
-
-    ``T`` keeps its memory order, which sets the summation order of every
-    later reduction over the returned block.
-    """
-    n, k = T.shape
-    m = n // groups
-    Tg = T.reshape(groups, m, k)
-    yg = y.reshape(groups, m)
-    proj = np.einsum("gm,gmk->gk", yg, Tg) / m
-    Tg -= Tg.mean(axis=1, keepdims=True)
-    step = max(1, _BLOCK_MIN // (groups * k))  # the rank-one update, row block by row block
-    for i in range(0, m, step):
-        Tg[:, i:i + step] -= yg[:, i:i + step, None] * proj[:, None, :]
-    Tg /= s[:, None, None]
-    return Tg.reshape(n, k)
-
-
-class _Stage(NamedTuple):
-    """One stage of a hidden block, on the vector it acts on."""
-
-    jac: Callable  # its symmetric Jacobian on tangent columns, in place
-    y: np.ndarray | None  # the normalized vector if it normalizes, else None
-    factors: Callable  # () -> (lam, U, V): the Jacobian as diag(lam) + U V^T
 
 
 def _diagonal(lam: np.ndarray) -> tuple:
@@ -338,17 +312,12 @@ def _compose(first: tuple, then: tuple) -> tuple:
 
 
 def _phi(act: Activation, groups: int, v: np.ndarray):
-    """The phi stage on ``v``: (diag(phi'(v)), phi(v)), phi' taken at use."""
-
-    def jac(T):
-        T *= act(v, 1)[:, None]
-        return T
-
-    return _Stage(jac, None, lambda: _diagonal(act(v, 1))), act(v)
+    """The phi stage on ``v``: (its factors, deferred, phi(v))."""
+    return lambda: _diagonal(act(v, 1)), act(v)
 
 
 def _norm(act: Activation, groups: int, v: np.ndarray):
-    """The group-normalization stage on ``v``: (its Jacobian, y).
+    """The group-normalization stage on ``v``: (its factors, deferred, y).
 
     Per group of size m the Jacobian is (I - 1 1^T/m - y y^T/m) / s: the
     diagonal 1/s plus rank two.
@@ -363,7 +332,7 @@ def _norm(act: Activation, groups: int, v: np.ndarray):
         U = np.hstack([E, E * y[:, None]])
         return np.repeat(1.0 / s, m), U, U * np.tile(-1.0 / (m * s), 2)
 
-    return _Stage(lambda T: _gn_apply(y, s, groups, T), y, factors), y
+    return factors, y
 
 
 #: The stages that :attr:`NormMode.stages` names.
@@ -373,40 +342,67 @@ _STAGE_RUNS = {"phi": _phi, "norm": _norm}
 class _Block:
     """One hidden block h^l -> z^l through the mode's stages.
 
-    Both tangent maps work in place: the caller gives up the block it
-    passes in and uses the one returned.
+    Its Jacobian d z^l / d h^l exists only as :meth:`factors`, composed on
+    first use: a block that only carries the forward pass never forms it.
     """
 
     def __init__(self, act: Activation, norm: NormMode, groups: int, h: np.ndarray):
-        self.stages = []
+        self._stages = []  # (name, its factors, deferred) in order
+        self.y = None      # the norm stage's output, in a normalizing mode
         for name in norm.stages:
             stage, h = _STAGE_RUNS[name](act, groups, h)
-            self.stages.append(stage)
+            self._stages.append((name, stage))
+            if name == "norm":
+                self.y = h
         self.z = h
-
-    def tangent(self, T: np.ndarray) -> np.ndarray:
-        """d z^l / d h^l applied to tangent columns ``T``: the stages in order."""
-        for stage in self.stages:
-            T = stage.jac(T)
-        return T
-
-    def tangent_t(self, V: np.ndarray, gain_shift: list | None = None) -> np.ndarray:
-        """Its transpose on ``V``: the stages in reverse.  With ``gain_shift``,
-        each norm stage appends the squared gradients of its gain and shift
-        (u = gamma * y + beta at gamma=1, beta=0)."""
-        for stage in reversed(self.stages):
-            if gain_shift is not None and stage.y is not None:
-                gain_shift.append(float(np.sum((V * V) * (stage.y**2 + 1.0)[:, None])))
-            V = stage.jac(V)
-        return V
+        self._factors = self._behind = None
 
     def factors(self) -> tuple:
         """d z^l / d h^l as (lam, U, V), equal to diag(lam) + U V^T, of rank
-        at most 2 g: the stages' factors composed in order."""
-        out = _diagonal(np.ones(self.z.size))
-        for stage in self.stages:
-            out = _compose(out, stage.factors())
-        return out
+        at most 2 g: the stages' factors composed in order, once."""
+        if self._factors is None:
+            out = _diagonal(np.ones(self.z.size))
+            for name, stage in self._stages:
+                part = stage()
+                out = _compose(out, part)
+                if self._behind is not None:  # a stage behind the norm: diagonal
+                    self._behind = self._behind * part[0]
+                elif name == "norm":
+                    self._behind = np.ones(self.z.size)
+            self._factors = out
+        return self._factors
+
+    def tangent(self, T: np.ndarray) -> np.ndarray:
+        """d z^l / d h^l applied to tangent columns ``T``, in place: with
+        C = V^T T, T becomes lam T + U C, one row block at a time."""
+        lam, U, V = self.factors()
+        C = V.T @ T if U.shape[1] else None
+        T *= lam[:, None]
+        if C is not None:
+            step = max(1, _UPDATE_MIN // T.shape[1])
+            for i in range(0, T.shape[0], step):
+                T[i:i + step] += U[i:i + step] @ C
+        return T
+
+    def cotangent(self, A: np.ndarray) -> np.ndarray:
+        """Rows ``A`` times d z^l / d h^l, in place: A lam + (A U) V^T."""
+        lam, U, V = self.factors()
+        C = A @ U if U.shape[1] else None
+        A *= lam
+        if C is not None:
+            A += C @ V.T
+        return A
+
+    def gain_shift(self, A: np.ndarray) -> float:
+        """Squared gradients of the norm's gain and shift (u = gamma * y +
+        beta at gamma = 1, beta = 0) given the rows ``A`` of d h^L / d z^l:
+        sum (A d)^2 (y^2 + 1), d the diagonal of the stages behind the
+        norm; 0 without a norm."""
+        self.factors()
+        if self._behind is None:
+            return 0.0
+        G = A * self._behind
+        return float(np.sum((G * G) * (self.y**2 + 1.0)))
 
 
 def _block_rows(n: int, m: int, k: int) -> int:
@@ -506,6 +502,8 @@ class _Probe:
                     self.T.fill(0.0)
                     np.fill_diagonal(self.T, 1.0)
                 self.F = self.block.tangent(self.T)
+                # used up; holding its factors through the draw cost 2 MB of peak RSS
+                self.block = None
             self.out = _view(self.pair[1 - self.cur], n, k)
         return 1 if self.out is None else self.out.shape[1]
 
@@ -790,6 +788,8 @@ def jacobian_profile(cfg: EnsembleConfig | Sequence[EnsembleConfig], l0: int = 0
     """
     cfgs, single = _batch(cfg)
     L = cfgs[0].depth
+    if not 0 <= l0 < L:
+        raise ValueError(f"l0 must satisfy 0 <= l0 < depth ({L}), got {l0}")
     ests = []
     for rows in _swept(cfgs, l0, L, profile=True):
         per_layer, per_stderr = _estimate(rows)
@@ -856,20 +856,20 @@ def empirical_ntk(
     norm: NormMode,
     x: np.ndarray,
     groups: int = 1,
-    allow_large: bool = False,
 ) -> float:
     """Exact per-draw NTK diagonal (1/N_L) sum_i |grad_theta h^L_i|^2.
 
     Sums squared gradients over every weight, bias and (for LayerNorm
     modes) gain/shift parameter via one backward sweep of dense partial
-    Jacobians; cost grows with width^3, hence the default size guard.
+    Jacobians, each block stepped through its factors; cost grows with
+    width^3, so networks wider than 256 or deeper than 12 are refused.
     """
     L = params.depth
     dims = params.layer_dims
-    if not allow_large and (max(dims) > _NTK_MAX_WIDTH or L > _NTK_MAX_DEPTH):
+    if max(dims) > _NTK_MAX_WIDTH or L > _NTK_MAX_DEPTH:
         raise ValueError(
-            f"network too large for the exact NTK (width {max(dims)}, depth {L}); "
-            "pass allow_large=True to override"
+            f"the exact NTK takes at most width {_NTK_MAX_WIDTH} and depth "
+            f"{_NTK_MAX_DEPTH}, got width {max(dims)} and depth {L}"
         )
     drawn = [params.layer(l) for l in range(1, L + 1)]  # reused by both sweeps
 
@@ -892,7 +892,6 @@ def empirical_ntk(
         if l > 1:
             scale = hp.sigma_w / math.sqrt(dims[l - 1])
             A = scale * (G @ drawn[l - 1][0])  # d h^L / d z^{l-1}
-            gain_shift = []
-            G = blocks[l - 1].tangent_t(A.T, gain_shift).T
-            total += sum(gain_shift)
+            total += blocks[l - 1].gain_shift(A)
+            G = blocks[l - 1].cotangent(A)
     return total / dims[L]

@@ -47,8 +47,9 @@ __all__ = [
     "j0_corrected",
 ]
 
-#: Kernel / Jacobian magnitudes beyond this are treated as divergent.
-DEFAULT_OVERFLOW = 1e300
+#: Kernel / Jacobian magnitudes beyond this are treated as divergent, here
+#: and by the fixed-point and critical-line solvers.
+OVERFLOW = 1e300
 
 
 @dataclass(frozen=True)
@@ -226,8 +227,6 @@ def trace(
     depth: int,
     k0: float,
     l0: int = 0,
-    *,
-    overflow: float = DEFAULT_OVERFLOW,
 ) -> MeanFieldTrace:
     """Run the coupled kernel / Jacobian / NTK recursions for ``depth`` layers.
 
@@ -235,7 +234,7 @@ def trace(
     sigma_b^2``, computed by the caller from a concrete input; every layer,
     the first included, reads its multipliers off the block law at its own
     kernel.  ``l0`` is the starting layer of the recorded partial
-    Jacobian.  When a kernel or Jacobian entry exceeds ``overflow`` the
+    Jacobian.  When a kernel or Jacobian entry exceeds :data:`OVERFLOW` the
     trace is truncated there, the remaining entries are set to inf and
     ``diverged`` is flagged; nothing raises, so phase-diagram sweeps over
     chaotic regions run to completion.  The NTK is ``Theta[l] = chi_j[l-1]
@@ -264,7 +263,7 @@ def trace(
 
     for l in range(1, depth + 1):
         k = K[l]
-        if not math.isfinite(k) or k > overflow:
+        if not math.isfinite(k) or k > OVERFLOW:
             diverged = True
             truncated_at = l
             K[l:] = np.inf
@@ -287,8 +286,8 @@ def trace(
 
     J[l0 + 1] = cj[l0]
     for l in range(l0 + 1, depth):
-        if l + 1 >= last or not np.isfinite(J[l]) or abs(J[l]) > overflow:
-            if not diverged and np.isfinite(J[l]) and abs(J[l]) > overflow:
+        if l + 1 >= last or not np.isfinite(J[l]) or abs(J[l]) > OVERFLOW:
+            if not diverged and np.isfinite(J[l]) and abs(J[l]) > OVERFLOW:
                 diverged = True
                 truncated_at = l
             J[l + 1 :] = np.inf

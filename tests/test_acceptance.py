@@ -41,6 +41,7 @@ from jacprop.ensemble import (
     resolve_input,
 )
 from jacprop.meanfield import Hyper, NormMode, chi_jacobian, trace
+from test_ensemble import dense_block
 
 RELU = Activation.relu()
 SI21 = Activation.scale_invariant(2.0, 1.0)
@@ -392,7 +393,7 @@ def test_criterion_9_brute_force_oracles():
         M = np.eye(64)
         for m in (1, 2, 3):
             scale = hp.sigma_w / math.sqrt(dims[m])
-            B = _Block(GELU, mode, 1, hs[m]).tangent(np.eye(64))
+            B = dense_block(GELU, mode, 1, hs[m])[0]
             M = (scale * params.weights[m] @ B) @ M
         dense = float(np.sum(M * M)) / 64
         fast = partial_jacobian_norm(params, GELU, hp, mode, x, 1, 4)

@@ -237,7 +237,32 @@ class TestCritical:
         assert all(r[1:] == ["nan"] * 3 for r in lines)
 
 
+    @pytest.mark.parametrize("bounds, flag, value", [
+        (["--sw-min", "nan"], "--sw-min", "nan"),
+        (["--sw-min", "inf", "--sw-max", "inf"], "--sw-min", "inf"),
+        (["--sw-max=-inf"], "--sw-max", "-inf"),
+        (["--sw-min", "-1"], "--sw-min", "-1.0"),
+    ])
+    def test_bad_sweep_bound_fails_without_rows(self, capsys, bounds, flag, value):
+        # a NaN or infinite bound once came back as "no solution" rows, exit 0
+        code, out, err = run_cli(["critical", "--line", "--act", "erf", *bounds], capsys)
+        assert code == 1
+        assert f"{flag} must be finite and nonnegative, got {value}" in err
+        assert out == ""
+
+
 class TestPhaseDiagram:
+    @pytest.mark.parametrize("flag, value", [
+        ("--sw2-min", "-1"), ("--sw2-max", "nan"), ("--sb2-min", "-0.5"), ("--sb2-max", "inf"),
+    ])
+    def test_bad_grid_bound_fails_without_rows(self, capsys, flag, value):
+        # a negative bound once warned and then reported "sigma_w ... got nan"
+        code, out, err = run_cli(["phase-diagram", "--act", "relu", "--resolution", "2",
+                                  flag, value], capsys)
+        assert code == 1
+        assert f"{flag} must be finite and nonnegative, got {float(value)}" in err
+        assert out == ""
+
     def test_relu_grid_bias_independent_and_shape(self, capsys):
         code, out, _ = run_cli(
             ["phase-diagram", "--act", "relu", "--mode", "vanilla",
@@ -290,6 +315,24 @@ class TestMonteCarlo:
         _, header, rows = parse_csv(text)
         assert header == ["l", "J_mean", "J_stderr"]
         assert len(rows) == 6
+
+    def test_profile_l0_outside_the_network_fails(self, capsys):
+        # it once exited with "list index out of range"
+        for l0 in ("7", "6", "-1"):
+            code, out, err = run_cli(
+                ["mc", "profile", "--act", "relu", "--sw", "1.4", "--sb", "0.1",
+                 "--width", "8", "--input-dim", "4", "--depth", "6", "--n-init", "2",
+                 "--l0", l0], capsys)
+            assert code == 1 and out == ""
+            assert f"l0 must satisfy 0 <= l0 < depth (6), got {l0}" in err
+
+    def test_ntk_size_limit_is_stated(self, capsys):
+        code, _, err = run_cli(["mc", "ntk", "--act", "relu", "--sw", "1.4", "--sb", "0.1",
+                                "--width", "300", "--input-dim", "4", "--depth", "3",
+                                "--n-init", "1"], capsys)
+        assert code == 1
+        assert "at most width 256 and depth 12, got width 300 and depth 3" in err
+        assert "allow_large" not in err
 
     def test_ntk_task(self, capsys):
         args = ["mc", "ntk", "--act", "erf", "--mode", "pre-ln",

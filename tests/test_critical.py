@@ -185,12 +185,6 @@ class TestFindFixedPoint:
         with pytest.raises(ValueError):
             find_fixed_point(ERF, NormMode.PRE_LN, Hyper(0.0, 0.0))
 
-    def test_nan_tolerance_rejected(self):
-        # a NaN tolerance never compares true, so the iteration would run
-        # to max_iter and report a non-fixed point as converged
-        with pytest.raises(ValueError):
-            find_fixed_point(ERF, NormMode.VANILLA, Hyper(1.0, 0.0), tol=math.nan)
-
     def test_stability_ordering_for_erf(self):
         for hp in (Hyper(1.0, 0.2), Hyper(1.4, 0.5), ERF_CRIT):
             fp = find_fixed_point(ERF, NormMode.VANILLA, hp)
@@ -237,6 +231,16 @@ class TestCriticalLine:
     def test_no_solution_rows_keep_scanning(self):
         pts = critical_line(ERF, NormMode.VANILLA, [0.5, 1.2])
         assert not pts[0].found and pts[1].found
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative_sweep_value_rejected(self, bad):
+        # a NaN once came back as a "no solution" row after ~250 bracket growths
+        with pytest.raises(ValueError, match=f"sigma_w must be finite and nonnegative, got {bad}"):
+            critical_line(ERF, NormMode.VANILLA, [1.2, bad])
+
+    def test_zero_sweep_value_has_no_solution(self):
+        (p,) = critical_line(ERF, NormMode.VANILLA, [0.0])
+        assert not p.found and p.sigma_w == 0.0
 
     def test_scale_invariant_pre_ln_line_is_zero_bias(self):
         pts = critical_line(RELU, NormMode.PRE_LN, [0.7, 1.3, 2.9])

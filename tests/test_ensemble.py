@@ -24,8 +24,6 @@ from jacprop.ensemble import (
     _Block,
     _block_rows,
     _compose,
-    _gn_apply,
-    _gn_stats,
     _swept,
     empirical_chi,
     empirical_ntk,
@@ -74,8 +72,34 @@ def mini_forward(ws, bs, gammas, betas, act, hp, norm, x, groups=1):
             z = gammas[l] * y.reshape(-1) + betas[l]
 
 
+def dense_block(act, norm, groups, h):
+    """A hidden block's Jacobian d z / d h as an explicit matrix: each stage
+    built densely -- diag(phi'), and per group (I - 1 1^T/m - y y^T/m) / s
+    -- and the stages multiplied in order.  Also returns the product of the
+    stages' diagonal parts (phi' and 1/s), which sizes the terms that the
+    library's diagonal-plus-low-rank form adds."""
+    n = h.size
+    m = n // groups
+    B, lam, v = np.eye(n), np.ones(n), np.asarray(h, dtype=float)
+    for stage in norm.stages:
+        if stage == "phi":
+            S, d, v = np.diag(act(v, 1)), act(v, 1), act(v)
+        else:
+            S, d, y = np.zeros((n, n)), np.empty(n), np.empty(n)
+            for g in range(groups):
+                part = slice(g * m, (g + 1) * m)
+                c = v[part] - v[part].mean()
+                s = math.sqrt(np.mean(c * c) + 1e-12)
+                y[part] = c / s
+                S[part, part] = (np.eye(m) - 1.0 / m - np.outer(y[part], y[part]) / m) / s
+                d[part] = 1.0 / s
+            v = y
+        B, lam = S @ B, d * lam
+    return B, lam
+
+
 def dense_layer_maps(params, act, hp, norm, x, groups=1):
-    """Explicit per-layer Jacobian matrices, built column by column."""
+    """Explicit per-layer Jacobian matrices, the blocks from :func:`dense_block`."""
     dims = params.layer_dims
     hs = forward(params, act, hp, norm, x, groups)
     maps = []
@@ -84,7 +108,7 @@ def dense_layer_maps(params, act, hp, norm, x, groups=1):
         if m == 0:
             maps.append(scale * params.weights[0])
         else:
-            B = _Block(act, norm, groups, hs[m]).tangent(np.eye(dims[m]))
+            B = dense_block(act, norm, groups, hs[m])[0]
             maps.append(scale * params.weights[m] @ B)
     return maps
 
@@ -171,8 +195,9 @@ def dense_one_step(params, act, hp, norm, x, l0, groups=1):
     W = params.weights[l0]
     V, lam = scale * W.T, np.ones(1)
     if l0 > 0:
-        block = _Block(act, norm, groups, forward(params, act, hp, norm, x, groups)[l0])
-        V, lam = block.tangent_t(V), block.factors()[0]
+        B, lam = dense_block(act, norm, groups,
+                             forward(params, act, hp, norm, x, groups)[l0])
+        V = B.T @ V
     n = dims[l0 + 1]
     return float(np.sum(V * V)) / n, scale**2 * float(np.sum(W * W)) * np.max(lam**2) / n
 
@@ -269,10 +294,9 @@ class TestPartialJacobianNorm:
         hs = forward(params, act, hp, norm, x, groups)
         for l0 in range(len(dims) - 1):
             if l0 > 0:
-                block = _Block(act, norm, groups, hs[l0])
-                lam, U, V = block.factors()
+                lam, U, V = _Block(act, norm, groups, hs[l0]).factors()
                 np.testing.assert_allclose(np.diag(lam) + U @ V.T,
-                                           block.tangent(np.eye(dims[l0])),
+                                           dense_block(act, norm, groups, hs[l0])[0],
                                            rtol=1e-12, atol=1e-12 * np.max(np.abs(lam)))
             want, size = dense_one_step(params, act, hp, norm, x, l0, groups)
             got = partial_jacobian_norm(params, act, hp, norm, x, l0, l0 + 1, groups)
@@ -297,22 +321,46 @@ class TestPartialJacobianNorm:
         np.testing.assert_allclose(dense(_compose(first, then)), dense(then) @ dense(first),
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(126, 256), (200, 200), (8, 8)])
-    @pytest.mark.parametrize("groups", [1, 2])
+    def test_each_block_composes_its_factors_once_and_only_when_used(self, monkeypatch):
+        # a pre-LN block composes two stages; forward-only layers compose none
+        import jacprop.ensemble as ens
+
+        calls = []
+        compose = ens._compose
+        monkeypatch.setattr(ens, "_compose", lambda *a: calls.append(1) or compose(*a))
+        params = NetworkParams.draw([5, 8, 8, 8, 8, 8], seed=1)
+        x = np.random.default_rng(2).normal(size=5)
+        hp, norm = Hyper(1.3, 0.4), NormMode.PRE_LN
+        cfg = EnsembleConfig(width=8, input_dim=5, depth=5, n_init=1, seed=1, hyper=hp,
+                             norm=norm, act=GELU)
+        for run, blocks in ((lambda: forward(params, GELU, hp, norm, x), 0),
+                            (lambda: empirical_chi(cfg), 1),  # the block at h^3
+                            (lambda: jacobian_profile(cfg, l0=2), 3),  # at h^2..h^4
+                            (lambda: empirical_ntk(params, GELU, hp, norm, x), 4)):
+            calls.clear()
+            run()
+            assert len(calls) == 2 * blocks
+
+    @pytest.mark.parametrize("shape", [(128, 1200), (200, 200), (8, 8)])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_normalization_updates_the_block_in_place(self, shape, groups, order):
-        # one order for every block size: the caller's, kept by working in place
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    def test_block_tangent_updates_the_block_in_place(self, shape, groups, order, norm):
+        # one order for every block size: the caller's, kept by working in
+        # place; 1200 and 200 columns take several row blocks of the rank
+        # update, the last one shorter
         n, k = shape
         rng = np.random.default_rng(3)
-        y, s = _gn_stats(rng.normal(size=n), groups)
+        h = rng.normal(size=n)
         T = np.asarray(rng.normal(size=(n, k)), order=order)
-        Tg, yg = T.reshape(groups, n // groups, k), y.reshape(groups, -1)
-        proj = np.einsum("gm,gmk->gk", yg, Tg) / (n // groups)
-        want = Tg - Tg.mean(axis=1, keepdims=True) - yg[:, :, None] * proj[:, None, :]
-        want = (want / s[:, None, None]).reshape(n, k)
-        got = _gn_apply(y, s, groups, T)
-        assert np.shares_memory(got, T) and got.strides == T.strides
-        np.testing.assert_allclose(got, want, rtol=1e-14)
+        B, lam = dense_block(GELU, norm, groups, h)
+        want, size = B @ T, np.max(np.abs(lam)) * np.max(np.abs(T))
+        strides = T.strides
+        got = _Block(GELU, norm, groups, h).tangent(T)
+        assert np.shares_memory(got, T) and got.strides == strides
+        # entries that cancel (all of them in two-unit groups) are held to
+        # 1e-12 of the size of the terms that cancel
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * size)
 
     def test_single_layer_from_input_expectation(self):
         # J^{0,1} = sigma_w^2 |W|_F^2 / (N0 N1) -> sigma_w^2 in expectation
@@ -399,21 +447,23 @@ class TestEmpiricalNtk:
         assert np.mean(vals) == pytest.approx(tr.theta[depth], rel=0.10)
 
     def test_size_guard(self):
-        params = NetworkParams.draw([4, 512], seed=0)
-        with pytest.raises(ValueError):
-            empirical_ntk(params, RELU, Hyper(1, 0), NormMode.VANILLA, np.zeros(4))
-        empirical_ntk(params, RELU, Hyper(1, 0), NormMode.VANILLA, np.zeros(4),
-                      allow_large=True)
+        for dims in ([4, 257], [4] + [8] * 13):
+            params = NetworkParams.draw(dims, seed=0)
+            with pytest.raises(ValueError, match="width 256 and depth 12"):
+                empirical_ntk(params, RELU, Hyper(1, 0), NormMode.VANILLA, np.zeros(4))
+        params = NetworkParams.draw([4] + [256] * 12, seed=0)
+        empirical_ntk(params, RELU, Hyper(1, 0), NormMode.VANILLA, np.zeros(4))
 
 
 class TestGoldenBits:
     """Exact bits of every block path, so that no rewrite of the block moves a result.
 
     Per activation, mode and group count on one [5, 8, 8, 8] net at seed
-    23: J^{1,2} (one-step, from the block's diagonal-plus-low-rank
-    factors), J^{1,3} (generic, the stages in order), the profile J^{0,l}
-    for l = 1..3 and the NTK (the reversed stages plus the gain/shift
-    term), as ``float.hex``.
+    23: J^{1,2} (one-step), J^{1,3} (a tangent basis carried through the
+    blocks), the profile J^{0,l} for l = 1..3 and the NTK (gradient rows
+    stepped back through the blocks, plus the gain/shift term), as
+    ``float.hex``; every block path reads the block's diagonal-plus-low-rank
+    factors.
     """
 
     GOLDEN = {
@@ -427,19 +477,19 @@ class TestGoldenBits:
         ),
         ("relu", "PRE_LN", 1): (
             "0x1.38a3fe05121b6p-2", "0x1.8fb41535529d6p-5", "0x1.d8095e255aeb4p+0",
-            "0x1.098849be2056fp-1", "0x1.e63c0310258d0p-5", "0x1.57d4970b9709cp+1",
+            "0x1.098849be2056fp-1", "0x1.e63c0310258d3p-5", "0x1.57d4970b9709cp+1",
         ),
         ("relu", "PRE_LN", 2): (
-            "0x1.310c977550965p+0", "0x1.37ee2c1631818p-2", "0x1.d8095e255aeb4p+0",
-            "0x1.8abe50d81380cp+1", "0x1.9e7cb4b08df24p-1", "0x1.92b412bf4e30dp+1",
+            "0x1.310c977550965p+0", "0x1.37ee2c163181ap-2", "0x1.d8095e255aeb4p+0",
+            "0x1.8abe50d81380ep+1", "0x1.9e7cb4b08df26p-1", "0x1.92b412bf4e30dp+1",
         ),
         ("relu", "POST_LN", 1): (
             "0x1.41bb1f36b0087p+0", "0x1.63de94f52e022p-2", "0x1.d8095e255aeb4p+0",
-            "0x1.578e684b525dcp+1", "0x1.17d886dfab25cp-1", "0x1.10056f45fb354p+3",
+            "0x1.578e684b525dcp+1", "0x1.17d886dfab25dp-1", "0x1.10056f45fb354p+3",
         ),
         ("relu", "POST_LN", 2): (
-            "0x1.2b630a8932e16p+3", "0x1.ec30b668be284p-1", "0x1.d8095e255aeb4p+0",
-            "0x1.86663cbb534e6p+4", "0x1.3a15a03f0fea8p+1", "0x1.0ed0c2dac287ap+3",
+            "0x1.2b630a8932e16p+3", "0x1.ec30b668be285p-1", "0x1.d8095e255aeb4p+0",
+            "0x1.86663cbb534e4p+4", "0x1.3a15a03f0fea7p+1", "0x1.0ed0c2dac287ap+3",
         ),
         ("gelu", "VANILLA", 1): (
             "0x1.22ad2b591b5b4p-1", "0x1.90fbfcea30b34p-3", "0x1.d8095e255aeb4p+0",
@@ -451,19 +501,19 @@ class TestGoldenBits:
         ),
         ("gelu", "PRE_LN", 1): (
             "0x1.c2926359431f8p-3", "0x1.17e58552e8566p-5", "0x1.d8095e255aeb4p+0",
-            "0x1.c11541ea61405p-2", "0x1.241e90b2985eep-5", "0x1.56e2d06fb724ep+1",
+            "0x1.c11541ea61404p-2", "0x1.241e90b2985eep-5", "0x1.56e2d06fb724ep+1",
         ),
         ("gelu", "PRE_LN", 2): (
-            "0x1.62a906a039f18p+0", "0x1.f1fc6e201b3e4p-2", "0x1.d8095e255aeb4p+0",
-            "0x1.d2264f5e3cc37p+1", "0x1.562dfec735617p+0", "0x1.d081bfddfad0ap+1",
+            "0x1.62a906a039f18p+0", "0x1.f1fc6e201b3e6p-2", "0x1.d8095e255aeb4p+0",
+            "0x1.d2264f5e3cc38p+1", "0x1.562dfec735617p+0", "0x1.d081bfddfad09p+1",
         ),
         ("gelu", "POST_LN", 1): (
             "0x1.78ae8186aa3ccp-1", "0x1.7556c608cf95ep-3", "0x1.d8095e255aeb4p+0",
-            "0x1.641da6aceabe7p+0", "0x1.71134f822a2fcp-3", "0x1.f0dd3c736b9e5p+2",
+            "0x1.641da6aceabe7p+0", "0x1.71134f822a2fbp-3", "0x1.f0dd3c736b9e6p+2",
         ),
         ("gelu", "POST_LN", 2): (
-            "0x1.ef15620a4ac55p+1", "0x1.a3012aa92efd1p-1", "0x1.d8095e255aeb4p+0",
-            "0x1.2a68004718620p+3", "0x1.822347afc7f67p+0", "0x1.1016c17a9b4a0p+3",
+            "0x1.ef15620a4ac55p+1", "0x1.a3012aa92efcep-1", "0x1.d8095e255aeb4p+0",
+            "0x1.2a6800471861ep+3", "0x1.822347afc7f64p+0", "0x1.1016c17a9b49fp+3",
         ),
     }
 
@@ -588,6 +638,12 @@ class TestEnsembleDrivers:
             for bad in (0, -4):
                 with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                     self._cfg(**{name: bad})
+
+    @pytest.mark.parametrize("l0", [-1, 8, 9, 100])
+    def test_profile_l0_outside_the_network_rejected(self, l0):
+        # l0 = 100 once raised IndexError from the memory check
+        with pytest.raises(ValueError, match=rf"l0 must satisfy 0 <= l0 < depth \(8\), got {l0}"):
+            jacobian_profile(self._cfg(), l0=l0)
 
     @pytest.mark.parametrize("norm", [NormMode.PRE_LN, NormMode.POST_LN])
     def test_one_unit_groups_rejected(self, norm):
@@ -719,8 +775,8 @@ class TestStreaming:
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     def test_profile_peak_memory_is_two_tangents_and_a_row_block(self, norm):
-        # width 1024 takes two row blocks per layer; the normalization's
-        # rank-one update adds at most one block of _BLOCK_MIN entries, and
+        # width 1024 takes two row blocks per layer; the tangent's rank
+        # update adds less than one block of _BLOCK_MIN entries, and
         # a buffer kept past its layer would add the first layer's block
         import tracemalloc
 

@@ -78,29 +78,29 @@ GOLDEN = {
             '0x1.6060599046aeap+0', '0x1.3e11b95371344p+0', '0x1.f6f8bd6ae3ffcp-1',
         ),
         ('gelu', 'VANILLA'): (
-            '0x1.457fe4f44b51ap-1', '0x1.6fe42c2806e47p-1', '0x1.8d5f982c65f05p-3',
+            '0x1.457fe4f44b51ap-1', '0x1.6fe42c2806e47p-1', '0x1.8d5f982c65f07p-3',
             '0x1.75e5ef1b4647ap-1', '0x1.259d395d4b0ebp+0', '0x1.07b50500dc504p-1',
-            '0x1.62539f0cab578p-1', '0x1.fc0d71f0917e4p-3', '0x1.0a20b12886890p-2',
+            '0x1.62539f0cab578p-1', '0x1.fc0d71f0917e7p-3', '0x1.0a20b12886890p-2',
             '0x1.98325f3b87beep+0', '0x1.d7e994c8ec71ap-2', '0x1.5b05760ccc4a0p-1',
-            '0x1.1dfb1a0bde1b0p-2', '0x1.586f2ef5e88dcp-4', '0x1.87a02b05530b8p+0',
+            '0x1.1dfb1a0bde1b1p-2', '0x1.586f2ef5e88dcp-4', '0x1.87a02b05530b8p+0',
             '0x1.b08a1bf503058p-2', '0x1.78b814ab18101p-1', '0x1.5546e4076925ap-1',
             '0x1.b0a3d70a3d70bp-2', '0x1.80108a4600c61p-1', '0x1.b9024156f3dcfp-1',
         ),
         ('gelu', 'PRE_LN'): (
-            '0x1.c1db0b83900dap-1', '0x1.c0ed727010838p-1', '0x1.a80c41f56b3bap-4',
-            '0x1.19bdec1545bd4p+0', '0x1.b2cbbee35d8aap+1', '0x1.c1db0b83900dap-1',
-            '0x1.c0ed727010838p-1', '0x1.a80c41f56b3bap-4', '0x1.7bd6efc77a5b2p-1',
+            '0x1.c1db0b83900dap-1', '0x1.c0ed727010838p-1', '0x1.a80c41f56b3b7p-4',
+            '0x1.19bdec1545bd4p+0', '0x1.b2cbbee35d8a9p+1', '0x1.c1db0b83900dap-1',
+            '0x1.c0ed727010838p-1', '0x1.a80c41f56b3b7p-4', '0x1.7bd6efc77a5b2p-1',
             '0x1.27a0a19646cf2p+3', '0x1.c1db0b83900dap-1', '0x1.c0ed727010838p-1',
-            '0x1.a80c41f56b3bap-4', '0x1.000befda807adp-1', '0x1.a5a265f489570p+3',
+            '0x1.a80c41f56b3b7p-4', '0x1.000befda807adp-1', '0x1.a5a265f489570p+3',
             '0x1.c1db0b83900dap-1', '0x0.0p+0', '0x1.c0ed727010838p-1',
             '0x1.1270a9af8ffe8p+0', '0x1.97371de42cbd4p-1', '0x1.cb0447176314dp-2',
         ),
         ('gelu', 'POST_LN'): (
-            '0x1.d99999999999ap+0', '0x1.4117c37c09c5bp+0', '0x1.1f0695c0f854bp-5',
+            '0x1.d99999999999ap+0', '0x1.4117c37c09c5bp+0', '0x1.1f0695c0f854ep-5',
             '0x1.4117c37c09c5bp+0', '0x1.e339b5ee7cd70p+2', '0x1.d99999999999ap+0',
-            '0x1.4117c37c09c5bp+0', '0x1.1f0695c0f854bp-5', '0x1.3cca7000432bdp+1',
+            '0x1.4117c37c09c5bp+0', '0x1.1f0695c0f854ep-5', '0x1.3cca7000432bdp+1',
             '0x1.17542392fe2f2p+5', '0x1.d99999999999ap+0', '0x1.4117c37c09c5bp+0',
-            '0x1.1f0695c0f854bp-5', '0x1.388bddfd584acp+2', '0x1.63a8186ab7abap+6',
+            '0x1.1f0695c0f854ep-5', '0x1.388bddfd584acp+2', '0x1.63a8186ab7abap+6',
             '0x1.d99999999999ap+0', '0x0.0p+0', '0x1.4117c37c09c5bp+0',
             '0x1.5d9cf2766293cp+0', '0x1.3308e54252c09p+0', '0x1.c28eb63ffc1dep-1',
         ),
