@@ -231,6 +231,11 @@ def _mc_config(args) -> EnsembleConfig:
 
 
 def _cmd_mc(args) -> int:
+    if args.task != "profile":
+        for flag, value in (("--l0", args.l0), ("--series-out", args.series_out)):
+            if value is not None:
+                raise argparse.ArgumentTypeError(
+                    f"{flag} applies only to mc profile, not to mc {args.task}")
     try:
         _workers()
     except ValueError as exc:  # a malformed environment is a usage error
@@ -242,17 +247,17 @@ def _cmd_mc(args) -> int:
         n_init=args.n_init, seed=args.seed, groups=args.groups,
         input_mean=args.input_mean, input_std=args.input_std,
         input_file=args.input_file or "", resample_inputs=args.resample_inputs,
-        l0=args.l0,
     )
     if args.task in ("chi", "ntk"):
         est = (empirical_chi if args.task == "chi" else ensemble_ntk)(cfg)
         payload = {"mean": est.mean, "stderr": est.stderr, "n": est.n}
     elif args.task == "profile":
-        est = jacobian_profile(cfg, l0=args.l0)
+        l0 = config["l0"] = args.l0 or 0
+        est = jacobian_profile(cfg, l0=l0)
         series = args.series_out or (args.out or "profile") + ".series.csv"
         rows = [
             (l, est.per_layer[l], est.per_layer_stderr[l])
-            for l in range(args.l0 + 1, cfg.depth + 1)
+            for l in range(l0 + 1, cfg.depth + 1)
         ]
         with open(series, "w") as out:
             _emit_csv(out, "mc profile", config, ["l", "J_mean", "J_stderr"], rows)
@@ -379,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="raw little-endian float32 vector of length input-dim")
     m.add_argument("--resample-inputs", action="store_true",
                    help="draw a fresh input per ensemble member")
-    m.add_argument("--l0", type=int, default=0)
-    m.add_argument("--series-out", help="CSV path for the profile series")
+    m.add_argument("--l0", type=int, help="profile only: first layer (default 0)")
+    m.add_argument("--series-out", help="profile only: CSV path for the series")
     m.set_defaults(fn=_cmd_mc)
 
     f = sub.add_parser("fit", help="power-law / exponential fit of a series")

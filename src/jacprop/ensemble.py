@@ -26,45 +26,70 @@ builds each stage as an explicit matrix.
 Every measurement is one forward sweep over the layers.  A member's
 :class:`NetworkParams` holds only one seed stream per layer; the sweep
 draws layer l just before it uses it, carries the tangent block from l0
-in the same pass and stops at the last layer the measurement needs.  No
-drawn layer is ever whole: its stream fills one reused buffer a row block
-at a time (:meth:`NetworkParams.rows`, the bits of :meth:`NetworkParams.layer`),
-and each block gives its rows of W z, of W (B T) and of the one-step
-product below before the next block is drawn.  A block has at least as
-many rows as the widest product has columns (so the tangent GEMM stays
-square or taller) and at least 1 MB of entries; the layer splits into
-equal blocks rounded up to a multiple of 8 rows, because OpenBLAS sums a
-GEMV over a block of another height in another order, and a layer that
-fits in one block is one block.  The tangent ping-pongs between two
-buffers, the dead one taking ``T * T`` for the norm.  A profile or
-multi-step member therefore holds one row block plus two N x N_{l0}
-tangent buffers per configuration: about 17 MB at width 1000 and N0 784
-(a 4 MB block and two 6.3 MB tangents), whatever the depth, where one
-whole layer is 8 MB.  A one-step measurement J^{l0, l0+1}
-(``empirical_chi``) carries no tangent at all: with c_j = |W e_j|^2, P =
-W U and Q = W diag(lam) V,
+in the same pass and stops at the last layer the measurement needs.
+
+A layer drawn whole is never held whole: its stream fills one reused
+buffer a row block at a time (:meth:`NetworkParams.rows`, the bits of
+:meth:`NetworkParams.layer`), and each block gives its rows of W z, of W
+(B T) and of the one-step product below before the next block is drawn.
+A block has at least as many rows as the widest product has columns (so
+the tangent GEMM stays square or taller) and at least 1 MB of entries;
+the layer splits into equal blocks rounded up to a multiple of 8 rows,
+because OpenBLAS sums a GEMV over a block of another height in another
+order, and a layer that fits in one block is one block.  The tangent
+ping-pongs between two buffers, the dead one taking ``T * T`` for the
+norm.  A one-step measurement J^{l0, l0+1} (``empirical_chi``) carries
+no tangent at all: with c_j = |W e_j|^2, P = W U and Q = W diag(lam) V,
 
     |W B|_F^2 = sum_j lam_j^2 c_j + 2 tr(P^T Q) + tr(V^T V P^T P),
 
 so the sweep sums c over the row blocks once per drawn layer and each
-configuration fills one N_l x 4 g product: a member holds a 1 MB row
-block and O(N g) more at width 1000.  Configurations that share a draw --
-same width, input dimension, depth, members, seed, groups and input
-resampling -- ride one sweep, so each layer is drawn once for all of
-them.  Only :func:`empirical_ntk` (at most 256 wide, 12 deep; it passes
-each layer to the sweep as one block) and the ``weights``/``biases``
-oracle properties materialize a whole network.  Before the first member,
-a driver refuses (``ValueError``) a run whose members -- tangent buffers
-plus one row block, times ``JACPROP_WORKERS`` -- would not fit in
-physical memory.
+configuration fills one N_l x 4 g product.  Configurations that share a
+draw -- same width, input dimension, depth, members, seed, groups and
+input resampling -- ride one sweep, so each layer is drawn once for all
+of them.  Only :func:`empirical_ntk` (at most 256 wide, 12 deep; it
+passes each layer to the sweep as one block) and the
+``weights``/``biases`` oracle properties materialize a whole network.
 
-The ensemble drivers draw no weight matrix below l0.  J^{l0, l} depends
-on layers 1..l0 only through h^{l0}, and for one input, given z^{l-1},
-``W^l z^{l-1}`` is exactly N(0, |z^{l-1}|^2 I).  So each layer l <= l0
-draws (xi^l, b^l), 2 N_l normals from its own stream
-(:meth:`NetworkParams.conditional`), and sets ``h^l = (sigma_w /
-sqrt(N_{l-1})) |z^{l-1}| xi^l + sigma_b b^l``: ``empirical_chi`` draws one
-matrix per member instead of L - 1.
+The ensemble drivers draw each layer in the span it acts on.  Given the
+layers below it, W^l is independent of A = [z^{l-1}, B^{l-1} T^{l-1}],
+the forward vector and the k tangent columns it multiplies, so the rows
+of W^l A are iid N(0, A^T A): the conditional Gaussianity of Lee et al.
+(2018), "Deep Neural Networks as Gaussian Processes".  J^{l0, l} reads
+W^l only through W^l A, so each probe takes the cheapest exact sample of
+what it reads (:meth:`_Probe.route`):
+
+- a span draw: ``Xi^l R`` stands in for W^l A, with Xi^l of N_l x (k + 1)
+  normals and then b^l from the layer's stream
+  (:meth:`NetworkParams.conditional`) and R^T R = A^T A from the
+  eigendecomposition of the (k + 1)-square Gram (:func:`_span_root`).
+  Below l0, k = 0 and R = |z^{l-1}|: ``h^l = (sigma_w / sqrt(N_{l-1}))
+  |z^{l-1}| xi^l + sigma_b b^l`` from 2 N_l normals.  Above l0 the span
+  draw is taken while (k + 1) / N_{l-1} <= ``_SPAN_MAX`` = 0.2, where it
+  beats the row blocks: per layer, the two cost the same at 0.26-0.32
+  for one or two configurations at widths 200-1000, and at 0.15-0.22 for
+  eight at widths 600-1000, whose per-configuration eigendecompositions
+  outgrow the shared draw (at width 200, eight already lose 7 % of a
+  1.5 ms layer at 0.1).  Wider tangents, such as N0 784 at width 1000,
+  draw the whole layer.
+- chi^2 column norms: a one-step measurement through a diagonal block
+  (the vanilla mode, or l0 = 0) reads only c_j, iid chi^2 with N_l degrees
+  of freedom, so layer l0 + 1 is N_{l0} draws (:meth:`NetworkParams.chisq`):
+  no matrix and no bias.
+- the whole layer, in row blocks, otherwise.
+
+So ``empirical_chi`` draws no weight matrix in the vanilla mode and one
+per member in the normalizing modes, and a profile from l0 = 0 with a
+thin input draws only layer 1 whole.  A member holds, per configuration,
+two N x N_{l0} tangent buffers (a profile or multi-step measurement) or
+one N_l x 4 g product (a one-step one drawn whole), plus its largest
+draw: a row block, a span draw's N_l x (k + 1) Xi and (k + 1)-square
+Grams, or N_{l0} column norms.  At width 1000 a profile member holds
+about 17 MB at N0 784 (a 4 MB block and two 6.3 MB tangents) and about
+3 MB at N0 128 (a 1 MB Xi and two 1 MB tangents), whatever the depth,
+where one whole layer is 8 MB.  Before the first member, a driver
+refuses (``ValueError``) a run whose members, times ``JACPROP_WORKERS``,
+would not fit in physical memory (:func:`_member_bytes`).
 
 Summation order: the one-step form sums in another order than the dense
 product ``W B``, and its column norms and N_l x 4 g product are summed per
@@ -80,17 +105,19 @@ groups in a normalizing mode.
 Determinism: every (seed, member, layer) draws from its own seed-derived
 RNG stream and every configuration keeps its own matrix products.  A
 driver's member is an exact sample of the network's law, not a
-materialized network: below l0 it is the conditional draw above, and
-configurations sharing a sweep share xi^l there, so only each one's own
-law is exact, not their joint law under one dense W^l.  The functions
-that take an explicit :class:`NetworkParams` (:func:`forward`,
-:func:`partial_jacobian_norm`, :func:`empirical_ntk`) use every weight,
-and their results, one-step values aside (above), are bit-identical
-whether the layers arrive in row blocks or whole.  A driver's result is
-bit-identical whether its configuration runs alone or with others sharing
-the draw, and however many worker threads evaluate the members.  Set
-``JACPROP_WORKERS`` to a positive integer to parallelize over members;
-the process keeps one thread pool per worker count.
+materialized network.  Each route reads its layer's stream from the
+start, and configurations on one route share its draw (Xi^l, or the
+column norms), so only each one's own law is exact, not their joint law
+under one dense W^l.  The functions that take an explicit
+:class:`NetworkParams` (:func:`forward`, :func:`partial_jacobian_norm`,
+:func:`empirical_ntk`) take no route: they use every weight, and their
+results, one-step values aside (above), are bit-identical whether the
+layers arrive in row blocks or whole.  A configuration's route depends
+only on its own mode and the shared sizes, so a driver's result is
+bit-identical whether its configuration runs alone or with others
+sharing the draw, and however many worker threads evaluate the members.
+Set ``JACPROP_WORKERS`` to a positive integer to parallelize over
+members; the process keeps one thread pool per worker count.
 """
 
 from __future__ import annotations
@@ -132,6 +159,10 @@ _BLOCK_MIN = 1 << 17
 #: Entries per row block of a tangent's rank update (256 KB).  Temporaries
 #: of _BLOCK_MIN entries there left ``mc-profile``'s peak RSS 1 MB higher.
 _UPDATE_MIN = 1 << 15
+
+#: Largest (k + 1) / N_{l-1} at which a driver draws a layer in the span of
+#: the k + 1 columns it acts on; wider, the whole layer is cheaper.
+_SPAN_MAX = 0.2
 
 _WORKERS_ENV = "JACPROP_WORKERS"
 
@@ -221,15 +252,23 @@ class NetworkParams:
             yield i, blk
         rng.standard_normal(out=b)
 
-    def conditional(self, l: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (xi^l, b^l), both of shape (N_l,), xi first, from layer l's stream.
+    def conditional(self, l: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Draw (Xi^l, b^l) of shapes (N_l, k + 1) and (N_l,), Xi first, from
+        layer l's stream.
 
-        For one input z, ``W^l z`` is N(0, |z|^2 I), which is the law of
-        ``|z| xi^l``: a layer that only carries a forward pass needs 2 N_l
-        normals instead of N_l (N_{l-1} + 1).
+        Given the layers below, the rows of ``W^l A`` for any N_{l-1} x (k + 1)
+        matrix A are iid N(0, A^T A), which is the law of the rows of ``Xi^l
+        R`` for any R with R^T R = A^T A (:func:`_span_root`): a layer that
+        acts on k + 1 columns needs N_l (k + 2) normals instead of N_l
+        (N_{l-1} + 1).  At k = 0, A = z and R = |z|.
         """
         rng, n = self._rng(l), self.layer_dims[l]
-        return rng.standard_normal(n), rng.standard_normal(n)
+        return rng.standard_normal((n, k + 1)), rng.standard_normal(n)
+
+    def chisq(self, l: int) -> np.ndarray:
+        """Draw W^l's squared column norms |W^l e_j|^2, N_{l-1} iid chi^2
+        variables of N_l degrees of freedom, from layer l's stream."""
+        return self._rng(l).chisquare(self.layer_dims[l], self.layer_dims[l - 1])
 
     @property
     def weights(self) -> list:
@@ -421,6 +460,34 @@ def _block_rows(n: int, m: int, k: int) -> int:
     return min(n, -(-n // (8 * count)) * 8)
 
 
+def _spans(k: int, m: int) -> bool:
+    """Whether a driver draws a layer fed by ``m`` units in the span of the
+    k + 1 columns it acts on (:func:`_span_root`) rather than whole."""
+    return k + 1 <= _SPAN_MAX * m
+
+
+def _span_root(z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """R with R^T R = A^T A for A = [z, F], from the (k + 1)-square Gram.
+
+    The Gram is scaled to a unit diagonal, D^-1 A^T A D^-1 = V diag(e) V^T
+    with D = diag(|A e_j|), so every column keeps its own relative accuracy,
+    and R = diag(sqrt(e)) V^T D.  Eigenvalues within N (k + 1) eps of the
+    largest, the rounding that N-term sums leave in the scaled Gram, count
+    as zero, so a rank-deficient A (a zero column; z in the span of F, as
+    for ReLU at sigma_b = 0) gives exactly zero rows.
+    """
+    k = F.shape[1]
+    G = np.empty((k + 1, k + 1))
+    G[0, 0] = z @ z
+    G[0, 1:] = G[1:, 0] = z @ F
+    G[1:, 1:] = F.T @ F
+    d = np.sqrt(np.diag(G))
+    inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    e, V = np.linalg.eigh(G * np.outer(inv, inv))
+    e[e <= z.size * (k + 1) * np.finfo(float).eps * e[-1]] = 0.0
+    return (np.sqrt(e)[:, None] * V.T) * d
+
+
 def _view(flat: np.ndarray, n: int, k: int) -> np.ndarray:
     """The leading n x k block of a flat buffer, C-ordered."""
     return flat[:n * k].reshape(n, k)
@@ -436,10 +503,12 @@ class _Probe:
     block is recorded in ``hs`` and ``blocks`` instead.  Layers at or
     below ``l0`` only carry its forward pass (:meth:`forward_only`).
 
-    A drawn layer reaches it in row blocks: :meth:`start` readies the
-    layer's products, :meth:`take` fills their rows for one block and
-    :meth:`finish` completes them.  The tangent lives in one of two
-    buffers and the next layer's is written into the other.
+    :meth:`start` readies a layer's products and :meth:`finish` completes
+    them.  A layer drawn whole reaches it in row blocks, :meth:`take`
+    filling the products' rows for one block; a span draw fills them in
+    :meth:`sample`, and a chi^2 draw leaves only the column norms to
+    :meth:`finish`.  The tangent lives in one of two buffers and the next
+    layer's is written into the other.
     """
 
     def __init__(self, dims, act, hp, norm, groups, x, last,
@@ -470,17 +539,39 @@ class _Probe:
         """Whether layer ``l`` ends a one-step measurement J^{l-1, l}."""
         return not self.profile and self.l0 is not None and l == self.last == self.l0 + 1
 
+    def route(self, l: int):
+        """How a driver draws layer ``l`` for this probe: the column count k
+        of a span draw (:meth:`sample`; 0 for a forward-only layer),
+        ``"chisq"`` for a one-step measurement through a diagonal block,
+        which reads only W's squared column norms, or ``"dense"``."""
+        if self.forward_only(l):
+            return 0
+        if self.one_step(l):
+            diagonal = l == 1 or self.block.factors()[1].shape[1] == 0
+            return "chisq" if diagonal else "dense"
+        # at l0 + 1 the tangent is the block itself (the identity at l0 = 0),
+        # k = N_{l0} columns on N_{l0} units: never thin, always drawn whole
+        k = self.dims[self.l0]
+        return k if _spans(k, self.dims[l - 1]) else "dense"
+
     def sample(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
-        """Advance through a forward-only layer ``l`` given (xi^l, b^l) of
-        :meth:`NetworkParams.conditional`: ``|z^{l-1}| xi^l`` stands in for
-        ``W^l z^{l-1}``, with exactly its law."""
-        scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
-        self._advance(l, scale * (math.sqrt(float(self.z @ self.z)) * xi), b)
+        """Advance through layer ``l`` given (Xi^l, b^l) of
+        :meth:`NetworkParams.conditional`: with A = [z^{l-1}, B T] and R =
+        :func:`_span_root` (|z^{l-1}| for a forward-only layer), ``Xi^l R``
+        stands in for ``W^l A``, with exactly its law given the past."""
+        self.start(l)
+        if self.out is None:
+            np.multiply(math.sqrt(float(self.z @ self.z)), xi[:, 0], out=self.wz)
+        else:
+            R = _span_root(self.z, self.F)
+            np.matmul(xi, R[:, 1:], out=self.out)
+            if self.wz is not None:
+                np.matmul(xi, R[:, 0], out=self.wz)
+        self.finish(l, b, None)
 
     def start(self, l: int) -> int:
-        """Ready the products of drawn layer ``l`` with its rows: W z, and
-        W (B T) or the one-step W [U, lam V].  Returns the widest one's
-        column count."""
+        """Ready the products of layer ``l``: W z, and W (B T) or the
+        one-step W [U, lam V].  Returns the widest one's column count."""
         n = self.dims[l]
         self.wz = np.empty(n) if l < self.last or self.keep else None
         if self.one_step(l):
@@ -558,29 +649,41 @@ class _Probe:
                 self.blocks.append(self.block)
 
 
-def _sweep(rows: Callable, probes: list,
-           conditional: Callable[[int], tuple] | None = None) -> None:
+def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None) -> None:
     """Advance every probe through layers 1.. of one network in one pass.
 
     ``rows(l, buf, b)`` is :meth:`NetworkParams.rows` or follows it: it
-    yields layer l's row blocks and fills ``b``.  It is called once per
-    layer, only up to the last layer a probe needs, with one buffer that
+    yields layer l's row blocks and fills ``b``.  It is called at most once
+    per layer, only up to the last layer a probe needs, with one buffer that
     every layer reuses, of :func:`_block_rows` rows for the widest product
-    a probe takes.  Given ``conditional`` (the ensemble drivers), a layer
-    that every probe only passes forward through is not drawn:
-    ``conditional(l)`` returns (xi^l, b^l) instead.  A drawn layer that
-    ends a one-step measurement has its squared column norms summed block
-    by block, once for every probe.
+    a probe takes.  A drawn layer that ends a one-step measurement has its
+    squared column norms summed block by block, once for every probe.
+    Given ``draws`` (the ensemble drivers), each probe takes its own
+    :meth:`_Probe.route`, and the probes on one route share its draw: a
+    span draw ``draws.conditional(l, k)`` or the column norms
+    ``draws.chisq(l)``, each read from the start of layer l's stream.
     """
     dims = probes[0].dims
     flat = np.empty(0)
     for l in range(1, max(p.last for p in probes) + 1):
-        if conditional is not None and all(p.forward_only(l) for p in probes):
-            xi, b = conditional(l)
-            for p in probes:
-                p.sample(l, xi, b)
+        routes: dict = {}
+        for p in probes:
+            if l <= p.last:
+                routes.setdefault("dense" if draws is None else p.route(l), []).append(p)
+        active = routes.pop("dense", [])
+        for route, ps in routes.items():
+            if route == "chisq":
+                colsq = draws.chisq(l)
+                for p in ps:
+                    p.start(l)
+                    p.finish(l, None, colsq)
+            else:
+                xi, b = draws.conditional(l, route)
+                for p in ps:
+                    p.sample(l, xi, b)
+        if not active:
+            flat = np.empty(0)
             continue
-        active = [p for p in probes if l <= p.last]
         n, m = dims[l], dims[l - 1]
         h = _block_rows(n, m, max(p.start(l) for p in active))
         if flat.size < h * m:
@@ -703,25 +806,34 @@ def _members(cfgs: list, measure: Callable) -> list:
     return [np.array([row[k] for row in rows]) for k in range(len(cfgs))]
 
 
-def _check_fits(cfgs: list, l0: int, l: int, profile: bool) -> None:
-    """Refuse a measurement of J^{l0, l} whose members would not fit in
-    physical memory, before any is drawn.
+def _member_bytes(cfgs: list, l0: int, l: int, profile: bool) -> int:
+    """What one driver member measuring J^{l0, l} holds at its peak.
 
-    A member holds, per configuration, its two tangent buffers (2 N x N_{l0}
-    with N the widest layer from l0 to l; a one-step measurement holds one
-    N_l x 4 g product instead) and one row block of the drawn layers; every
-    worker thread holds one member.
+    Per configuration, its two tangent buffers (2 N x N_{l0} with N the
+    widest layer from l0 to l), or for a one-step measurement one N_l x 4 g
+    product; plus the largest draw of a layer above l0, by the route the
+    sweep takes: a row block, a span draw's N_l x (k + 1) Xi and its (k +
+    1)-square Grams, or N_{l-1} squared column norms.
     """
     dims = cfgs[0].layer_dims
     if not profile and l == l0 + 1:
+        if l0 == 0 or not any(cfg.norm.normalizes for cfg in cfgs):
+            return 8 * dims[l0]
         k = 4 * cfgs[0].groups
-        carried = dims[l] * k
-    else:
-        k = dims[l0]
-        carried = 2 * max(dims[l0:l + 1]) * k
-    block = max(_block_rows(dims[j], dims[j - 1], k) * dims[j - 1] for j in range(l0 + 1, l + 1))
+        return 8 * (len(cfgs) * dims[l] * k + _block_rows(dims[l], dims[l0], k) * dims[l0])
+    k = dims[l0]
+    draw = max(dims[j] * (k + 1) + 4 * (k + 1) ** 2 if _spans(k, dims[j - 1])
+               else _block_rows(dims[j], dims[j - 1], k) * dims[j - 1]
+               for j in range(l0 + 1, l + 1))
+    return 8 * (len(cfgs) * 2 * max(dims[l0:l + 1]) * k + draw)
+
+
+def _check_fits(cfgs: list, l0: int, l: int, profile: bool) -> None:
+    """Refuse a measurement of J^{l0, l} whose members would not fit in
+    physical memory, before any is drawn: every worker thread holds one
+    member (:func:`_member_bytes`)."""
     workers = _workers()
-    need = 8 * (len(cfgs) * carried + block) * workers
+    need = _member_bytes(cfgs, l0, l, profile) * workers
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
@@ -738,7 +850,7 @@ def _swept(cfgs: list, l0: int, l: int, profile: bool = False) -> list:
         probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
                          cfg.groups, x, l, l0, profile)
                   for cfg, x in zip(cfgs, xs)]
-        _sweep(params.rows, probes, params.conditional)
+        _sweep(params.rows, probes, params)
         return [p.value for p in probes]
 
     return _members(cfgs, measure)

@@ -326,6 +326,32 @@ class TestMonteCarlo:
             assert code == 1 and out == ""
             assert f"l0 must satisfy 0 <= l0 < depth (6), got {l0}" in err
 
+    @pytest.mark.parametrize("task", ["chi", "ntk", "n0check"])
+    @pytest.mark.parametrize("flag, value", [("--l0", "9"), ("--series-out", "s.csv")])
+    def test_profile_flags_are_usage_errors_elsewhere(self, capsys, tmp_path, task, flag, value):
+        # they were once accepted and ignored, and l0 recorded in the config
+        argv = ["mc", task, "--act", "relu", "--sw", "1.4", "--sb", "0.1",
+                "--width", "8", "--input-dim", "4", "--depth", "4", "--n-init", "2"]
+        code, out, err = run_cli(argv + [flag, value], capsys)
+        assert code == 2 and out == ""
+        assert f"{flag} applies only to mc profile" in err
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({flag[2:]: value}))
+        code, out, err = run_cli(["--config", str(config)] + argv, capsys)
+        assert code == 2 and out == "" and flag in err
+
+    def test_l0_recorded_only_for_profile(self, capsys, tmp_path):
+        argv = ["--act", "relu", "--sw", "1.4", "--sb", "0.1", "--width", "8",
+                "--input-dim", "4", "--depth", "4", "--n-init", "2"]
+        _, out, _ = run_cli(["mc", "chi"] + argv, capsys)
+        assert "l0" not in json.loads(out)["config"]
+        _, out, _ = run_cli(["mc", "profile", "--l0", "1", "--series-out",
+                             str(tmp_path / "s.csv")] + argv, capsys)
+        assert json.loads(out)["config"]["l0"] == 1
+        _, out, _ = run_cli(["mc", "profile", "--series-out", str(tmp_path / "s.csv")] + argv,
+                            capsys)
+        assert json.loads(out)["config"]["l0"] == 0
+
     def test_ntk_size_limit_is_stated(self, capsys):
         code, _, err = run_cli(["mc", "ntk", "--act", "relu", "--sw", "1.4", "--sb", "0.1",
                                 "--width", "300", "--input-dim", "4", "--depth", "3",

@@ -10,6 +10,7 @@ gain/shift parameters.
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from jacprop.ensemble import (
     _Block,
     _block_rows,
     _compose,
+    _member_bytes,
+    _span_root,
     _swept,
     empirical_chi,
     empirical_ntk,
@@ -668,6 +671,21 @@ class TestEnsembleDrivers:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_memory_estimate_follows_the_route(self):
+        # the input check's shape: layer 2 is drawn in the span of 17 columns,
+        # where the dense route holds one 1 MB row block of the 4096 x 4096 layer
+        n, k = 4096, 16
+        cfg = self._cfg(width=n, input_dim=k, depth=2)
+        dense = 8 * (2 * n * k + _block_rows(n, n, k) * n)
+        assert _member_bytes([cfg], 0, 2, False) < dense
+        # a one-step measurement through a diagonal block holds the column norms
+        assert _member_bytes([cfg], 0, 1, False) == 8 * k
+        assert _member_bytes([self._cfg()], 6, 7, False) == 8 * 128
+        # a thin run too large for the machine is still refused, naming the size
+        huge = self._cfg(width=2**32, input_dim=k, depth=2)
+        with pytest.raises(ValueError, match=r"about [0-9.e+]+ GiB .* physical memory"):
+            n0_correction_check(huge)
+
 
 class TestPostLnAgainstTheory:
     """Post-LN members against ``trace`` from the input's own kernel.
@@ -822,33 +840,61 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 8e6, peak
 
-    def test_shared_draw_counts(self, monkeypatch):
-        calls = {"rows": [], "conditional": []}
+    @staticmethod
+    def _count_draws(monkeypatch) -> dict:
+        """Record (layer, k) of every span draw and the layer of every other draw."""
+        calls = {"rows": [], "conditional": [], "chisq": []}
         for name in calls:
             def counted(self, l, *args, name=name, draw=getattr(NetworkParams, name)):
-                calls[name].append(l)
+                calls[name].append((l, *args) if name == "conditional" else l)
                 return draw(self, l, *args)
 
             monkeypatch.setattr(NetworkParams, name, counted)
-        empirical_chi(self._batch())
-        # 2 members: J^{4,5} draws only layer 5 as a matrix, samples layers
-        # 1..4 from their single-input law and never needs layer 6
-        assert sorted(calls["rows"]) == [5] * 2
-        assert sorted(calls["conditional"]) == sorted([1, 2, 3, 4] * 2)
+        return calls
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_batch_bit_identical_to_single_runs(self, workers, monkeypatch):
+    def test_shared_draw_counts(self, monkeypatch):
+        calls = self._count_draws(monkeypatch)
+        empirical_chi(self._batch())
+        # 2 members: J^{4,5} samples layers 1..4 from their single-input
+        # law, draws layer 5 as a matrix for the two LN configs and as
+        # column norms for the vanilla one, and never needs layer 6
+        assert sorted(calls["rows"]) == [5] * 2
+        assert sorted(calls["chisq"]) == [5] * 2
+        assert sorted(calls["conditional"]) == sorted([(1, 0), (2, 0), (3, 0), (4, 0)] * 2)
+        for name in calls:
+            calls[name].clear()
+        jacobian_profile([replace(c, input_dim=4) for c in self._batch()])
+        # 5 columns on width 48: only layer 1 is drawn whole
+        assert sorted(calls["rows"]) == [1] * 2 and not calls["chisq"]
+        assert sorted(calls["conditional"]) == sorted([(l, 4) for l in range(2, 7)] * 2)
+
+    def test_explicit_networks_take_no_thin_route(self, monkeypatch):
+        calls = self._count_draws(monkeypatch)
+        params = NetworkParams.draw([4, 48, 48, 48], seed=7)
+        x = np.random.default_rng(8).normal(size=4)
+        for norm in ALL_MODES:
+            forward(params, GELU, Hyper(1.3, 0.4), norm, x)
+            partial_jacobian_norm(params, GELU, Hyper(1.3, 0.4), norm, x, 0, 3, profile=True)
+            for l0 in (0, 1, 2):
+                partial_jacobian_norm(params, RELU, Hyper(1.4, 0.0), norm, x, l0, l0 + 1)
+            empirical_ntk(params, GELU, Hyper(1.3, 0.4), norm, x)
+        assert calls["rows"] and not calls["conditional"] and not calls["chisq"]
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("input_dim", [16, 4])
+    def test_batch_bit_identical_to_single_runs(self, workers, input_dim, monkeypatch):
+        # the vanilla config's one-step reads chi^2 column norms, and a
+        # 4-wide input makes every profile layer above 1 a span draw
+        cfgs = [replace(c, input_dim=input_dim) for c in self._batch()]
+        runs = (empirical_chi, jacobian_profile, lambda c: jacobian_profile(c, l0=1))
+        monkeypatch.setenv("JACPROP_WORKERS", "1")
+        want = [[_bits(run(cfg)) for cfg in cfgs] for run in runs]
+        calls = self._count_draws(monkeypatch)
         monkeypatch.setenv("JACPROP_WORKERS", workers)
-        cfgs = self._batch()
-        for run in (empirical_chi, lambda c: jacobian_profile(c, l0=1)):
-            batch = run(cfgs)
-            assert len(batch) == len(cfgs)
-            for cfg, got in zip(cfgs, batch):
-                alone = run(cfg)
-                assert (got.mean, got.stderr, got.n) == (alone.mean, alone.stderr, alone.n)
-                for a, b in ((got.per_layer, alone.per_layer),
-                             (got.per_layer_stderr, alone.per_layer_stderr)):
-                    assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+        for run, bits in zip(runs, want):
+            assert [_bits(e) for e in run(cfgs)] == bits
+            assert [_bits(run(cfg)) for cfg in cfgs] == bits
+        assert calls["chisq"] and ((2, 4) in calls["conditional"]) == (input_dim == 4)
 
     def test_concurrent_drivers_share_one_pool(self, monkeypatch):
         # every driver call with 3 workers maps its members on the same
@@ -944,37 +990,61 @@ class TestRowBlocks:
             assert got == pytest.approx(want, rel=1e-13), l0
 
 
-class RankOneBelow:
-    """A member's network made dense: W^l = xi^l zhat^{l-1 T} for l <= l0.
+class MemberNetwork:
+    """A driver's member made dense, from the member's own draws.
 
-    (xi^l, b^l) are the member's conditional draws and zhat^{l-1} is the
-    unit activation that reaches layer l, so W^l z^{l-1} = |z^{l-1}| xi^l
-    up to rounding; layers above l0 are the member's own matrices.  The
-    explicit-network functions run on it as on any ``NetworkParams``.
+    Layers up to l0 are W^l = xi^l zhat^{l-1 T}, with (xi^l, b^l) the
+    member's conditional draws and zhat^{l-1} the unit activation that
+    reaches layer l, so W^l z^{l-1} = |z^{l-1}| xi^l.  A layer in ``span``
+    acts on A = [z^{l-1}, B^{l-1} T^{l-1}] (T^{l-1} = d h^{l-1} / d h^{l0}
+    carried as a dense matrix, B^{l-1} from :func:`dense_block`) and is W^l
+    = Xi^l R A^+, so W^l A = Xi^l R for R = ``_span_root(A)``: for a
+    full-rank A = Q R0 that is Xi^l R R0^-1 Q^T, and a rank-deficient A
+    stays exact because R vanishes on A's null space (``ranks`` records
+    rank A).  The ``chisq`` layer is e_1 sqrt(c)^T, so its squared column
+    norms are the member's chi^2 draws c.  Other layers are the member's
+    own matrices.  The explicit-network functions run on it as on any
+    ``NetworkParams``.
     """
 
-    def __init__(self, cfg: EnsembleConfig, l0: int, member: int = 0):
+    def __init__(self, cfg: EnsembleConfig, l0: int, member: int = 0, span=(), chisq=None):
         self.params = NetworkParams.draw(cfg.layer_dims, cfg.seed, member)
         self.layer_dims, self.depth = self.params.layer_dims, self.params.depth
-        self.below = {}
-        z = resolve_input(cfg, member)
-        for l in range(1, l0 + 1):
-            xi, b = self.params.conditional(l)
-            W = np.outer(xi, z / np.linalg.norm(z))
-            self.below[l] = (W, b)
-            h = (cfg.hyper.sigma_w / math.sqrt(z.size)) * (W @ z) + cfg.hyper.sigma_b * b
+        dims, hp = self.layer_dims, cfg.hyper
+        self.drawn, self.ranks = {}, {}
+        z, T, h = resolve_input(cfg, member), np.eye(dims[l0]), None
+        for l in range(1, self.depth + 1):
+            scale = hp.sigma_w / math.sqrt(dims[l - 1])
+            if l <= l0:
+                xi, b = self.params.conditional(l)
+                size = np.linalg.norm(z)
+                W = np.outer(xi, z / size if size else z)
+            else:
+                F = T if l == 1 else dense_block(cfg.act, cfg.norm, cfg.groups, h)[0] @ T
+                if l == chisq:
+                    W, b = np.zeros((dims[l], dims[l - 1])), np.zeros(dims[l])
+                    W[0] = np.sqrt(self.params.chisq(l))
+                elif l in span:
+                    A = np.column_stack([z, F])
+                    self.ranks[l] = np.linalg.matrix_rank(A)
+                    xi, b = self.params.conditional(l, F.shape[1])
+                    W = xi @ _span_root(z, F) @ np.linalg.pinv(A, rcond=1e-10)
+                else:
+                    W, b = self.params.layer(l)
+                T = scale * (W @ F)
+            self.drawn[l] = (W, b)
+            h = scale * (W @ z) + hp.sigma_b * b
             z = _Block(cfg.act, cfg.norm, cfg.groups, h).z
 
     def rows(self, l, buf, b):
-        if l not in self.below:
-            yield from self.params.rows(l, buf, b)
-            return
-        W, b[:] = self.below[l]
+        W, b[:] = self.drawn[l]
         yield 0, W
 
 
 class TestConditionalLaw:
-    """The drivers sample layers 1..l0 from their single-input law."""
+    """Each drawn layer is an exact sample of what the drivers read off it:
+    its single-input law up to l0, a span draw on thin tangents, chi^2
+    column norms for a one-step measurement through a diagonal block."""
 
     def _cfg(self, **kw):
         base = dict(width=24, input_dim=10, depth=6, n_init=1, seed=41,
@@ -982,14 +1052,40 @@ class TestConditionalLaw:
         base.update(kw)
         return EnsembleConfig(**base)
 
-    def test_conditional_draw_is_two_vectors_from_the_layer_stream(self):
+    def test_conditional_draw_is_two_blocks_from_the_layer_stream(self):
         params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
-        xi, b = params.conditional(2)
+        for k in (0, 2):
+            xi, b = params.conditional(2, k)
+            rng = np.random.Generator(np.random.PCG64(params.streams[1]))
+            both = rng.standard_normal(3 * (k + 2))
+            assert xi.shape == (3, k + 1)
+            assert np.array_equal(xi.ravel(), both[:3 * (k + 1)])
+            assert np.array_equal(b, both[3 * (k + 1):])
+            # Xi opens the stream the weights open: the first row-major entries of W^2
+            assert np.array_equal(xi.ravel(), params.layer(2)[0].ravel()[:3 * (k + 1)])
+
+    def test_chisq_draw_is_the_layer_stream_column_norms_law(self):
+        params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
         rng = np.random.Generator(np.random.PCG64(params.streams[1]))
-        both = rng.standard_normal(6)
-        assert np.array_equal(xi, both[:3]) and np.array_equal(b, both[3:])
-        # xi opens the stream the weights open: the first row-major entries of W^2
-        assert np.array_equal(xi, params.layer(2)[0].ravel()[:3])
+        assert np.array_equal(params.chisq(2), rng.chisquare(3, 7))
+
+    @pytest.mark.parametrize("zero_column", [False, True])
+    def test_span_root_factors_the_gram(self, zero_column):
+        rng = np.random.default_rng(5)
+        F = rng.normal(size=(40, 6)) * np.logspace(-6, 2, 6)  # graded column scales
+        z = F @ rng.normal(size=6)  # rank-deficient: z in the span of F
+        if zero_column:
+            F[:, 2] = 0.0
+        A = np.column_stack([z, F])
+        R = _span_root(z, F)
+        G = A.T @ A
+        d = np.sqrt(np.diag(G))
+        # every entry to rounding relative to its own columns' sizes
+        assert np.all(np.abs(R.T @ R - G) <= 1e-13 * np.outer(d, d) + 1e-300)
+        # rank deficiency gives exactly zero rows, one per null direction
+        assert np.sum(~R.any(axis=1)) == A.shape[1] - np.linalg.matrix_rank(A)
+        if zero_column:
+            assert not R[:, 3].any()
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     @pytest.mark.parametrize("groups", [1, 2])
@@ -998,16 +1094,58 @@ class TestConditionalLaw:
         x = resolve_input(cfg, 0)
         args = (cfg.act, cfg.hyper, norm, x)
         L = cfg.depth
-        # empirical_chi: J^{L-2, L-1} through the one-step path
-        dense = RankOneBelow(cfg, L - 2)
+        # empirical_chi: J^{L-2, L-1} through the one-step path; through the
+        # vanilla (diagonal) block it reads only layer L-1's chi^2 column norms
+        chisq = L - 1 if norm is NormMode.VANILLA else None
+        dense = MemberNetwork(cfg, L - 2, chisq=chisq)
         want = partial_jacobian_norm(dense, *args, L - 2, L - 1, groups)
         assert empirical_chi(cfg).mean == pytest.approx(want, rel=1e-10)
-        # jacobian_profile from l0 = 2: the tangent carried layer by layer
-        dense = RankOneBelow(cfg, 2)
+        # jacobian_profile from l0 = 2: the tangent carried layer by layer,
+        # 24 columns wide, so every layer above l0 is drawn whole
+        dense = MemberNetwork(cfg, 2)
         want = partial_jacobian_norm(dense, *args, 2, L, groups, profile=True)
         got = jacobian_profile(cfg, l0=2).per_layer
         assert np.isnan(got[:3]).all()
         np.testing.assert_allclose(got[3:], want[3:], rtol=1e-10)
+
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("act, hp, source", [
+        (GELU, Hyper(1.3, 0.4), ("gaussian", 0.0, 1.0)),
+        (RELU, Hyper(1.4, 0.0), ("gaussian", 0.0, 1.0)),
+        (GELU, Hyper(1.3, 0.4), ("array", (0.0,) * 4)),
+    ], ids=["gelu", "relu-sb0", "zero-input"])
+    def test_span_network_reproduces_a_member(self, norm, groups, act, hp, source):
+        # 4 input columns and z on width 48: layers 2..L are span draws
+        cfg = self._cfg(width=48, input_dim=4, act=act, hyper=hp, norm=norm,
+                        groups=groups, input_source=source)
+        x = resolve_input(cfg, 0)
+        L = cfg.depth
+        dense = MemberNetwork(cfg, 0, span=range(2, L + 1))
+        if act is RELU and norm is NormMode.VANILLA:
+            # z = phi'(h) h lies in the span of the tangent columns
+            assert all(rank == 4 for rank in dense.ranks.values())
+        want = partial_jacobian_norm(dense, act, hp, norm, x, 0, L, groups, profile=True)
+        got = jacobian_profile(cfg).per_layer
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-10)
+        # the one-step J^{0,1} reads layer 1's chi^2 column norms
+        want = partial_jacobian_norm(MemberNetwork(cfg, 0, chisq=1), act, hp, norm, x, 0, 1)
+        assert _swept([cfg], 0, 1)[0][0] == pytest.approx(want, rel=1e-10)
+
+    @staticmethod
+    def _same_law(cfg, l0, l):
+        # the drivers' members and dense members (another seed) share the law of J^{l0,l}
+        n = cfg.n_init
+        x = resolve_input(cfg, 0)
+        (members,) = _swept([cfg], l0, l)
+        dense = np.array([
+            partial_jacobian_norm(NetworkParams.draw(cfg.layer_dims, 1003, i),
+                                  cfg.act, cfg.hyper, cfg.norm, x, l0, l)
+            for i in range(n)
+        ])
+        se = math.hypot(members.std(ddof=1), dense.std(ddof=1)) / math.sqrt(n)
+        assert abs(members.mean() - dense.mean()) <= 4 * se
+        assert ks_2samp(members, dense).pvalue > 1e-3
 
     @pytest.mark.parametrize("norm, act, hp", [
         (NormMode.VANILLA, ERF, Hyper(2.0, 0.3)),
@@ -1015,21 +1153,29 @@ class TestConditionalLaw:
         (NormMode.POST_LN, GELU, Hyper(1.2, 0.2)),
     ])
     def test_member_law_matches_materialized_networks(self, norm, act, hp):
-        # J^{3,5} depends on layers 1..3 only through h^3; the drivers'
-        # members and dense members (another seed) must share its law
-        n = 400
-        cfg = EnsembleConfig(width=12, input_dim=6, depth=5, n_init=n, seed=3,
-                             hyper=hp, norm=norm, act=act)
-        x = resolve_input(cfg, 0)
-        (chain,) = _swept([cfg], 3, 5)
-        dense = np.array([
-            partial_jacobian_norm(NetworkParams.draw(cfg.layer_dims, 1003, i),
-                                  act, hp, norm, x, 3, 5)
-            for i in range(n)
-        ])
-        se = math.hypot(chain.std(ddof=1), dense.std(ddof=1)) / math.sqrt(n)
-        assert abs(chain.mean() - dense.mean()) <= 4 * se
-        assert ks_2samp(chain, dense).pvalue > 1e-3
+        # J^{3,5} depends on layers 1..3 only through h^3
+        self._same_law(EnsembleConfig(width=12, input_dim=6, depth=5, n_init=400, seed=3,
+                                      hyper=hp, norm=norm, act=act), 3, 5)
+
+    @pytest.mark.parametrize("norm, act, hp", [
+        (NormMode.VANILLA, ERF, Hyper(2.0, 0.3)),
+        (NormMode.VANILLA, RELU, Hyper(1.4, 0.0)),  # rank-deficient A
+        (NormMode.PRE_LN, RELU, Hyper(1.4, 0.6)),
+        (NormMode.POST_LN, GELU, Hyper(1.2, 0.2)),
+    ])
+    def test_span_member_law_matches_materialized_networks(self, norm, act, hp):
+        # 3 input columns and z on width 40: layers 2..4 are span draws
+        self._same_law(EnsembleConfig(width=40, input_dim=3, depth=4, n_init=400, seed=3,
+                                      hyper=hp, norm=norm, act=act), 0, 4)
+
+    @pytest.mark.parametrize("act, hp, l0", [
+        (ERF, Hyper(2.0, 0.3), 3),
+        (RELU, Hyper(1.4, 0.0), 3),
+        (GELU, Hyper(1.2, 0.2), 0),
+    ])
+    def test_chisq_member_law_matches_materialized_networks(self, act, hp, l0):
+        self._same_law(EnsembleConfig(width=12, input_dim=6, depth=5, n_init=400, seed=3,
+                                      hyper=hp, act=act), l0, l0 + 1)
 
 
 def _with_workers(workers: int, fn):
