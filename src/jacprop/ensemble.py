@@ -64,9 +64,10 @@ what it reads (:meth:`_Probe.route`):
   (:meth:`NetworkParams.conditional`) and R^T R = A^T A from the
   eigendecomposition of the (k + 1)-square Gram (:func:`_span_root`).
   Below l0, k = 0 and R = |z^{l-1}|: ``h^l = (sigma_w / sqrt(N_{l-1}))
-  |z^{l-1}| xi^l + sigma_b b^l`` from 2 N_l normals.  Above l0 the span
-  draw is taken while (k + 1) / N_{l-1} <= ``_SPAN_MAX`` = 0.2, where it
-  beats the row blocks: per layer, the two cost the same at 0.26-0.32
+  |z^{l-1}| xi^l + sigma_b b^l`` from 2 N_l normals.  Above l0, a
+  measurement of one J^{l0, l} (not a profile) takes the span draw while
+  (k + 1) / N_{l-1} <= ``_SPAN_MAX`` = 0.2, where it beats the row
+  blocks: per layer, the two cost the same at 0.26-0.32
   for one or two configurations at widths 200-1000, and at 0.15-0.22 for
   eight at widths 600-1000, whose per-configuration eigendecompositions
   outgrow the shared draw (at width 200, eight already lose 7 % of a
@@ -76,18 +77,24 @@ what it reads (:meth:`_Probe.route`):
   (the vanilla mode, or l0 = 0) reads only c_j, iid chi^2 with N_l degrees
   of freedom, so layer l0 + 1 is N_{l0} draws (:meth:`NetworkParams.chisq`):
   no matrix and no bias.
-- the whole layer, in row blocks, otherwise.
+- the whole layer, in row blocks, otherwise, and for every layer above
+  l0 of a profile.  A profile keeps the row-block members, whatever its
+  width: the depth-250 critical exponents measured from them are checked
+  against a bound narrower than their spread over seeds, and the span
+  draw, exact but another sample, would move them across it.  Profiles
+  take the span draw once that bound comes from the check's own
+  statistics (ROADMAP item 6).
 
 So ``empirical_chi`` draws no weight matrix in the vanilla mode and one
-per member in the normalizing modes, and a profile from l0 = 0 with a
-thin input draws only layer 1 whole.  A member holds, per configuration,
-two N x N_{l0} tangent buffers (a profile or multi-step measurement) or
+per member in the normalizing modes, and ``n0_correction_check`` draws
+only layer 1 whole.  A member holds, per configuration, two N x N_{l0}
+tangent buffers (a profile or multi-step measurement) or
 one N_l x 4 g product (a one-step one drawn whole), plus its largest
 draw: a row block, a span draw's N_l x (k + 1) Xi and (k + 1)-square
 Grams, or N_{l0} column norms.  At width 1000 a profile member holds
 about 17 MB at N0 784 (a 4 MB block and two 6.3 MB tangents) and about
-3 MB at N0 128 (a 1 MB Xi and two 1 MB tangents), whatever the depth,
-where one whole layer is 8 MB.  Before the first member, a driver
+3 MB at N0 128 (a 1 MB block and two 1 MB tangents), whatever the
+depth, where one whole layer is 8 MB.  Before the first member, a driver
 refuses (``ValueError``) a run whose members, times ``JACPROP_WORKERS``,
 would not fit in physical memory (:func:`_member_bytes`).
 
@@ -550,9 +557,10 @@ class _Probe:
             diagonal = l == 1 or self.block.factors()[1].shape[1] == 0
             return "chisq" if diagonal else "dense"
         # at l0 + 1 the tangent is the block itself (the identity at l0 = 0),
-        # k = N_{l0} columns on N_{l0} units: never thin, always drawn whole
+        # k = N_{l0} columns on N_{l0} units: never thin, always drawn whole;
+        # a profile draws every layer whole (module docstring)
         k = self.dims[self.l0]
-        return k if _spans(k, self.dims[l - 1]) else "dense"
+        return k if not self.profile and _spans(k, self.dims[l - 1]) else "dense"
 
     def sample(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
         """Advance through layer ``l`` given (Xi^l, b^l) of
@@ -812,8 +820,9 @@ def _member_bytes(cfgs: list, l0: int, l: int, profile: bool) -> int:
     Per configuration, its two tangent buffers (2 N x N_{l0} with N the
     widest layer from l0 to l), or for a one-step measurement one N_l x 4 g
     product; plus the largest draw of a layer above l0, by the route the
-    sweep takes: a row block, a span draw's N_l x (k + 1) Xi and its (k +
-    1)-square Grams, or N_{l-1} squared column norms.
+    sweep takes: a row block (every layer of a profile), a span draw's N_l x
+    (k + 1) Xi and its (k + 1)-square Grams, or N_{l-1} squared column
+    norms.
     """
     dims = cfgs[0].layer_dims
     if not profile and l == l0 + 1:
@@ -822,7 +831,8 @@ def _member_bytes(cfgs: list, l0: int, l: int, profile: bool) -> int:
         k = 4 * cfgs[0].groups
         return 8 * (len(cfgs) * dims[l] * k + _block_rows(dims[l], dims[l0], k) * dims[l0])
     k = dims[l0]
-    draw = max(dims[j] * (k + 1) + 4 * (k + 1) ** 2 if _spans(k, dims[j - 1])
+    draw = max(dims[j] * (k + 1) + 4 * (k + 1) ** 2
+               if not profile and _spans(k, dims[j - 1])
                else _block_rows(dims[j], dims[j - 1], k) * dims[j - 1]
                for j in range(l0 + 1, l + 1))
     return 8 * (len(cfgs) * 2 * max(dims[l0:l + 1]) * k + draw)

@@ -26,6 +26,7 @@ from jacprop.ensemble import (
     _block_rows,
     _compose,
     _member_bytes,
+    _scalar_estimate,
     _span_root,
     _swept,
     empirical_chi,
@@ -678,6 +679,8 @@ class TestEnsembleDrivers:
         cfg = self._cfg(width=n, input_dim=k, depth=2)
         dense = 8 * (2 * n * k + _block_rows(n, n, k) * n)
         assert _member_bytes([cfg], 0, 2, False) < dense
+        # a profile draws every layer whole
+        assert _member_bytes([cfg], 0, 2, True) == dense
         # a one-step measurement through a diagonal block holds the column norms
         assert _member_bytes([cfg], 0, 1, False) == 8 * k
         assert _member_bytes([self._cfg()], 6, 7, False) == 8 * 128
@@ -863,10 +866,17 @@ class TestStreaming:
         assert sorted(calls["conditional"]) == sorted([(1, 0), (2, 0), (3, 0), (4, 0)] * 2)
         for name in calls:
             calls[name].clear()
-        jacobian_profile([replace(c, input_dim=4) for c in self._batch()])
-        # 5 columns on width 48: only layer 1 is drawn whole
+        thin = [replace(c, input_dim=4) for c in self._batch()]
+        _swept(thin, 0, 6)
+        # J^{0,6} on 5 columns on width 48: only layer 1 is drawn whole
         assert sorted(calls["rows"]) == [1] * 2 and not calls["chisq"]
         assert sorted(calls["conditional"]) == sorted([(l, 4) for l in range(2, 7)] * 2)
+        for name in calls:
+            calls[name].clear()
+        jacobian_profile(thin)
+        # a profile draws every layer whole, however thin its tangent
+        assert sorted(calls["rows"]) == sorted(list(range(1, 7)) * 2)
+        assert not calls["conditional"] and not calls["chisq"]
 
     def test_explicit_networks_take_no_thin_route(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
@@ -884,9 +894,10 @@ class TestStreaming:
     @pytest.mark.parametrize("input_dim", [16, 4])
     def test_batch_bit_identical_to_single_runs(self, workers, input_dim, monkeypatch):
         # the vanilla config's one-step reads chi^2 column norms, and a
-        # 4-wide input makes every profile layer above 1 a span draw
+        # 4-wide input makes every layer of J^{0,6} above 1 a span draw
         cfgs = [replace(c, input_dim=input_dim) for c in self._batch()]
-        runs = (empirical_chi, jacobian_profile, lambda c: jacobian_profile(c, l0=1))
+        runs = (empirical_chi, jacobian_profile, lambda c: jacobian_profile(c, l0=1),
+                _end_to_end)
         monkeypatch.setenv("JACPROP_WORKERS", "1")
         want = [[_bits(run(cfg)) for cfg in cfgs] for run in runs]
         calls = self._count_draws(monkeypatch)
@@ -1116,7 +1127,7 @@ class TestConditionalLaw:
         (GELU, Hyper(1.3, 0.4), ("array", (0.0,) * 4)),
     ], ids=["gelu", "relu-sb0", "zero-input"])
     def test_span_network_reproduces_a_member(self, norm, groups, act, hp, source):
-        # 4 input columns and z on width 48: layers 2..L are span draws
+        # 4 input columns and z on width 48: layers 2..l of J^{0,l} are span draws
         cfg = self._cfg(width=48, input_dim=4, act=act, hyper=hp, norm=norm,
                         groups=groups, input_source=source)
         x = resolve_input(cfg, 0)
@@ -1126,8 +1137,12 @@ class TestConditionalLaw:
             # z = phi'(h) h lies in the span of the tangent columns
             assert all(rank == 4 for rank in dense.ranks.values())
         want = partial_jacobian_norm(dense, act, hp, norm, x, 0, L, groups, profile=True)
-        got = jacobian_profile(cfg).per_layer
-        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-10)
+        got = [_swept([cfg], 0, l)[0][0] for l in range(2, L + 1)]
+        np.testing.assert_allclose(got, want[2:], rtol=1e-10)
+        # a profile of the same network draws every layer whole
+        want = partial_jacobian_norm(MemberNetwork(cfg, 0), act, hp, norm, x, 0, L, groups,
+                                     profile=True)
+        np.testing.assert_allclose(jacobian_profile(cfg).per_layer[1:], want[1:], rtol=1e-10)
         # the one-step J^{0,1} reads layer 1's chi^2 column norms
         want = partial_jacobian_norm(MemberNetwork(cfg, 0, chisq=1), act, hp, norm, x, 0, 1)
         assert _swept([cfg], 0, 1)[0][0] == pytest.approx(want, rel=1e-10)
@@ -1188,6 +1203,14 @@ def _with_workers(workers: int, fn):
             del os.environ["JACPROP_WORKERS"]
         else:
             os.environ["JACPROP_WORKERS"] = old
+
+
+def _end_to_end(cfg):
+    """The driver estimate of J^{0,L} alone (not a profile), for a config
+    or a batch."""
+    cfgs, single = ([cfg], True) if isinstance(cfg, EnsembleConfig) else (cfg, False)
+    ests = [_scalar_estimate(v) for v in _swept(cfgs, 0, cfgs[0].depth)]
+    return ests[0] if single else ests
 
 
 def _bits(est):
