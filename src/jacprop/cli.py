@@ -289,6 +289,10 @@ def _read_series(path: str, l_col: str, j_col: str) -> dict:
             cells = line.split(",")
             if header is None:
                 header = cells
+                for col in (l_col, j_col):
+                    if col not in header:
+                        raise ValueError(f"column {col!r} not found in {path}, "
+                                         f"whose header is {line!r}")
                 continue
             row = dict(zip(header, cells))
             series[int(float(row[l_col]))] = float(row[j_col])

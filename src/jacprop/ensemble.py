@@ -57,7 +57,7 @@ the forward vector and the k tangent columns it multiplies, so the rows
 of W^l A are iid N(0, A^T A): the conditional Gaussianity of Lee et al.
 (2018), "Deep Neural Networks as Gaussian Processes".  J^{l0, l} reads
 W^l only through W^l A, so each probe takes the cheapest exact sample of
-what it reads (:meth:`_Probe.route`):
+what it reads (:func:`_route`):
 
 - a span draw: ``Xi^l R`` stands in for W^l A, with Xi^l of N_l x (k + 1)
   normals and then b^l from the layer's stream
@@ -194,9 +194,10 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
-        for name in ("width", "input_dim", "n_init", "groups"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("width", 1), ("input_dim", 1), ("n_init", 1),
+                            ("groups", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.width % self.groups != 0:
             raise ValueError(
                 f"groups ({self.groups}) must divide the width ({self.width})"
@@ -467,10 +468,22 @@ def _block_rows(n: int, m: int, k: int) -> int:
     return min(n, -(-n // (8 * count)) * 8)
 
 
-def _spans(k: int, m: int) -> bool:
-    """Whether a driver draws a layer fed by ``m`` units in the span of the
-    k + 1 columns it acts on (:func:`_span_root`) rather than whole."""
-    return k + 1 <= _SPAN_MAX * m
+def _route(norm: NormMode, dims, l0: int, last: int, profile: bool, l: int):
+    """How an ensemble sweep draws layer ``l`` for a measurement of J^{l0,
+    last} (a profile with ``profile``) in mode ``norm``: the column count k
+    of a span draw (:meth:`_Probe.sample`; 0 for a forward-only layer at or
+    below l0), ``"chisq"`` for a one-step measurement through a diagonal
+    block, which reads only W's squared column norms, or ``"dense"`` for
+    row blocks."""
+    if l <= l0:
+        return 0
+    if not profile and l == last == l0 + 1:
+        # the block at l0 is the identity at l0 = 0 and diagonal without a norm
+        return "chisq" if l == 1 or not norm.normalizes else "dense"
+    # at l0 + 1 the tangent is the block itself, k = N_{l0} columns on N_{l0}
+    # units: never thin; a profile draws every layer whole (module docstring)
+    k = dims[l0]
+    return k if not profile and k + 1 <= _SPAN_MAX * dims[l - 1] else "dense"
 
 
 def _span_root(z: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -508,7 +521,7 @@ class _Probe:
     1..``last``.  ``value`` ends as the squared-norm measurement (an array
     over layers with ``profile``); with ``keep`` every preactivation and
     block is recorded in ``hs`` and ``blocks`` instead.  Layers at or
-    below ``l0`` only carry its forward pass (:meth:`forward_only`).
+    below ``l0`` only carry its forward pass.
 
     :meth:`start` readies a layer's products and :meth:`finish` completes
     them.  A layer drawn whole reaches it in row blocks, :meth:`take`
@@ -539,28 +552,9 @@ class _Probe:
         self.hs: list = [None]      # hs[l] = h^l, 1-indexed (with keep)
         self.blocks: list = [None]  # blocks[l] built on h^l (with keep)
 
-    def forward_only(self, l: int) -> bool:
-        return not self.keep and self.l0 is not None and l <= self.l0
-
     def one_step(self, l: int) -> bool:
         """Whether layer ``l`` ends a one-step measurement J^{l-1, l}."""
         return not self.profile and self.l0 is not None and l == self.last == self.l0 + 1
-
-    def route(self, l: int):
-        """How a driver draws layer ``l`` for this probe: the column count k
-        of a span draw (:meth:`sample`; 0 for a forward-only layer),
-        ``"chisq"`` for a one-step measurement through a diagonal block,
-        which reads only W's squared column norms, or ``"dense"``."""
-        if self.forward_only(l):
-            return 0
-        if self.one_step(l):
-            diagonal = l == 1 or self.block.factors()[1].shape[1] == 0
-            return "chisq" if diagonal else "dense"
-        # at l0 + 1 the tangent is the block itself (the identity at l0 = 0),
-        # k = N_{l0} columns on N_{l0} units: never thin, always drawn whole;
-        # a profile draws every layer whole (module docstring)
-        k = self.dims[self.l0]
-        return k if not self.profile and _spans(k, self.dims[l - 1]) else "dense"
 
     def sample(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
         """Advance through layer ``l`` given (Xi^l, b^l) of
@@ -667,7 +661,7 @@ def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None) -> 
     a probe takes.  A drawn layer that ends a one-step measurement has its
     squared column norms summed block by block, once for every probe.
     Given ``draws`` (the ensemble drivers), each probe takes its own
-    :meth:`_Probe.route`, and the probes on one route share its draw: a
+    :func:`_route`, and the probes on one route share its draw: a
     span draw ``draws.conditional(l, k)`` or the column norms
     ``draws.chisq(l)``, each read from the start of layer l's stream.
     """
@@ -677,7 +671,9 @@ def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None) -> 
         routes: dict = {}
         for p in probes:
             if l <= p.last:
-                routes.setdefault("dense" if draws is None else p.route(l), []).append(p)
+                route = "dense" if draws is None else _route(
+                    p.norm, p.dims, p.l0, p.last, p.profile, l)
+                routes.setdefault(route, []).append(p)
         active = routes.pop("dense", [])
         for route, ps in routes.items():
             if route == "chisq":
@@ -818,24 +814,30 @@ def _member_bytes(cfgs: list, l0: int, l: int, profile: bool) -> int:
     """What one driver member measuring J^{l0, l} holds at its peak.
 
     Per configuration, its two tangent buffers (2 N x N_{l0} with N the
-    widest layer from l0 to l), or for a one-step measurement one N_l x 4 g
-    product; plus the largest draw of a layer above l0, by the route the
-    sweep takes: a row block (every layer of a profile), a span draw's N_l x
-    (k + 1) Xi and its (k + 1)-square Grams, or N_{l-1} squared column
-    norms.
+    widest layer from l0 to l), or for a one-step measurement drawn whole
+    one N_l x 4 g product; plus the largest draw of a layer above l0, by
+    its :func:`_route`: a row block, a span draw's N_l x (k + 1) Xi and its
+    (k + 1)-square Grams, or N_{l-1} squared column norms.
     """
     dims = cfgs[0].layer_dims
-    if not profile and l == l0 + 1:
-        if l0 == 0 or not any(cfg.norm.normalizes for cfg in cfgs):
-            return 8 * dims[l0]
-        k = 4 * cfgs[0].groups
-        return 8 * (len(cfgs) * dims[l] * k + _block_rows(dims[l], dims[l0], k) * dims[l0])
-    k = dims[l0]
-    draw = max(dims[j] * (k + 1) + 4 * (k + 1) ** 2
-               if not profile and _spans(k, dims[j - 1])
-               else _block_rows(dims[j], dims[j - 1], k) * dims[j - 1]
-               for j in range(l0 + 1, l + 1))
-    return 8 * (len(cfgs) * 2 * max(dims[l0:l + 1]) * k + draw)
+    one_step = not profile and l == l0 + 1
+    k = 4 * cfgs[0].groups if one_step else dims[l0]  # the widest product's columns
+    held = draw = 0
+    for cfg in cfgs:
+        for j in range(l0 + 1, l + 1):
+            route = _route(cfg.norm, dims, l0, l, profile, j)
+            if route == "chisq":
+                size = dims[j - 1]
+            elif route == "dense":
+                size = _block_rows(dims[j], dims[j - 1], k) * dims[j - 1]
+            else:
+                size = dims[j] * (route + 1) + 4 * (route + 1) ** 2
+            draw = max(draw, size)
+        if not one_step:
+            held += 2 * max(dims[l0:l + 1]) * k
+        elif route == "dense":
+            held += dims[l] * k
+    return 8 * (held + draw)
 
 
 def _check_fits(cfgs: list, l0: int, l: int, profile: bool) -> None:
@@ -867,11 +869,13 @@ def _swept(cfgs: list, l0: int, l: int, profile: bool = False) -> list:
 
 
 def _estimate(values: np.ndarray):
-    """Mean and standard error over the members (axis 0)."""
+    """Mean and standard error over the members (axis 0); one member has no
+    standard error, so it reads NaN."""
     n = values.shape[0]
     mean = values.mean(axis=0)
-    stderr = values.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-    return mean, stderr
+    if n == 1:
+        return mean, np.full_like(mean, np.nan)
+    return mean, values.std(axis=0, ddof=1) / math.sqrt(n)
 
 
 def _scalar_estimate(values: np.ndarray) -> JacobianEstimate:

@@ -203,7 +203,11 @@ class MeanFieldTrace:
     being a placeholder (``chi_j[0]`` alone is meaningful: it is the
     multiplier ``sigma_w^2`` of the linear input layer, which seeds
     ``J[1]`` when ``l0 == 0``).  ``J[l]`` holds the partial Jacobian from
-    layer ``l0`` to layer ``l`` and is NaN for ``l <= l0``.
+    layer ``l0`` to layer ``l`` and is NaN for ``l <= l0``.  Past a
+    divergence entries read inf, by the one truncation rule of
+    :func:`trace`: ``diverged`` is set when any entry is inf, and
+    ``truncated_at`` is the first inf layer of ``K``, else of ``J``, else
+    of ``theta``.
     """
 
     act: Activation
@@ -231,14 +235,20 @@ def trace(
     """Run the coupled kernel / Jacobian / NTK recursions for ``depth`` layers.
 
     ``k0`` is the first-layer kernel ``K[1] = sigma_w^2 |x|^2 / N0 +
-    sigma_b^2``, computed by the caller from a concrete input; every layer,
-    the first included, reads its multipliers off the block law at its own
-    kernel.  ``l0`` is the starting layer of the recorded partial
-    Jacobian.  When a kernel or Jacobian entry exceeds :data:`OVERFLOW` the
-    trace is truncated there, the remaining entries are set to inf and
-    ``diverged`` is flagged; nothing raises, so phase-diagram sweeps over
-    chaotic regions run to completion.  The NTK is ``Theta[l] = chi_j[l-1]
-    Theta[l-1] + K[l]`` plus the gain and shift terms of layer ``l-1``'s norm.
+    sigma_b^2``, computed by the caller from a concrete input.  One pass
+    reads each layer's block law once, at its own kernel, and fills
+    ``K``, ``chi_j``, ``chi_delta``, the partial Jacobian ``J[l+1] =
+    chi_j[l] J[l]`` from layer ``l0`` (``J[l0+1] = chi_j[l0]``) and the
+    NTK ``Theta[l] = chi_j[l-1] Theta[l-1] + K[l]`` plus the gain and
+    shift terms of layer ``l-1``'s norm (``Theta[1] = K[1]``).
+
+    One truncation rule holds for every array.  An entry of ``K``, ``J``
+    or ``theta`` that is not finite or exceeds :data:`OVERFLOW` reads inf,
+    and so does every later entry of that array; such a kernel makes every
+    array inf from its layer on.  ``diverged`` is set when any entry is
+    inf, and ``truncated_at`` is the first inf layer of ``K``, else of
+    ``J``, else of ``theta``.  Nothing raises or warns, so phase-diagram
+    sweeps over chaotic regions run to completion.
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2, got {depth}")
@@ -248,61 +258,41 @@ def trace(
         raise ValueError(f"k0 must be finite and nonnegative, got {k0}")
 
     n = depth + 1
-    K = np.full(n, np.nan)
-    cj = np.full(n, np.nan)
-    cd = np.full(n, np.nan)
-    J = np.full(n, np.nan)
-    theta = np.full(n, np.nan)
-    gains = [()] * n
-
-    cj[0] = hp.sw2  # linear input layer: d h^1 / d h^0 carries sigma_w/sqrt(N0)
-    K[1] = k0
-
-    diverged = False
-    truncated_at = None
-
-    for l in range(1, depth + 1):
-        k = K[l]
-        if not math.isfinite(k) or k > OVERFLOW:
-            diverged = True
-            truncated_at = l
-            K[l:] = np.inf
-            cj[l:] = np.inf
-            cd[l:] = np.inf
+    K, cj, cd, J, theta = (np.full(n, np.nan) for _ in range(5))
+    # linear input layer: d h^1 / d h^0 carries sigma_w/sqrt(N0)
+    cj[0] = chi = float(hp.sw2)
+    # Python floats, whose overflow is a silent inf; once inf, J and Theta stay
+    # inf (a zero multiplier makes NaN, which the rule reads as inf)
+    k, j, t, gains = float(k0), math.nan, 0.0, ()
+    for l in range(1, n):
+        if not k <= OVERFLOW:
+            for a in (K, cj, cd, theta):
+                a[l:] = math.inf
+            J[max(l, l0 + 1):] = math.inf
             break
+        K[l] = k
+        t = k if l == 1 else chi * t + k
+        for term in gains:  # the norm's terms of layer l - 1
+            t = t + term
+        theta[l] = t = t if t <= OVERFLOW else math.inf
+        if l > l0:
+            j = chi if l == l0 + 1 else chi * j
+            J[l] = j = j if j <= OVERFLOW else math.inf
         law = block_law(act, mode, k)
-        cj[l], top = _chi_j(act, mode, hp, law, k)
-        cd[l] = chi_delta(act, hp, law.q)
+        chi, top = _chi_j(act, mode, hp, law, k)
+        cj[l] = chi
+        cd[l] = d = chi_delta(act, hp, law.q)
+        gains = ()
         if law.after_norm is not None:
             # the norm's gain and shift add sigma_w^2 <g'(u)^2 (1 + u^2)> over
             # its unit-variance output u, g the stages behind it: 2 sigma_w^2
             # alone, and by Gaussian integration by parts 2 sigma_w^2 <phi'^2>
             # + 2 chi_delta through phi
-            gains[l] = (2.0 * top, 2.0 * cd[l]) if law.after_norm else (2.0 * hp.sw2,)
-        if l < depth:
-            K[l + 1] = hp.sw2 * law.m2 + hp.sb2  # a non-finite one truncates next
+            gains = (2.0 * top, 2.0 * d) if law.after_norm else (2.0 * hp.sw2,)
+        k = hp.sw2 * law.m2 + hp.sb2
 
-    last = truncated_at if truncated_at is not None else depth + 1
-
-    J[l0 + 1] = cj[l0]
-    for l in range(l0 + 1, depth):
-        if l + 1 >= last or not np.isfinite(J[l]) or abs(J[l]) > OVERFLOW:
-            if not diverged and np.isfinite(J[l]) and abs(J[l]) > OVERFLOW:
-                diverged = True
-                truncated_at = l
-            J[l + 1 :] = np.inf
-            break
-        J[l + 1] = cj[l] * J[l]
-
-    theta[1] = K[1]
-    for l in range(2, min(depth, last - 1) + 1):
-        t = cj[l - 1] * theta[l - 1] + K[l]
-        for term in gains[l - 1]:
-            t = t + term
-        theta[l] = t
-    if last <= depth:
-        theta[last:] = np.inf
-
+    firsts = [np.flatnonzero(np.isinf(a)) for a in (K, J, theta)]
+    truncated_at = next((int(f[0]) for f in firsts if f.size), None)
     return MeanFieldTrace(
         act=act,
         mode=mode,
@@ -314,7 +304,7 @@ def trace(
         chi_delta=cd,
         J=J,
         theta=theta,
-        diverged=diverged,
+        diverged=truncated_at is not None,
         truncated_at=truncated_at,
     )
 

@@ -445,6 +445,26 @@ class TestMonteCarlo:
         assert "physical memory" in err
         assert not out.exists() and not series.exists()
 
+    def test_negative_seed_exits_one(self, capsys, tmp_path):
+        out = tmp_path / "chi.json"
+        args = self.ARGS[:-1] + ["-1", "-o", str(out)]  # the seed is the last flag
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert "seed must be >= 0, got -1" in err
+        assert not out.exists()
+
+    def test_one_member_stderr_is_nan(self, capsys, tmp_path):
+        argv = ["--act", "relu", "--sw", "1.4", "--sb", "0.1", "--width", "8",
+                "--input-dim", "4", "--depth", "4", "--n-init", "1"]
+        for task in ("chi", "ntk"):
+            _, out, _ = run_cli(["mc", task] + argv, capsys)
+            assert json.loads(out)["stderr"] == "nan"
+        series = tmp_path / "s.csv"
+        _, out, _ = run_cli(["mc", "profile", "--series-out", str(series)] + argv, capsys)
+        assert json.loads(out)["stderr"] == "nan"
+        _, header, rows = parse_csv(series.read_text())
+        assert header[2] == "J_stderr" and [row[2] for row in rows] == ["nan"] * 4
+
     def test_runtime_error_exits_one(self, capsys):
         args = ["mc", "chi", "--act", "relu", "--mode", "vanilla",
                 "--sw", "1", "--sb", "0", "--width", "16",
@@ -485,6 +505,15 @@ class TestFitCommand:
         code, out, _ = run_cli(["fit", "--series", path], capsys)
         doc = json.loads(out)
         assert doc["window"][0] >= 100
+
+    @pytest.mark.parametrize("flag, column", [("--j-col", "J"), ("--l-col", "layer")])
+    def test_missing_column_is_named(self, capsys, tmp_path, flag, column):
+        path = self._write_series(tmp_path, lambda l: 2.0 / l)
+        out = tmp_path / "fit.json"
+        code, _, err = run_cli(["fit", "--series", path, flag, column, "-o", str(out)], capsys)
+        assert code == 1
+        assert f"column '{column}' not found in {path}, whose header is 'l,J_mean'" in err
+        assert not out.exists()
 
     def test_trace_to_fit_pipeline(self, capsys, tmp_path):
         # a deep critical trace piped through the power-law fit recovers

@@ -460,6 +460,11 @@ class TestExponentNumeric:
         with pytest.raises(ValueError):
             exponent_numeric(RELU, NormMode.VANILLA, Hyper(1.0, 0.0), 400, 100)
 
+    @pytest.mark.parametrize("depth, fit_from", [(400, 0), (399, 200)])
+    def test_window_checked(self, depth, fit_from):
+        with pytest.raises(ValueError, match=r"depth >= 2 \* fit_from and fit_from >= 1"):
+            exponent_numeric(RELU, NormMode.VANILLA, Hyper(math.sqrt(2), 0.0), depth, fit_from)
+
 
 class TestExpansionCoefficient:
     def test_gelu_value_and_trace_consistency(self):

@@ -642,6 +642,26 @@ class TestEnsembleDrivers:
             for bad in (0, -4):
                 with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                     self._cfg(**{name: bad})
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            self._cfg(seed=-1)
+        self._cfg(seed=0)
+
+    def test_input_of_the_wrong_size_rejected(self, tmp_path):
+        path = tmp_path / "input.bin"
+        np.zeros(31, dtype="<f4").tofile(path)
+        with pytest.raises(ValueError, match="input file holds 31 floats, expected 32"):
+            resolve_input(self._cfg(input_source=("file", str(path))))
+        with pytest.raises(ValueError, match="input vector has size 33, expected 32"):
+            resolve_input(self._cfg(input_source=("array", np.ones(33))))
+
+    def test_one_member_has_no_stderr(self):
+        cfg = self._cfg(n_init=1)
+        assert math.isnan(empirical_chi(cfg).stderr)
+        assert math.isnan(ensemble_ntk(cfg).stderr)
+        assert math.isnan(n0_correction_check(replace(cfg, depth=2)).measured_stderr)
+        prof = jacobian_profile(cfg)
+        assert math.isnan(prof.stderr) and np.isnan(prof.per_layer_stderr).all()
+        assert np.isfinite(prof.per_layer[1:]).all()
 
     @pytest.mark.parametrize("l0", [-1, 8, 9, 100])
     def test_profile_l0_outside_the_network_rejected(self, l0):
@@ -1214,8 +1234,10 @@ def _end_to_end(cfg):
 
 
 def _bits(est):
-    arrays = [a.tobytes() for a in (est.per_layer, est.per_layer_stderr) if a is not None]
-    return (est.mean, est.stderr, est.n, *arrays)
+    """The estimate as bytes, so that a one-member NaN stderr equals itself."""
+    arrays = [np.asarray(a).tobytes() for a in (est.mean, est.stderr, est.per_layer,
+                                                est.per_layer_stderr) if a is not None]
+    return (est.n, *arrays)
 
 
 _MODES = st.sampled_from(ALL_MODES)

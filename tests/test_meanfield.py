@@ -7,6 +7,7 @@ import pytest
 
 from jacprop.activations import Activation, MomentKind, moment_closed, moment_quadrature
 from jacprop.meanfield import (
+    OVERFLOW,
     Hyper,
     NormMode,
     chi_delta,
@@ -17,11 +18,21 @@ from jacprop.meanfield import (
 )
 
 RELU = Activation.relu()
+SI00 = Activation.scale_invariant(0.0, 0.0)  # phi = 0: no activation variance
 SI21 = Activation.scale_invariant(2.0, 1.0)
 ERF = Activation.erf()
 GELU = Activation.gelu()
 
 PI = math.pi
+
+
+class TestHyper:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize("name", ["sigma_w", "sigma_b"])
+    def test_non_finite_or_negative_rejected(self, name, bad):
+        values = {"sigma_w": 1.0, "sigma_b": 0.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            Hyper(**values)
 
 
 class TestKernelStep:
@@ -140,6 +151,10 @@ class TestChiJacobian:
     def test_pre_ln_needs_positive_kernel(self):
         with pytest.raises(ValueError):
             chi_jacobian(ERF, NormMode.PRE_LN, Hyper(1, 0), 0.0)
+
+    def test_post_ln_needs_activation_variance(self):
+        with pytest.raises(ValueError, match="degenerate activation variance 0.0"):
+            chi_jacobian(SI00, NormMode.POST_LN, Hyper(1, 0), 1.0)
 
 
 class TestChiDelta:
@@ -270,6 +285,64 @@ class TestTrace:
             trace(ERF, NormMode.VANILLA, Hyper(1, 0), depth=5, k0=k0)
 
 
+def _first_inf(a: np.ndarray):
+    hit = np.flatnonzero(np.isinf(a))
+    return int(hit[0]) if hit.size else None
+
+
+@pytest.mark.filterwarnings("error")
+class TestTruncationRule:
+    """One rule for K, J and Theta: an entry above OVERFLOW, and every later
+    entry of its array, reads inf; an overflowing kernel ends every array."""
+
+    def test_post_ln_relu_jacobian_overflows_alone(self):
+        tr = trace(RELU, NormMode.POST_LN, Hyper(1.0, 0.0), depth=2500, k0=1.0)
+        assert tr.diverged and tr.truncated_at == 1804
+        assert np.all(np.isinf(tr.J[1804:])) and np.all(tr.J[1:1804] <= OVERFLOW)
+        assert np.all(np.isfinite(tr.K[1:])) and np.all(np.isfinite(tr.chi_j))
+        # Theta runs ahead of J; it is inf from its first entry above the cutoff
+        m = _first_inf(tr.theta)
+        assert m is not None and np.all(np.isinf(tr.theta[m:]))
+        assert np.all(tr.theta[1:m] <= OVERFLOW)
+        assert tr.chi_j[m - 1] * tr.theta[m - 1] + tr.K[m] > OVERFLOW
+
+    def test_vanilla_relu_jacobian_and_theta_stop_before_the_kernel(self):
+        tr = trace(RELU, NormMode.VANILLA, Hyper(3.0, 0.0), depth=2000, k0=1.0)
+        assert tr.diverged and tr.truncated_at == 461
+        assert np.isinf(tr.K[461]) and np.isfinite(tr.K[460])
+        # J[459] = 1.3e300 and Theta[460] = 3.1e302 exceed the cutoff before K does
+        assert _first_inf(tr.J) == 459 and np.isinf(tr.theta[460])
+        for a in (tr.K, tr.chi_j, tr.chi_delta, tr.J, tr.theta):
+            assert np.all(np.isinf(a[461:]))
+
+    def test_theta_alone_diverges(self):
+        # K and J stay finite (ReLU at criticality), Theta[l] = l k0 passes 1e300
+        tr = trace(RELU, NormMode.VANILLA, Hyper(math.sqrt(2), 0.0), depth=20, k0=1e299)
+        assert np.all(np.isfinite(tr.K[1:])) and np.all(np.isfinite(tr.J[1:]))
+        assert tr.diverged and tr.truncated_at == _first_inf(tr.theta) == 10
+
+    @pytest.mark.parametrize("act", [RELU, ERF, GELU], ids=["relu", "erf", "gelu"])
+    @pytest.mark.parametrize("mode", list(NormMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("sw, k0, l0", [(3.0, 1.0, 0), (3.0, 1e299, 3),
+                                            (1.4, 0.5, 2), (0.5, 1e299, 0)])
+    def test_rule_holds(self, act, mode, sw, k0, l0):
+        tr = trace(act, mode, Hyper(sw, 0.1), depth=600, k0=k0, l0=l0)
+        firsts = []
+        for a in (tr.K, tr.J, tr.theta):
+            m = _first_inf(a)
+            firsts.append(m)
+            if m is not None:
+                assert np.all(np.isinf(a[m:]))
+            assert not np.any(a[1:m] > OVERFLOW)
+        assert np.all(np.isnan(tr.J[:l0 + 1]))
+        k_end = firsts[0]
+        if k_end is not None:  # an overflowing kernel ends every array
+            for a in (tr.chi_j, tr.chi_delta, tr.J[l0 + 1:], tr.theta):
+                assert np.all(np.isinf(a[k_end:]))
+        assert tr.diverged == any(m is not None for m in firsts)
+        assert tr.truncated_at == next((m for m in firsts if m is not None), None)
+
+
 class TestJ0Corrected:
     def test_scale_invariant_correction_vanishes(self):
         hp = Hyper(1.2, 0.1)
@@ -294,6 +367,15 @@ class TestJ0Corrected:
         delta1 = hp.sw2 * moment_quadrature(ERF, MomentKind.DELTA, k1, 200)
         expect = hp.sw2 * (chi1 + (2 * hp.sw2 / n0) * delta1 * rho)
         assert got == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("n0, layer, match", [(0, 5, "n0 must be >= 1"),
+                                                  (8, 1, "layer must be in 2..5"),
+                                                  (8, 6, "layer must be in 2..5")])
+    def test_bad_n0_or_layer_rejected(self, n0, layer, match):
+        hp = Hyper(1.0, 0.0)
+        tr = trace(ERF, NormMode.VANILLA, hp, depth=5, k0=1.0, l0=0)
+        with pytest.raises(ValueError, match=match):
+            j0_corrected(ERF, hp, tr, n0=n0, input_norm=1.0, layer=layer)
 
     def test_requires_input_anchored_trace(self):
         hp = Hyper(1.0, 0.0)
