@@ -60,15 +60,18 @@ class FitResult:
 def _window_points(series, l_min: int):
     """Extract (layer, value) pairs with layer >= l_min.
 
-    ``series`` may be a mapping layer -> J or an array indexed by layer
-    (NaN entries, e.g. the unused low layers of a trace, are skipped).
+    ``series`` may be a mapping layer -> J or an array indexed by layer.
+    NaN entries, the unused layers l <= l0 of a trace, are skipped; an
+    infinite one, where a trace was truncated, is refused.
     """
     if isinstance(series, Mapping):
         items = sorted(series.items())
     else:
-        arr = np.asarray(series, dtype=float)
-        items = [(l, arr[l]) for l in range(arr.shape[0]) if not math.isnan(arr[l])]
-    pts = [(l, v) for l, v in items if l >= l_min]
+        items = enumerate(np.asarray(series, dtype=float).tolist())
+    pts = [(l, v) for l, v in items if l >= l_min and not math.isnan(v)]
+    inf = [l for l, v in pts if math.isinf(v)]
+    if inf:
+        raise ValueError(f"the series is infinite at layer {inf[0]}, inside the fit window")
     if len(pts) < 10:
         raise ValueError(f"need at least 10 points in the window, got {len(pts)}")
     ls = np.array([p[0] for p in pts], dtype=float)

@@ -279,10 +279,12 @@ def _cmd_mc(args) -> int:
 
 
 def _read_series(path: str, l_col: str, j_col: str) -> dict:
-    series = {}
+    """Layer -> J from the CSV at ``path``; a malformed row raises, naming
+    the file, its line and the cell."""
+    series, seen = {}, {}
     with open(path) as f:
         header = None
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -294,8 +296,25 @@ def _read_series(path: str, l_col: str, j_col: str) -> dict:
                         raise ValueError(f"column {col!r} not found in {path}, "
                                          f"whose header is {line!r}")
                 continue
+            where = f"{path}, line {number}"
+            if len(cells) != len(header):
+                what = (f"no {header[len(cells)]} cell" if len(cells) < len(header)
+                        else f"{len(cells)} cells where the header has {len(header)}")
+                raise ValueError(f"{where}: {what}: {line!r}")
             row = dict(zip(header, cells))
-            series[int(float(row[l_col]))] = float(row[j_col])
+            values = []
+            for col in (l_col, j_col):
+                try:
+                    values.append(float(row[col]))
+                except ValueError:
+                    raise ValueError(f"{where}: {col} cell {row[col]!r} is not a number") from None
+            l, j = values
+            if not l.is_integer():
+                raise ValueError(f"{where}: {l_col} cell {row[l_col]!r} is not a whole layer")
+            l = int(l)
+            if l in seen:
+                raise ValueError(f"{where}: layer {l} repeats line {seen[l]}")
+            series[l], seen[l] = j, number
     if not series:
         raise ValueError(f"no data rows found in {path}")
     return series
@@ -374,7 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=_cmd_phase_diagram)
 
     m = sub.add_parser("mc", help="finite-width Monte-Carlo measurements")
-    m.add_argument("task", choices=["chi", "profile", "ntk", "n0check"])
+    m.add_argument("task", choices=["chi", "profile", "ntk", "n0check"],
+                   help="chi: the multiplier J^{L-2,L-1}, each member's value its "
+                        "conditional expectation over W^{L-1} (layers L-1 and L are "
+                        "never drawn); profile: J^{l0,l} for every l > l0; ntk: the "
+                        "exact NTK diagonal; n0check: J^{0,2} against the finite-N0 "
+                        "prediction")
     add_common(m, mc=True)
     m.add_argument("--width", type=int, required=True)
     m.add_argument("--input-dim", type=int, required=True)

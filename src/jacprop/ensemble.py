@@ -20,7 +20,7 @@ Jacobian is diagonal plus low rank -- diag(phi'), and per group ``(I - 1
 1^T/m - y y^T/m) / s`` for ``y = (v - mean v) / s`` -- so a block's is ``B
 = diag(lam) + U V^T`` of rank at most 2 g.  These factors are its only
 Jacobian: tangents ``lam T + U (V^T T)``, the NTK's gradient rows ``A lam
-+ (A U) V^T`` and the one-step product below read them.  The tests' oracle
++ (A U) V^T`` and the one-step mean below read them.  The tests' oracle
 builds each stage as an explicit matrix.
 
 Every measurement is one forward sweep over the layers.  A member's
@@ -30,26 +30,19 @@ in the same pass and stops at the last layer the measurement needs.
 
 A layer drawn whole is never held whole: its stream fills one reused
 buffer a row block at a time (:meth:`NetworkParams.rows`, the bits of
-:meth:`NetworkParams.layer`), and each block gives its rows of W z, of W
-(B T) and of the one-step product below before the next block is drawn.
-A block has at least as many rows as the widest product has columns (so
-the tangent GEMM stays square or taller) and at least 1 MB of entries;
-the layer splits into equal blocks rounded up to a multiple of 8 rows,
-because OpenBLAS sums a GEMV over a block of another height in another
-order, and a layer that fits in one block is one block.  The tangent
-ping-pongs between two buffers, the dead one taking ``T * T`` for the
-norm.  A one-step measurement J^{l0, l0+1} (``empirical_chi``) carries
-no tangent at all: with c_j = |W e_j|^2, P = W U and Q = W diag(lam) V,
-
-    |W B|_F^2 = sum_j lam_j^2 c_j + 2 tr(P^T Q) + tr(V^T V P^T P),
-
-so the sweep sums c over the row blocks once per drawn layer and each
-configuration fills one N_l x 4 g product.  Configurations that share a
-draw -- same width, input dimension, depth, members, seed, groups and
-input resampling -- ride one sweep, so each layer is drawn once for all
-of them.  Only :func:`empirical_ntk` (at most 256 wide, 12 deep; it
-passes each layer to the sweep as one block) and the
-``weights``/``biases`` oracle properties materialize a whole network.
+:meth:`NetworkParams.layer`), and each block gives its rows of W z and of
+W (B T) before the next block is drawn.  A block has at least as many
+rows as the tangent has columns (so the tangent GEMM stays square or
+taller) and at least 1 MB of entries; the layer splits into equal blocks
+rounded up to a multiple of 8 rows, because OpenBLAS sums a GEMV over a
+block of another height in another order, and a layer that fits in one
+block is one block.  The tangent ping-pongs between two buffers, the dead
+one taking ``T * T`` for the norm.  Configurations that share a draw --
+same width, input dimension, depth, members, seed, groups and input
+resampling -- ride one sweep, so each layer is drawn once for all of them.
+Only :func:`empirical_ntk` (at most 256 wide, 12 deep; it passes each
+layer to the sweep as one block) and the ``weights``/``biases`` oracle
+properties materialize a whole network.
 
 The ensemble drivers draw each layer in the span it acts on.  Given the
 layers below it, W^l is independent of A = [z^{l-1}, B^{l-1} T^{l-1}],
@@ -73,58 +66,52 @@ what it reads (:func:`_route`):
   outgrow the shared draw (at width 200, eight already lose 7 % of a
   1.5 ms layer at 0.1).  Wider tangents, such as N0 784 at width 1000,
   draw the whole layer.
-- chi^2 column norms: a one-step measurement through a diagonal block
-  (the vanilla mode, or l0 = 0) reads only c_j, iid chi^2 with N_l degrees
-  of freedom, so layer l0 + 1 is N_{l0} draws (:meth:`NetworkParams.chisq`):
-  no matrix and no bias.
 - the whole layer, in row blocks, otherwise, and for every layer above
   l0 of a profile.  A profile keeps the row-block members, whatever its
   width: the depth-250 critical exponents measured from them are checked
   against a bound narrower than their spread over seeds, and the span
   draw, exact but another sample, would move them across it.  Profiles
   take the span draw once that bound comes from the check's own
-  statistics (ROADMAP item 6).
+  statistics (ROADMAP item 1).
 
-So ``empirical_chi`` draws no weight matrix in the vanilla mode and one
-per member in the normalizing modes, and ``n0_correction_check`` draws
-only layer 1 whole.  A member holds, per configuration, two N x N_{l0}
-tangent buffers (a profile or multi-step measurement) or
-one N_l x 4 g product (a one-step one drawn whole), plus its largest
-draw: a row block, a span draw's N_l x (k + 1) Xi and (k + 1)-square
-Grams, or N_{l0} column norms.  At width 1000 a profile member holds
-about 17 MB at N0 784 (a 4 MB block and two 6.3 MB tangents) and about
-3 MB at N0 128 (a 1 MB block and two 1 MB tangents), whatever the
-depth, where one whole layer is 8 MB.  Before the first member, a driver
-refuses (``ValueError``) a run whose members, times ``JACPROP_WORKERS``,
-would not fit in physical memory (:func:`_member_bytes`).
+A one-step measurement J^{l0, l0+1} (``empirical_chi``) draws no layer
+above l0: given the layers up to l0, E |W B|_F^2 = N_{l0+1} |B|_F^2 over
+the N_{l0+1} x N_{l0} standard-normal W = W^{l0+1}, so
 
-Summation order: the one-step form sums in another order than the dense
-product ``W B``, and its column norms and N_l x 4 g product are summed per
-row block, so its value moves by rounding with the block height (relative
-1e-13); the forward pass and every tangent are bit-identical whether a
-layer arrives whole or in blocks.  The one-step form and the dense
-product agree to rounding: relative 1e-12, or 1e-12 of the terms' size
-before they cancel where a group's Jacobian nearly vanishes (a two-unit
-group, a post-LN group with one active ReLU unit); a one-unit group's
-Jacobian is exactly zero, and :class:`EnsembleConfig` refuses one-unit
-groups in a normalizing mode.
+    E[J^{l0, l0+1} | layers <= l0] = (sigma_w^2 / N_{l0}) |B^{l0}|_F^2,
+
+which :meth:`_Block.frobenius_sq` reads off the block's factors, and
+which is exactly sigma_w^2 at l0 = 0 (B = I).  A member's value is this
+conditional mean, not a sample: it has the mean of J^{l0, l0+1}, and no
+larger a variance.
+
+So ``empirical_chi`` draws 2 N_l normals per layer up to L - 2 and no
+weight matrix, and ``n0_correction_check`` draws only layer 1 whole.  A
+member holds, per configuration, two N x N_{l0} tangent buffers (a
+profile or multi-step measurement), plus its largest draw: a row block,
+or a span draw's N_l x (k + 1) Xi and (k + 1)-square Grams.  At width
+1000 a profile member holds about 17 MB at N0 784 (a 4 MB block and two
+6.3 MB tangents) and about 3 MB at N0 128 (a 1 MB block and two 1 MB
+tangents), whatever the depth, where one whole layer is 8 MB.  Before the
+first member, a driver refuses (``ValueError``) a run whose members,
+times ``JACPROP_WORKERS``, would not fit in physical memory
+(:func:`_member_bytes`); a one-step member holds only its forward state.
 
 Determinism: every (seed, member, layer) draws from its own seed-derived
 RNG stream and every configuration keeps its own matrix products.  A
-driver's member is an exact sample of the network's law, not a
-materialized network.  Each route reads its layer's stream from the
-start, and configurations on one route share its draw (Xi^l, or the
-column norms), so only each one's own law is exact, not their joint law
-under one dense W^l.  The functions that take an explicit
-:class:`NetworkParams` (:func:`forward`, :func:`partial_jacobian_norm`,
-:func:`empirical_ntk`) take no route: they use every weight, and their
-results, one-step values aside (above), are bit-identical whether the
-layers arrive in row blocks or whole.  A configuration's route depends
-only on its own mode and the shared sizes, so a driver's result is
-bit-identical whether its configuration runs alone or with others
-sharing the draw, and however many worker threads evaluate the members.
-Set ``JACPROP_WORKERS`` to a positive integer to parallelize over
-members; the process keeps one thread pool per worker count.
+driver's member is an exact sample of the network's law (a one-step
+member, of its conditional mean), not a materialized network.  Each route reads its layer's stream from the
+start, and configurations on one route share its draw Xi^l, so only each
+one's own law is exact, not their joint law under one dense W^l.  The
+functions that take an explicit :class:`NetworkParams` (:func:`forward`,
+:func:`partial_jacobian_norm`, :func:`empirical_ntk`) take no route: they
+use every weight, the one-step J^{l0, l0+1} included, and their results
+are bit-identical whether the layers arrive in row blocks or whole.  A
+configuration's route depends only on the shared sizes, so a driver's
+result is bit-identical whether its configuration runs alone or with
+others sharing the draw, and however many worker threads evaluate the
+members.  Set ``JACPROP_WORKERS`` to a positive integer to parallelize
+over members; the process keeps one thread pool per worker count.
 """
 
 from __future__ import annotations
@@ -272,11 +259,6 @@ class NetworkParams:
         """
         rng, n = self._rng(l), self.layer_dims[l]
         return rng.standard_normal((n, k + 1)), rng.standard_normal(n)
-
-    def chisq(self, l: int) -> np.ndarray:
-        """Draw W^l's squared column norms |W^l e_j|^2, N_{l-1} iid chi^2
-        variables of N_l degrees of freedom, from layer l's stream."""
-        return self._rng(l).chisquare(self.layer_dims[l], self.layer_dims[l - 1])
 
     @property
     def weights(self) -> list:
@@ -440,6 +422,15 @@ class _Block:
             A += C @ V.T
         return A
 
+    def frobenius_sq(self) -> float:
+        """|d z^l / d h^l|_F^2 from the factors: sum lam^2 + 2 sum_j lam_j
+        (U V^T)_jj + tr(U^T U V^T V).  Where a group's Jacobian nearly
+        vanishes (a two-unit group) the terms cancel, leaving rounding of
+        about 1e-16 of sum lam^2, not of the result."""
+        lam, U, V = self.factors()
+        return float(lam @ lam + 2.0 * np.sum(lam[:, None] * U * V)
+                     + np.sum((U.T @ U) * (V.T @ V)))
+
     def gain_shift(self, A: np.ndarray) -> float:
         """Squared gradients of the norm's gain and shift (u = gamma * y +
         beta at gamma = 1, beta = 0) given the rows ``A`` of d h^L / d z^l:
@@ -468,18 +459,13 @@ def _block_rows(n: int, m: int, k: int) -> int:
     return min(n, -(-n // (8 * count)) * 8)
 
 
-def _route(norm: NormMode, dims, l0: int, last: int, profile: bool, l: int):
-    """How an ensemble sweep draws layer ``l`` for a measurement of J^{l0,
-    last} (a profile with ``profile``) in mode ``norm``: the column count k
-    of a span draw (:meth:`_Probe.sample`; 0 for a forward-only layer at or
-    below l0), ``"chisq"`` for a one-step measurement through a diagonal
-    block, which reads only W's squared column norms, or ``"dense"`` for
-    row blocks."""
+def _route(dims, l0: int, profile: bool, l: int):
+    """How an ensemble sweep draws layer ``l`` for a measurement from l0 (a
+    profile with ``profile``): the column count k of a span draw
+    (:meth:`_Probe.sample`; 0 for a forward-only layer at or below l0), or
+    ``"dense"`` for row blocks."""
     if l <= l0:
         return 0
-    if not profile and l == last == l0 + 1:
-        # the block at l0 is the identity at l0 = 0 and diagonal without a norm
-        return "chisq" if l == 1 or not norm.normalizes else "dense"
     # at l0 + 1 the tangent is the block itself, k = N_{l0} columns on N_{l0}
     # units: never thin; a profile draws every layer whole (module docstring)
     k = dims[l0]
@@ -526,8 +512,7 @@ class _Probe:
     :meth:`start` readies a layer's products and :meth:`finish` completes
     them.  A layer drawn whole reaches it in row blocks, :meth:`take`
     filling the products' rows for one block; a span draw fills them in
-    :meth:`sample`, and a chi^2 draw leaves only the column norms to
-    :meth:`finish`.  The tangent lives in one of two buffers and the next
+    :meth:`sample`.  The tangent lives in one of two buffers and the next
     layer's is written into the other.
     """
 
@@ -547,14 +532,9 @@ class _Probe:
         self.T = None      # d h^{l-1} / d h^{l0}, in buffer ``pair[cur]``
         self.pair, self.cur = None, 0
         self.wz = self.out = self.F = None  # the drawn layer's products
-        self.lam = self.V = None  # one-step factors of the block at l0
         self.value = np.full(len(dims), np.nan) if profile else None
         self.hs: list = [None]      # hs[l] = h^l, 1-indexed (with keep)
         self.blocks: list = [None]  # blocks[l] built on h^l (with keep)
-
-    def one_step(self, l: int) -> bool:
-        """Whether layer ``l`` ends a one-step measurement J^{l-1, l}."""
-        return not self.profile and self.l0 is not None and l == self.last == self.l0 + 1
 
     def sample(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
         """Advance through layer ``l`` given (Xi^l, b^l) of
@@ -569,20 +549,14 @@ class _Probe:
             np.matmul(xi, R[:, 1:], out=self.out)
             if self.wz is not None:
                 np.matmul(xi, R[:, 0], out=self.wz)
-        self.finish(l, b, None)
+        self.finish(l, b)
 
     def start(self, l: int) -> int:
-        """Ready the products of layer ``l``: W z, and W (B T) or the
-        one-step W [U, lam V].  Returns the widest one's column count."""
+        """Ready the products of layer ``l``: W z, and W (B T) above l0.
+        Returns the widest one's column count."""
         n = self.dims[l]
         self.wz = np.empty(n) if l < self.last or self.keep else None
-        if self.one_step(l):
-            # the block Jacobian at l0 (the identity at l = 1) as diag(lam) + U V^T
-            lam, U, V = self.block.factors() if l > 1 else _diagonal(np.ones(self.dims[0]))
-            self.lam, self.V = lam, V
-            self.F = np.hstack([U, lam[:, None] * V])
-            self.out = np.empty((n, self.F.shape[1]))
-        elif self.l0 is not None and l > self.l0:
+        if self.l0 is not None and l > self.l0:
             k = self.dims[self.l0]
             if self.pair is None:
                 size = max(self.dims[self.l0:self.last + 1]) * k
@@ -611,19 +585,11 @@ class _Probe:
             else:
                 np.matmul(blk, self.F, out=self.out[rows])
 
-    def finish(self, l: int, b: np.ndarray, colsq) -> None:
-        """Complete layer ``l`` from its bias draw ``b`` and, for a one-step
-        measurement, its squared column norms ``colsq``."""
+    def finish(self, l: int, b: np.ndarray) -> None:
+        """Complete layer ``l`` from its bias draw ``b``."""
         scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
         n = self.dims[l]
-        if self.one_step(l):
-            # (1/N_l) |scale W B|_F^2 with c_j = |W e_j|^2, P = W U and
-            # Q = W diag(lam) V: sum_j lam_j^2 c_j + 2 tr(P^T Q) + tr(V^T V P^T P)
-            lam, V = self.lam, self.V
-            P, Q = self.out[:, :V.shape[1]], self.out[:, V.shape[1]:]
-            sq = (lam * lam) @ colsq + 2.0 * np.sum(P * Q) + np.sum((V.T @ V) * (P.T @ P))
-            self.value = scale * scale * float(sq) / n
-        elif self.out is not None:
+        if self.out is not None:
             T = self.out
             T *= scale
             if self.profile or l == self.last:
@@ -651,40 +617,32 @@ class _Probe:
                 self.blocks.append(self.block)
 
 
-def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None) -> None:
+def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None,
+           stop: int | None = None) -> None:
     """Advance every probe through layers 1.. of one network in one pass.
 
     ``rows(l, buf, b)`` is :meth:`NetworkParams.rows` or follows it: it
     yields layer l's row blocks and fills ``b``.  It is called at most once
-    per layer, only up to the last layer a probe needs, with one buffer that
-    every layer reuses, of :func:`_block_rows` rows for the widest product
-    a probe takes.  A drawn layer that ends a one-step measurement has its
-    squared column norms summed block by block, once for every probe.
-    Given ``draws`` (the ensemble drivers), each probe takes its own
-    :func:`_route`, and the probes on one route share its draw: a
-    span draw ``draws.conditional(l, k)`` or the column norms
-    ``draws.chisq(l)``, each read from the start of layer l's stream.
+    per layer, only up to the last layer a probe needs (or ``stop``), with
+    one buffer that every layer reuses, of :func:`_block_rows` rows for the
+    widest product a probe takes.  Given ``draws`` (the ensemble drivers),
+    each probe takes its own :func:`_route`, and the probes on one span
+    route share its draw ``draws.conditional(l, k)``, read from the start
+    of layer l's stream.
     """
     dims = probes[0].dims
     flat = np.empty(0)
-    for l in range(1, max(p.last for p in probes) + 1):
+    for l in range(1, (max(p.last for p in probes) if stop is None else stop) + 1):
         routes: dict = {}
         for p in probes:
             if l <= p.last:
-                route = "dense" if draws is None else _route(
-                    p.norm, p.dims, p.l0, p.last, p.profile, l)
+                route = "dense" if draws is None else _route(p.dims, p.l0, p.profile, l)
                 routes.setdefault(route, []).append(p)
         active = routes.pop("dense", [])
-        for route, ps in routes.items():
-            if route == "chisq":
-                colsq = draws.chisq(l)
-                for p in ps:
-                    p.start(l)
-                    p.finish(l, None, colsq)
-            else:
-                xi, b = draws.conditional(l, route)
-                for p in ps:
-                    p.sample(l, xi, b)
+        for k, ps in routes.items():
+            xi, b = draws.conditional(l, k)
+            for p in ps:
+                p.sample(l, xi, b)
         if not active:
             flat = np.empty(0)
             continue
@@ -693,16 +651,13 @@ def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None) -> 
         if flat.size < h * m:
             flat = None  # released before its successor is allocated
             flat = np.empty(h * m)
-        colsq = np.zeros(m) if any(p.one_step(l) for p in active) else None
         b = np.empty(n)
         for i, blk in rows(l, _view(flat, h, m), b):
-            if colsq is not None:
-                colsq += np.einsum("ij,ij->j", blk, blk)
             for p in active:
                 p.take(i, blk)
         del blk  # a view that would keep a replaced buffer alive
         for p in active:
-            p.finish(l, b, colsq)
+            p.finish(l, b)
 
 
 def forward(
@@ -811,33 +766,25 @@ def _members(cfgs: list, measure: Callable) -> list:
 
 
 def _member_bytes(cfgs: list, l0: int, l: int, profile: bool) -> int:
-    """What one driver member measuring J^{l0, l} holds at its peak.
+    """What one driver member measuring J^{l0, l} with a tangent (not a
+    one-step mean) holds at its peak beyond its forward state.
 
     Per configuration, its two tangent buffers (2 N x N_{l0} with N the
-    widest layer from l0 to l), or for a one-step measurement drawn whole
-    one N_l x 4 g product; plus the largest draw of a layer above l0, by
-    its :func:`_route`: a row block, a span draw's N_l x (k + 1) Xi and its
-    (k + 1)-square Grams, or N_{l-1} squared column norms.
+    widest layer from l0 to l); plus the largest draw of a layer above l0,
+    by its :func:`_route`: a row block, or a span draw's N_l x (k + 1) Xi
+    and its (k + 1)-square Grams.
     """
     dims = cfgs[0].layer_dims
-    one_step = not profile and l == l0 + 1
-    k = 4 * cfgs[0].groups if one_step else dims[l0]  # the widest product's columns
-    held = draw = 0
-    for cfg in cfgs:
-        for j in range(l0 + 1, l + 1):
-            route = _route(cfg.norm, dims, l0, l, profile, j)
-            if route == "chisq":
-                size = dims[j - 1]
-            elif route == "dense":
-                size = _block_rows(dims[j], dims[j - 1], k) * dims[j - 1]
-            else:
-                size = dims[j] * (route + 1) + 4 * (route + 1) ** 2
-            draw = max(draw, size)
-        if not one_step:
-            held += 2 * max(dims[l0:l + 1]) * k
-        elif route == "dense":
-            held += dims[l] * k
-    return 8 * (held + draw)
+    k = dims[l0]  # the tangent's columns
+    draw = 0
+    for j in range(l0 + 1, l + 1):
+        route = _route(dims, l0, profile, j)
+        if route == "dense":
+            size = _block_rows(dims[j], dims[j - 1], k) * dims[j - 1]
+        else:
+            size = dims[j] * (route + 1) + 4 * (route + 1) ** 2
+        draw = max(draw, size)
+    return 8 * (len(cfgs) * 2 * max(dims[l0:l + 1]) * k + draw)
 
 
 def _check_fits(cfgs: list, l0: int, l: int, profile: bool) -> None:
@@ -855,15 +802,26 @@ def _check_fits(cfgs: list, l0: int, l: int, profile: bool) -> None:
 
 
 def _swept(cfgs: list, l0: int, l: int, profile: bool = False) -> list:
-    """Per-config member values of J^{l0, l}, all configs in one sweep per member."""
-    _check_fits(cfgs, l0, l, profile)
+    """Per-config member values of J^{l0, l}, all configs in one sweep per member.
+
+    A one-step J^{l0, l0+1} sweeps only up to l0 and takes each member's
+    mean over W^{l0+1} from its block at h^{l0} (module docstring).
+    """
+    one_step = not profile and l == l0 + 1
+    if not one_step:
+        _check_fits(cfgs, l0, l, profile)
 
     def measure(params, xs):
         probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
                          cfg.groups, x, l, l0, profile)
                   for cfg, x in zip(cfgs, xs)]
-        _sweep(params.rows, probes, params)
-        return [p.value for p in probes]
+        if not one_step:
+            _sweep(params.rows, probes, params)
+            return [p.value for p in probes]
+        _sweep(params.rows, probes, params, stop=l0)
+        # (sigma_w^2 / N_{l0}) |B^{l0}|_F^2, with B^0 = I
+        return [p.hp.sw2 * (p.block.frobenius_sq() / p.dims[l0] if l0 else 1.0)
+                for p in probes]
 
     return _members(cfgs, measure)
 
@@ -886,11 +844,14 @@ def _scalar_estimate(values: np.ndarray) -> JacobianEstimate:
 def empirical_chi(cfg: EnsembleConfig | Sequence[EnsembleConfig]):
     """Ensemble estimate of the near-output multiplier J^{L-2, L-1}.
 
-    For homogeneous networks deep enough that the kernel has plateaued
-    this estimates the fixed-point multiplier; depth 50 at width 1000 is
-    comfortably in that regime for every supported configuration.  Layer
-    L is never drawn.  Given a sequence of configs that share a draw,
-    returns one estimate per config.
+    A member's value is its conditional expectation over W^{L-1} given the
+    layers up to L - 2, (sigma_w^2 / N_{L-2}) |B^{L-2}|_F^2 from the block
+    Jacobian at h^{L-2}: the mean of J^{L-2, L-1}, with no larger a
+    variance.  Layers L - 1 and L are never drawn.  For homogeneous
+    networks deep enough that the kernel has plateaued this estimates the
+    fixed-point multiplier; depth 50 at width 1000 is comfortably in that
+    regime for every supported configuration.  Given a sequence of configs
+    that share a draw, returns one estimate per config.
     """
     cfgs, single = _batch(cfg)
     L = cfgs[0].depth

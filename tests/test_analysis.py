@@ -48,6 +48,20 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law({1: 1.0, 2: 1.0}, l_min=1)
 
+    @pytest.mark.parametrize("fit", [fit_power_law, fit_exponential])
+    def test_non_finite_values_alike_for_mappings_and_arrays(self, fit):
+        # NaN marks the unused layers l <= l0 and is skipped; inf marks a
+        # truncated trace and is refused, naming its first layer
+        arr = 2.0 / np.arange(1.0, 60.0) ** 1.5
+        arr[:4] = math.nan
+        series = dict(enumerate(arr))
+        assert fit(series, 1) == fit(arr, 1)
+        assert fit(arr, 1).window == (4, 58)
+        arr[[40, 50]] = math.inf
+        for given in (arr, dict(enumerate(arr))):
+            with pytest.raises(ValueError, match="infinite at layer 40"):
+                fit(given, 1)
+
 
 class TestFitExponential:
     def test_exact_exponential(self):

@@ -11,6 +11,7 @@ import pytest
 
 import jacprop
 from jacprop.activations import Activation
+from jacprop.analysis import fit_exponential
 from jacprop.cli import main, parse_activation, parse_mode
 from jacprop.meanfield import Hyper, NormMode, trace
 
@@ -513,6 +514,49 @@ class TestFitCommand:
         code, _, err = run_cli(["fit", "--series", path, flag, column, "-o", str(out)], capsys)
         assert code == 1
         assert f"column '{column}' not found in {path}, whose header is 'l,J_mean'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, problem", [
+        ("2", "no J_mean cell: '2'"),
+        ("2,abc", "J_mean cell 'abc' is not a number"),
+        ("5.7,0.2", "l cell '5.7' is not a whole layer"),
+        ("5,99.0", "layer 5 repeats line 7"),
+    ], ids=["short", "not-a-number", "fractional-layer", "repeated-layer"])
+    def test_malformed_row_is_named(self, capsys, tmp_path, row, problem):
+        path = self._write_series(tmp_path, lambda l: 2.0 / l)
+        with open(path, "a") as f:
+            f.write(row + "\n")
+        out = tmp_path / "fit.json"
+        code, _, err = run_cli(["fit", "--series", path, "-o", str(out)], capsys)
+        assert code == 1
+        assert f"{path}, line 202: {problem}" in err
+        assert not out.exists()
+
+    def test_unused_layers_of_a_trace_are_skipped(self, capsys, tmp_path):
+        # J reads NaN for l <= l0; the fit is the library's fit of the trace
+        trace_csv = tmp_path / "trace.csv"
+        assert main(["theory-trace", "--act", "erf", "--sw", "1.2", "--sb", "0.3",
+                     "--depth", "60", "--l0", "3", "--out", str(trace_csv)]) == 0
+        code, out, _ = run_cli(["fit", "--series", str(trace_csv), "--j-col", "J",
+                                "--l-min", "1", "--kind", "exp"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        tr = trace(Activation.erf(), NormMode.VANILLA, Hyper(1.2, 0.3), 60, 1.0, l0=3)
+        want = fit_exponential(tr.J, 1)
+        assert doc["slope"] == want.slope and doc["window"] == [4, 60]
+        assert doc["phase"] == "ordered"
+
+    def test_truncated_trace_is_refused(self, capsys, tmp_path):
+        trace_csv, out = tmp_path / "trace.csv", tmp_path / "fit.json"
+        assert main(["theory-trace", "--act", "relu", "--sw", "3", "--sb", "0",
+                     "--depth", "800", "--out", str(trace_csv)]) == 0
+        tr = trace(Activation.relu(), NormMode.VANILLA, Hyper(3.0, 0.0), 800, 1.0)
+        first = int(np.argmax(np.isinf(tr.J)))
+        assert 400 < first < 800
+        code, _, err = run_cli(["fit", "--series", str(trace_csv), "--j-col", "J",
+                                "--l-min", "400", "-o", str(out)], capsys)
+        assert code == 1
+        assert f"infinite at layer {first}" in err
         assert not out.exists()
 
     def test_trace_to_fit_pipeline(self, capsys, tmp_path):
