@@ -59,7 +59,8 @@ rep = n0_correction_check(cfg)
 print(f"\ninput correction at N0=16: measured {rep.measured:.5f}, "
       f"corrected {rep.corrected_pred:.5f}, uncorrected {rep.uncorrected_pred:.5f}")
 
-# Exact NTK of a small network vs the infinite-width recursion.
+# The NTK diagonal, each member averaged over 8 output units, vs the
+# infinite-width recursion.
 cfg = EnsembleConfig(width=128, input_dim=32, depth=8, n_init=10, seed=3,
                      hyper=Hyper(math.sqrt(2), 0.0), act=Activation.relu())
 x = resolve_input(cfg, 0)

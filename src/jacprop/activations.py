@@ -59,10 +59,15 @@ _FEATURE_SCALE = 4.0
 
 
 def _erf(x):
-    """scipy's array erf, the bit source of every erf and GELU member."""
-    from scipy.special import erf  # first use only: the theory half never gets here
+    """scipy's array erf, the bit source of every erf and GELU member.
 
-    return erf(x)
+    The first call imports it and rebinds this module's ``_erf`` to it, so
+    later calls go straight to the ufunc; the theory half never gets here.
+    """
+    global _erf
+    from scipy.special import erf as _erf
+
+    return _erf(x)
 
 
 @dataclass(frozen=True)

@@ -397,8 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chi: the multiplier J^{L-2,L-1}, each member's value its "
                         "conditional expectation over W^{L-1} (layers L-1 and L are "
                         "never drawn); profile: J^{l0,l} for every l > l0; ntk: the "
-                        "exact NTK diagonal; n0check: J^{0,2} against the finite-N0 "
-                        "prediction")
+                        "NTK diagonal at any size, each member's value averaged over "
+                        "min(8, width) output units (the mean of all of them, with a "
+                        "wider spread), no weight matrix drawn; n0check: J^{0,2} "
+                        "against the finite-N0 prediction")
     add_common(m, mc=True)
     m.add_argument("--width", type=int, required=True)
     m.add_argument("--input-dim", type=int, required=True)

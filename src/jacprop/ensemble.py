@@ -6,8 +6,8 @@ applied in the forward pass), optionally with LayerNorm / GroupNorm at
 finite width, and measures the exact quantities the infinite-width theory
 predicts: per-network squared Frobenius norms of layer-to-layer
 Jacobians, the near-output multiplier estimating the fixed-point
-``chi``, depth profiles, the O(1/N0) input correction, and the empirical
-NTK of small networks.
+``chi``, depth profiles, the O(1/N0) input correction, and the NTK
+diagonal.
 
 Jacobians are computed by propagating a full tangent basis through the
 same forward pass, with the normalization differentiated exactly
@@ -40,9 +40,10 @@ block is one block.  The tangent ping-pongs between two buffers, the dead
 one taking ``T * T`` for the norm.  Configurations that share a draw --
 same width, input dimension, depth, members, seed, groups and input
 resampling -- ride one sweep, so each layer is drawn once for all of them.
-Only :func:`empirical_ntk` (at most 256 wide, 12 deep; it passes each
-layer to the sweep as one block) and the ``weights``/``biases`` oracle
-properties materialize a whole network.
+Only the explicit :func:`empirical_ntk`, the dense oracle of
+:func:`ensemble_ntk` (at most 256 wide, 12 deep; it passes each layer to
+the sweep as one block), and the ``weights``/``biases`` oracle properties
+materialize a whole network.
 
 The ensemble drivers draw each layer in the span it acts on.  Given the
 layers below it, W^l is independent of A = [z^{l-1}, B^{l-1} T^{l-1}],
@@ -50,14 +51,17 @@ the forward vector and the k tangent columns it multiplies, so the rows
 of W^l A are iid N(0, A^T A): the conditional Gaussianity of Lee et al.
 (2018), "Deep Neural Networks as Gaussian Processes".  J^{l0, l} reads
 W^l only through W^l A, so each probe takes the cheapest exact sample of
-what it reads (:func:`_route`):
+what it reads:
 
-- a span draw: ``Xi^l R`` stands in for W^l A, with Xi^l of N_l x (k + 1)
-  normals and then b^l from the layer's stream
-  (:meth:`NetworkParams.conditional`) and R^T R = A^T A from the
-  eigendecomposition of the (k + 1)-square Gram (:func:`_span_root`).
-  Below l0, k = 0 and R = |z^{l-1}|: ``h^l = (sigma_w / sqrt(N_{l-1}))
-  |z^{l-1}| xi^l + sigma_b b^l`` from 2 N_l normals.  Above l0, a
+- the lean step, on every layer at or below l0, which carries only the
+  forward vector: A = z^{l-1}, so ``|z^{l-1}| xi^l`` stands in for W^l
+  z^{l-1}, and ``h^l = (sigma_w / sqrt(N_{l-1})) |z^{l-1}| xi^l + sigma_b
+  b^l`` from 2 N_l normals (:meth:`_Probe.lean`).  Every probe on it
+  shares one draw (xi^l, b^l), and none readies products or buffers.
+- above l0, by :func:`_route`, a span draw: ``Xi^l R`` stands in for W^l
+  A, with Xi^l of N_l x (k + 1) normals and then b^l from the layer's
+  stream (:meth:`NetworkParams.conditional`) and R^T R = A^T A from the
+  eigendecomposition of the (k + 1)-square Gram (:func:`_span_root`).  A
   measurement of one J^{l0, l} (not a profile) takes the span draw while
   (k + 1) / N_{l-1} <= ``_SPAN_MAX`` = 0.2, where it beats the row
   blocks: per layer, the two cost the same at 0.26-0.32
@@ -74,6 +78,17 @@ what it reads (:func:`_route`):
   take the span draw once that bound comes from the check's own
   statistics (ROADMAP item 1).
 
+The NTK diagonal reads every layer backwards too.  :func:`ensemble_ntk`
+runs the lean step on every layer, then steps k = min(8, N_L) rows G of d
+h^L / d h^l down from the output.  Given the forward pass, W^l = v z^T /
+|z|^2 + Xi (I - P_z) with v = W^l z^{l-1} the forward product and Xi iid
+and fresh, and G Xi has the law of M Xi'' for M M^T = G G^T, so the
+reverse span draw ``G W^l = (G v) z^T / |z|^2 + M Xi'' (I - P_z)`` is
+exact from k x N_{l-1} normals of a stream of its own
+(:func:`_reverse_span`, :meth:`NetworkParams.reverse`).  A member so
+averages Theta_ii over k output units, not all N_L: it has the mean of
+the dense member's average, and a wider spread.
+
 A one-step measurement J^{l0, l0+1} (``empirical_chi``) draws no layer
 above l0: given the layers up to l0, E |W B|_F^2 = N_{l0+1} |B|_F^2 over
 the N_{l0+1} x N_{l0} standard-normal W = W^{l0+1}, so
@@ -86,7 +101,8 @@ conditional mean, not a sample: it has the mean of J^{l0, l0+1}, and no
 larger a variance.
 
 So ``empirical_chi`` draws 2 N_l normals per layer up to L - 2 and no
-weight matrix, and ``n0_correction_check`` draws only layer 1 whole.  A
+weight matrix, ``ensemble_ntk`` (2 + k) N normals per layer and no weight
+matrix, and ``n0_correction_check`` draws only layer 1 whole.  A
 member holds, per configuration, two N x N_{l0} tangent buffers (a
 profile or multi-step measurement), plus its largest draw: a row block,
 or a span draw's N_l x (k + 1) Xi and (k + 1)-square Grams.  At width
@@ -95,12 +111,16 @@ or a span draw's N_l x (k + 1) Xi and (k + 1)-square Grams.  At width
 tangents), whatever the depth, where one whole layer is 8 MB.  Before the
 first member, a driver refuses (``ValueError``) a run whose members,
 times ``JACPROP_WORKERS``, would not fit in physical memory
-(:func:`_member_bytes`); a one-step member holds only its forward state.
+(:func:`_member_bytes`); a one-step member holds only its forward state,
+and an NTK member its forward record, about 5 N_l entries per layer, plus
+k x N gradient rows.
 
 Determinism: every (seed, member, layer) draws from its own seed-derived
-RNG stream and every configuration keeps its own matrix products.  A
-driver's member is an exact sample of the network's law (a one-step
-member, of its conditional mean), not a materialized network.  Each route reads its layer's stream from the
+RNG stream (and the NTK's reverse draws from another) and every
+configuration keeps its own matrix products.  A driver's member is an
+exact sample of the network's law (a one-step member, of its conditional
+mean; an NTK member, of the diagonal averaged over its k output units),
+not a materialized network.  Each draw reads its layer's stream from the
 start, and configurations on one route share its draw Xi^l, so only each
 one's own law is exact, not their joint law under one dense W^l.  The
 functions that take an explicit :class:`NetworkParams` (:func:`forward`,
@@ -157,6 +177,15 @@ _UPDATE_MIN = 1 << 15
 #: Largest (k + 1) / N_{l-1} at which a driver draws a layer in the span of
 #: the k + 1 columns it acts on; wider, the whole layer is cheaper.
 _SPAN_MAX = 0.2
+
+#: Output units whose NTK diagonal an :func:`ensemble_ntk` member averages
+#: (every unit of a narrower output layer).  See ROADMAP item 5.
+_NTK_ROWS = 8
+
+#: Vectors of N entries that an NTK member keeps per layer for its
+#: backward pass: h^l, W^l z^{l-1}, its block's stage outputs and their
+#: bookkeeping (4.8 measured in the normalizing modes at width 256).
+_NTK_RECORD = 5
 
 _WORKERS_ENV = "JACPROP_WORKERS"
 
@@ -255,10 +284,22 @@ class NetworkParams:
         matrix A are iid N(0, A^T A), which is the law of the rows of ``Xi^l
         R`` for any R with R^T R = A^T A (:func:`_span_root`): a layer that
         acts on k + 1 columns needs N_l (k + 2) normals instead of N_l
-        (N_{l-1} + 1).  At k = 0, A = z and R = |z|.
+        (N_{l-1} + 1).  At k = 0, A = z and R = |z|.  Both come from one
+        call on the stream, which reads it as two calls would.
         """
-        rng, n = self._rng(l), self.layer_dims[l]
-        return rng.standard_normal((n, k + 1)), rng.standard_normal(n)
+        n = self.layer_dims[l]
+        both = self._rng(l).standard_normal(n * (k + 2))
+        return both[:n * (k + 1)].reshape(n, k + 1), both[n * (k + 1):]
+
+    def reverse(self, l: int, k: int) -> np.ndarray:
+        """Draw Xi''^l of shape (k, N_{l-1}) from a stream of its own, one
+        per (seed, member, layer) that shares nothing with layer l's: the
+        part of W^l that its forward product leaves free, as k gradient
+        rows see it (:func:`_reverse_span`)."""
+        s = self.streams[l - 1]
+        own = np.random.SeedSequence(s.entropy, spawn_key=(2, *s.spawn_key[1:]))
+        return np.random.Generator(np.random.PCG64(own)).standard_normal(
+            (k, self.layer_dims[l - 1]))
 
     @property
     def weights(self) -> list:
@@ -318,10 +359,10 @@ def _gn_stats(v: np.ndarray, groups: int):
     """Per-group normalization of ``v``; returns (y, s) with y flattened."""
     m = v.size // groups
     vg = v.reshape(groups, m)
-    mu = vg.mean(axis=1, keepdims=True)
-    var = vg.var(axis=1)
-    s = np.sqrt(var + LN_EPS)
-    y = (vg - mu) / s[:, None]
+    # the bits of vg.mean and vg.var, whose centred copy is kept for y
+    c = vg - np.add.reduce(vg, axis=1, keepdims=True) / m
+    s = np.sqrt(np.add.reduce(c * c, axis=1) / m + LN_EPS)
+    y = c / s[:, None]
     return y.reshape(-1), s
 
 
@@ -460,38 +501,42 @@ def _block_rows(n: int, m: int, k: int) -> int:
 
 
 def _route(dims, l0: int, profile: bool, l: int):
-    """How an ensemble sweep draws layer ``l`` for a measurement from l0 (a
-    profile with ``profile``): the column count k of a span draw
-    (:meth:`_Probe.sample`; 0 for a forward-only layer at or below l0), or
-    ``"dense"`` for row blocks."""
-    if l <= l0:
-        return 0
+    """How an ensemble sweep draws layer ``l`` > l0 for a measurement from
+    l0 (a profile with ``profile``): the column count k of a span draw
+    (:meth:`_Probe.sample`), or ``"dense"`` for row blocks.  Layers at or
+    below l0 take the lean step (:meth:`_Probe.lean`)."""
     # at l0 + 1 the tangent is the block itself, k = N_{l0} columns on N_{l0}
     # units: never thin; a profile draws every layer whole (module docstring)
     k = dims[l0]
     return k if not profile and k + 1 <= _SPAN_MAX * dims[l - 1] else "dense"
 
 
-def _span_root(z: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """R with R^T R = A^T A for A = [z, F], from the (k + 1)-square Gram.
+def _gram_root(G: np.ndarray, n: int) -> np.ndarray:
+    """R with R^T R = G for the Gram G = A^T A of n-row columns A.
 
-    The Gram is scaled to a unit diagonal, D^-1 A^T A D^-1 = V diag(e) V^T
-    with D = diag(|A e_j|), so every column keeps its own relative accuracy,
-    and R = diag(sqrt(e)) V^T D.  Eigenvalues within N (k + 1) eps of the
-    largest, the rounding that N-term sums leave in the scaled Gram, count
-    as zero, so a rank-deficient A (a zero column; z in the span of F, as
-    for ReLU at sigma_b = 0) gives exactly zero rows.
+    The Gram is scaled to a unit diagonal, D^-1 G D^-1 = V diag(e) V^T with
+    D = diag(|A e_j|), so every column keeps its own relative accuracy, and
+    R = diag(sqrt(e)) V^T D.  Eigenvalues within n c eps of the largest (c
+    columns), the rounding that n-term sums leave in the scaled Gram, count
+    as zero, so a rank-deficient A gives exactly zero rows.
     """
+    d = np.sqrt(np.diag(G))
+    inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    e, V = np.linalg.eigh(G * np.outer(inv, inv))
+    e[e <= n * G.shape[0] * np.finfo(float).eps * e[-1]] = 0.0
+    return (np.sqrt(e)[:, None] * V.T) * d
+
+
+def _span_root(z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """R with R^T R = A^T A for A = [z, F], from the (k + 1)-square Gram
+    (:func:`_gram_root`): a zero column, or z in the span of F (ReLU at
+    sigma_b = 0), gives exactly zero rows."""
     k = F.shape[1]
     G = np.empty((k + 1, k + 1))
     G[0, 0] = z @ z
     G[0, 1:] = G[1:, 0] = z @ F
     G[1:, 1:] = F.T @ F
-    d = np.sqrt(np.diag(G))
-    inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-    e, V = np.linalg.eigh(G * np.outer(inv, inv))
-    e[e <= z.size * (k + 1) * np.finfo(float).eps * e[-1]] = 0.0
-    return (np.sqrt(e)[:, None] * V.T) * d
+    return _gram_root(G, z.size)
 
 
 def _view(flat: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -507,7 +552,8 @@ class _Probe:
     1..``last``.  ``value`` ends as the squared-norm measurement (an array
     over layers with ``profile``); with ``keep`` every preactivation and
     block is recorded in ``hs`` and ``blocks`` instead.  Layers at or
-    below ``l0`` only carry its forward pass.
+    below ``l0`` (every layer, without ``l0``) only carry its forward pass:
+    under the drivers, each is one :meth:`lean` step.
 
     :meth:`start` readies a layer's products and :meth:`finish` completes
     them.  A layer drawn whole reaches it in row blocks, :meth:`take`
@@ -534,21 +580,27 @@ class _Probe:
         self.wz = self.out = self.F = None  # the drawn layer's products
         self.value = np.full(len(dims), np.nan) if profile else None
         self.hs: list = [None]      # hs[l] = h^l, 1-indexed (with keep)
+        self.wzs: list = [None]     # wzs[l], its scaled W^l z^{l-1} (with keep)
         self.blocks: list = [None]  # blocks[l] built on h^l (with keep)
 
+    def lean(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
+        """Advance through forward-only layer ``l`` given (xi^l, b^l) of
+        :meth:`NetworkParams.conditional` at k = 0: ``|z^{l-1}| xi^l`` stands
+        in for ``W^l z^{l-1}``, with exactly its law given the past."""
+        wz = math.sqrt(float(self.z @ self.z)) * xi
+        wz *= self.hp.sigma_w / math.sqrt(self.dims[l - 1])
+        self._advance(l, wz, b)
+
     def sample(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
-        """Advance through layer ``l`` given (Xi^l, b^l) of
+        """Advance through layer ``l`` > l0 given (Xi^l, b^l) of
         :meth:`NetworkParams.conditional`: with A = [z^{l-1}, B T] and R =
-        :func:`_span_root` (|z^{l-1}| for a forward-only layer), ``Xi^l R``
-        stands in for ``W^l A``, with exactly its law given the past."""
+        :func:`_span_root`, ``Xi^l R`` stands in for ``W^l A``, with exactly
+        its law given the past."""
         self.start(l)
-        if self.out is None:
-            np.multiply(math.sqrt(float(self.z @ self.z)), xi[:, 0], out=self.wz)
-        else:
-            R = _span_root(self.z, self.F)
-            np.matmul(xi, R[:, 1:], out=self.out)
-            if self.wz is not None:
-                np.matmul(xi, R[:, 0], out=self.wz)
+        R = _span_root(self.z, self.F)
+        np.matmul(xi, R[:, 1:], out=self.out)
+        if self.wz is not None:
+            np.matmul(xi, R[:, 0], out=self.wz)
         self.finish(l, b)
 
     def start(self, l: int) -> int:
@@ -610,6 +662,7 @@ class _Probe:
         h = wz + self.hp.sigma_b * b
         if self.keep:
             self.hs.append(h)
+            self.wzs.append(wz)
         if l < self.last:
             self.block = _Block(self.act, self.norm, self.groups, h)
             self.z = self.block.z
@@ -626,18 +679,29 @@ def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None,
     per layer, only up to the last layer a probe needs (or ``stop``), with
     one buffer that every layer reuses, of :func:`_block_rows` rows for the
     widest product a probe takes.  Given ``draws`` (the ensemble drivers),
-    each probe takes its own :func:`_route`, and the probes on one span
-    route share its draw ``draws.conditional(l, k)``, read from the start
-    of layer l's stream.
+    the probes that only carry the forward vector through layer l share
+    one lean step on ``draws.conditional(l, 0)``; each other probe takes
+    its own :func:`_route`, and the probes on one span route share its draw
+    ``draws.conditional(l, k)``.  Every draw reads layer l's stream from
+    the start.
     """
     dims = probes[0].dims
     flat = np.empty(0)
     for l in range(1, (max(p.last for p in probes) if stop is None else stop) + 1):
-        routes: dict = {}
+        lean, routes = [], {}
         for p in probes:
-            if l <= p.last:
-                route = "dense" if draws is None else _route(p.dims, p.l0, p.profile, l)
-                routes.setdefault(route, []).append(p)
+            if l > p.last:
+                continue
+            if draws is None:
+                routes.setdefault("dense", []).append(p)
+            elif p.l0 is None or l <= p.l0:
+                lean.append(p)
+            else:
+                routes.setdefault(_route(p.dims, p.l0, p.profile, l), []).append(p)
+        if lean:
+            xi, b = draws.conditional(l, 0)
+            for p in lean:
+                p.lean(l, xi[:, 0], b)
         active = routes.pop("dense", [])
         for k, ps in routes.items():
             xi, b = draws.conditional(l, k)
@@ -765,16 +829,25 @@ def _members(cfgs: list, measure: Callable) -> list:
     return [np.array([row[k] for row in rows]) for k in range(len(cfgs))]
 
 
-def _member_bytes(cfgs: list, l0: int, l: int, profile: bool) -> int:
+def _member_bytes(cfgs: list, l0: int | None, l: int, profile: bool = False) -> int:
     """What one driver member measuring J^{l0, l} with a tangent (not a
     one-step mean) holds at its peak beyond its forward state.
 
     Per configuration, its two tangent buffers (2 N x N_{l0} with N the
     widest layer from l0 to l); plus the largest draw of a layer above l0,
     by its :func:`_route`: a row block, or a span draw's N_l x (k + 1) Xi
-    and its (k + 1)-square Grams.
+    and its (k + 1)-square Grams.  An NTK member (``l0`` None, depth
+    ``l``) holds its forward record, ``_NTK_RECORD`` vectors of N per
+    layer; stepping down the layers, it adds six k x N arrays (gradient
+    rows, draws, temporaries) and one block's factors, up to 8 N entries
+    per unit of their rank 2 g while they are composed (both measured at
+    width 256).
     """
     dims = cfgs[0].layer_dims
+    if l0 is None:
+        cfg, n = cfgs[0], max(dims)
+        k, rank = min(_NTK_ROWS, dims[-1]), 2 * cfg.groups if cfg.norm.normalizes else 0
+        return 8 * n * (_NTK_RECORD * l + 6 * k + 8 * rank)
     k = dims[l0]  # the tangent's columns
     draw = 0
     for j in range(l0 + 1, l + 1):
@@ -787,10 +860,10 @@ def _member_bytes(cfgs: list, l0: int, l: int, profile: bool) -> int:
     return 8 * (len(cfgs) * 2 * max(dims[l0:l + 1]) * k + draw)
 
 
-def _check_fits(cfgs: list, l0: int, l: int, profile: bool) -> None:
-    """Refuse a measurement of J^{l0, l} whose members would not fit in
-    physical memory, before any is drawn: every worker thread holds one
-    member (:func:`_member_bytes`)."""
+def _check_fits(cfgs: list, l0: int | None, l: int, profile: bool = False) -> None:
+    """Refuse a measurement of J^{l0, l} (the NTK with ``l0`` None) whose
+    members would not fit in physical memory, before any is drawn: every
+    worker thread holds one member (:func:`_member_bytes`)."""
     workers = _workers()
     need = _member_bytes(cfgs, l0, l, profile) * workers
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -860,11 +933,37 @@ def empirical_chi(cfg: EnsembleConfig | Sequence[EnsembleConfig]):
 
 
 def ensemble_ntk(cfg: EnsembleConfig) -> JacobianEstimate:
-    """Ensemble estimate of the exact NTK diagonal (see :func:`empirical_ntk`)."""
-    (values,) = _members([cfg], lambda params, xs: [empirical_ntk(
-        params, cfg.act, cfg.hyper, cfg.norm, xs[0], groups=cfg.groups
-    )])
-    return _scalar_estimate(values)
+    """Ensemble estimate of the NTK diagonal Theta = (1/N_L) sum_i
+    |grad_theta h^L_i|^2, at any size.
+
+    A member is the diagonal averaged over its first k = min(8, N_L)
+    output units: the mean of Theta, with a wider spread where k < N_L.
+    Its forward pass is the lean chain of k = 0 span draws; its backward
+    pass steps those k rows of d h^L / d h^l down the layers, each layer's
+    G W^l a reverse span draw (:func:`_reverse_span`), so a member holds
+    no weight matrix and costs O(k N) normals per layer.
+    :func:`empirical_ntk` is its dense counterpart on an explicit network.
+    """
+    return _scalar_estimate(_ntk_members(cfg))
+
+
+def _ntk_members(cfg: EnsembleConfig) -> np.ndarray:
+    """The member values of :func:`ensemble_ntk`, in member order."""
+    L, k = cfg.depth, min(_NTK_ROWS, cfg.width)
+    _check_fits([cfg], None, L)
+
+    def measure(params, xs):
+        probe = _Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm, cfg.groups,
+                       xs[0], last=L, keep=True)
+        _sweep(params.rows, [probe], params)
+
+        def gw(l, G, z):
+            scale = cfg.hyper.sigma_w / math.sqrt(params.layer_dims[l - 1])
+            return _reverse_span(G, probe.wzs[l], z, params.reverse(l, k), scale)
+
+        return [_ntk_sum(probe, xs[0], np.eye(k, cfg.width), gw)]
+
+    return _members([cfg], measure)[0]
 
 
 def jacobian_profile(cfg: EnsembleConfig | Sequence[EnsembleConfig], l0: int = 0):
@@ -930,10 +1029,54 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
 
 
 # ---------------------------------------------------------------------------
-# exact empirical NTK (small networks)
+# the NTK diagonal
 
 _NTK_MAX_WIDTH = 256
 _NTK_MAX_DEPTH = 12
+
+
+def _ntk_sum(probe: _Probe, x: np.ndarray, G: np.ndarray, gw: Callable) -> float:
+    """The NTK diagonal averaged over the output units whose rows of
+    d h^L / d h^L are ``G``, given a probe that kept its forward pass on
+    the input ``x``.
+
+    Steps G = d h^L / d h^l down from l = L, adding each layer's squared
+    gradients of W^l, b^l and the norm's gain and shift; ``gw(l, G, z)``
+    gives d h^L / d z^{l-1} = (sigma_w / sqrt(N_{l-1})) G W^l, z being
+    z^{l-1}.  The probe's blocks are released as they are passed.
+    """
+    hp, dims, blocks = probe.hp, probe.dims, probe.blocks
+    total = 0.0
+    for l in range(len(dims) - 1, 0, -1):
+        g_sq = float(np.sum(G * G))
+        block = blocks.pop() if l > 1 else None
+        z = x if block is None else block.z
+        total += (hp.sw2 / dims[l - 1]) * g_sq * float(np.dot(z, z))
+        total += hp.sb2 * g_sq
+        if block is not None:
+            A = gw(l, G, z)
+            total += block.gain_shift(A)
+            G = block.cotangent(A)
+    return total / G.shape[0]
+
+
+def _reverse_span(G: np.ndarray, wz: np.ndarray, z: np.ndarray, xi: np.ndarray,
+                  scale: float) -> np.ndarray:
+    """``scale`` G W^l for k rows G of d h^L / d h^l, given the forward pass
+    through layer l (z = z^{l-1}, wz = ``scale`` W^l z) and k x N_{l-1}
+    fresh normals ``xi`` (:meth:`NetworkParams.reverse`).
+
+    Given the forward pass, W^l = (W^l z) z^T / |z|^2 + Xi (I - P_z) with
+    Xi iid and independent of everything else, and G Xi has the law of M
+    xi for M M^T = G G^T (:func:`_gram_root`), so G W^l = (G W^l z) z^T /
+    |z|^2 + M xi (I - P_z) has exactly its law given the layers above.
+    """
+    A = _gram_root(G @ G.T, G.shape[1]).T @ xi
+    A *= scale
+    zz = float(z @ z)
+    if zz > 0:
+        A += np.outer(G @ wz - A @ z, z / zz)
+    return A
 
 
 def empirical_ntk(
@@ -944,12 +1087,14 @@ def empirical_ntk(
     x: np.ndarray,
     groups: int = 1,
 ) -> float:
-    """Exact per-draw NTK diagonal (1/N_L) sum_i |grad_theta h^L_i|^2.
+    """Exact per-draw NTK diagonal (1/N_L) sum_i |grad_theta h^L_i|^2 of
+    an explicit network: the dense oracle of :func:`ensemble_ntk`.
 
     Sums squared gradients over every weight, bias and (for LayerNorm
-    modes) gain/shift parameter via one backward sweep of dense partial
-    Jacobians, each block stepped through its factors; cost grows with
-    width^3, so networks wider than 256 or deeper than 12 are refused.
+    modes) gain/shift parameter via one backward sweep of all N_L rows of
+    the partial Jacobians through every drawn weight, each block stepped
+    through its factors; it holds the whole network and its cost grows
+    with width^3, so networks wider than 256 or deeper than 12 are refused.
     """
     L = params.depth
     dims = params.layer_dims
@@ -966,19 +1111,6 @@ def empirical_ntk(
 
     probe = _Probe(dims, act, hp, norm, groups, x, last=L, keep=True)
     _sweep(whole, [probe])
-    blocks = probe.blocks
-    z_inputs = [np.asarray(x, dtype=float)] + [b.z for b in blocks[1:]]
-
-    total = 0.0
-    G = np.eye(dims[L])  # d h^L / d h^l, starting at l = L
-    for l in range(L, 0, -1):
-        g_sq = float(np.sum(G * G))
-        z = z_inputs[l - 1]
-        total += (hp.sw2 / dims[l - 1]) * g_sq * float(np.dot(z, z))
-        total += hp.sb2 * g_sq
-        if l > 1:
-            scale = hp.sigma_w / math.sqrt(dims[l - 1])
-            A = scale * (G @ drawn[l - 1][0])  # d h^L / d z^{l-1}
-            total += blocks[l - 1].gain_shift(A)
-            G = blocks[l - 1].cotangent(A)
-    return total / dims[L]
+    return _ntk_sum(probe, np.asarray(x, dtype=float), np.eye(dims[L]),
+                    lambda l, G, z: (hp.sigma_w / math.sqrt(dims[l - 1]))
+                    * (G @ drawn[l - 1][0]))

@@ -24,8 +24,12 @@ from jacprop.ensemble import (
     _BLOCK_MIN,
     _Block,
     _block_rows,
+    _check_fits,
     _compose,
+    _gn_stats,
+    _gram_root,
     _member_bytes,
+    _ntk_members,
     _scalar_estimate,
     _span_root,
     _swept,
@@ -534,6 +538,97 @@ class TestGoldenBits:
             empirical_ntk(params, act, hp, norm, x, groups),
         ]
         assert [float(v).hex() for v in got] == list(self.GOLDEN[key])
+
+
+class TestDriverGoldenBits:
+    """Exact bits of the ensemble drivers' routes, as ``float.hex``.
+
+    At depth 5, seed 29, 3 members, 8 wide: ``empirical_chi`` (layers 1..3
+    carry only the forward vector), a single J^{2,5} above two
+    forward-only layers, a three-config batch; J^{0,5} on a 3-column input
+    at width 40 (span draws above layer 1); the n0 check.
+    """
+
+    CHI = {
+        ("relu", "VANILLA", 1): ("0x1.d4b17e4b17e4cp-1", "0x1.206d3a06d3a08p-4"),
+        ("relu", "VANILLA", 2): ("0x1.d4b17e4b17e4cp-1", "0x1.206d3a06d3a08p-4"),
+        ("relu", "PRE_LN", 1): ("0x1.06a44caec3f12p+0", "0x1.986105a5a5c95p-2"),
+        ("relu", "PRE_LN", 2): ("0x1.62126e842b369p-1", "0x1.2c189a78cd57fp-2"),
+        ("relu", "POST_LN", 1): ("0x1.520881e5bb6c8p+1", "0x1.b58fea1ace69ep+0"),
+        ("relu", "POST_LN", 2): ("0x1.4edefca84d21dp+1", "0x1.6795bd8d1def0p+0"),
+        ("erf", "VANILLA", 1): ("0x1.eedc9310af088p-1", "0x1.d19254b4fe429p-4"),
+        ("erf", "VANILLA", 2): ("0x1.eedc9310af088p-1", "0x1.d19254b4fe429p-4"),
+        ("erf", "PRE_LN", 1): ("0x1.109c397ea8a9fp+0", "0x1.f43c1cafcda26p-3"),
+        ("erf", "PRE_LN", 2): ("0x1.bb1655bc8c8e3p-1", "0x1.c0307cc519e29p-3"),
+        ("erf", "POST_LN", 1): ("0x1.749aede24b0d8p+0", "0x1.0f172b7ecc4ffp-1"),
+        ("erf", "POST_LN", 2): ("0x1.4fa09e2946be4p+0", "0x1.f1799e7d7e746p-2"),
+        ("gelu", "VANILLA", 1): ("0x1.715de71478b3fp-1", "0x1.21e33e18c9c95p-4"),
+        ("gelu", "VANILLA", 2): ("0x1.715de71478b3fp-1", "0x1.21e33e18c9c95p-4"),
+        ("gelu", "PRE_LN", 1): ("0x1.38868475a985dp+0", "0x1.ee0b70e8baf64p-2"),
+        ("gelu", "PRE_LN", 2): ("0x1.86a0a261acc15p-1", "0x1.604c352b06b1ep-2"),
+        ("gelu", "POST_LN", 1): ("0x1.35b6adb9ec89fp+1", "0x1.4ccddaf85f60fp+0"),
+        ("gelu", "POST_LN", 2): ("0x1.3ac6ab7392283p+1", "0x1.48c90f2c8ed58p+0"),
+    }
+
+    @staticmethod
+    def _cfg(**kw):
+        base = dict(width=8, input_dim=5, depth=5, n_init=3, seed=29, hyper=Hyper(1.3, 0.4))
+        base.update(kw)
+        return EnsembleConfig(**base)
+
+    @staticmethod
+    def _hex(est):
+        return float(est.mean).hex(), float(est.stderr).hex()
+
+    @pytest.mark.parametrize("key", sorted(CHI), ids=lambda k: "-".join(map(str, k)))
+    def test_chi_is_bit_identical(self, key):
+        act_name, mode_name, groups = key
+        cfg = self._cfg(act=getattr(Activation, act_name)(), norm=NormMode[mode_name],
+                        groups=groups)
+        assert self._hex(empirical_chi(cfg)) == self.CHI[key]
+
+    def test_single_jacobians_are_bit_identical(self):
+        cfg = self._cfg(act=GELU, norm=NormMode.POST_LN, groups=2)
+        assert [float(v).hex() for v in _swept([cfg], 2, 5)[0]] == [
+            "0x1.974f963aabf48p+3", "0x1.06b35a2df8574p+7", "0x1.94f3f536d9422p+3"]
+        thin = self._cfg(width=40, input_dim=3, act=ERF, norm=NormMode.PRE_LN)
+        assert [float(v).hex() for v in _swept([thin], 0, 5)[0]] == [
+            "0x1.1ae2ef86907e1p-2", "0x1.ac85cd55c894dp-1", "0x1.786a30fcdc454p-3"]
+
+    def test_batch_is_bit_identical(self):
+        batch = [self._cfg(act=GELU),
+                 self._cfg(act=ERF, norm=NormMode.PRE_LN, hyper=Hyper(1.1, 0.2)),
+                 self._cfg(act=RELU, norm=NormMode.POST_LN,
+                           input_source=("gaussian", 0.0, 0.6))]
+        assert [self._hex(e) for e in empirical_chi(batch)] == [
+            ("0x1.715de71478b3fp-1", "0x1.21e33e18c9c95p-4"),
+            ("0x1.66d10201d58e5p+0", "0x1.db9a852f7bc40p-2"),
+            ("0x1.520881e5bb6c9p+1", "0x1.b58fea1ace6a0p+0"),
+        ]
+        assert [[float(v).hex() for v in e.per_layer[3:]]
+                for e in jacobian_profile(batch, l0=2)] == [
+            ["0x1.d34a56a187fa4p-1", "0x1.8c8e827b62ea9p-1", "0x1.9a49b06277c38p-1"],
+            ["0x1.427d51f94e140p+0", "0x1.e092f9524e9cbp+0", "0x1.a6e233f3a7cfbp-2"],
+            ["0x1.1437bad59da7bp+0", "0x1.b03637b99e8cfp+0", "0x1.eb4ce5672cc9dp-2"],
+        ]
+
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_group_stats_are_the_mean_and_var_bits(self, groups, scale):
+        v = np.random.default_rng(21).normal(loc=0.3, size=96) * scale
+        y, s = _gn_stats(v, groups)
+        vg = v.reshape(groups, -1)
+        s_want = np.sqrt(vg.var(axis=1) + 1e-12)
+        y_want = (vg - vg.mean(axis=1, keepdims=True)) / s_want[:, None]
+        assert s.tobytes() == s_want.tobytes()
+        assert y.tobytes() == y_want.reshape(-1).tobytes()
+
+    def test_n0_check_is_bit_identical(self):
+        cfg = EnsembleConfig(width=16, input_dim=4, depth=2, n_init=3, seed=29,
+                             hyper=Hyper(1.3, 0.4), act=ERF)
+        report = n0_correction_check(cfg)
+        assert (report.measured.hex(), report.measured_stderr.hex()) == (
+            "0x1.9f9dba762189dp-1", "0x1.2c2db6efe1193p-3")
 
 
 class TestEnsembleDrivers:
@@ -1080,6 +1175,10 @@ class TestConditionalLaw:
             assert xi.shape == (3, k + 1)
             assert np.array_equal(xi.ravel(), both[:3 * (k + 1)])
             assert np.array_equal(b, both[3 * (k + 1):])
+            # the one call reads the stream as a call for Xi, then one for b
+            rng = np.random.Generator(np.random.PCG64(params.streams[1]))
+            two = rng.standard_normal((3, k + 1)), rng.standard_normal(3)
+            assert xi.tobytes() == two[0].tobytes() and b.tobytes() == two[1].tobytes()
             # Xi opens the stream the weights open: the first row-major entries of W^2
             assert np.array_equal(xi.ravel(), params.layer(2)[0].ravel()[:3 * (k + 1)])
 
@@ -1228,6 +1327,134 @@ class TestConditionalLaw:
         J = cfg.hyper.sw2 / n * np.sum((W @ B) ** 2, axis=(1, 2)) / n
         got = empirical_chi(cfg).mean
         assert abs(J.mean() - got) <= 4 * J.std(ddof=1) / math.sqrt(J.size), (J.mean(), got)
+
+
+class NtkMemberNetwork:
+    """An ``ensemble_ntk`` member made dense from its own draws, on a net
+    whose k rows of d h^L / d h^l are all N_L of them.
+
+    W^l = v^l z^{l-1 T} / |z^{l-1}|^2 + G^+ M Xi''^l (I - P_z), with v^l =
+    |z^{l-1}| xi^l the member's forward product, G its rows of d h^L / d
+    h^l (carried down through dense blocks), M = ``_gram_root(G G^T)^T``
+    and Xi''^l its reverse draw: so W^l z = v^l and G W^l = (G v^l) z^T /
+    |z|^2 + M Xi'' (I - P_z), the member's sample, whatever the rank of G
+    (M acts in G's range).  The free part of W^1 never reaches the NTK.
+    """
+
+    def __init__(self, cfg: EnsembleConfig, member: int = 0):
+        params = NetworkParams.draw(cfg.layer_dims, cfg.seed, member)
+        self.layer_dims, self.depth = params.layer_dims, params.depth
+        dims, hp, L = self.layer_dims, cfg.hyper, self.depth
+        z = resolve_input(cfg, member)
+        zs, hs, vs, bs = [z], [None], [None], [None]
+        for l in range(1, L + 1):
+            xi, b = params.conditional(l, 0)
+            vs.append(np.linalg.norm(z) * xi[:, 0])
+            bs.append(b)
+            hs.append(hp.sigma_w / math.sqrt(dims[l - 1]) * vs[l] + hp.sigma_b * b)
+            z = _Block(cfg.act, cfg.norm, cfg.groups, hs[l]).z
+            zs.append(z)
+        self.drawn, G = {}, np.eye(dims[L])
+        for l in range(L, 0, -1):
+            z = zs[l - 1]
+            W = np.outer(vs[l], z) / (z @ z)
+            if l > 1:
+                M = _gram_root(G @ G.T, G.shape[1]).T
+                free = np.eye(dims[l - 1]) - np.outer(z, z) / (z @ z)
+                # behind a norm G has null directions, whose singular values
+                # round to about 1e-8 of the largest: cut them off
+                W += np.linalg.pinv(G, rcond=1e-6) @ M @ params.reverse(l, dims[L]) @ free
+                B = dense_block(cfg.act, cfg.norm, cfg.groups, hs[l - 1])[0]
+                G = hp.sigma_w / math.sqrt(dims[l - 1]) * (G @ W) @ B
+            self.drawn[l] = (W, bs[l])
+
+    def layer(self, l):
+        return self.drawn[l]
+
+
+class TestReverseSpanNtk:
+    """``ensemble_ntk`` members against dense networks: one member made
+    dense exactly, and the members' law against ``empirical_ntk``'s."""
+
+    @pytest.mark.parametrize("norm, act, groups", [
+        (NormMode.VANILLA, ERF, 1), (NormMode.PRE_LN, GELU, 1), (NormMode.POST_LN, GELU, 2),
+        (NormMode.VANILLA, RELU, 1),
+    ])
+    def test_dense_network_reproduces_a_member(self, norm, act, groups):
+        cfg = EnsembleConfig(width=8, input_dim=5, depth=4, n_init=2, seed=31,
+                             hyper=Hyper(1.3, 0.4), norm=norm, act=act, groups=groups)
+        got = _ntk_members(cfg)
+        for member in (0, 1):
+            dense = NtkMemberNetwork(cfg, member)
+            want = empirical_ntk(dense, act, cfg.hyper, norm, resolve_input(cfg, member),
+                                 groups)
+            assert got[member] == pytest.approx(want, rel=1e-9), member
+
+    @pytest.mark.parametrize("width", [8, 32])
+    @pytest.mark.parametrize("norm, act, groups", [
+        (NormMode.VANILLA, ERF, 1), (NormMode.POST_LN, GELU, 2),
+    ], ids=["erf-vanilla", "gelu-post-ln"])
+    def test_member_law_matches_dense_networks(self, width, norm, act, groups):
+        # at width 8 a member averages all N_L output units, so its law is
+        # the dense member's; at 32 it averages 8 of them, with the same mean
+        n = 3000
+        cfg = EnsembleConfig(width=width, input_dim=10, depth=5, n_init=n, seed=11,
+                             hyper=Hyper(1.3, 0.3), norm=norm, act=act, groups=groups)
+        x = resolve_input(cfg, 0)
+        members = _ntk_members(cfg)
+        dense = np.array([
+            empirical_ntk(NetworkParams.draw(cfg.layer_dims, 1003, i), act, cfg.hyper,
+                          norm, x, groups)
+            for i in range(n)
+        ])
+        se = math.hypot(members.std(ddof=1), dense.std(ddof=1)) / math.sqrt(n)
+        assert abs(members.mean() - dense.mean()) <= 4 * se
+        if width <= 8:
+            assert ks_2samp(members, dense).pvalue > 1e-3
+
+    @pytest.mark.parametrize("norm, groups", [
+        (NormMode.VANILLA, 1), (NormMode.PRE_LN, 1), (NormMode.POST_LN, 2),
+        (NormMode.POST_LN, 32),
+    ])
+    def test_member_holds_no_layer_and_its_price(self, norm, groups, monkeypatch):
+        import tracemalloc
+
+        calls = TestStreaming._count_draws(monkeypatch)
+        cfg = EnsembleConfig(width=256, input_dim=256, depth=12, n_init=1, seed=3,
+                             hyper=Hyper(1.3, 0.4), act=GELU, norm=norm, groups=groups)
+        ensemble_ntk(cfg)  # scipy's erf loads outside the traced run
+        tracemalloc.start()
+        try:
+            ensemble_ntk(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _member_bytes([cfg], None, 12), (peak, _member_bytes([cfg], None, 12))
+        if groups <= 2:  # 32 groups compose 256 x 128 factors
+            assert peak < 256 * 256 * 8, peak
+        # every layer, in both runs, is a k = 0 span draw: no weight matrix is drawn
+        assert not calls["rows"]
+        assert sorted(calls["conditional"]) == sorted([(l, 0) for l in range(1, 13)] * 2)
+
+    def test_oversize_run_refused_naming_its_size(self):
+        huge = EnsembleConfig(width=2**26, input_dim=4, depth=3, n_init=2, seed=0,
+                              hyper=Hyper(1.0, 0.0))
+        need = _member_bytes([huge], None, 3)
+        assert need >= 3 * 5 * 8 * 2**26
+        with pytest.raises(ValueError, match=r"about [0-9.e+]+ GiB .* physical memory"):
+            _check_fits([huge], None, 3)
+        with pytest.raises(ValueError, match=f"about {need / 2**30:.3g} GiB"):
+            ensemble_ntk(huge)
+
+    def test_reverse_draw_shares_nothing_with_the_layer_stream(self):
+        params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
+        xi = params.reverse(2, 2)
+        assert xi.shape == (2, 7)
+        assert np.array_equal(xi, params.reverse(2, 2))
+        W, b = params.layer(2)
+        assert not np.isin(xi, np.concatenate([W.ravel(), b])).any()
+        other = NetworkParams.draw([5, 7, 3], seed=17, init_index=2).reverse(2, 2)
+        assert not np.isin(xi, other).any()
 
 
 def _with_workers(workers: int, fn):
