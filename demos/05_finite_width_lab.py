@@ -21,7 +21,7 @@ from jacprop import (
     jacobian_profile,
     n0_correction_check,
 )
-from jacprop.ensemble import resolve_input
+from jacprop.ensemble import first_kernel
 from jacprop.meanfield import trace
 
 cells = [
@@ -63,9 +63,8 @@ print(f"\ninput correction at N0=16: measured {rep.measured:.5f}, "
 # infinite-width recursion.
 cfg = EnsembleConfig(width=128, input_dim=32, depth=8, n_init=10, seed=3,
                      hyper=Hyper(math.sqrt(2), 0.0), act=Activation.relu())
-x = resolve_input(cfg, 0)
-k1 = cfg.hyper.sw2 * float(x @ x) / cfg.input_dim
-theory = trace(cfg.act, NormMode.VANILLA, cfg.hyper, depth=cfg.depth, k0=k1, l0=0)
+theory = trace(cfg.act, NormMode.VANILLA, cfg.hyper, depth=cfg.depth,
+               k0=first_kernel(cfg), l0=0)
 est = ensemble_ntk(cfg)
 print(f"\nNTK at depth {cfg.depth}: ensemble {est.mean:.3f} +- {est.stderr:.3f}, "
       f"theory {theory.theta[cfg.depth]:.3f}")

@@ -399,8 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "never drawn); profile: J^{l0,l} for every l > l0; ntk: the "
                         "NTK diagonal at any size, each member's value averaged over "
                         "min(8, width) output units (the mean of all of them, with a "
-                        "wider spread), no weight matrix drawn; n0check: J^{0,2} "
-                        "against the finite-N0 prediction")
+                        "wider spread), no weight matrix drawn; n0check: J^{0,2}, "
+                        "each member's value its conditional expectation over W^2 "
+                        "(layer 2 is never drawn), against the finite-N0 prediction, "
+                        "averaged over the members' inputs with --resample-inputs")
     add_common(m, mc=True)
     m.add_argument("--width", type=int, required=True)
     m.add_argument("--input-dim", type=int, required=True)

@@ -45,38 +45,34 @@ Only the explicit :func:`empirical_ntk`, the dense oracle of
 the sweep as one block), and the ``weights``/``biases`` oracle properties
 materialize a whole network.
 
-The ensemble drivers draw each layer in the span it acts on.  Given the
-layers below it, W^l is independent of A = [z^{l-1}, B^{l-1} T^{l-1}],
-the forward vector and the k tangent columns it multiplies, so the rows
-of W^l A are iid N(0, A^T A): the conditional Gaussianity of Lee et al.
-(2018), "Deep Neural Networks as Gaussian Processes".  J^{l0, l} reads
-W^l only through W^l A, so each probe takes the cheapest exact sample of
-what it reads:
+The ensemble drivers draw only what a measurement reads.  Given the
+layers below it, W^l is independent of what it multiplies, so the rows of
+W^l A for any N_{l-1}-row A are iid N(0, A^T A): the conditional
+Gaussianity of Lee et al. (2018), "Deep Neural Networks as Gaussian
+Processes".  So a driver's layer l is one of three things:
 
 - the lean step, on every layer at or below l0, which carries only the
   forward vector: A = z^{l-1}, so ``|z^{l-1}| xi^l`` stands in for W^l
   z^{l-1}, and ``h^l = (sigma_w / sqrt(N_{l-1})) |z^{l-1}| xi^l + sigma_b
-  b^l`` from 2 N_l normals (:meth:`_Probe.lean`).  Every probe on it
-  shares one draw (xi^l, b^l), and none readies products or buffers.
-- above l0, by :func:`_route`, a span draw: ``Xi^l R`` stands in for W^l
-  A, with Xi^l of N_l x (k + 1) normals and then b^l from the layer's
-  stream (:meth:`NetworkParams.conditional`) and R^T R = A^T A from the
-  eigendecomposition of the (k + 1)-square Gram (:func:`_span_root`).  A
-  measurement of one J^{l0, l} (not a profile) takes the span draw while
-  (k + 1) / N_{l-1} <= ``_SPAN_MAX`` = 0.2, where it beats the row
-  blocks: per layer, the two cost the same at 0.26-0.32
-  for one or two configurations at widths 200-1000, and at 0.15-0.22 for
-  eight at widths 600-1000, whose per-configuration eigendecompositions
-  outgrow the shared draw (at width 200, eight already lose 7 % of a
-  1.5 ms layer at 0.1).  Wider tangents, such as N0 784 at width 1000,
-  draw the whole layer.
-- the whole layer, in row blocks, otherwise, and for every layer above
-  l0 of a profile.  A profile keeps the row-block members, whatever its
-  width: the depth-250 critical exponents measured from them are checked
-  against a bound narrower than their spread over seeds, and the span
-  draw, exact but another sample, would move them across it.  Profiles
-  take the span draw once that bound comes from the check's own
-  statistics (ROADMAP item 1).
+  b^l`` from 2 N_l normals (:meth:`NetworkParams.conditional`,
+  :meth:`_Probe.lean`).  Every probe on it shares one draw (xi^l, b^l), and
+  none readies products or buffers.
+- integrated out, as the last layer of a single J^{l0, l} (not a profile).
+  J^{l0, l} reads W^l only through |W^l B^{l-1} T^{l-1}|_F^2, with T^{l-1}
+  = d h^{l-1} / d h^{l0}, and over the N_l x N_{l-1} standard-normal W^l
+  that has the mean N_l |B^{l-1} T^{l-1}|_F^2, so
+
+      E[J^{l0, l} | layers < l] = (sigma_w^2 / N_{l-1}) |B^{l-1} T^{l-1}|_F^2
+
+  (:meth:`_Probe.mean_over_last`).  At l = l0 + 1, T = I and this is
+  :meth:`_Block.frobenius_sq` read off the block's factors, exactly
+  sigma_w^2 at l0 = 0 (B = I); above, the carried tangent is pushed
+  through the block's factors and summed.  A member's value is this
+  conditional mean, not a sample: it has the mean of J^{l0, l}, and no
+  larger a variance.
+- drawn whole, in row blocks, otherwise: layers l0 + 1 .. l - 1 of a
+  single J^{l0, l}, and every layer above l0 of a profile, whose
+  per-layer values need every W^l.
 
 The NTK diagonal reads every layer backwards too.  :func:`ensemble_ntk`
 runs the lean step on every layer, then steps k = min(8, N_L) rows G of d
@@ -89,28 +85,16 @@ exact from k x N_{l-1} normals of a stream of its own
 averages Theta_ii over k output units, not all N_L: it has the mean of
 the dense member's average, and a wider spread.
 
-A one-step measurement J^{l0, l0+1} (``empirical_chi``) draws no layer
-above l0: given the layers up to l0, E |W B|_F^2 = N_{l0+1} |B|_F^2 over
-the N_{l0+1} x N_{l0} standard-normal W = W^{l0+1}, so
-
-    E[J^{l0, l0+1} | layers <= l0] = (sigma_w^2 / N_{l0}) |B^{l0}|_F^2,
-
-which :meth:`_Block.frobenius_sq` reads off the block's factors, and
-which is exactly sigma_w^2 at l0 = 0 (B = I).  A member's value is this
-conditional mean, not a sample: it has the mean of J^{l0, l0+1}, and no
-larger a variance.
-
 So ``empirical_chi`` draws 2 N_l normals per layer up to L - 2 and no
 weight matrix, ``ensemble_ntk`` (2 + k) N normals per layer and no weight
-matrix, and ``n0_correction_check`` draws only layer 1 whole.  A
-member holds, per configuration, two N x N_{l0} tangent buffers (a
-profile or multi-step measurement), plus its largest draw: a row block,
-or a span draw's N_l x (k + 1) Xi and (k + 1)-square Grams.  At width
-1000 a profile member holds about 17 MB at N0 784 (a 4 MB block and two
-6.3 MB tangents) and about 3 MB at N0 128 (a 1 MB block and two 1 MB
-tangents), whatever the depth, where one whole layer is 8 MB.  Before the
-first member, a driver refuses (``ValueError``) a run whose members,
-times ``JACPROP_WORKERS``, would not fit in physical memory
+matrix, and ``n0_correction_check`` draws only layer 1 whole.  A member
+holds, per configuration, two N x N_{l0} tangent buffers (a profile or
+multi-step measurement), plus one row block.  At width 1000 a profile
+member holds about 17 MB at N0 784 (a 4 MB block and two 6.3 MB tangents)
+and about 3 MB at N0 128 (a 1 MB block and two 1 MB tangents), whatever
+the depth, where one whole layer is 8 MB.  Before the first member, a
+driver refuses (``ValueError``) a run whose members, times
+``JACPROP_WORKERS``, would not fit in physical memory
 (:func:`_member_bytes`); a one-step member holds only its forward state,
 and an NTK member its forward record, about 5 N_l entries per layer, plus
 k x N gradient rows.
@@ -118,19 +102,19 @@ k x N gradient rows.
 Determinism: every (seed, member, layer) draws from its own seed-derived
 RNG stream (and the NTK's reverse draws from another) and every
 configuration keeps its own matrix products.  A driver's member is an
-exact sample of the network's law (a one-step member, of its conditional
-mean; an NTK member, of the diagonal averaged over its k output units),
-not a materialized network.  Each draw reads its layer's stream from the
-start, and configurations on one route share its draw Xi^l, so only each
-one's own law is exact, not their joint law under one dense W^l.  The
-functions that take an explicit :class:`NetworkParams` (:func:`forward`,
-:func:`partial_jacobian_norm`, :func:`empirical_ntk`) take no route: they
-use every weight, the one-step J^{l0, l0+1} included, and their results
-are bit-identical whether the layers arrive in row blocks or whole.  A
-configuration's route depends only on the shared sizes, so a driver's
-result is bit-identical whether its configuration runs alone or with
-others sharing the draw, and however many worker threads evaluate the
-members.  Set ``JACPROP_WORKERS`` to a positive integer to parallelize
+exact sample of the network's law (a single J^{l0, l}, of its
+conditional mean over W^l; an NTK member, of the diagonal averaged over
+its k output units), not a materialized network.  Each draw reads its
+layer's stream from the start, and configurations share the lean draw
+(xi^l, b^l), so only each one's own law is exact, not their joint law
+under one dense W^l.  The functions that take an explicit
+:class:`NetworkParams` (:func:`forward`, :func:`partial_jacobian_norm`,
+:func:`empirical_ntk`) draw every weight, the last layer of J^{l0, l}
+included, and their results are bit-identical whether the layers arrive
+in row blocks or whole.  Which layers a driver draws, and how, depends
+only on what its configurations share, so a driver's result is
+bit-identical whether its configuration runs alone or with others sharing
+the draw, and however many worker threads evaluate the members.  Set ``JACPROP_WORKERS`` to a positive integer to parallelize
 over members; the process keeps one thread pool per worker count.
 """
 
@@ -161,6 +145,7 @@ __all__ = [
     "n0_correction_check",
     "empirical_ntk",
     "resolve_input",
+    "first_kernel",
 ]
 
 #: Guard added under the square root of every finite-width normalization.
@@ -173,10 +158,6 @@ _BLOCK_MIN = 1 << 17
 #: Entries per row block of a tangent's rank update (256 KB).  Temporaries
 #: of _BLOCK_MIN entries there left ``mc-profile``'s peak RSS 1 MB higher.
 _UPDATE_MIN = 1 << 15
-
-#: Largest (k + 1) / N_{l-1} at which a driver draws a layer in the span of
-#: the k + 1 columns it acts on; wider, the whole layer is cheaper.
-_SPAN_MAX = 0.2
 
 #: Output units whose NTK diagonal an :func:`ensemble_ntk` member averages
 #: (every unit of a narrower output layer).  See ROADMAP item 5.
@@ -276,20 +257,18 @@ class NetworkParams:
             yield i, blk
         rng.standard_normal(out=b)
 
-    def conditional(self, l: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (Xi^l, b^l) of shapes (N_l, k + 1) and (N_l,), Xi first, from
-        layer l's stream.
+    def conditional(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw (xi^l, b^l), each of N_l entries, xi first, from layer l's
+        stream.
 
-        Given the layers below, the rows of ``W^l A`` for any N_{l-1} x (k + 1)
-        matrix A are iid N(0, A^T A), which is the law of the rows of ``Xi^l
-        R`` for any R with R^T R = A^T A (:func:`_span_root`): a layer that
-        acts on k + 1 columns needs N_l (k + 2) normals instead of N_l
-        (N_{l-1} + 1).  At k = 0, A = z and R = |z|.  Both come from one
-        call on the stream, which reads it as two calls would.
+        Given the layers below, ``W^l z`` for any vector z is N(0, |z|^2 I),
+        the law of ``|z| xi^l``: a layer that only carries the forward
+        vector needs 2 N_l normals instead of N_l (N_{l-1} + 1).  Both come
+        from one call on the stream, which reads it as two calls would.
         """
         n = self.layer_dims[l]
-        both = self._rng(l).standard_normal(n * (k + 2))
-        return both[:n * (k + 1)].reshape(n, k + 1), both[n * (k + 1):]
+        both = self._rng(l).standard_normal(2 * n)
+        return both[:n], both[n:]
 
     def reverse(self, l: int, k: int) -> np.ndarray:
         """Draw Xi''^l of shape (k, N_{l-1}) from a stream of its own, one
@@ -349,6 +328,14 @@ def resolve_input(cfg: EnsembleConfig, init_index: int = 0) -> np.ndarray:
             raise ValueError(f"input vector has size {x.size}, expected {cfg.input_dim}")
         return x
     raise ValueError(f"unknown input source {cfg.input_source!r}")
+
+
+def first_kernel(cfg: EnsembleConfig, init_index: int = 0) -> float:
+    """The first-layer kernel K^1 = sigma_w^2 |x|^2 / N0 + sigma_b^2 at the
+    input of member ``init_index`` (:func:`resolve_input`): the ``k0`` of
+    the config's :func:`~jacprop.meanfield.trace`."""
+    x = resolve_input(cfg, init_index)
+    return cfg.hyper.sw2 * (float(np.dot(x, x)) / cfg.input_dim) + cfg.hyper.sb2
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +487,6 @@ def _block_rows(n: int, m: int, k: int) -> int:
     return min(n, -(-n // (8 * count)) * 8)
 
 
-def _route(dims, l0: int, profile: bool, l: int):
-    """How an ensemble sweep draws layer ``l`` > l0 for a measurement from
-    l0 (a profile with ``profile``): the column count k of a span draw
-    (:meth:`_Probe.sample`), or ``"dense"`` for row blocks.  Layers at or
-    below l0 take the lean step (:meth:`_Probe.lean`)."""
-    # at l0 + 1 the tangent is the block itself, k = N_{l0} columns on N_{l0}
-    # units: never thin; a profile draws every layer whole (module docstring)
-    k = dims[l0]
-    return k if not profile and k + 1 <= _SPAN_MAX * dims[l - 1] else "dense"
-
-
 def _gram_root(G: np.ndarray, n: int) -> np.ndarray:
     """R with R^T R = G for the Gram G = A^T A of n-row columns A.
 
@@ -525,18 +501,6 @@ def _gram_root(G: np.ndarray, n: int) -> np.ndarray:
     e, V = np.linalg.eigh(G * np.outer(inv, inv))
     e[e <= n * G.shape[0] * np.finfo(float).eps * e[-1]] = 0.0
     return (np.sqrt(e)[:, None] * V.T) * d
-
-
-def _span_root(z: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """R with R^T R = A^T A for A = [z, F], from the (k + 1)-square Gram
-    (:func:`_gram_root`): a zero column, or z in the span of F (ReLU at
-    sigma_b = 0), gives exactly zero rows."""
-    k = F.shape[1]
-    G = np.empty((k + 1, k + 1))
-    G[0, 0] = z @ z
-    G[0, 1:] = G[1:, 0] = z @ F
-    G[1:, 1:] = F.T @ F
-    return _gram_root(G, z.size)
 
 
 def _view(flat: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -557,9 +521,10 @@ class _Probe:
 
     :meth:`start` readies a layer's products and :meth:`finish` completes
     them.  A layer drawn whole reaches it in row blocks, :meth:`take`
-    filling the products' rows for one block; a span draw fills them in
-    :meth:`sample`.  The tangent lives in one of two buffers and the next
-    layer's is written into the other.
+    filling the products' rows for one block.  The tangent lives in one of
+    two buffers and the next layer's is written into the other.  A single
+    J^{l0, last} under the drivers stops at layer last - 1 and reads
+    :meth:`mean_over_last`.
     """
 
     def __init__(self, dims, act, hp, norm, groups, x, last,
@@ -585,23 +550,22 @@ class _Probe:
 
     def lean(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
         """Advance through forward-only layer ``l`` given (xi^l, b^l) of
-        :meth:`NetworkParams.conditional` at k = 0: ``|z^{l-1}| xi^l`` stands
-        in for ``W^l z^{l-1}``, with exactly its law given the past."""
+        :meth:`NetworkParams.conditional`: ``|z^{l-1}| xi^l`` stands in for
+        ``W^l z^{l-1}``, with exactly its law given the past."""
         wz = math.sqrt(float(self.z @ self.z)) * xi
         wz *= self.hp.sigma_w / math.sqrt(self.dims[l - 1])
         self._advance(l, wz, b)
 
-    def sample(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
-        """Advance through layer ``l`` > l0 given (Xi^l, b^l) of
-        :meth:`NetworkParams.conditional`: with A = [z^{l-1}, B T] and R =
-        :func:`_span_root`, ``Xi^l R`` stands in for ``W^l A``, with exactly
-        its law given the past."""
-        self.start(l)
-        R = _span_root(self.z, self.F)
-        np.matmul(xi, R[:, 1:], out=self.out)
-        if self.wz is not None:
-            np.matmul(xi, R[:, 0], out=self.wz)
-        self.finish(l, b)
+    def mean_over_last(self) -> float:
+        """E[J^{l0, last} | layers < last] once the sweep has stopped at m =
+        last - 1: (sigma_w^2 / N_m) |B^m T^m|_F^2, with T^{l0} = I and B^0 =
+        I (module docstring)."""
+        m, sw2 = self.last - 1, self.hp.sw2
+        if m == self.l0:
+            return sw2 * (self.block.frobenius_sq() / self.dims[m] if m else 1.0)
+        F = self.block.tangent(self.T)
+        FF = _view(self.pair[1 - self.cur], *F.shape)  # the dead buffer
+        return sw2 * (float(np.sum(np.multiply(F, F, out=FF))) / self.dims[m])
 
     def start(self, l: int) -> int:
         """Ready the products of layer ``l``: W z, and W (B T) above l0.
@@ -680,33 +644,21 @@ def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None,
     one buffer that every layer reuses, of :func:`_block_rows` rows for the
     widest product a probe takes.  Given ``draws`` (the ensemble drivers),
     the probes that only carry the forward vector through layer l share
-    one lean step on ``draws.conditional(l, 0)``; each other probe takes
-    its own :func:`_route`, and the probes on one span route share its draw
-    ``draws.conditional(l, k)``.  Every draw reads layer l's stream from
-    the start.
+    one lean step on ``draws.conditional(l)``, and the others take the row
+    blocks.  Every draw reads layer l's stream from the start.
     """
     dims = probes[0].dims
     flat = np.empty(0)
     for l in range(1, (max(p.last for p in probes) if stop is None else stop) + 1):
-        lean, routes = [], {}
+        lean, active = [], []
         for p in probes:
-            if l > p.last:
-                continue
-            if draws is None:
-                routes.setdefault("dense", []).append(p)
-            elif p.l0 is None or l <= p.l0:
-                lean.append(p)
-            else:
-                routes.setdefault(_route(p.dims, p.l0, p.profile, l), []).append(p)
+            if l <= p.last:
+                forward_only = draws is not None and (p.l0 is None or l <= p.l0)
+                (lean if forward_only else active).append(p)
         if lean:
-            xi, b = draws.conditional(l, 0)
+            xi, b = draws.conditional(l)
             for p in lean:
-                p.lean(l, xi[:, 0], b)
-        active = routes.pop("dense", [])
-        for k, ps in routes.items():
-            xi, b = draws.conditional(l, k)
-            for p in ps:
-                p.sample(l, xi, b)
+                p.lean(l, xi, b)
         if not active:
             flat = np.empty(0)
             continue
@@ -830,13 +782,14 @@ def _members(cfgs: list, measure: Callable) -> list:
 
 
 def _member_bytes(cfgs: list, l0: int | None, l: int, profile: bool = False) -> int:
-    """What one driver member measuring J^{l0, l} with a tangent (not a
-    one-step mean) holds at its peak beyond its forward state.
+    """What one driver member measuring J^{l0, l} (a profile with
+    ``profile``) holds at its peak beyond its forward state.
 
-    Per configuration, its two tangent buffers (2 N x N_{l0} with N the
-    widest layer from l0 to l); plus the largest draw of a layer above l0,
-    by its :func:`_route`: a row block, or a span draw's N_l x (k + 1) Xi
-    and its (k + 1)-square Grams.  An NTK member (``l0`` None, depth
+    It draws layers l0 + 1 .. l of a profile, and l0 + 1 .. l - 1 of a
+    single J^{l0, l}, whose last layer is integrated out.  If it draws any,
+    it holds per configuration its two tangent buffers (2 N x N_{l0} with N
+    the widest layer from l0 to l), plus the largest row block; a one-step
+    member holds only its block's factors.  An NTK member (``l0`` None, depth
     ``l``) holds its forward record, ``_NTK_RECORD`` vectors of N per
     layer; stepping down the layers, it adds six k x N arrays (gradient
     rows, draws, temporaries) and one block's factors, up to 8 N entries
@@ -849,14 +802,10 @@ def _member_bytes(cfgs: list, l0: int | None, l: int, profile: bool = False) -> 
         k, rank = min(_NTK_ROWS, dims[-1]), 2 * cfg.groups if cfg.norm.normalizes else 0
         return 8 * n * (_NTK_RECORD * l + 6 * k + 8 * rank)
     k = dims[l0]  # the tangent's columns
-    draw = 0
-    for j in range(l0 + 1, l + 1):
-        route = _route(dims, l0, profile, j)
-        if route == "dense":
-            size = _block_rows(dims[j], dims[j - 1], k) * dims[j - 1]
-        else:
-            size = dims[j] * (route + 1) + 4 * (route + 1) ** 2
-        draw = max(draw, size)
+    drawn = range(l0 + 1, (l if profile else l - 1) + 1)
+    if not drawn:
+        return 0
+    draw = max(_block_rows(dims[j], dims[j - 1], k) * dims[j - 1] for j in drawn)
     return 8 * (len(cfgs) * 2 * max(dims[l0:l + 1]) * k + draw)
 
 
@@ -877,24 +826,20 @@ def _check_fits(cfgs: list, l0: int | None, l: int, profile: bool = False) -> No
 def _swept(cfgs: list, l0: int, l: int, profile: bool = False) -> list:
     """Per-config member values of J^{l0, l}, all configs in one sweep per member.
 
-    A one-step J^{l0, l0+1} sweeps only up to l0 and takes each member's
-    mean over W^{l0+1} from its block at h^{l0} (module docstring).
+    A profile sweeps every layer up to l.  A single J^{l0, l} sweeps up to
+    l - 1 and takes each member's mean over W^l (module docstring).
     """
-    one_step = not profile and l == l0 + 1
-    if not one_step:
-        _check_fits(cfgs, l0, l, profile)
+    _check_fits(cfgs, l0, l, profile)
 
     def measure(params, xs):
         probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
                          cfg.groups, x, l, l0, profile)
                   for cfg, x in zip(cfgs, xs)]
-        if not one_step:
+        if profile:
             _sweep(params.rows, probes, params)
             return [p.value for p in probes]
-        _sweep(params.rows, probes, params, stop=l0)
-        # (sigma_w^2 / N_{l0}) |B^{l0}|_F^2, with B^0 = I
-        return [p.hp.sw2 * (p.block.frobenius_sq() / p.dims[l0] if l0 else 1.0)
-                for p in probes]
+        _sweep(params.rows, probes, params, stop=l - 1)
+        return [p.mean_over_last() for p in probes]
 
     return _members(cfgs, measure)
 
@@ -938,7 +883,7 @@ def ensemble_ntk(cfg: EnsembleConfig) -> JacobianEstimate:
 
     A member is the diagonal averaged over its first k = min(8, N_L)
     output units: the mean of Theta, with a wider spread where k < N_L.
-    Its forward pass is the lean chain of k = 0 span draws; its backward
+    Its forward pass is the chain of lean steps; its backward
     pass steps those k rows of d h^L / d h^l down the layers, each layer's
     G W^l a reverse span draw (:func:`_reverse_span`), so a member holds
     no weight matrix and costs O(k N) normals per layer.
@@ -1008,23 +953,30 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
     The correction shifts the first-layer multiplier by ``(2 sigma_w^2 /
     N0) chi_delta |x|^2 / N0`` and is visible only for activations with
     curvature (erf, GELU) at small input dimension.  Vanilla mode only.
+
+    Each member's value is its conditional mean over W^2 given layer 1,
+    (sigma_w^2 / N_1) |B^1 T^1|_F^2 (module docstring): the mean of
+    J^{0,2}, with no larger a variance.  With ``resample_inputs`` each
+    member sees its own input, and both predictions are averaged over the
+    members' inputs.
     """
     if cfg.norm.normalizes:
         raise ValueError("the input correction is derived for the vanilla mode")
     (values,) = _swept([cfg], 0, 2)
     est = _scalar_estimate(values)
 
-    x = resolve_input(cfg, 0)
-    rho = float(np.dot(x, x)) / cfg.input_dim
-    k1 = cfg.hyper.sw2 * rho + cfg.hyper.sb2
-    tr = trace(cfg.act, NormMode.VANILLA, cfg.hyper, depth=2, k0=k1, l0=0)
-    corrected = j0_corrected(cfg.act, cfg.hyper, tr, cfg.input_dim, rho, layer=2)
-    uncorrected = float(tr.J[2])
+    corrected, uncorrected = [], []
+    for i in range(cfg.n_init if cfg.resample_inputs else 1):
+        x = resolve_input(cfg, i)
+        tr = trace(cfg.act, NormMode.VANILLA, cfg.hyper, depth=2, k0=first_kernel(cfg, i))
+        rho = float(np.dot(x, x)) / cfg.input_dim
+        corrected.append(j0_corrected(cfg.act, cfg.hyper, tr, cfg.input_dim, rho, layer=2))
+        uncorrected.append(float(tr.J[2]))
     return N0CorrectionReport(
         measured=est.mean,
         measured_stderr=est.stderr,
-        corrected_pred=corrected,
-        uncorrected_pred=uncorrected,
+        corrected_pred=math.fsum(corrected) / len(corrected),
+        uncorrected_pred=math.fsum(uncorrected) / len(uncorrected),
     )
 
 

@@ -403,6 +403,19 @@ class TestMonteCarlo:
         doc = json.loads(out)
         assert set(doc) >= {"measured", "corrected_pred", "uncorrected_pred"}
 
+    def test_n0check_resample_inputs(self, capsys):
+        # each member sees its own input, and so do the predictions: at this
+        # seed those of member 0's input alone read 12 standard errors off
+        args = ["mc", "n0check", "--act", "erf", "--sw", "1.0", "--sb", "0",
+                "--width", "1024", "--input-dim", "16", "--depth", "2", "--n-init", "200",
+                "--seed", "3", "--resample-inputs"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["resample_inputs"] is True
+        assert doc["err_corrected"] <= 4 * doc["measured_stderr"], doc
+        assert doc["err_corrected"] < doc["err_uncorrected"]
+
     def test_non_finite_input_file_exits_one(self, capsys, tmp_path):
         x = np.ones(16, dtype="<f4")
         x[3] = np.nan

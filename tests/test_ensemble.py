@@ -31,18 +31,18 @@ from jacprop.ensemble import (
     _member_bytes,
     _ntk_members,
     _scalar_estimate,
-    _span_root,
     _swept,
     empirical_chi,
     empirical_ntk,
     ensemble_ntk,
+    first_kernel,
     forward,
     jacobian_profile,
     n0_correction_check,
     partial_jacobian_norm,
     resolve_input,
 )
-from jacprop.meanfield import Hyper, NormMode, trace
+from jacprop.meanfield import Hyper, NormMode, j0_corrected, trace
 
 RELU = Activation.relu()
 ERF = Activation.erf()
@@ -546,7 +546,8 @@ class TestDriverGoldenBits:
     At depth 5, seed 29, 3 members, 8 wide: ``empirical_chi`` (layers 1..3
     carry only the forward vector), a single J^{2,5} above two
     forward-only layers, a three-config batch; J^{0,5} on a 3-column input
-    at width 40 (span draws above layer 1); the n0 check.
+    at width 40 (row blocks for layers 1..4, layer 5 integrated out); the
+    n0 check.
     """
 
     CHI = {
@@ -590,10 +591,10 @@ class TestDriverGoldenBits:
     def test_single_jacobians_are_bit_identical(self):
         cfg = self._cfg(act=GELU, norm=NormMode.POST_LN, groups=2)
         assert [float(v).hex() for v in _swept([cfg], 2, 5)[0]] == [
-            "0x1.974f963aabf48p+3", "0x1.06b35a2df8574p+7", "0x1.94f3f536d9422p+3"]
+            "0x1.1194f30012956p+4", "0x1.2b04103dd476ep+8", "0x1.c308e2efdcef0p+5"]
         thin = self._cfg(width=40, input_dim=3, act=ERF, norm=NormMode.PRE_LN)
         assert [float(v).hex() for v in _swept([thin], 0, 5)[0]] == [
-            "0x1.1ae2ef86907e1p-2", "0x1.ac85cd55c894dp-1", "0x1.786a30fcdc454p-3"]
+            "0x1.a01707678655dp-2", "0x1.4e21331b7a5aep-3", "0x1.d0ec107d6c274p-2"]
 
     def test_batch_is_bit_identical(self):
         batch = [self._cfg(act=GELU),
@@ -628,7 +629,7 @@ class TestDriverGoldenBits:
                              hyper=Hyper(1.3, 0.4), act=ERF)
         report = n0_correction_check(cfg)
         assert (report.measured.hex(), report.measured_stderr.hex()) == (
-            "0x1.9f9dba762189dp-1", "0x1.2c2db6efe1193p-3")
+            "0x1.a06bdae7e68b7p-1", "0x1.37bd471b9a5fcp-3")
 
 
 class TestEnsembleDrivers:
@@ -691,7 +692,7 @@ class TestEnsembleDrivers:
                 params = NetworkParams.draw([32] + [width] * layer, 31, i)
                 x = resolve_input(self._cfg(), 0)
                 hs = forward(params, ERF, hp, NormMode.VANILLA, x)
-                k1 = hp.sw2 * float(x @ x) / 32 + hp.sb2
+                k1 = first_kernel(self._cfg(hyper=hp))
                 tr = trace(ERF, NormMode.VANILLA, hp, depth=layer, k0=k1, l0=0)
                 rel.append(abs(np.mean(hs[layer] ** 2) - tr.K[layer]) / tr.K[layer])
             errs[width] = np.mean(rel)
@@ -709,10 +710,26 @@ class TestEnsembleDrivers:
         # to better than 0.1%
         hp = Hyper(1.0, 0.0)
         tr = trace(ERF, NormMode.VANILLA, hp, depth=2, k0=1.0, l0=0)
-        from jacprop.meanfield import j0_corrected
-
         corr = j0_corrected(ERF, hp, tr, n0=4096, input_norm=1.0, layer=2)
         assert abs(corr - tr.J[2]) / tr.J[2] <= 1e-3
+
+    def test_n0_predictions_average_the_members_own_inputs(self):
+        # with resampled inputs each member sees its own input; the
+        # predictions once came from member 0's input alone, and read 12
+        # standard errors off the measurement at this seed
+        cfg = self._cfg(act=ERF, hyper=Hyper(1.0, 0.0), width=1024, input_dim=16, depth=2,
+                        n_init=200, seed=3, resample_inputs=True)
+        rep = n0_correction_check(cfg)
+        corrected, uncorrected = [], []
+        for i in range(cfg.n_init):
+            x = resolve_input(cfg, i)
+            rho = float(x @ x) / cfg.input_dim
+            tr = trace(ERF, NormMode.VANILLA, cfg.hyper, depth=2, k0=rho)
+            corrected.append(j0_corrected(ERF, cfg.hyper, tr, cfg.input_dim, rho, layer=2))
+            uncorrected.append(tr.J[2])
+        assert rep.corrected_pred == pytest.approx(np.mean(corrected), rel=1e-12)
+        assert rep.uncorrected_pred == pytest.approx(np.mean(uncorrected), rel=1e-12)
+        assert rep.err_corrected <= 4 * rep.measured_stderr, rep
 
     def test_n0_correction_identical_for_scale_invariant(self):
         cfg = self._cfg(act=RELU, input_dim=8, depth=2, n_init=3)
@@ -785,15 +802,15 @@ class TestEnsembleDrivers:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
-    def test_memory_estimate_follows_the_route(self):
-        # the input check's shape: layer 2 is drawn in the span of 17 columns,
-        # where the dense route holds one 1 MB row block of the 4096 x 4096 layer
+    def test_memory_estimate_prices_the_drawn_layers(self):
+        # the input check's shape: a single J^{0,2} draws only the 4096 x 16
+        # layer 1, where a profile also holds a 1 MB row block of layer 2
         n, k = 4096, 16
         cfg = self._cfg(width=n, input_dim=k, depth=2)
-        dense = 8 * (2 * n * k + _block_rows(n, n, k) * n)
-        assert _member_bytes([cfg], 0, 2, False) < dense
-        # a profile draws every layer whole
-        assert _member_bytes([cfg], 0, 2, True) == dense
+        assert _member_bytes([cfg], 0, 2, False) == 8 * (2 * n * k + n * k)
+        assert _member_bytes([cfg], 0, 2, True) == 8 * (2 * n * k + _block_rows(n, n, k) * n)
+        # a one-step mean draws no layer above l0
+        assert _member_bytes([cfg], 1, 2, False) == 0
         # a thin run too large for the machine is still refused, naming the size
         huge = self._cfg(width=2**32, input_dim=k, depth=2)
         with pytest.raises(ValueError, match=r"about [0-9.e+]+ GiB .* physical memory"):
@@ -816,9 +833,7 @@ class TestPostLnAgainstTheory:
                               input_source=("gaussian", 0.0, 0.5), **kw)
 
     def _trace(self, cfg):
-        x = resolve_input(cfg)
-        k0 = self.HP.sw2 * float(x @ x) / cfg.input_dim + self.HP.sb2
-        return trace(cfg.act, NormMode.POST_LN, self.HP, cfg.depth, k0)
+        return trace(cfg.act, NormMode.POST_LN, self.HP, cfg.depth, first_kernel(cfg))
 
     @pytest.mark.parametrize("act", [RELU, ERF], ids=["relu", "erf"])
     def test_profile_within_four_stderr(self, act):
@@ -956,38 +971,33 @@ class TestStreaming:
 
     @staticmethod
     def _count_draws(monkeypatch) -> dict:
-        """Record (layer, k) of every span draw and the layer of every other draw."""
+        """Record the layer of every whole (``rows``) and lean (``conditional``) draw."""
         calls = {"rows": [], "conditional": []}
         for name in calls:
             def counted(self, l, *args, name=name, draw=getattr(NetworkParams, name)):
-                calls[name].append((l, *args) if name == "conditional" else l)
+                calls[name].append(l)
                 return draw(self, l, *args)
 
             monkeypatch.setattr(NetworkParams, name, counted)
         return calls
 
-    def test_shared_draw_counts(self, monkeypatch):
+    @pytest.mark.parametrize("l0, l", [(4, 5), (0, 6), (2, 6), (0, 1), (1, 3)])
+    def test_shared_draw_counts(self, l0, l, monkeypatch):
+        # 2 members, three configs: a single J^{l0,l} takes a lean step on
+        # layers 1..l0, draws layers l0+1..l-1 whole and averages over layer
+        # l, in all three modes; layer l and above are never drawn
         calls = self._count_draws(monkeypatch)
-        empirical_chi(self._batch())
-        # 2 members: J^{4,5} samples layers 1..4 from their single-input
-        # law and averages over layer 5, in all three modes: layers 5 and 6
-        # are never drawn
-        assert not calls["rows"]
-        assert sorted(calls["conditional"]) == sorted([(1, 0), (2, 0), (3, 0), (4, 0)] * 2)
-        calls["conditional"].clear()
-        thin = [replace(c, input_dim=4) for c in self._batch()]
-        _swept(thin, 0, 6)
-        # J^{0,6} on 5 columns on width 48: only layer 1 is drawn whole
-        assert sorted(calls["rows"]) == [1] * 2
-        assert sorted(calls["conditional"]) == sorted([(l, 4) for l in range(2, 7)] * 2)
+        _swept(self._batch(), l0, l)
+        assert sorted(calls["conditional"]) == sorted(list(range(1, l0 + 1)) * 2)
+        assert sorted(calls["rows"]) == sorted(list(range(l0 + 1, l)) * 2)
         for name in calls:
             calls[name].clear()
-        jacobian_profile(thin)
-        # a profile draws every layer whole, however thin its tangent
-        assert sorted(calls["rows"]) == sorted(list(range(1, 7)) * 2)
-        assert not calls["conditional"]
+        jacobian_profile(self._batch(), l0=l0)
+        # a profile draws every layer above l0 whole
+        assert sorted(calls["conditional"]) == sorted(list(range(1, l0 + 1)) * 2)
+        assert sorted(calls["rows"]) == sorted(list(range(l0 + 1, 7)) * 2)
 
-    def test_explicit_networks_take_no_thin_route(self, monkeypatch):
+    def test_explicit_networks_draw_every_weight(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
         params = NetworkParams.draw([4, 48, 48, 48], seed=7)
         x = np.random.default_rng(8).normal(size=4)
@@ -995,25 +1005,25 @@ class TestStreaming:
             forward(params, GELU, Hyper(1.3, 0.4), norm, x)
             partial_jacobian_norm(params, GELU, Hyper(1.3, 0.4), norm, x, 0, 3, profile=True)
             for l0 in (0, 1, 2):
+                # the dense oracle of the drivers' means: it draws its last layer
+                calls["rows"].clear()
                 partial_jacobian_norm(params, RELU, Hyper(1.4, 0.0), norm, x, l0, l0 + 1)
+                assert calls["rows"] == list(range(1, l0 + 2))
             empirical_ntk(params, GELU, Hyper(1.3, 0.4), norm, x)
-        assert calls["rows"] and not calls["conditional"]
+        assert not calls["conditional"]
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     @pytest.mark.parametrize("input_dim", [16, 4])
     def test_batch_bit_identical_to_single_runs(self, workers, input_dim, monkeypatch):
-        # a 4-wide input makes every layer of J^{0,6} above 1 a span draw
         cfgs = [replace(c, input_dim=input_dim) for c in self._batch()]
         runs = (empirical_chi, jacobian_profile, lambda c: jacobian_profile(c, l0=1),
                 _end_to_end)
         monkeypatch.setenv("JACPROP_WORKERS", "1")
         want = [[_bits(run(cfg)) for cfg in cfgs] for run in runs]
-        calls = self._count_draws(monkeypatch)
         monkeypatch.setenv("JACPROP_WORKERS", workers)
         for run, bits in zip(runs, want):
             assert [_bits(e) for e in run(cfgs)] == bits
             assert [_bits(run(cfg)) for cfg in cfgs] == bits
-        assert ((2, 4) in calls["conditional"]) == (input_dim == 4)
 
     def test_concurrent_drivers_share_one_pool(self, monkeypatch):
         # every driver call with 3 workers maps its members on the same
@@ -1114,51 +1124,57 @@ class MemberNetwork:
 
     Layers up to l0 are W^l = xi^l zhat^{l-1 T}, with (xi^l, b^l) the
     member's conditional draws and zhat^{l-1} the unit activation that
-    reaches layer l, so W^l z^{l-1} = |z^{l-1}| xi^l.  A layer in ``span``
-    acts on A = [z^{l-1}, B^{l-1} T^{l-1}] (T^{l-1} = d h^{l-1} / d h^{l0}
-    carried as a dense matrix, B^{l-1} from :func:`dense_block`) and is W^l
-    = Xi^l R A^+, so W^l A = Xi^l R for R = ``_span_root(A)``: for a
-    full-rank A = Q R0 that is Xi^l R R0^-1 Q^T, and a rank-deficient A
-    stays exact because R vanishes on A's null space (``ranks`` records
-    rank A).  Other layers are the member's own matrices.  The
-    explicit-network functions run on it as on any ``NetworkParams``.
+    reaches layer l, so W^l z^{l-1} = |z^{l-1}| xi^l.  Other layers are the
+    member's own matrices.  The explicit-network functions run on it as on
+    any ``NetworkParams``.
     """
 
-    def __init__(self, cfg: EnsembleConfig, l0: int, member: int = 0, span=()):
+    def __init__(self, cfg: EnsembleConfig, l0: int, member: int = 0):
         self.params = NetworkParams.draw(cfg.layer_dims, cfg.seed, member)
         self.layer_dims, self.depth = self.params.layer_dims, self.params.depth
         dims, hp = self.layer_dims, cfg.hyper
-        self.drawn, self.ranks = {}, {}
-        z, T, h = resolve_input(cfg, member), np.eye(dims[l0]), None
+        self.drawn = {}
+        z = resolve_input(cfg, member)
         for l in range(1, self.depth + 1):
-            scale = hp.sigma_w / math.sqrt(dims[l - 1])
             if l <= l0:
                 xi, b = self.params.conditional(l)
                 size = np.linalg.norm(z)
                 W = np.outer(xi, z / size if size else z)
             else:
-                F = T if l == 1 else dense_block(cfg.act, cfg.norm, cfg.groups, h)[0] @ T
-                if l in span:
-                    A = np.column_stack([z, F])
-                    self.ranks[l] = np.linalg.matrix_rank(A)
-                    xi, b = self.params.conditional(l, F.shape[1])
-                    W = xi @ _span_root(z, F) @ np.linalg.pinv(A, rcond=1e-10)
-                else:
-                    W, b = self.params.layer(l)
-                T = scale * (W @ F)
+                W, b = self.params.layer(l)
             self.drawn[l] = (W, b)
-            h = scale * (W @ z) + hp.sigma_b * b
+            h = hp.sigma_w / math.sqrt(dims[l - 1]) * (W @ z) + hp.sigma_b * b
             z = _Block(cfg.act, cfg.norm, cfg.groups, h).z
+
+    def layer(self, l):
+        return self.drawn[l]
 
     def rows(self, l, buf, b):
         W, b[:] = self.drawn[l]
         yield 0, W
 
 
+def dense_carried(net, cfg, x, l0, l):
+    """B^{l-1} T^{l-1} of an explicit network as a dense matrix: T^{l-1} = d
+    h^{l-1} / d h^{l0} composed from :func:`dense_block` and the drawn
+    weights, T^{l0} = I and B^0 = I.  A single J^{l0, l} of the network is
+    (sigma_w^2 / N_l) |W^l (B T) / sqrt(N_{l-1})|_F^2."""
+    dims, hp = net.layer_dims, cfg.hyper
+    hs = forward(net, cfg.act, hp, cfg.norm, x, cfg.groups)
+
+    def block(m):
+        return dense_block(cfg.act, cfg.norm, cfg.groups, hs[m])[0] if m else np.eye(dims[0])
+
+    M = np.eye(dims[l0])
+    for m in range(l0 + 1, l):
+        M = hp.sigma_w / math.sqrt(dims[m - 1]) * net.layer(m)[0] @ (block(m - 1) @ M)
+    return block(l - 1) @ M
+
+
 class TestConditionalLaw:
     """Each drawn layer is an exact sample of what the drivers read off it:
-    its single-input law up to l0, a span draw on thin tangents; a one-step
-    measurement is its exact mean over the layer above l0."""
+    its single-input law up to l0, the whole layer above; a single J^{l0, l}
+    is its exact mean over its last layer."""
 
     def _cfg(self, **kw):
         base = dict(width=24, input_dim=10, depth=6, n_init=1, seed=41,
@@ -1168,37 +1184,17 @@ class TestConditionalLaw:
 
     def test_conditional_draw_is_two_blocks_from_the_layer_stream(self):
         params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
-        for k in (0, 2):
-            xi, b = params.conditional(2, k)
-            rng = np.random.Generator(np.random.PCG64(params.streams[1]))
-            both = rng.standard_normal(3 * (k + 2))
-            assert xi.shape == (3, k + 1)
-            assert np.array_equal(xi.ravel(), both[:3 * (k + 1)])
-            assert np.array_equal(b, both[3 * (k + 1):])
-            # the one call reads the stream as a call for Xi, then one for b
-            rng = np.random.Generator(np.random.PCG64(params.streams[1]))
-            two = rng.standard_normal((3, k + 1)), rng.standard_normal(3)
-            assert xi.tobytes() == two[0].tobytes() and b.tobytes() == two[1].tobytes()
-            # Xi opens the stream the weights open: the first row-major entries of W^2
-            assert np.array_equal(xi.ravel(), params.layer(2)[0].ravel()[:3 * (k + 1)])
-
-    @pytest.mark.parametrize("zero_column", [False, True])
-    def test_span_root_factors_the_gram(self, zero_column):
-        rng = np.random.default_rng(5)
-        F = rng.normal(size=(40, 6)) * np.logspace(-6, 2, 6)  # graded column scales
-        z = F @ rng.normal(size=6)  # rank-deficient: z in the span of F
-        if zero_column:
-            F[:, 2] = 0.0
-        A = np.column_stack([z, F])
-        R = _span_root(z, F)
-        G = A.T @ A
-        d = np.sqrt(np.diag(G))
-        # every entry to rounding relative to its own columns' sizes
-        assert np.all(np.abs(R.T @ R - G) <= 1e-13 * np.outer(d, d) + 1e-300)
-        # rank deficiency gives exactly zero rows, one per null direction
-        assert np.sum(~R.any(axis=1)) == A.shape[1] - np.linalg.matrix_rank(A)
-        if zero_column:
-            assert not R[:, 3].any()
+        xi, b = params.conditional(2)
+        rng = np.random.Generator(np.random.PCG64(params.streams[1]))
+        both = rng.standard_normal(6)
+        assert xi.shape == b.shape == (3,)
+        assert np.array_equal(xi, both[:3]) and np.array_equal(b, both[3:])
+        # the one call reads the stream as a call for xi, then one for b
+        rng = np.random.Generator(np.random.PCG64(params.streams[1]))
+        two = rng.standard_normal(3), rng.standard_normal(3)
+        assert xi.tobytes() == two[0].tobytes() and b.tobytes() == two[1].tobytes()
+        # xi opens the stream the weights open: the first row-major entries of W^2
+        assert np.array_equal(xi, params.layer(2)[0].ravel()[:3])
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     @pytest.mark.parametrize("groups", [1, 2])
@@ -1220,55 +1216,29 @@ class TestConditionalLaw:
         got = jacobian_profile(cfg, l0=2).per_layer
         assert np.isnan(got[:3]).all()
         np.testing.assert_allclose(got[3:], want[3:], rtol=1e-10)
-
-    @pytest.mark.parametrize("norm", ALL_MODES)
-    @pytest.mark.parametrize("groups", [1, 2])
-    @pytest.mark.parametrize("act, hp, source", [
-        (GELU, Hyper(1.3, 0.4), ("gaussian", 0.0, 1.0)),
-        (RELU, Hyper(1.4, 0.0), ("gaussian", 0.0, 1.0)),
-        (GELU, Hyper(1.3, 0.4), ("array", (0.0,) * 4)),
-    ], ids=["gelu", "relu-sb0", "zero-input"])
-    def test_span_network_reproduces_a_member(self, norm, groups, act, hp, source):
-        # 4 input columns and z on width 48: layers 2..l of J^{0,l} are span draws
-        cfg = self._cfg(width=48, input_dim=4, act=act, hyper=hp, norm=norm,
-                        groups=groups, input_source=source)
-        x = resolve_input(cfg, 0)
-        L = cfg.depth
-        dense = MemberNetwork(cfg, 0, span=range(2, L + 1))
-        if act is RELU and norm is NormMode.VANILLA:
-            # z = phi'(h) h lies in the span of the tangent columns
-            assert all(rank == 4 for rank in dense.ranks.values())
-        want = partial_jacobian_norm(dense, act, hp, norm, x, 0, L, groups, profile=True)
-        got = [_swept([cfg], 0, l)[0][0] for l in range(2, L + 1)]
-        np.testing.assert_allclose(got, want[2:], rtol=1e-10)
-        # a profile of the same network draws every layer whole
-        want = partial_jacobian_norm(MemberNetwork(cfg, 0), act, hp, norm, x, 0, L, groups,
-                                     profile=True)
-        np.testing.assert_allclose(jacobian_profile(cfg).per_layer[1:], want[1:], rtol=1e-10)
-        # the one-step J^{0,1} is its mean over W^1: exactly sigma_w^2
-        assert _swept([cfg], 0, 1)[0][0] == hp.sw2
+        # a single J^{l0,l}: the member network's (sigma_w^2 / N) |B T|_F^2,
+        # composed densely below its last layer; exactly sigma_w^2 for J^{0,1}
+        assert _swept([cfg], 0, 1)[0][0] == cfg.hyper.sw2
+        for l0, l in ((2, L), (0, 2), (0, L), (3, 5)):
+            BT = dense_carried(MemberNetwork(cfg, l0), cfg, x, l0, l)
+            want = cfg.hyper.sw2 * float(np.sum(BT * BT)) / cfg.width
+            assert _swept([cfg], l0, l)[0][0] == pytest.approx(want, rel=1e-10), (l0, l)
 
     @staticmethod
-    def _same_mean(cfg, l0, l):
-        """The drivers' members and dense members (another seed) of J^{l0,l},
-        after checking that their means agree within 4 combined standard errors."""
-        n = cfg.n_init
+    def _dense_members(cfg, l0, l):
+        """J^{l0,l} of dense members on another seed, at the drivers' input."""
         x = resolve_input(cfg, 0)
-        (members,) = _swept([cfg], l0, l)
-        dense = np.array([
+        return np.array([
             partial_jacobian_norm(NetworkParams.draw(cfg.layer_dims, 1003, i),
                                   cfg.act, cfg.hyper, cfg.norm, x, l0, l)
-            for i in range(n)
+            for i in range(cfg.n_init)
         ])
-        se = math.hypot(members.std(ddof=1), dense.std(ddof=1)) / math.sqrt(n)
-        assert abs(members.mean() - dense.mean()) <= 4 * se
-        return members, dense
 
-    @classmethod
-    def _same_law(cls, cfg, l0, l):
-        # the drivers' members and dense members share the law of J^{l0,l}
-        members, dense = cls._same_mean(cfg, l0, l)
-        assert ks_2samp(members, dense).pvalue > 1e-3
+    @staticmethod
+    def _same_mean(members, dense):
+        """Means within 4 combined standard errors."""
+        se = math.hypot(members.std(ddof=1), dense.std(ddof=1)) / math.sqrt(len(members))
+        assert abs(members.mean() - dense.mean()) <= 4 * se, (members.mean(), dense.mean())
 
     @pytest.mark.parametrize("norm, act, hp", [
         (NormMode.VANILLA, ERF, Hyper(2.0, 0.3)),
@@ -1276,20 +1246,18 @@ class TestConditionalLaw:
         (NormMode.POST_LN, GELU, Hyper(1.2, 0.2)),
     ])
     def test_member_law_matches_materialized_networks(self, norm, act, hp):
-        # J^{3,5} depends on layers 1..3 only through h^3
-        self._same_law(EnsembleConfig(width=12, input_dim=6, depth=5, n_init=400, seed=3,
-                                      hyper=hp, norm=norm, act=act), 3, 5)
-
-    @pytest.mark.parametrize("norm, act, hp", [
-        (NormMode.VANILLA, ERF, Hyper(2.0, 0.3)),
-        (NormMode.VANILLA, RELU, Hyper(1.4, 0.0)),  # rank-deficient A
-        (NormMode.PRE_LN, RELU, Hyper(1.4, 0.6)),
-        (NormMode.POST_LN, GELU, Hyper(1.2, 0.2)),
-    ])
-    def test_span_member_law_matches_materialized_networks(self, norm, act, hp):
-        # 3 input columns and z on width 40: layers 2..4 are span draws
-        self._same_law(EnsembleConfig(width=40, input_dim=3, depth=4, n_init=400, seed=3,
-                                      hyper=hp, norm=norm, act=act), 0, 4)
+        # J^{3,5} depends on layers 1..3 only through h^3.  A profile samples
+        # every layer, so its members share the dense members' law; a single
+        # J^{3,5} is a conditional mean over W^5, narrower by design, so only
+        # the means compare
+        cfg = EnsembleConfig(width=12, input_dim=6, depth=5, n_init=400, seed=3,
+                             hyper=hp, norm=norm, act=act)
+        dense = self._dense_members(cfg, 3, 5)
+        (profile,) = _swept([cfg], 3, 5, profile=True)
+        self._same_mean(profile[:, 5], dense)
+        assert ks_2samp(profile[:, 5], dense).pvalue > 1e-3
+        (single,) = _swept([cfg], 3, 5)
+        self._same_mean(single, dense)
 
     @pytest.mark.parametrize("act, hp, l0", [
         (ERF, Hyper(2.0, 0.3), 3),
@@ -1299,8 +1267,10 @@ class TestConditionalLaw:
     def test_one_step_member_mean_matches_materialized_networks(self, act, hp, l0):
         # a one-step member is a conditional mean, narrower than a sample by
         # design, so only the means compare
-        self._same_mean(EnsembleConfig(width=12, input_dim=6, depth=5, n_init=400, seed=3,
-                                       hyper=hp, act=act), l0, l0 + 1)
+        cfg = EnsembleConfig(width=12, input_dim=6, depth=5, n_init=400, seed=3,
+                             hyper=hp, act=act)
+        (members,) = _swept([cfg], l0, l0 + 1)
+        self._same_mean(members, self._dense_members(cfg, l0, l0 + 1))
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     @pytest.mark.parametrize("act", [RELU, ERF, GELU], ids=["relu", "erf", "gelu"])
@@ -1315,17 +1285,17 @@ class TestConditionalLaw:
         assert got == pytest.approx(float(np.sum(B * B)), rel=1e-12, abs=1e-12 * size)
 
     @pytest.mark.parametrize("norm", ALL_MODES)
-    def test_one_step_mean_over_fresh_top_layers(self, norm):
-        # one member below l0 = L - 2, made dense; J^{l0, l0+1} over 2000
-        # fresh W^{l0+1} averages to the driver's value for that member
+    @pytest.mark.parametrize("l0, l", [(4, 5), (0, 2), (3, 5)])
+    def test_mean_over_fresh_top_layers(self, norm, l0, l):
+        # one member below layer l, made dense; J^{l0, l} over 2000 fresh W^l
+        # averages to the driver's value for that member: the one-step
+        # empirical_chi (l0 = L - 2) and two-step single J^{l0, l0+2}
         cfg = self._cfg(norm=norm, groups=2)
-        L, n = cfg.depth, cfg.width
-        x = resolve_input(cfg, 0)
-        h = forward(MemberNetwork(cfg, L - 2), cfg.act, cfg.hyper, norm, x, 2)[L - 2]
-        B = dense_block(cfg.act, norm, 2, h)[0]
+        n = cfg.width
+        BT = dense_carried(MemberNetwork(cfg, l0), cfg, resolve_input(cfg, 0), l0, l)
         W = np.random.default_rng(16).standard_normal((2000, n, n))
-        J = cfg.hyper.sw2 / n * np.sum((W @ B) ** 2, axis=(1, 2)) / n
-        got = empirical_chi(cfg).mean
+        J = cfg.hyper.sw2 / n * np.sum((W @ BT) ** 2, axis=(1, 2)) / n
+        got = empirical_chi(cfg).mean if l0 == cfg.depth - 2 else _swept([cfg], l0, l)[0][0]
         assert abs(J.mean() - got) <= 4 * J.std(ddof=1) / math.sqrt(J.size), (J.mean(), got)
 
 
@@ -1348,8 +1318,8 @@ class NtkMemberNetwork:
         z = resolve_input(cfg, member)
         zs, hs, vs, bs = [z], [None], [None], [None]
         for l in range(1, L + 1):
-            xi, b = params.conditional(l, 0)
-            vs.append(np.linalg.norm(z) * xi[:, 0])
+            xi, b = params.conditional(l)
+            vs.append(np.linalg.norm(z) * xi)
             bs.append(b)
             hs.append(hp.sigma_w / math.sqrt(dims[l - 1]) * vs[l] + hp.sigma_b * b)
             z = _Block(cfg.act, cfg.norm, cfg.groups, hs[l]).z
@@ -1432,9 +1402,9 @@ class TestReverseSpanNtk:
         assert peak <= _member_bytes([cfg], None, 12), (peak, _member_bytes([cfg], None, 12))
         if groups <= 2:  # 32 groups compose 256 x 128 factors
             assert peak < 256 * 256 * 8, peak
-        # every layer, in both runs, is a k = 0 span draw: no weight matrix is drawn
+        # every layer, in both runs, is a lean step: no weight matrix is drawn
         assert not calls["rows"]
-        assert sorted(calls["conditional"]) == sorted([(l, 0) for l in range(1, 13)] * 2)
+        assert sorted(calls["conditional"]) == sorted(list(range(1, 13)) * 2)
 
     def test_oversize_run_refused_naming_its_size(self):
         huge = EnsembleConfig(width=2**26, input_dim=4, depth=3, n_init=2, seed=0,
