@@ -1224,6 +1224,31 @@ class TestConditionalLaw:
             want = cfg.hyper.sw2 * float(np.sum(BT * BT)) / cfg.width
             assert _swept([cfg], l0, l)[0][0] == pytest.approx(want, rel=1e-10), (l0, l)
 
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("act, hp, source", [
+        (GELU, Hyper(1.3, 0.4), ("gaussian", 0.0, 1.0)),
+        (RELU, Hyper(1.4, 0.0), ("gaussian", 0.0, 1.0)),
+        (GELU, Hyper(1.3, 0.4), ("array", (0.0,) * 4)),
+    ], ids=["gelu", "relu-sb0", "zero-input"])
+    def test_thin_network_reproduces_a_member(self, norm, groups, act, hp, source):
+        # 4 input columns on width 48: the tangent of J^{0,l} is 4 columns
+        # wide, z lies in their span for a vanilla ReLU, and a zero input
+        # leaves only the biases.  Every single J^{0,l} is the member
+        # network's (sigma_w^2 / N_{l-1}) |B T|_F^2, exactly sigma_w^2 at l = 1
+        cfg = self._cfg(width=48, input_dim=4, act=act, hyper=hp, norm=norm,
+                        groups=groups, input_source=source)
+        x = resolve_input(cfg, 0)
+        dims, L = cfg.layer_dims, cfg.depth
+        dense = MemberNetwork(cfg, 0)
+        for l in range(1, L + 1):
+            BT = dense_carried(dense, cfg, x, 0, l)
+            want = hp.sw2 * float(np.sum(BT * BT)) / dims[l - 1]
+            assert _swept([cfg], 0, l)[0][0] == pytest.approx(want, rel=1e-10), l
+        # a profile of the same network draws every layer whole
+        want = partial_jacobian_norm(dense, act, hp, norm, x, 0, L, groups, profile=True)
+        np.testing.assert_allclose(jacobian_profile(cfg).per_layer[1:], want[1:], rtol=1e-10)
+
     @staticmethod
     def _dense_members(cfg, l0, l):
         """J^{l0,l} of dense members on another seed, at the drivers' input."""
