@@ -116,14 +116,17 @@ class PhaseGrid:
     """Fixed-point multiplier sampled on a hyperparameter rectangle.
 
     ``chi[i, j]`` corresponds to ``(sigma_w[i], sigma_b[j])``; cells whose
-    kernel iteration diverged carry the saturated large-kernel multiplier
-    and are flagged in ``diverged``.
+    kernel diverged carry the saturated large-kernel multiplier and are
+    flagged in ``diverged``.  ``converged`` and ``iterations`` are each
+    cell's :class:`~jacprop.critical.FixedPoint` fields.
     """
 
     sigma_w: np.ndarray
     sigma_b: np.ndarray
     chi: np.ndarray
     diverged: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
 
 
 def phase_grid(
@@ -135,14 +138,20 @@ def phase_grid(
     """Evaluate ``chi_star`` on the outer product of the two sweeps."""
     sw = np.asarray(list(sigma_w), dtype=float)
     sb = np.asarray(list(sigma_b), dtype=float)
-    chi = np.empty((sw.size, sb.size))
-    div = np.zeros((sw.size, sb.size), dtype=bool)
+    shape = (sw.size, sb.size)
+    chi = np.empty(shape)
+    div = np.zeros(shape, dtype=bool)
+    conv = np.zeros(shape, dtype=bool)
+    iters = np.zeros(shape, dtype=int)
     for i, w in enumerate(sw):
         for j, b in enumerate(sb):
             fp = find_fixed_point(act, mode, Hyper(w, b))
             chi[i, j] = fp.chi_j_star
             div[i, j] = fp.diverged
-    return PhaseGrid(sigma_w=sw, sigma_b=sb, chi=chi, diverged=div)
+            conv[i, j] = fp.converged
+            iters[i, j] = fp.iterations
+    return PhaseGrid(sigma_w=sw, sigma_b=sb, chi=chi, diverged=div,
+                     converged=conv, iterations=iters)
 
 
 def chi_one_crossings(grid: PhaseGrid) -> np.ndarray:

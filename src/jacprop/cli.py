@@ -200,13 +200,15 @@ def _cmd_phase_diagram(args) -> int:
                   sb2_max=args.sb2_max, resolution=args.resolution)
     # a diverged cell carries the saturated large-kernel chi; 1 flags it
     rows = [
-        (grid.sigma_w[i] ** 2, grid.sigma_b[j] ** 2, grid.chi[i, j], int(grid.diverged[i, j]))
+        (grid.sigma_w[i] ** 2, grid.sigma_b[j] ** 2, grid.chi[i, j], int(grid.diverged[i, j]),
+         int(grid.converged[i, j]), int(grid.iterations[i, j]))
         for i in range(grid.sigma_w.size)
         for j in range(grid.sigma_b.size)
     ]
     with _open_out(args) as out:
         _emit_csv(out, "phase-diagram", config,
-                  ["sigma_w_sq", "sigma_b_sq", "chi", "diverged"], rows)
+                  ["sigma_w_sq", "sigma_b_sq", "chi", "diverged", "converged", "iterations"],
+                  rows)
     return 0
 
 
@@ -231,6 +233,10 @@ def _mc_config(args) -> EnsembleConfig:
 
 
 def _cmd_mc(args) -> int:
+    if args.input_file and args.resample_inputs:
+        raise argparse.ArgumentTypeError(
+            "--resample-inputs draws a fresh gaussian input per member and "
+            "cannot resample the one vector of --input-file")
     if args.task != "profile":
         for flag, value in (("--l0", args.l0), ("--series-out", args.series_out)):
             if value is not None:

@@ -9,6 +9,17 @@ the line the Jacobian norms behave like ``exp(+-l / xi)`` with
 correlation length ``xi = 1 / |log chi_star|``; on it they decay
 algebraically, ``J ~ l**(-zeta)``, with an activation-dependent exponent
 that this module extracts numerically.
+
+Every fixed point is the one Picard iteration of the kernel map ``g``
+reaches, found without iterating.  An affine map (a scale-invariant phi,
+or a norm) has a closed form.  For erf and GELU, ``g`` is increasing, so
+Picard moves monotonically to the nearest root of ``f = g - K`` in the
+direction of ``f(k_init)``, or diverges.  ``f`` is concave on ``[0, inf)``
+for erf; for GELU it is convex up to the one zero ``K_c ~ 3.37`` of
+``<phi^2>''`` and concave beyond.  On each piece ``f'`` is monotone, so
+the sign of ``f`` at the piece's end and at its one extremum (where
+``chi_k = 1``) tell whether a root lies ahead, and one bracketed Brent
+solve finds it to rounding, in tens of map evaluations.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .activations import K_LARGE, Activation, MomentKind, moment_closed
+from .activations import Activation, MomentKind, moment_closed
 from .meanfield import (
     OVERFLOW,
     Hyper,
@@ -47,17 +58,19 @@ __all__ = [
     "gelu_parametric_line",
 ]
 
-#: Below this value an iterated kernel is reported as exactly zero.
+#: A fixed kernel below this is reported as exactly zero when zero is fixed.
 ZERO_FLOOR = 1e-14
-#: Picard steps before the Newton polish takes over.
-MAX_ITER = 100_000
-#: Relative step at which an iteration counts as converged.
-TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """Result of iterating the kernel map to convergence."""
+    """The fixed point Picard iteration of the kernel map reaches
+    (:func:`find_fixed_point`).
+
+    ``converged`` is False exactly when the kernel diverges, with an
+    infinite ``k_star``.  ``iterations`` counts the evaluations of the map
+    and of its slope that found it.
+    """
 
     k_star: float
     chi_k_star: float
@@ -94,38 +107,22 @@ def find_fixed_point(
     hp: Hyper,
     k_init: float = 1.0,
 ) -> FixedPoint:
-    """Locate the fixed point of the kernel map by Picard iteration.
-
-    Picard runs until a step moves the kernel by at most :data:`TOL`
-    relative, for at most :data:`MAX_ITER` steps.
+    """The fixed point that Picard iteration of the kernel map reaches from
+    ``k_init``, solved for directly.
 
     An affine kernel map -- a scale-invariant phi, or any block with a
     norm, whose map is constant -- takes the closed form ``K* = g(0) / (1 -
-    chi_k)`` with no iteration.  Smooth activations without a norm
-    iterate; a Newton polish on ``kernel_step(K) - K`` handles the
-    algebraic slowdown near criticality, and convergence below
-    :data:`ZERO_FLOOR` is reported as exactly zero.  ``chi_k_star`` and the
-    Newton slope are the exact map derivative
+    chi_k)``.  A smooth phi without a norm has its root solved for on the
+    map's convex and concave pieces (:func:`_attractor`), to rounding; a
+    root below :data:`ZERO_FLOOR` is reported as exactly zero when zero is
+    fixed.  ``chi_k_star`` is the exact map derivative
     :func:`~jacprop.meanfield.chi_kernel`, never a finite difference.
-    Divergence (a kernel beyond :data:`OVERFLOW`, or beyond
-    :data:`~jacprop.activations.K_LARGE` with a K -> inf slope above one)
-    yields ``converged=False`` with an infinite ``k_star`` rather than an
-    exception.
+    Divergence yields ``converged=False`` with an infinite ``k_star``
+    rather than an exception.  ``iterations`` counts the evaluations of
+    the map and of its slope; the affine closed form takes none.
     """
     if not (math.isfinite(k_init) and k_init >= 0):
         raise ValueError(f"k_init must be finite and nonnegative, got {k_init}")
-
-    def finish(k_star: float, iters: int, converged: bool = True) -> FixedPoint:
-        if math.isinf(k_star):
-            return FixedPoint(math.inf, math.inf, _saturated_chi(act, hp), False, iters)
-        # Iterates crawling toward the K* = 0 fixed point stall at the
-        # step-size tolerance; snap to zero when zero is actually fixed.
-        if 0 < k_star < max(ZERO_FLOOR, 1e4 * TOL):
-            if kernel_step(act, mode, hp, 0.0) == 0.0:
-                k_star = 0.0
-        chi_k = chi_kernel(act, mode, hp, k_star)
-        chi_j = chi_jacobian(act, mode, hp, k_star)
-        return FixedPoint(k_star, chi_k, chi_j, converged, iters)
 
     if act.family == "scale_invariant" or mode.normalizes:
         # The map is affine, g(K) = g(0) + chi_k K: phi is linear on each
@@ -133,50 +130,163 @@ def find_fixed_point(
         chi_k = chi_kernel(act, mode, hp, k_init)  # the same at every kernel
         g0 = kernel_step(act, mode, hp, 0.0)
         if chi_k < 1.0:
-            return finish(g0 / (1.0 - chi_k), 0)
-        if chi_k == 1.0 and g0 == 0.0:
-            return finish(k_init, 0)  # every kernel is fixed
-        return finish(math.inf, 0, converged=False)
-
-    # Beyond K_LARGE the map is affine with its K -> inf slope, so a kernel
-    # there diverges if that slope exceeds one.
-    k_cap = K_LARGE if chi_kernel(act, mode, hp, math.inf) > 1.0 else OVERFLOW
-    k = float(k_init)
-    for it in range(1, MAX_ITER + 1):
-        k_next = kernel_step(act, mode, hp, k)
-        if not k_next <= k_cap:
-            return finish(math.inf, it, converged=False)
-        if abs(k_next - k) <= TOL * max(1.0, abs(k_next)):
-            k = k_next
-            break
-        k = k_next
+            k_star = g0 / (1.0 - chi_k)
+        elif chi_k == 1.0 and g0 == 0.0:
+            k_star = float(k_init)  # every kernel is fixed
+        else:
+            k_star = math.inf
+        evals = 0
     else:
-        # Picard stalled (chi_k near 1); polish with Newton on g(K) - K.
-        for it2 in range(200):
-            f = kernel_step(act, mode, hp, k) - k
-            fp = chi_kernel(act, mode, hp, k) - 1.0
-            if fp == 0.0:
-                break
-            k_new = k - f / fp
-            if k_new < 0.0:
-                k_new = 0.5 * k
-            if abs(k_new - k) <= TOL * max(1.0, abs(k_new)):
-                k = k_new
-                break
-            k = k_new
-        k = max(k, 0.0)
-        if k < ZERO_FLOOR:
-            k = 0.0
-        # A stalled map need not have a fixed point at all (a "ghost"
-        # bottleneck just past a tangent bifurcation slows Picard the
-        # same way); accept the polished value only if it is a root.
-        if abs(kernel_step(act, mode, hp, k) - k) > 100.0 * TOL * max(1.0, k):
-            return finish(math.inf, MAX_ITER, converged=False)
-        return finish(k, MAX_ITER)
+        k_star, evals = _attractor(act, hp, float(k_init))
+        if 0 < k_star < ZERO_FLOOR and kernel_step(act, mode, hp, 0.0) == 0.0:
+            k_star = 0.0
+    if math.isinf(k_star):
+        return FixedPoint(math.inf, math.inf, _saturated_chi(act, hp), False, evals)
+    chi_k = chi_kernel(act, mode, hp, k_star)
+    chi_j = chi_jacobian(act, mode, hp, k_star)
+    return FixedPoint(k_star, chi_k, chi_j, True, evals)
 
-    if k < ZERO_FLOOR:
-        k = 0.0
-    return finish(k, it)
+
+#: An extremum of ``g(K) - K`` within this many K of zero is a double
+#: (half-stable) root: there the map's rounding cannot tell a tangent root
+#: from a near miss, and Picard crawls through both alike.
+DOUBLE_ROOT = 1e-10
+#: Brent's absolute tolerance on a kernel, far below :data:`ZERO_FLOOR`, so
+#: its relative one, 4 eps, rules every kernel above that.  Any smaller,
+#: and a root near 1e-168 in [0, 1] outlasts Brent's 100 iterations.
+_KERNEL_XTOL = 1e-30
+
+#: The end of each smooth family's convex piece, filled on first use.
+_CONVEX_END: dict = {}
+
+
+def _convex_end(act: Activation) -> float:
+    """``K_c``: ``g - K`` is convex on ``[0, K_c]`` and concave beyond.
+
+    ``K_c`` is the one sign change of ``<phi^2>'' = PHI2_D2``: about 3.37
+    for GELU, the real root of ``5K^3 - 11K^2 - 18K - 6``, and 0 for erf,
+    whose ``PHI2_D2`` is negative at every kernel.
+    """
+    k_c = _CONVEX_END.get(act.family)
+    if k_c is None:
+        d2 = lambda k: moment_closed(act, MomentKind.PHI2_D2, k)  # noqa: E731
+        k_c = 0.0
+        if d2(0.0) > 0:
+            hi = 1.0
+            while d2(hi) > 0:
+                hi *= 4.0
+            k_c = _brentq(d2, 0.0, hi, xtol=_KERNEL_XTOL)[0]
+        _CONVEX_END[act.family] = k_c
+    return k_c
+
+
+def _attractor(act: Activation, hp: Hyper, k0: float) -> tuple[float, int]:
+    """The fixed point Picard reaches from ``k0`` (inf if it diverges),
+    and the evaluations of the map and its slope spent finding it.
+
+    ``g`` is increasing (``PHI2_D1 > 0``), so from ``f(k0) > 0`` Picard
+    climbs to the first root above ``k0`` and from ``f(k0) < 0`` it falls
+    to the last root below it, which exists since ``f(0) = sigma_b^2 >=
+    0``.  ``f`` is convex on ``[0, K_c]`` and concave beyond
+    (:func:`_convex_end`), so on each piece ``f'`` is monotone and
+    :func:`_piece_root` settles whether a root lies ahead.  On the last,
+    unbounded piece, ``f'`` falls toward ``chi_k(inf) - 1``: a climb there
+    diverges at once if that limit is not negative, and otherwise meets
+    the one root where ``f`` turns negative, up to ``OVERFLOW``.
+    """
+    mode = NormMode.VANILLA
+    evals = 0
+
+    def f(k):
+        nonlocal evals
+        evals += 1
+        return kernel_step(act, mode, hp, k) - k
+
+    def slope(k):
+        nonlocal evals
+        evals += 1
+        return chi_kernel(act, mode, hp, k) - 1.0
+
+    f0 = f(k0)
+    if f0 == 0:
+        return k0, evals
+    k_c = _convex_end(act)
+    if f0 < 0:
+        k, fk = k0, f0
+        if k > k_c:  # the concave piece, below which f may rise to a root
+            root, fk = _piece_root(f, slope, k, fk, k_c, bends=True)
+            if root is not None:  # always, when k_c = 0
+                return root, evals
+            k = k_c
+        root, _ = _piece_root(f, slope, k, fk, 0.0, bends=False)
+        return root, evals
+    k, fk = k0, f0
+    if k < k_c:  # the convex piece, above which f may dip to a root
+        root, fk = _piece_root(f, slope, k, fk, k_c, bends=True)
+        if root is not None:
+            return root, evals
+        k = k_c
+    if slope(math.inf) >= 0:  # f increases on the whole last piece
+        return math.inf, evals
+    f_top = f(OVERFLOW)
+    if f_top > 0:  # the root lies beyond any finite kernel
+        return math.inf, evals
+    return _root(f, k, fk, OVERFLOW, f_top), evals
+
+
+def _piece_root(f, slope, start: float, f_start: float, end: float, bends: bool):
+    """The root of ``f`` nearest ``start`` toward ``end`` on a piece where
+    ``f'`` is monotone, or None; and ``f(end)``.
+
+    ``f(start)`` is nonzero.  A sign change at ``end`` holds exactly one
+    root, since a convex or concave function crosses zero at most twice.
+    Without one, a piece that curves away from zero (``bends`` False:
+    convex below zero, concave above it) lies beyond its chord and holds
+    no root before ``end``; one that ``bends`` may turn back at its single
+    extremum, where ``f' = 0``.  An extremum within :data:`DOUBLE_ROOT` of
+    zero is the root; one past zero puts a root between it and ``start``.
+    """
+    f_end = f(end)
+    if f_end != 0 and (f_end < 0) != (f_start < 0):
+        return _root(f, start, f_start, end, f_end), f_end
+    at_end = (end if f_end == 0 else None), f_end
+    if not bends:
+        return at_end
+    s_start = slope(start)
+    if s_start == 0 or (s_start < 0) != ((f_start > 0) == (end > start)):
+        return at_end  # f leaves zero behind
+    s_end = slope(end)
+    if s_end == 0:
+        ext, f_ext = end, f_end
+    elif (s_end < 0) != (s_start < 0):
+        ext = _root(slope, start, s_start, end, s_end)
+        f_ext = f(ext)
+    else:
+        return at_end  # f nears zero all the way to end
+    if abs(f_ext) <= DOUBLE_ROOT * ext:
+        return ext, f_end
+    if (f_ext < 0) != (f_start < 0):
+        return _root(f, start, f_start, ext, f_ext), f_end
+    return at_end
+
+
+def _root(fn, a: float, f_a: float, b: float, f_b: float) -> float:
+    """The one root of ``fn`` between ``a`` and ``b``, where it changes
+    sign, by Brent's method.
+
+    Brent bisects a wide bracket a factor 2 at a time, so a bracket
+    wider than ``4 max(lower end, 1)`` is first narrowed to one that
+    wide, by growing from its lower end.
+    """
+    (lo, f_lo), (hi, _) = sorted(((a, f_a), (b, f_b)))
+    x = max(4.0 * lo, 1.0)
+    while x < hi:
+        fx = fn(x)
+        if fx == 0 or (fx < 0) != (f_lo < 0):
+            hi = x
+            break
+        lo, f_lo, x = x, fx, 4.0 * x
+    return _brentq(fn, lo, hi, xtol=_KERNEL_XTOL)[0]
 
 
 def _saturated_chi(act: Activation, hp: Hyper) -> float:

@@ -204,6 +204,11 @@ class EnsembleConfig:
                 f"groups ({self.groups}) leaves one unit per group, whose normalized "
                 f"value is identically 0: {self.norm.name} needs groups <= width / 2"
             )
+        if self.resample_inputs and self.input_source[0] != "gaussian":
+            raise ValueError(
+                "resample_inputs draws a fresh gaussian input per member; "
+                f"a {self.input_source[0]!r} input source holds only one"
+            )
 
     @property
     def layer_dims(self) -> list[int]:
@@ -306,7 +311,8 @@ def resolve_input(cfg: EnsembleConfig, init_index: int = 0) -> np.ndarray:
     """Materialize the input vector for one ensemble member.
 
     With ``resample_inputs`` off (the default) every member sees the
-    member-0 input, i.e. a single input shared across the ensemble.
+    member-0 input, i.e. a single input shared across the ensemble; a
+    file or array source is one input, which the config cannot resample.
     """
     idx = init_index if cfg.resample_inputs else 0
     kind = cfg.input_source[0]

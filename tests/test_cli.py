@@ -11,7 +11,7 @@ import pytest
 
 import jacprop
 from jacprop.activations import Activation
-from jacprop.analysis import fit_exponential
+from jacprop.analysis import fit_exponential, phase_grid
 from jacprop.cli import main, parse_activation, parse_mode
 from jacprop.meanfield import Hyper, NormMode, trace
 
@@ -271,7 +271,8 @@ class TestPhaseDiagram:
              "--sb2-max", "1", "--resolution", "4"], capsys)
         assert code == 0
         _, header, rows = parse_csv(out)
-        assert header == ["sigma_w_sq", "sigma_b_sq", "chi", "diverged"]
+        assert header == ["sigma_w_sq", "sigma_b_sq", "chi", "diverged", "converged",
+                          "iterations"]
         assert len(rows) == 16
         by_sw = {}
         for r in rows:
@@ -282,6 +283,18 @@ class TestPhaseDiagram:
             assert float(r[2]) == pytest.approx(float(r[0]) / 2, rel=1e-10)
             # the ReLU kernel runs away exactly when sigma_w^2 > 2
             assert r[3] == ("1" if float(r[0]) > 2 else "0")
+            # the affine closed form: no evaluation of the map
+            assert (r[4], r[5]) == ("0" if r[3] == "1" else "1", "0")
+
+    def test_gelu_rows_carry_each_cells_fixed_point_record(self, capsys):
+        code, out, _ = run_cli(["phase-diagram", "--act", "gelu", "--resolution", "3"], capsys)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        grid = phase_grid(Activation.gelu(), NormMode.VANILLA,
+                          np.sqrt(np.linspace(0.1, 9.0, 3)), np.sqrt(np.linspace(0.0, 4.0, 3)))
+        expect = zip(grid.diverged.ravel(), grid.converged.ravel(), grid.iterations.ravel())
+        assert [r[3:] for r in rows] == [[str(int(v)) for v in cell] for cell in expect]
+        assert grid.converged.any() and grid.diverged.any() and grid.iterations.min() > 0
 
 
 class TestMonteCarlo:
@@ -415,6 +428,16 @@ class TestMonteCarlo:
         assert doc["config"]["resample_inputs"] is True
         assert doc["err_corrected"] <= 4 * doc["measured_stderr"], doc
         assert doc["err_corrected"] < doc["err_uncorrected"]
+
+    def test_input_file_with_resample_inputs_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "x.bin"
+        np.ones(16, dtype="<f4").tofile(path)
+        out = tmp_path / "chi.json"
+        code, _, err = run_cli(self.ARGS + ["--input-file", str(path), "--resample-inputs",
+                                            "-o", str(out)], capsys)
+        assert code == 2
+        assert "--resample-inputs" in err and "--input-file" in err
+        assert not out.exists()
 
     def test_non_finite_input_file_exits_one(self, capsys, tmp_path):
         x = np.ones(16, dtype="<f4")

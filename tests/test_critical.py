@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacprop import critical
-from jacprop.activations import Activation, MomentKind, moment_closed
+from jacprop.activations import K_LARGE, Activation, MomentKind, moment_closed
 from jacprop.critical import (
     _brentq,
     chi_star,
@@ -19,7 +19,8 @@ from jacprop.critical import (
     find_fixed_point,
     gelu_parametric_line,
 )
-from jacprop.meanfield import Hyper, NormMode, chi_delta, chi_kernel, kernel_step
+from jacprop.analysis import phase_grid
+from jacprop.meanfield import OVERFLOW, Hyper, NormMode, chi_delta, chi_kernel, kernel_step
 
 RELU = Activation.relu()
 ERF = Activation.erf()
@@ -47,6 +48,128 @@ def kernel_derivative(act, mode, hp, k, step=1e-6):
     if k >= h:
         return (g(k + h) - g(k - h)) / (2.0 * h)
     return (-3.0 * g(k) + 4.0 * g(k + h) - g(k + 2.0 * h)) / (2.0 * h)
+
+
+def picard_fixed_point(act, hp, k_init):
+    """Oracle: the fixed point of the vanilla kernel map by Picard iteration.
+
+    The library's former solver, kept as the reference the direct solver
+    must agree with.  Picard runs from ``k_init`` until a step moves the
+    kernel by at most 1e-12 relative, for at most 100 000 steps; a kernel
+    past ``K_LARGE`` (when the K -> inf slope exceeds one) or past
+    ``OVERFLOW`` diverges.  A stalled run is polished by Newton's method on
+    ``g(K) - K``.  Returns K* (inf when it diverges), with a root below
+    1e-14 read as zero, or None where Picard gives no verdict:
+
+    * a stop at a repelling point (slope above one), which Picard leaves
+      unless it starts on it; the step rule stops there next to zero;
+    * a polish that is no root, or lands behind the last iterate.  Picard
+      moves monotonically and never crosses a root, so such a root is one
+      it moved away from.  The former solver returned it, or inf.
+    """
+    g = lambda k: kernel_step(act, NormMode.VANILLA, hp, k)  # noqa: E731
+    slope = lambda k: chi_kernel(act, NormMode.VANILLA, hp, k)  # noqa: E731
+    k_cap = K_LARGE if slope(math.inf) > 1.0 else OVERFLOW
+    k = float(k_init)
+    for _ in range(100_000):
+        k_next = g(k)
+        if not k_next <= k_cap:
+            return math.inf
+        if abs(k_next - k) <= 1e-12 * max(1.0, k_next):
+            if k_next != k and slope(k_next) > 1.0:
+                return None
+            return 0.0 if k_next < 1e-14 else k_next
+        k = k_next
+    last, ahead = k, g(k) > k
+    for _ in range(200):
+        fp = slope(k) - 1.0
+        if fp == 0.0:
+            break
+        k_new = k - (g(k) - k) / fp
+        if k_new < 0.0:
+            k_new = 0.5 * k
+        if abs(k_new - k) <= 1e-12 * max(1.0, abs(k_new)):
+            k = k_new
+            break
+        k = k_new
+    k = max(k, 0.0)
+    if k < 1e-14:
+        k = 0.0
+    if abs(g(k) - k) > 1e-10 * max(1.0, k) or (k > last) != ahead:
+        return None
+    return k
+
+
+def assert_first_root_on_the_way(act, hp, k_init, fp):
+    """Oracle where Picard gives no verdict: its monotone sequence stops at
+    the first root in the direction of ``f(k_init) = g(k_init) - k_init``,
+    so on a fine log scan from ``k_init`` to K* ``f`` keeps that sign, and
+    K* is a root.  A divergent kernel climbs, with ``f > 0`` on the scan up
+    to 1e10 (beyond, f is lost in the rounding of g and K), and a K -> inf
+    slope of at least one, without which ``f`` falls to -inf."""
+    f = lambda k: kernel_step(act, NormMode.VANILLA, hp, k) - k  # noqa: E731
+    up = f(k_init) > 0
+    end = fp.k_star if fp.converged else max(k_init, 1e10)
+    if not fp.converged:
+        assert up and chi_kernel(act, NormMode.VANILLA, hp, math.inf) >= 1.0
+    scan = np.geomspace(max(k_init, 1e-30), max(end, 1e-30), 4000)[:-1]
+    assert all((f(k) > 0) == up for k in scan), (act.family, hp, k_init, fp)
+    if fp.converged:
+        assert abs(f(fp.k_star)) <= 1e-12 * max(1.0, fp.k_star)
+
+
+def assert_same_attractor(act, hp, k_init):
+    """The solver's K* is Picard's: both diverge, or they agree to Picard's
+    own error, a step of 1e-12 max(1, K) left short by a factor chi_k / (1
+    - chi_k), with a hundredfold margin.  Where Picard gives no verdict,
+    the sign scan decides."""
+    fp = find_fixed_point(act, NormMode.VANILLA, hp, k_init=k_init)
+    k_oracle = picard_fixed_point(act, hp, k_init)
+    case = (act.family, hp, k_init, fp.k_star, k_oracle)
+    if k_oracle is None:
+        assert_first_root_on_the_way(act, hp, k_init, fp)
+    elif math.isinf(k_oracle):
+        assert fp.diverged, case
+    else:
+        assert fp.converged, case
+        slack = 1e-10 * max(1.0, k_oracle) / max(1.0 - fp.chi_k_star, 1e-4)
+        assert abs(fp.k_star - k_oracle) <= slack, case
+    return k_oracle
+
+
+def saddle_node(k_star):
+    """The vanilla GELU pair ``(sigma_w^2, sigma_b^2)`` whose kernel map has
+    a double root at ``k_star``: ``g' = 1`` and ``g = K`` there."""
+    sw2 = 1.0 / moment_closed(GELU, MomentKind.PHI2_D1, k_star)
+    return sw2, k_star - sw2 * moment_closed(GELU, MomentKind.PHI2, k_star)
+
+
+def mp_fixed_point(act, hp, k_star):
+    """Oracle: the 50-digit root of ``sigma_w^2 <phi^2>(K) + sigma_b^2 - K``
+    next to ``k_star``.
+
+    erf takes ``<phi^2> = (2/pi) asin(2K / (1 + 2K))`` and mpmath's secant
+    solver.  GELU takes ``<phi^2>`` by 50-digit quadrature of ``(h Phi(h))^2``
+    and one secant step from ``k_star`` through ``k_star (1 + 1e-9)``, whose
+    error is about the product of the two points' distances to the root:
+    below 1e-20 from a start within 1e-12.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        sw2, sb2 = mp.mpf(hp.sigma_w) ** 2, mp.mpf(hp.sigma_b) ** 2
+        if act.family == "erf":
+            f = lambda k: sw2 * 2 / mp.pi * mp.asin(2 * k / (1 + 2 * k)) + sb2 - k  # noqa: E731
+            return mp.findroot(f, mp.mpf(k_star))
+
+        def f(k):
+            density = lambda h: mp.exp(-h * h / (2 * k)) / mp.sqrt(2 * mp.pi * k)  # noqa: E731
+            phi2 = lambda h: (h * mp.ncdf(h)) ** 2 * density(h)  # noqa: E731
+            return sw2 * mp.quad(phi2, [-mp.inf, -4, 0, 4, mp.inf]) + sb2 - k
+
+        k0, k1 = mp.mpf(k_star), mp.mpf(k_star) * (1 + mp.mpf("1e-9"))
+        f0, f1 = f(k0), f(k1)
+        return k1 - f1 * (k1 - k0) / (f1 - f0)
 
 
 def sigma_b_search(act, mode, sigma_w):
@@ -153,10 +276,15 @@ class TestFindFixedPoint:
         assert fp.chi_j_star == pytest.approx(1.0, abs=1e-12)
 
     def test_gelu_nontrivial_kernel(self):
+        # a double root, whose extremum is taken as the root: 100 000
+        # Picard steps and a Newton polish reached it only to 1.8e-7
         hp, k_star = gelu_critical_point()
         fp = find_fixed_point(GELU, NormMode.VANILLA, hp, k_init=1.5 * k_star)
         assert fp.converged
-        assert fp.k_star == pytest.approx(k_star, rel=1e-6)
+        assert abs(fp.k_star - k_star) <= 1e-12
+        # from below, the kernel falls to the attracting root under it
+        low = find_fixed_point(GELU, NormMode.VANILLA, hp, k_init=0.9 * k_star)
+        assert low.k_star < 0.9 * k_star and low.chi_k_star < 1.0
 
     def test_post_ln_immediate(self):
         # a norm makes the kernel map constant: the affine closed form
@@ -189,6 +317,98 @@ class TestFindFixedPoint:
         for hp in (Hyper(1.0, 0.2), Hyper(1.4, 0.5), ERF_CRIT):
             fp = find_fixed_point(ERF, NormMode.VANILLA, hp)
             assert fp.chi_k_star <= fp.chi_j_star + 1e-9
+
+
+class TestFixedPointOracles:
+    """The direct solver against Picard iteration and 50-digit roots."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        act=st.sampled_from([ERF, GELU]),
+        sigma_w=st.floats(0.0, 3.0),
+        sigma_b=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        k_init=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 10.0),
+                         st.floats(10.0, 1e3), st.floats(1e3, 1e6)),
+    )
+    def test_picards_attractor_or_its_divergence(self, act, sigma_w, sigma_b, k_init):
+        assert_same_attractor(act, Hyper(sigma_w, sigma_b), k_init)
+
+    @pytest.mark.parametrize("k_double", [0.5, 1.0, 2.0, 10.0])
+    def test_grid_around_the_gelu_tangent_bifurcation(self, k_double):
+        # Double roots at k_double <= 3.37 are minima of g - K, above it
+        # maxima.  Shifting sigma_b^2 splits one into two roots or leaves
+        # a bottleneck Picard crawls through; 1e-4 keeps the crawl (and
+        # Picard's slowest convergence) well inside its 100 000 steps.
+        sw2, sb2 = saddle_node(k_double)
+        for dsw2 in (-1e-3, 0.0, 1e-3):
+            for dsb2 in (-1e-2, -1e-4, 1e-4, 1e-2):
+                hp = Hyper(math.sqrt(sw2 + dsw2), math.sqrt(sb2 + dsb2))
+                for k_init in (0.0, 0.5 * k_double, 2.0 * k_double, 100.0):
+                    assert_same_attractor(GELU, hp, k_init)
+
+    def test_grid_around_sigma_w_squared_two(self):
+        # The K -> inf slope of the GELU map is sigma_w^2 / 2: the kernel
+        # can run away above 2 and creeps to a large root just below it.
+        # Next to 2, Picard outlasts its steps and the sign scan decides.
+        verdicts = []
+        for sw2 in (1.99, 1.999, 2.0, 2.001, 2.01):
+            for sb2 in (0.0, 0.01, 0.1, 1.0):
+                for k_init in (0.0, 1.0, 1e3):
+                    hp = Hyper(math.sqrt(sw2), math.sqrt(sb2))
+                    verdicts.append(assert_same_attractor(GELU, hp, k_init))
+        assert sum(v is not None for v in verdicts) >= len(verdicts) // 2
+
+    @pytest.mark.parametrize("act, sigma_w, sigma_b, k_init, k_star", [
+        (GELU, math.sqrt(2.001), math.sqrt(0.1), 10.0, math.inf),
+        (GELU, math.sqrt(2.0), 0.1, 1e3, 0.020798461803590764),
+        (ERF, 1.0, 0.0, 5e-82, 0.14192376531379713),
+        (GELU, 1.9999986203467428, 4.156468984727962e-06, 0.0, math.inf),
+    ], ids=["runaway", "slow-fall", "off-zero", "ghost"])
+    def test_where_picard_gave_no_verdict(self, act, sigma_w, sigma_b, k_init, k_star):
+        # The former solver reported a root that Picard moves away from:
+        # its Newton polish jumped back to 9.98 (runaway) and to 1404.7
+        # (slow-fall) once 100 000 steps ran out, and its step rule stopped
+        # at once next to the unstable zero (off-zero).  It also took the
+        # bottleneck at K = 3.6e-7, where g - K is 1.7e-11, for a root, by
+        # an absolute tolerance of 1e-10 (ghost).
+        hp = Hyper(sigma_w, sigma_b)
+        fp = find_fixed_point(act, NormMode.VANILLA, hp, k_init=k_init)
+        assert picard_fixed_point(act, hp, k_init) is None
+        assert_first_root_on_the_way(act, hp, k_init, fp)
+        assert fp.k_star == pytest.approx(k_star, rel=1e-14)
+
+    @pytest.mark.parametrize("act, sigma_w, sigma_b", [
+        (ERF, 1.3, 0.4), (ERF, 1.0, 0.2), (ERF, 2.5, 1.0), (ERF, 0.5, 1.4),
+        (ERF, 0.63, 0.11), (GELU, 1.3, 0.4), (GELU, 1.0, 0.2), (GELU, 1.2, 1.5),
+    ], ids=lambda v: getattr(v, "family", v))
+    def test_within_rounding_of_the_50_digit_root(self, act, sigma_w, sigma_b):
+        hp = Hyper(sigma_w, sigma_b)
+        fp = find_fixed_point(act, NormMode.VANILLA, hp)
+        root = mp_fixed_point(act, hp, fp.k_star)
+        assert abs(fp.k_star - root) <= 1e-14 * root, (fp.k_star, root)
+
+    def test_convex_end_is_the_one_sign_change_of_the_map_curvature(self):
+        ks = np.concatenate([[0.0], np.logspace(-6, math.log10(K_LARGE), 4000)])
+        for act in (ERF, GELU):
+            # (erf's curvature underflows to -0.0 at large K)
+            convex = np.array([moment_closed(act, MomentKind.PHI2_D2, k) > 0 for k in ks])
+            changes = np.flatnonzero(convex[1:] != convex[:-1])
+            k_c = critical._convex_end(act)
+            if act is ERF:
+                assert not convex.any() and k_c == 0.0
+            else:
+                (i,) = changes
+                assert ks[i] < k_c < ks[i + 1]
+                # the real root of the cubic numerator 5K^3 - 11K^2 - 18K - 6
+                (cubic,) = [r.real for r in np.roots([5, -11, -18, -6]) if abs(r.imag) < 1e-9]
+                assert k_c == pytest.approx(cubic, rel=1e-14)
+
+    def test_the_default_gelu_grid_takes_few_evaluations(self):
+        # iterating the map to a 1e-12 step takes 182 356 steps on this
+        # grid, up to 3 020 in one cell
+        grid = phase_grid(GELU, NormMode.VANILLA, np.sqrt(np.linspace(0.1, 9.0, 20)),
+                          np.sqrt(np.linspace(0.0, 4.0, 20)))
+        assert grid.iterations.max() <= 40 and grid.iterations.sum() <= 4000
 
 
 class TestChiStar:

@@ -665,6 +665,14 @@ class TestEnsembleDrivers:
         fresh = self._cfg(resample_inputs=True)
         assert not np.array_equal(resolve_input(fresh, 0), resolve_input(fresh, 5))
 
+    @pytest.mark.parametrize("source", [("file", "input.bin"), ("array", np.ones(32))],
+                             ids=["file", "array"])
+    def test_one_input_cannot_be_resampled(self, source):
+        # resolve_input once ignored the flag here, and every member ran on
+        # the one vector under a config that claimed fresh inputs
+        with pytest.raises(ValueError, match=f"a '{source[0]}' input source holds only one"):
+            self._cfg(input_source=source, resample_inputs=True)
+
     def test_input_file_roundtrip(self, tmp_path):
         x = np.arange(32, dtype="<f4") / 7.0
         path = tmp_path / "input.bin"

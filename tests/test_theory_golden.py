@@ -56,8 +56,8 @@ GOLDEN = {
             '0x1.febb5801f471ep-1', '-0x1.b70a83befffbcp-2', '0x1.27a1aa876cd6ep+0',
             '0x1.1906d8821bf52p+2', '0x1.d59a7d6139854p-1', '0x1.fde072e75c171p-1',
             '-0x1.b4d6f3cd0e3a9p-2', '0x1.24a85254cdf11p+0', '0x1.c584c39d02cd8p+2',
-            '0x1.d5b1c370b27e3p-1', '0x1.67b4e2159b4a0p-2', '0x1.fdd6857a51efcp-1',
-            '0x1.2385ad5cea9a9p+0', '0x1.e2efdd35bb36ap-1', '0x1.6f757b7f620d1p-1',
+            '0x1.d5b1c370b1bffp-1', '0x1.67b4e2159be19p-2', '0x1.fdd6857a5240fp-1',
+            '0x1.2385ad5ceb232p+0', '0x1.e2efdd35bb08fp-1', '0x1.6f757b7f62085p-1',
         ),
         ('erf', 'PRE_LN'): (
             '0x1.e3e4c6cf2dfd2p-1', '0x1.04a89080bde7ap+0', '-0x1.8a28c75a56472p-2',
@@ -83,8 +83,8 @@ GOLDEN = {
             '0x1.62539f0cab578p-1', '0x1.fc0d71f0917e7p-3', '0x1.0a20b12886890p-2',
             '0x1.98325f3b87beep+0', '0x1.d7e994c8ec71ap-2', '0x1.5b05760ccc4a0p-1',
             '0x1.1dfb1a0bde1b1p-2', '0x1.586f2ef5e88dcp-4', '0x1.87a02b05530b8p+0',
-            '0x1.b08a1bf503058p-2', '0x1.78b814ab18101p-1', '0x1.5546e4076925ap-1',
-            '0x1.b0a3d70a3d70bp-2', '0x1.80108a4600c61p-1', '0x1.b9024156f3dcfp-1',
+            '0x1.b08a1bf4f97dcp-2', '0x1.78b814ab16996p-1', '0x1.5546e40767b1dp-1',
+            '0x1.b0a3d70a3d70bp-2', '0x1.80108a45ffb74p-1', '0x1.b9024156f3fb3p-1',
         ),
         ('gelu', 'PRE_LN'): (
             '0x1.c1db0b83900dap-1', '0x1.c0ed727010838p-1', '0x1.a80c41f56b3b7p-4',
