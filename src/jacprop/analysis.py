@@ -117,15 +117,14 @@ class PhaseGrid:
 
     ``chi[i, j]`` corresponds to ``(sigma_w[i], sigma_b[j])``; cells whose
     kernel diverged carry the saturated large-kernel multiplier and are
-    flagged in ``diverged``.  ``converged`` and ``iterations`` are each
-    cell's :class:`~jacprop.critical.FixedPoint` fields.
+    flagged in ``diverged``.  ``iterations`` is each cell's
+    :attr:`~jacprop.critical.FixedPoint.iterations`.
     """
 
     sigma_w: np.ndarray
     sigma_b: np.ndarray
     chi: np.ndarray
     diverged: np.ndarray
-    converged: np.ndarray
     iterations: np.ndarray
 
 
@@ -141,17 +140,14 @@ def phase_grid(
     shape = (sw.size, sb.size)
     chi = np.empty(shape)
     div = np.zeros(shape, dtype=bool)
-    conv = np.zeros(shape, dtype=bool)
     iters = np.zeros(shape, dtype=int)
     for i, w in enumerate(sw):
         for j, b in enumerate(sb):
             fp = find_fixed_point(act, mode, Hyper(w, b))
             chi[i, j] = fp.chi_j_star
             div[i, j] = fp.diverged
-            conv[i, j] = fp.converged
             iters[i, j] = fp.iterations
-    return PhaseGrid(sigma_w=sw, sigma_b=sb, chi=chi, diverged=div,
-                     converged=conv, iterations=iters)
+    return PhaseGrid(sigma_w=sw, sigma_b=sb, chi=chi, diverged=div, iterations=iters)
 
 
 def chi_one_crossings(grid: PhaseGrid) -> np.ndarray:

@@ -201,14 +201,13 @@ def _cmd_phase_diagram(args) -> int:
     # a diverged cell carries the saturated large-kernel chi; 1 flags it
     rows = [
         (grid.sigma_w[i] ** 2, grid.sigma_b[j] ** 2, grid.chi[i, j], int(grid.diverged[i, j]),
-         int(grid.converged[i, j]), int(grid.iterations[i, j]))
+         int(grid.iterations[i, j]))
         for i in range(grid.sigma_w.size)
         for j in range(grid.sigma_b.size)
     ]
     with _open_out(args) as out:
         _emit_csv(out, "phase-diagram", config,
-                  ["sigma_w_sq", "sigma_b_sq", "chi", "diverged", "converged", "iterations"],
-                  rows)
+                  ["sigma_w_sq", "sigma_b_sq", "chi", "diverged", "iterations"], rows)
     return 0
 
 

@@ -18,8 +18,9 @@ direction of ``f(k_init)``, or diverges.  ``f`` is concave on ``[0, inf)``
 for erf; for GELU it is convex up to the one zero ``K_c ~ 3.37`` of
 ``<phi^2>''`` and concave beyond.  On each piece ``f'`` is monotone, so
 the sign of ``f`` at the piece's end and at its one extremum (where
-``chi_k = 1``) tell whether a root lies ahead, and one bracketed Brent
-solve finds it to rounding, in tens of map evaluations.
+``chi_k = 1``) tell whether a root lies ahead.  Every root here, a line's
+``K*`` too, comes from one bracket walk and one Brent solve (:func:`_root`),
+to rounding in tens of evaluations.
 """
 
 from __future__ import annotations
@@ -67,20 +68,18 @@ class FixedPoint:
     """The fixed point Picard iteration of the kernel map reaches
     (:func:`find_fixed_point`).
 
-    ``converged`` is False exactly when the kernel diverges, with an
-    infinite ``k_star``.  ``iterations`` counts the evaluations of the map
-    and of its slope that found it.
+    A diverging kernel has an infinite ``k_star``.  ``iterations`` counts
+    the evaluations of the map and of its slope that found it.
     """
 
     k_star: float
     chi_k_star: float
     chi_j_star: float
-    converged: bool
     iterations: int
 
     @property
     def diverged(self) -> bool:
-        return not self.converged and math.isinf(self.k_star)
+        return math.isinf(self.k_star)
 
 
 @dataclass(frozen=True)
@@ -117,9 +116,9 @@ def find_fixed_point(
     root below :data:`ZERO_FLOOR` is reported as exactly zero when zero is
     fixed.  ``chi_k_star`` is the exact map derivative
     :func:`~jacprop.meanfield.chi_kernel`, never a finite difference.
-    Divergence yields ``converged=False`` with an infinite ``k_star``
-    rather than an exception.  ``iterations`` counts the evaluations of
-    the map and of its slope; the affine closed form takes none.
+    Divergence yields an infinite ``k_star`` rather than an exception.
+    ``iterations`` counts the evaluations of the map and of its slope; the
+    affine closed form takes none.
     """
     if not (math.isfinite(k_init) and k_init >= 0):
         raise ValueError(f"k_init must be finite and nonnegative, got {k_init}")
@@ -141,10 +140,10 @@ def find_fixed_point(
         if 0 < k_star < ZERO_FLOOR and kernel_step(act, mode, hp, 0.0) == 0.0:
             k_star = 0.0
     if math.isinf(k_star):
-        return FixedPoint(math.inf, math.inf, _saturated_chi(act, hp), False, evals)
+        return FixedPoint(math.inf, math.inf, _saturated_chi(act, hp), evals)
     chi_k = chi_kernel(act, mode, hp, k_star)
     chi_j = chi_jacobian(act, mode, hp, k_star)
-    return FixedPoint(k_star, chi_k, chi_j, True, evals)
+    return FixedPoint(k_star, chi_k, chi_j, evals)
 
 
 #: An extremum of ``g(K) - K`` within this many K of zero is a double
@@ -156,28 +155,26 @@ DOUBLE_ROOT = 1e-10
 #: and a root near 1e-168 in [0, 1] outlasts Brent's 100 iterations.
 _KERNEL_XTOL = 1e-30
 
-#: The end of each smooth family's convex piece, filled on first use.
-_CONVEX_END: dict = {}
+#: The one zero of each smooth family's curvature moments, filled on first use.
+_MOMENT_ZERO: dict = {}
 
 
-def _convex_end(act: Activation) -> float:
-    """``K_c``: ``g - K`` is convex on ``[0, K_c]`` and concave beyond.
+def _moment_zero(act: Activation, kind: MomentKind) -> float:
+    """Where the moment ``kind`` turns negative, or 0 if it never is positive.
 
-    ``K_c`` is the one sign change of ``<phi^2>'' = PHI2_D2``: about 3.37
-    for GELU, the real root of ``5K^3 - 11K^2 - 18K - 6``, and 0 for erf,
-    whose ``PHI2_D2`` is negative at every kernel.
+    ``PHI2_D2 = <phi^2>''`` ends the convex piece of ``g - K``, and ``DELTA
+    = d<phi'^2>/dK`` is where a vanilla line's ``sigma_w(K*)`` turns: for
+    GELU the real roots of ``5K^3 - 11K^2 - 18K - 6`` (about 3.37) and
+    ``K^3 - 9K^2 - 12K - 4`` (about 10.21).  Both are negative for erf.
     """
-    k_c = _CONVEX_END.get(act.family)
-    if k_c is None:
-        d2 = lambda k: moment_closed(act, MomentKind.PHI2_D2, k)  # noqa: E731
-        k_c = 0.0
-        if d2(0.0) > 0:
-            hi = 1.0
-            while d2(hi) > 0:
-                hi *= 4.0
-            k_c = _brentq(d2, 0.0, hi, xtol=_KERNEL_XTOL)[0]
-        _CONVEX_END[act.family] = k_c
-    return k_c
+    key = (act.family, kind)
+    k_zero = _MOMENT_ZERO.get(key)
+    if k_zero is None:
+        m = lambda k: moment_closed(act, kind, k)  # noqa: E731
+        m0 = m(0.0)
+        k_zero = _root(m, 0.0, m0) if m0 > 0 else 0.0
+        _MOMENT_ZERO[key] = k_zero
+    return k_zero
 
 
 def _attractor(act: Activation, hp: Hyper, k0: float) -> tuple[float, int]:
@@ -188,7 +185,7 @@ def _attractor(act: Activation, hp: Hyper, k0: float) -> tuple[float, int]:
     climbs to the first root above ``k0`` and from ``f(k0) < 0`` it falls
     to the last root below it, which exists since ``f(0) = sigma_b^2 >=
     0``.  ``f`` is convex on ``[0, K_c]`` and concave beyond
-    (:func:`_convex_end`), so on each piece ``f'`` is monotone and
+    (:func:`_moment_zero`), so on each piece ``f'`` is monotone and
     :func:`_piece_root` settles whether a root lies ahead.  On the last,
     unbounded piece, ``f'`` falls toward ``chi_k(inf) - 1``: a climb there
     diverges at once if that limit is not negative, and otherwise meets
@@ -210,7 +207,7 @@ def _attractor(act: Activation, hp: Hyper, k0: float) -> tuple[float, int]:
     f0 = f(k0)
     if f0 == 0:
         return k0, evals
-    k_c = _convex_end(act)
+    k_c = _moment_zero(act, MomentKind.PHI2_D2)
     if f0 < 0:
         k, fk = k0, f0
         if k > k_c:  # the concave piece, below which f may rise to a root
@@ -270,23 +267,30 @@ def _piece_root(f, slope, start: float, f_start: float, end: float, bends: bool)
     return at_end
 
 
-def _root(fn, a: float, f_a: float, b: float, f_b: float) -> float:
-    """The one root of ``fn`` between ``a`` and ``b``, where it changes
-    sign, by Brent's method.
+def _root(fn, a: float, f_a: float, b: float = OVERFLOW, f_b: float | None = None):
+    """The root of ``fn`` between ``a`` and ``b``, where it changes sign at
+    most once, or None if ``fn`` has the same sign at both.
 
-    Brent bisects a wide bracket a factor 2 at a time, so a bracket
-    wider than ``4 max(lower end, 1)`` is first narrowed to one that
-    wide, by growing from its lower end.
+    ``f_a`` is ``fn(a)``, and ``f_b`` is ``fn(b)`` or None if the caller
+    does not know it.  Brent bisects a wide bracket a factor 2 at a time,
+    so a bracket wider than ``4 max(lo, 1)`` from its lower end ``lo`` is
+    first narrowed to one that wide, by growing from ``lo`` by factors of
+    4.  One Brent solve, given the values at both ends, then finds the
+    root to rounding.
     """
-    (lo, f_lo), (hi, _) = sorted(((a, f_a), (b, f_b)))
-    x = max(4.0 * lo, 1.0)
+    if f_b is None:
+        f_b = fn(b)
+    if f_b != 0 and (f_b < 0) == (f_a < 0):
+        return None
+    (lo, f_lo), (hi, f_hi) = sorted(((a, f_a), (b, f_b)))
+    x = 4.0 * max(lo, 1.0)
     while x < hi:
         fx = fn(x)
         if fx == 0 or (fx < 0) != (f_lo < 0):
-            hi = x
+            hi, f_hi = x, fx
             break
         lo, f_lo, x = x, fx, 4.0 * x
-    return _brentq(fn, lo, hi, xtol=_KERNEL_XTOL)[0]
+    return _brentq(fn, lo, f_lo, hi, f_hi, xtol=_KERNEL_XTOL)[0]
 
 
 def _saturated_chi(act: Activation, hp: Hyper) -> float:
@@ -326,18 +330,17 @@ def critical_line(
 
     Every family and mode is served by one parametrization of the line by
     its fixed kernel (:func:`gelu_parametric_line`): each ``sigma_w`` is
-    inverted for ``K*`` by one bracketed Brent solve, and ``K*`` gives
-    ``sigma_b``.  ``sigma_w(K*)`` rises for vanilla erf and every LayerNorm
-    line, and is constant for a vanilla scale-invariant phi.  For vanilla
-    GELU, whose half-stable points no iteration from a start kernel can
-    reach, it falls from 2 to 1.3985 near ``K* = 10`` and then creeps back
-    toward sqrt(2).  The bracket ``[0, K]`` grows by ``K = 1, 4, 16, ...``
-    up to :data:`OVERFLOW` until ``sigma_w(K)`` crosses the requested
-    value, and Brent's method finds the root inside it.  The solver is
-    this module's port of scipy's ``brentq`` (same iterates, same bits),
-    so a line loads no scipy.  A sweep value admitting no root (zero
-    among them) produces a NaN entry and the scan continues; a NaN,
-    infinite or negative one raises.
+    inverted for ``K*`` by one bracketed Brent solve (:func:`_root`) on a
+    piece where ``sigma_w(K*)`` is monotone, and ``K*`` gives ``sigma_b``.
+    ``sigma_w(K*)`` rises for vanilla erf and every LayerNorm line, and is
+    constant for a vanilla scale-invariant phi: the piece is ``[0, inf)``.
+    For vanilla GELU, whose half-stable points no iteration from a start
+    kernel can reach, it falls from 2 to 1.39850 at ``K_turn ~ 10.2133``,
+    where ``d<phi'^2>/dK`` vanishes, and then creeps back toward sqrt(2):
+    the piece is ``[0, K_turn]``, so where two kernels are critical
+    (``1.39850 < sigma_w < sqrt(2)``) the lower one is reported.  A sweep
+    value admitting no root (zero among them) produces a NaN entry and the
+    scan continues; a NaN, infinite or negative one raises.
     """
     sweep = [float(sigma_w) for sigma_w in sweep]
     for sigma_w in sweep:
@@ -361,14 +364,12 @@ def _invert_line(act: Activation, mode: NormMode, sigma_w: float) -> CriticalLin
     ratio = sigma_w / sw0 if sw0 > 0 else math.inf
     if abs(ratio * ratio - 1.0) <= _LINE_END:
         k_star = 0.0
-    else:
-        above = sw0 > sigma_w
-        k_hi = 1.0
-        while (sw_of_k(k_hi) > sigma_w) == above and k_hi < OVERFLOW:
-            k_hi *= 4.0
-        if (sw_of_k(k_hi) > sigma_w) == above:
+    else:  # sigma_w(K*) is monotone up to the zero of DELTA, if it has one
+        k_turn = 0.0 if mode.normalizes else _moment_zero(act, MomentKind.DELTA)
+        k_star = _root(lambda k: sw_of_k(k) - sigma_w, 0.0, sw0 - sigma_w,
+                       k_turn or OVERFLOW)
+        if k_star is None:
             return no_solution
-        k_star, _ = _brentq(lambda k: sw_of_k(k) - sigma_w, 0.0, k_hi)
     _, sigma_b = gelu_parametric_line(k_star, act, mode)
     if math.isnan(sigma_b):
         return no_solution
@@ -380,7 +381,7 @@ def _invert_line(act: Activation, mode: NormMode, sigma_w: float) -> CriticalLin
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 
 
-def _brentq(f, xa: float, xb: float, xtol: float = 1e-13,
+def _brentq(f, xa: float, fa: float, xb: float, fb: float, xtol: float = 1e-13,
             maxiter: int = 100) -> tuple[float, int]:
     """Root of ``f`` in the sign-changing bracket ``[xa, xb]``, and the
     iteration count, by Brent's zeroin (Brent 1973, "Algorithms for
@@ -389,14 +390,14 @@ def _brentq(f, xa: float, xb: float, xtol: float = 1e-13,
     A statement-for-statement port of scipy's ``brentq.c``, with its
     ``rtol`` and ``maxiter`` defaults, sign test and stopping rule, so it
     takes the same iterates to the same bits without loading
-    ``scipy.optimize``.  The root is bracketed to within ``xtol + 4 eps
-    |x|``.  A root at a bracket end takes 0 iterations.  A bracket without
-    a sign change, a NaN value or ``maxiter`` iterations without
-    convergence raise.
+    ``scipy.optimize``; the caller hands in ``fa = f(xa)`` and ``fb =
+    f(xb)``.  The root is bracketed to within ``xtol + 4 eps |x|``.  A root
+    at a bracket end takes 0 iterations.  A bracket without a sign change,
+    a NaN value or ``maxiter`` iterations without convergence raise.
     """
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = fa, fb
     if math.isnan(fpre) or math.isnan(fcur):
         raise ValueError("brentq: the function is NaN at a bracket end")
     if fpre == 0:

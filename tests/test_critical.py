@@ -62,7 +62,9 @@ def picard_fixed_point(act, hp, k_init):
     1e-14 read as zero, or None where Picard gives no verdict:
 
     * a stop at a repelling point (slope above one), which Picard leaves
-      unless it starts on it; the step rule stops there next to zero;
+      unless it starts on it, or a climb through a point neutral to
+      rounding (slope one), which ``f``'s second order decides; the step
+      rule stops at both next to zero;
     * a polish that is no root, or lands behind the last iterate.  Picard
       moves monotonically and never crosses a root, so such a root is one
       it moved away from.  The former solver returned it, or inf.
@@ -76,7 +78,8 @@ def picard_fixed_point(act, hp, k_init):
         if not k_next <= k_cap:
             return math.inf
         if abs(k_next - k) <= 1e-12 * max(1.0, k_next):
-            if k_next != k and slope(k_next) > 1.0:
+            s = slope(k_next)
+            if k_next != k and (s > 1.0 or s == 1.0 and k_next > k):
                 return None
             return 0.0 if k_next < 1e-14 else k_next
         k = k_next
@@ -105,16 +108,23 @@ def assert_first_root_on_the_way(act, hp, k_init, fp):
     the first root in the direction of ``f(k_init) = g(k_init) - k_init``,
     so on a fine log scan from ``k_init`` to K* ``f`` keeps that sign, and
     K* is a root.  A divergent kernel climbs, with ``f > 0`` on the scan up
-    to 1e10 (beyond, f is lost in the rounding of g and K), and a K -> inf
-    slope of at least one, without which ``f`` falls to -inf."""
+    to 1e10, and a K -> inf slope of at least one, without which ``f``
+    falls to -inf.  Where ``|f| <= 1e-9 K``, which bounds the rounding of g
+    and K up to 1e10 (GELU's arcsine loses about eps sqrt(K) there), its
+    sign is read at 50 digits (:func:`mp_map_gap`)."""
     f = lambda k: kernel_step(act, NormMode.VANILLA, hp, k) - k  # noqa: E731
     up = f(k_init) > 0
-    end = fp.k_star if fp.converged else max(k_init, 1e10)
-    if not fp.converged:
+    end = max(k_init, 1e10) if fp.diverged else fp.k_star
+    if fp.diverged:
         assert up and chi_kernel(act, NormMode.VANILLA, hp, math.inf) >= 1.0
+
+    def rises(k):
+        fk = f(k)
+        return fk > 0 if abs(fk) > 1e-9 * k else mp_map_gap(act, hp, k) > 0
+
     scan = np.geomspace(max(k_init, 1e-30), max(end, 1e-30), 4000)[:-1]
-    assert all((f(k) > 0) == up for k in scan), (act.family, hp, k_init, fp)
-    if fp.converged:
+    assert all(rises(k) == up for k in scan), (act.family, hp, k_init, fp)
+    if not fp.diverged:
         assert abs(f(fp.k_star)) <= 1e-12 * max(1.0, fp.k_star)
 
 
@@ -131,7 +141,7 @@ def assert_same_attractor(act, hp, k_init):
     elif math.isinf(k_oracle):
         assert fp.diverged, case
     else:
-        assert fp.converged, case
+        assert not fp.diverged, case
         slack = 1e-10 * max(1.0, k_oracle) / max(1.0 - fp.chi_k_star, 1e-4)
         assert abs(fp.k_star - k_oracle) <= slack, case
     return k_oracle
@@ -142,6 +152,21 @@ def saddle_node(k_star):
     a double root at ``k_star``: ``g' = 1`` and ``g = K`` there."""
     sw2 = 1.0 / moment_closed(GELU, MomentKind.PHI2_D1, k_star)
     return sw2, k_star - sw2 * moment_closed(GELU, MomentKind.PHI2, k_star)
+
+
+def mp_map_gap(act, hp, k):
+    """Oracle: ``g(K) - K`` of the vanilla map at 50 digits, from the
+    closed-form ``<phi^2>`` of erf (the arcsine kernel) or of GELU."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        sw2, sb2, k = mp.mpf(hp.sigma_w) ** 2, mp.mpf(hp.sigma_b) ** 2, mp.mpf(k)
+        if act.family == "erf":
+            phi2 = 2 / mp.pi * mp.asin(2 * k / (1 + 2 * k))
+        else:
+            phi2 = (k / 4 + k / (2 * mp.pi) * mp.asin(k / (1 + k))
+                    + k * k / (mp.pi * (1 + k) * mp.sqrt(1 + 2 * k)))
+        return sw2 * phi2 + sb2 - k
 
 
 def mp_fixed_point(act, hp, k_star):
@@ -262,7 +287,7 @@ class TestFindFixedPoint:
     def test_relu_closed_form_and_iteration_agree(self):
         hp = Hyper(1.0, 1.0)
         fp = find_fixed_point(RELU, NormMode.VANILLA, hp)
-        assert fp.converged
+        assert not fp.diverged
         assert fp.k_star == pytest.approx(2.0, rel=1e-12)
         k = 0.123
         for _ in range(200):
@@ -271,7 +296,7 @@ class TestFindFixedPoint:
 
     def test_erf_critical_kernel_is_exactly_zero(self):
         fp = find_fixed_point(ERF, NormMode.VANILLA, ERF_CRIT, k_init=0.3)
-        assert fp.converged
+        assert not fp.diverged
         assert fp.k_star == 0.0
         assert fp.chi_j_star == pytest.approx(1.0, abs=1e-12)
 
@@ -280,7 +305,7 @@ class TestFindFixedPoint:
         # Picard steps and a Newton polish reached it only to 1.8e-7
         hp, k_star = gelu_critical_point()
         fp = find_fixed_point(GELU, NormMode.VANILLA, hp, k_init=1.5 * k_star)
-        assert fp.converged
+        assert not fp.diverged
         assert abs(fp.k_star - k_star) <= 1e-12
         # from below, the kernel falls to the attracting root under it
         low = find_fixed_point(GELU, NormMode.VANILLA, hp, k_init=0.9 * k_star)
@@ -294,7 +319,7 @@ class TestFindFixedPoint:
 
     def test_divergence_reported_not_raised(self):
         fp = find_fixed_point(RELU, NormMode.VANILLA, Hyper(2.0, 0.5))
-        assert not fp.converged and math.isinf(fp.k_star)
+        assert fp.diverged and math.isinf(fp.k_star)
         # scale-invariant chi is kernel-free, so the limit is still defined
         assert fp.chi_j_star == pytest.approx(2.0)
 
@@ -363,14 +388,18 @@ class TestFixedPointOracles:
         (GELU, math.sqrt(2.0), 0.1, 1e3, 0.020798461803590764),
         (ERF, 1.0, 0.0, 5e-82, 0.14192376531379713),
         (GELU, 1.9999986203467428, 4.156468984727962e-06, 0.0, math.inf),
-    ], ids=["runaway", "slow-fall", "off-zero", "ghost"])
+        (GELU, 2.0, 6.37700620870634e-35, 0.0, math.inf),
+    ], ids=["runaway", "slow-fall", "off-zero", "ghost", "neutral-zero"])
     def test_where_picard_gave_no_verdict(self, act, sigma_w, sigma_b, k_init, k_star):
         # The former solver reported a root that Picard moves away from:
         # its Newton polish jumped back to 9.98 (runaway) and to 1404.7
         # (slow-fall) once 100 000 steps ran out, and its step rule stopped
         # at once next to the unstable zero (off-zero).  It also took the
         # bottleneck at K = 3.6e-7, where g - K is 1.7e-11, for a root, by
-        # an absolute tolerance of 1e-10 (ghost).
+        # an absolute tolerance of 1e-10 (ghost).  At sigma_w = 2 the GELU
+        # map's slope at zero is one, and g - K = sigma_b^2 + 6 K^2 / pi is
+        # lost in rounding from K = 4e-53 to 6e-17, where Picard's step rule
+        # stops at once (neutral-zero).
         hp = Hyper(sigma_w, sigma_b)
         fp = find_fixed_point(act, NormMode.VANILLA, hp, k_init=k_init)
         assert picard_fixed_point(act, hp, k_init) is None
@@ -387,28 +416,34 @@ class TestFixedPointOracles:
         root = mp_fixed_point(act, hp, fp.k_star)
         assert abs(fp.k_star - root) <= 1e-14 * root, (fp.k_star, root)
 
-    def test_convex_end_is_the_one_sign_change_of_the_map_curvature(self):
+    @pytest.mark.parametrize("kind, cubic", [
+        (MomentKind.PHI2_D2, [5, -11, -18, -6]),  # the map's convex end K_c
+        (MomentKind.DELTA, [1, -9, -12, -4]),     # where sigma_w(K*) turns
+    ], ids=lambda v: getattr(v, "name", ""))
+    def test_moment_zero_is_the_one_sign_change_of_the_moment(self, kind, cubic):
         ks = np.concatenate([[0.0], np.logspace(-6, math.log10(K_LARGE), 4000)])
         for act in (ERF, GELU):
-            # (erf's curvature underflows to -0.0 at large K)
-            convex = np.array([moment_closed(act, MomentKind.PHI2_D2, k) > 0 for k in ks])
-            changes = np.flatnonzero(convex[1:] != convex[:-1])
-            k_c = critical._convex_end(act)
+            # (erf's moments underflow to -0.0 at large K)
+            positive = np.array([moment_closed(act, kind, k) > 0 for k in ks])
+            changes = np.flatnonzero(positive[1:] != positive[:-1])
+            k_zero = critical._moment_zero(act, kind)
             if act is ERF:
-                assert not convex.any() and k_c == 0.0
+                assert not positive.any() and k_zero == 0.0
             else:
                 (i,) = changes
-                assert ks[i] < k_c < ks[i + 1]
-                # the real root of the cubic numerator 5K^3 - 11K^2 - 18K - 6
-                (cubic,) = [r.real for r in np.roots([5, -11, -18, -6]) if abs(r.imag) < 1e-9]
-                assert k_c == pytest.approx(cubic, rel=1e-14)
+                assert ks[i] < k_zero < ks[i + 1]
+                # the real root of the cubic in the moment's numerator
+                (root,) = [r.real for r in np.roots(cubic) if abs(r.imag) < 1e-9]
+                assert k_zero == pytest.approx(root, rel=1e-14)
 
-    def test_the_default_gelu_grid_takes_few_evaluations(self):
-        # iterating the map to a 1e-12 step takes 182 356 steps on this
-        # grid, up to 3 020 in one cell
-        grid = phase_grid(GELU, NormMode.VANILLA, np.sqrt(np.linspace(0.1, 9.0, 20)),
+    @pytest.mark.parametrize("act, most", [(ERF, 4066), (GELU, 2164)],
+                             ids=lambda v: getattr(v, "family", v))
+    def test_the_default_grid_takes_few_evaluations(self, act, most):
+        # iterating the GELU map to a 1e-12 step takes 182 356 steps on
+        # this grid, up to 3 020 in one cell
+        grid = phase_grid(act, NormMode.VANILLA, np.sqrt(np.linspace(0.1, 9.0, 20)),
                           np.sqrt(np.linspace(0.0, 4.0, 20)))
-        assert grid.iterations.max() <= 40 and grid.iterations.sum() <= 4000
+        assert grid.iterations.max() <= 40 and grid.iterations.sum() <= most
 
 
 class TestChiStar:
@@ -527,6 +562,44 @@ class TestCriticalLine:
     def test_gelu_line_outside_admissible_range(self):
         pts = critical_line(GELU, NormMode.VANILLA, [1.0, 2.5])
         assert not pts[0].found and not pts[1].found
+
+    def test_gelu_line_is_found_on_its_falling_piece(self):
+        # sigma_w(K*) falls from 2 to 1.39850 at K_turn ~ 10.2133 and then
+        # creeps back toward sqrt(2); where two kernels are critical
+        # (1.39850 < sigma_w < sqrt(2)), the lower one is reported
+        k_turn = critical._moment_zero(GELU, MomentKind.DELTA)
+        pts = critical_line(GELU, NormMode.VANILLA, np.linspace(1.3986, 2.0, 600))
+        ks = np.array([p.k_star for p in pts])
+        assert all(p.found and p.residual <= 1e-12 for p in pts)
+        assert ks.max() <= k_turn and np.all(np.diff(ks) < 0)
+
+    @pytest.mark.parametrize("sigma_w", [1.3986, 1.399])
+    def test_gelu_line_next_to_its_turn_against_the_50_digit_root(self, sigma_w):
+        import mpmath as mp
+
+        (p,) = critical_line(GELU, NormMode.VANILLA, [sigma_w])
+        with mp.workdps(50):
+            def dphi2(k):  # <phi'^2>(K) for GELU
+                return mp.mpf(1) / 4 + (mp.asin(k / (1 + k)) + k * (3 + 5 * k)
+                                        / ((1 + k) * (1 + 2 * k) ** 1.5)) / (2 * mp.pi)
+
+            target = 1 / mp.mpf(sigma_w) ** 2
+            k_turn = critical._moment_zero(GELU, MomentKind.DELTA)
+            root = mp.findroot(lambda k: dphi2(k) - target, (mp.mpf(1), mp.mpf(k_turn)),
+                               solver="anderson")
+        assert abs(p.k_star - root) <= 1e-13 * root, (p.k_star, root)
+
+    @pytest.mark.parametrize("eps, rel", [(1e-5, 1e-11), (1e-7, 1e-8)])
+    def test_erf_line_next_to_its_zero_kernel_end(self, eps, rel):
+        # sigma_w^2 = (pi / 4) sqrt(1 + 4 K*) on the vanilla erf line; below
+        # these bounds K* is limited by the rounding of sigma_w(K*)
+        import mpmath as mp
+
+        sigma_w = math.sqrt(PI / 4) * (1 + eps)
+        (p,) = critical_line(ERF, NormMode.VANILLA, [sigma_w])
+        with mp.workdps(50):
+            exact = ((4 * mp.mpf(sigma_w) ** 2 / mp.pi) ** 2 - 1) / 4
+        assert abs(p.k_star - exact) <= rel * exact, (p.k_star, exact)
 
 
 class TestCriticalPoint:
@@ -736,17 +809,27 @@ class TestBrentq:
         return root, 0 if f(a) == 0 or f(b) == 0 else info.iterations
 
     def assert_same(self, f, a, b, **kw):
-        ours = _brentq(f, a, b, **kw)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        ours = _brentq(counted, a, f(a), b, f(b), **kw)
         theirs = self.scipy_brentq(f, a, b, **kw)
         assert (ours[0].hex(), ours[1]) == (theirs[0].hex(), theirs[1])
+        # given both end values, f runs once an iteration but the last,
+        # which stops on its bracket, and never at an end
+        assert len(calls) == max(ours[1] - 1, 0) and a not in calls and b not in calls
         return ours
 
     def test_every_line_inversion(self, monkeypatch):
         # each family x mode on the CLI's default sweep (0.5 .. 3, 26 steps)
         solves = []
 
-        def checked(f, a, b):
-            solves.append(self.assert_same(f, a, b))
+        def checked(f, a, f_a, b, f_b, **kw):
+            assert (f_a, f_b) == (f(a), f(b))
+            solves.append(self.assert_same(f, a, b, **kw))
             return solves[-1]
 
         monkeypatch.setattr(critical, "_brentq", checked)
@@ -769,8 +852,12 @@ class TestBrentq:
 
     def test_a_zero_iteration_cap_raises(self):
         with pytest.raises(RuntimeError, match="no convergence"):
-            _brentq(lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, maxiter=0)
+            _brentq(lambda x: x ** 3 - 2 * x - 5, 2.0, -1.0, 3.0, 16.0, maxiter=0)
 
     def test_a_bracket_without_a_sign_change_raises(self):
         with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1.0, 2.0)
+
+    def test_a_nan_end_value_raises(self):
+        with pytest.raises(ValueError, match="NaN at a bracket end"):
+            _brentq(lambda x: x, -1.0, math.nan, 1.0, 1.0)
