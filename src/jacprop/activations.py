@@ -105,11 +105,6 @@ class Activation:
     def gelu(cls) -> "Activation":
         return cls("gelu")
 
-    @property
-    def smooth(self) -> bool:
-        """True when the activation has no kink (erf, GELU)."""
-        return self.family != "scale_invariant"
-
     def eval(self, x, order: int = 0):
         """Evaluate the activation or one of its derivatives.
 

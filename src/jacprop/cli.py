@@ -401,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("task", choices=["chi", "profile", "ntk", "n0check"],
                    help="chi: the multiplier J^{L-2,L-1}, each member's value its "
                         "conditional expectation over W^{L-1} (layers L-1 and L are "
-                        "never drawn); profile: J^{l0,l} for every l > l0; ntk: the "
+                        "never drawn); profile: J^{l0,l} for every l > l0, each "
+                        "member's value at l its conditional expectation over W^l, "
+                        "as chi's is (layer L is never drawn); ntk: the "
                         "NTK diagonal at any size, each member's value averaged over "
                         "min(8, width) output units (the mean of all of them, with a "
                         "wider spread), no weight matrix drawn; n0check: J^{0,2}, "

@@ -20,7 +20,7 @@ Jacobian is diagonal plus low rank -- diag(phi'), and per group ``(I - 1
 1^T/m - y y^T/m) / s`` for ``y = (v - mean v) / s`` -- so a block's is ``B
 = diag(lam) + U V^T`` of rank at most 2 g.  These factors are its only
 Jacobian: tangents ``lam T + U (V^T T)``, the NTK's gradient rows ``A lam
-+ (A U) V^T`` and the one-step mean below read them.  The tests' oracle
++ (A U) V^T`` and the conditional means below read them.  The tests' oracle
 builds each stage as an explicit matrix.
 
 Every measurement is one forward sweep over the layers.  A member's
@@ -37,7 +37,7 @@ taller) and at least 1 MB of entries; the layer splits into equal blocks
 rounded up to a multiple of 8 rows, because OpenBLAS sums a GEMV over a
 block of another height in another order, and a layer that fits in one
 block is one block.  The tangent ping-pongs between two buffers, the dead
-one taking ``T * T`` for the norm.  Configurations that share a draw --
+one taking its rank update U C and the squares for the norm.  Configurations that share a draw --
 same width, input dimension, depth, members, seed, groups and input
 resampling -- ride one sweep, so each layer is drawn once for all of them.
 Only the explicit :func:`empirical_ntk`, the dense oracle of
@@ -49,30 +49,29 @@ The ensemble drivers draw only what a measurement reads.  Given the
 layers below it, W^l is independent of what it multiplies, so the rows of
 W^l A for any N_{l-1}-row A are iid N(0, A^T A): the conditional
 Gaussianity of Lee et al. (2018), "Deep Neural Networks as Gaussian
-Processes".  So a driver's layer l is one of three things:
+Processes".  A driver measures J^{l0, m} at every layer m in (l0, l], a
+single J^{l0, l} being the last of them, in one rule:
 
-- the lean step, on every layer at or below l0, which carries only the
+- the lean step on every layer at or below l0, which carries only the
   forward vector: A = z^{l-1}, so ``|z^{l-1}| xi^l`` stands in for W^l
   z^{l-1}, and ``h^l = (sigma_w / sqrt(N_{l-1})) |z^{l-1}| xi^l + sigma_b
   b^l`` from 2 N_l normals (:meth:`NetworkParams.conditional`,
   :meth:`_Probe.lean`).  Every probe on it shares one draw (xi^l, b^l), and
   none readies products or buffers.
-- integrated out, as the last layer of a single J^{l0, l} (not a profile).
-  J^{l0, l} reads W^l only through |W^l B^{l-1} T^{l-1}|_F^2, with T^{l-1}
-  = d h^{l-1} / d h^{l0}, and over the N_l x N_{l-1} standard-normal W^l
-  that has the mean N_l |B^{l-1} T^{l-1}|_F^2, so
+- the conditional mean over W^m at every layer m above l0.  J^{l0, m}
+  reads W^m only through |W^m B^{m-1} T^{m-1}|_F^2, with T^{m-1} = d
+  h^{m-1} / d h^{l0}, and over the N_m x N_{m-1} standard-normal W^m that
+  has the mean N_m |B^{m-1} T^{m-1}|_F^2, so
 
-      E[J^{l0, l} | layers < l] = (sigma_w^2 / N_{l-1}) |B^{l-1} T^{l-1}|_F^2
+      E[J^{l0, m} | layers < m] = (sigma_w^2 / N_{m-1}) |B^{m-1} T^{m-1}|_F^2.
 
-  (:meth:`_Probe.mean_over_last`).  At l = l0 + 1, T = I and this is
-  :meth:`_Block.frobenius_sq` read off the block's factors, exactly
-  sigma_w^2 at l0 = 0 (B = I); above, the carried tangent is pushed
-  through the block's factors and summed.  A member's value is this
-  conditional mean, not a sample: it has the mean of J^{l0, l}, and no
-  larger a variance.
-- drawn whole, in row blocks, otherwise: layers l0 + 1 .. l - 1 of a
-  single J^{l0, l}, and every layer above l0 of a profile, whose
-  per-layer values need every W^l.
+  At m = l0 + 1, T = I and this is :meth:`_Block.frobenius_sq` read off the
+  block's factors, exactly sigma_w^2 at l0 = 0 (B = I); above, it is the
+  norm of the carried tangent pushed through the block's factors, which
+  :meth:`_Probe.start` forms for layer m's product anyway.  A member's
+  value is this conditional mean, not a sample: it has the mean of J^{l0,
+  m}, and no larger a variance.  Layers l0 + 1 .. l - 1 are drawn whole, in
+  row blocks, to carry the tangent; layer l never is.
 
 The NTK diagonal reads every layer backwards too.  :func:`ensemble_ntk`
 runs the lean step on every layer, then steps k = min(8, N_L) rows G of d
@@ -88,8 +87,8 @@ the dense member's average, and a wider spread.
 So ``empirical_chi`` draws 2 N_l normals per layer up to L - 2 and no
 weight matrix, ``ensemble_ntk`` (2 + k) N normals per layer and no weight
 matrix, and ``n0_correction_check`` draws only layer 1 whole.  A member
-holds, per configuration, two N x N_{l0} tangent buffers (a profile or
-multi-step measurement), plus one row block.  At width 1000 a profile
+holds, per configuration, two N x N_{l0} tangent buffers (a measurement
+that draws a layer above l0), plus one row block.  At width 1000 a profile
 member holds about 17 MB at N0 784 (a 4 MB block and two 6.3 MB tangents)
 and about 3 MB at N0 128 (a 1 MB block and two 1 MB tangents), whatever
 the depth, where one whole layer is 8 MB.  Before the first member, a
@@ -102,20 +101,22 @@ k x N gradient rows.
 Determinism: every (seed, member, layer) draws from its own seed-derived
 RNG stream (and the NTK's reverse draws from another) and every
 configuration keeps its own matrix products.  A driver's member is an
-exact sample of the network's law (a single J^{l0, l}, of its
-conditional mean over W^l; an NTK member, of the diagonal averaged over
-its k output units), not a materialized network.  Each draw reads its
+exact sample of the network's law (of J^{l0, m}'s conditional mean over
+W^m at every layer m; an NTK member, of the diagonal averaged over its k
+output units), not a materialized network.  Each draw reads its
 layer's stream from the start, and configurations share the lean draw
 (xi^l, b^l), so only each one's own law is exact, not their joint law
 under one dense W^l.  The functions that take an explicit
 :class:`NetworkParams` (:func:`forward`, :func:`partial_jacobian_norm`,
 :func:`empirical_ntk`) draw every weight, the last layer of J^{l0, l}
-included, and their results are bit-identical whether the layers arrive
-in row blocks or whole.  Which layers a driver draws, and how, depends
-only on what its configurations share, so a driver's result is
-bit-identical whether its configuration runs alone or with others sharing
-the draw, and however many worker threads evaluate the members.  Set ``JACPROP_WORKERS`` to a positive integer to parallelize
-over members; the process keeps one thread pool per worker count.
+included, record the sample (1/N_m) |T^m|_F^2 at every layer they draw,
+and give the same bits whether the layers arrive in row blocks or whole.
+Which layers a driver draws, and how, depends only on what its
+configurations share, so a driver's result is bit-identical whether its
+configuration runs alone or with others sharing the draw, and however
+many worker threads evaluate the members.  Set ``JACPROP_WORKERS`` to a
+positive integer to parallelize over members; the process keeps one
+thread pool per worker count.
 """
 
 from __future__ import annotations
@@ -154,10 +155,6 @@ LN_EPS = 1e-12
 #: Least entries of a row block (1 MB): below it, per-block call overhead
 #: outgrows the memory saved.  See :func:`_block_rows`.
 _BLOCK_MIN = 1 << 17
-
-#: Entries per row block of a tangent's rank update (256 KB).  Temporaries
-#: of _BLOCK_MIN entries there left ``mc-profile``'s peak RSS 1 MB higher.
-_UPDATE_MIN = 1 << 15
 
 #: Output units whose NTK diagonal an :func:`ensemble_ntk` member averages
 #: (every unit of a narrower output layer).  See ROADMAP item 5.
@@ -435,16 +432,15 @@ class _Block:
             self._factors = out
         return self._factors
 
-    def tangent(self, T: np.ndarray) -> np.ndarray:
+    def tangent(self, T: np.ndarray, spare: np.ndarray) -> np.ndarray:
         """d z^l / d h^l applied to tangent columns ``T``, in place: with
-        C = V^T T, T becomes lam T + U C, one row block at a time."""
+        C = V^T T, T becomes lam T + U C, U C formed in ``spare``, an array
+        of T's shape that it overwrites."""
         lam, U, V = self.factors()
         C = V.T @ T if U.shape[1] else None
         T *= lam[:, None]
         if C is not None:
-            step = max(1, _UPDATE_MIN // T.shape[1])
-            for i in range(0, T.shape[0], step):
-                T[i:i + step] += U[i:i + step] @ C
+            T += np.matmul(U, C, out=spare)
         return T
 
     def cotangent(self, A: np.ndarray) -> np.ndarray:
@@ -518,23 +514,26 @@ class _Probe:
     """One measurement riding a sweep over one network's layers.
 
     Carries the forward state of one input and, once the sweep passes
-    layer ``l0``, the tangent block d h^m / d h^{l0}.  It needs layers
-    1..``last``.  ``value`` ends as the squared-norm measurement (an array
-    over layers with ``profile``); with ``keep`` every preactivation and
-    block is recorded in ``hs`` and ``blocks`` instead.  Layers at or
-    below ``l0`` (every layer, without ``l0``) only carry its forward pass:
-    under the drivers, each is one :meth:`lean` step.
+    layer ``l0``, the tangent block T^m = d h^m / d h^{l0}.  It needs layers
+    1..``last``.  ``value`` ends as J^{l0, m} at every layer m in (l0,
+    last], NaN elsewhere; with ``keep`` every preactivation and block is
+    recorded in ``hs`` and ``blocks`` instead.  Layers at or below ``l0``
+    (every layer, without ``l0``) only carry its forward pass: under the
+    drivers, each is one :meth:`lean` step.
+
+    An explicit network's probe records (1/N_m) |T^m|_F^2 of every layer
+    it draws.  A driver's (``mean``) records, as it readies layer m, the
+    conditional mean over W^m, (sigma_w^2 / N_{m-1}) |B^{m-1}
+    T^{m-1}|_F^2 (module docstring), so it never draws layer ``last``.
 
     :meth:`start` readies a layer's products and :meth:`finish` completes
     them.  A layer drawn whole reaches it in row blocks, :meth:`take`
     filling the products' rows for one block.  The tangent lives in one of
-    two buffers and the next layer's is written into the other.  A single
-    J^{l0, last} under the drivers stops at layer last - 1 and reads
-    :meth:`mean_over_last`.
+    two buffers and the next layer's is written into the other.
     """
 
     def __init__(self, dims, act, hp, norm, groups, x, last,
-                 l0=None, profile=False, keep=False):
+                 l0=None, mean=False, keep=False):
         if l0 is not None and not 0 <= l0 < last <= len(dims) - 1:
             raise ValueError(f"need 0 <= l0 < l <= {len(dims) - 1}, got l0={l0}, l={last}")
         x = np.asarray(x, dtype=float)
@@ -543,13 +542,13 @@ class _Probe:
         if not np.isfinite(x).all():
             raise ValueError("input must be finite, got NaN or inf entries")
         self.dims, self.act, self.hp, self.norm, self.groups = dims, act, hp, norm, groups
-        self.last, self.l0, self.profile, self.keep = last, l0, profile, keep
+        self.last, self.l0, self.mean, self.keep = last, l0, mean, keep
         self.z = x
         self.block = None  # block on the latest preactivation
         self.T = None      # d h^{l-1} / d h^{l0}, in buffer ``pair[cur]``
         self.pair, self.cur = None, 0
         self.wz = self.out = self.F = None  # the drawn layer's products
-        self.value = np.full(len(dims), np.nan) if profile else None
+        self.value = None if l0 is None else np.full(len(dims), np.nan)
         self.hs: list = [None]      # hs[l] = h^l, 1-indexed (with keep)
         self.wzs: list = [None]     # wzs[l], its scaled W^l z^{l-1} (with keep)
         self.blocks: list = [None]  # blocks[l] built on h^l (with keep)
@@ -562,39 +561,41 @@ class _Probe:
         wz *= self.hp.sigma_w / math.sqrt(self.dims[l - 1])
         self._advance(l, wz, b)
 
-    def mean_over_last(self) -> float:
-        """E[J^{l0, last} | layers < last] once the sweep has stopped at m =
-        last - 1: (sigma_w^2 / N_m) |B^m T^m|_F^2, with T^{l0} = I and B^0 =
-        I (module docstring)."""
-        m, sw2 = self.last - 1, self.hp.sw2
-        if m == self.l0:
-            return sw2 * (self.block.frobenius_sq() / self.dims[m] if m else 1.0)
-        F = self.block.tangent(self.T)
-        FF = _view(self.pair[1 - self.cur], *F.shape)  # the dead buffer
-        return sw2 * (float(np.sum(np.multiply(F, F, out=FF))) / self.dims[m])
-
     def start(self, l: int) -> int:
-        """Ready the products of layer ``l``: W z, and W (B T) above l0.
-        Returns the widest one's column count."""
-        n = self.dims[l]
+        """Ready the products of layer ``l``: W z, and W (B T) above l0,
+        recording J^{l0, l} first with ``mean``.  Returns the widest
+        product's column count, 0 if it takes none of the layer."""
+        n, m = self.dims[l], l - 1
         self.wz = np.empty(n) if l < self.last or self.keep else None
-        if self.l0 is not None and l > self.l0:
-            k = self.dims[self.l0]
-            if self.pair is None:
-                size = max(self.dims[self.l0:self.last + 1]) * k
-                self.pair = (np.empty(size), np.empty(size))
-            if l == 1:
-                self.F = None  # W I is W, bit for bit
-            else:
-                if l == self.l0 + 1:
-                    self.T = _view(self.pair[self.cur], k, k)
-                    self.T.fill(0.0)
-                    np.fill_diagonal(self.T, 1.0)
-                self.F = self.block.tangent(self.T)
-                # used up; holding its factors through the draw cost 2 MB of peak RSS
-                self.block = None
-            self.out = _view(self.pair[1 - self.cur], n, k)
-        return 1 if self.out is None else self.out.shape[1]
+        if self.l0 is None or l <= self.l0:
+            return 0 if self.wz is None else 1
+        k, sw2 = self.dims[self.l0], self.hp.sw2
+        drawn = l < self.last or not self.mean  # a driver integrates out its last layer
+        if m == self.l0:  # T^{l0} = I, and B^0 = I
+            if self.mean:
+                self.value[l] = sw2 * (self.block.frobenius_sq() / self.dims[m] if m else 1.0)
+            if not drawn:
+                return 0
+            size = max(self.dims[self.l0:self.last + 1]) * k
+            self.pair = (np.empty(size), np.empty(size))
+        if m == 0:
+            self.F = None  # W I is W, bit for bit
+        else:
+            if m == self.l0:
+                self.T = _view(self.pair[self.cur], k, k)
+                self.T.fill(0.0)
+                np.fill_diagonal(self.T, 1.0)
+            dead = _view(self.pair[1 - self.cur], *self.T.shape)
+            self.F = self.block.tangent(self.T, dead)
+            if self.mean and m > self.l0:
+                F = self.F
+                self.value[l] = sw2 * (float(np.sum(np.multiply(F, F, out=dead))) / self.dims[m])
+            if not drawn:
+                return 0
+            # used up; holding its factors through the draw cost 2 MB of peak RSS
+            self.block = None
+        self.out = _view(self.pair[1 - self.cur], n, k)
+        return k
 
     def take(self, i: int, blk: np.ndarray) -> None:
         """Fill rows i.. of the layer's products from its row block ``blk``."""
@@ -614,13 +615,9 @@ class _Probe:
         if self.out is not None:
             T = self.out
             T *= scale
-            if self.profile or l == self.last:
+            if not self.mean:
                 TT = _view(self.pair[self.cur], *T.shape)  # the dead buffer
-                norm = float(np.sum(np.multiply(T, T, out=TT))) / n
-                if self.profile:
-                    self.value[l] = norm
-                else:
-                    self.value = norm
+                self.value[l] = float(np.sum(np.multiply(T, T, out=TT))) / n
             self.T, self.cur = T, 1 - self.cur
         if self.wz is not None:
             self.wz *= scale
@@ -640,14 +637,13 @@ class _Probe:
                 self.blocks.append(self.block)
 
 
-def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None,
-           stop: int | None = None) -> None:
+def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None) -> None:
     """Advance every probe through layers 1.. of one network in one pass.
 
     ``rows(l, buf, b)`` is :meth:`NetworkParams.rows` or follows it: it
     yields layer l's row blocks and fills ``b``.  It is called at most once
-    per layer, only up to the last layer a probe needs (or ``stop``), with
-    one buffer that every layer reuses, of :func:`_block_rows` rows for the
+    per layer, only for a layer whose products some probe takes, with one
+    buffer that every layer reuses, of :func:`_block_rows` rows for the
     widest product a probe takes.  Given ``draws`` (the ensemble drivers),
     the probes that only carry the forward vector through layer l share
     one lean step on ``draws.conditional(l)``, and the others take the row
@@ -655,7 +651,7 @@ def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None,
     """
     dims = probes[0].dims
     flat = np.empty(0)
-    for l in range(1, (max(p.last for p in probes) if stop is None else stop) + 1):
+    for l in range(1, max(p.last for p in probes) + 1):
         lean, active = [], []
         for p in probes:
             if l <= p.last:
@@ -665,11 +661,13 @@ def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None,
             xi, b = draws.conditional(l)
             for p in lean:
                 p.lean(l, xi, b)
+        widths = [p.start(l) for p in active]
+        active = [p for p, k in zip(active, widths) if k]
         if not active:
             flat = np.empty(0)
             continue
         n, m = dims[l], dims[l - 1]
-        h = _block_rows(n, m, max(p.start(l) for p in active))
+        h = _block_rows(n, m, max(widths))
         if flat.size < h * m:
             flat = None  # released before its successor is allocated
             flat = np.empty(h * m)
@@ -717,13 +715,14 @@ def partial_jacobian_norm(
 
     A full tangent basis is propagated through the forward pass, so the
     result is exact per draw, including the cross-neuron derivative terms
-    of the normalization.  With ``profile=True`` the norm is recorded at
-    every layer in (l0, l] and an array indexed by layer (NaN elsewhere,
-    of length L + 1) is returned.  Layers after ``l`` are never drawn.
+    of the normalization.  The norm is recorded at every layer in (l0, l];
+    with ``profile=True`` they are returned as an array indexed by layer
+    (NaN elsewhere, of length L + 1), otherwise layer l's alone.  Layers
+    after ``l`` are never drawn.
     """
-    probe = _Probe(params.layer_dims, act, hp, norm, groups, x, l, l0, profile)
+    probe = _Probe(params.layer_dims, act, hp, norm, groups, x, l, l0)
     _sweep(params.rows, [probe])
-    return probe.value
+    return probe.value if profile else float(probe.value[l])
 
 
 # ---------------------------------------------------------------------------
@@ -787,20 +786,19 @@ def _members(cfgs: list, measure: Callable) -> list:
     return [np.array([row[k] for row in rows]) for k in range(len(cfgs))]
 
 
-def _member_bytes(cfgs: list, l0: int | None, l: int, profile: bool = False) -> int:
-    """What one driver member measuring J^{l0, l} (a profile with
-    ``profile``) holds at its peak beyond its forward state.
+def _member_bytes(cfgs: list, l0: int | None, l: int) -> int:
+    """What one driver member measuring J^{l0, m} for m in (l0, l] holds
+    at its peak beyond its forward state.
 
-    It draws layers l0 + 1 .. l of a profile, and l0 + 1 .. l - 1 of a
-    single J^{l0, l}, whose last layer is integrated out.  If it draws any,
-    it holds per configuration its two tangent buffers (2 N x N_{l0} with N
-    the widest layer from l0 to l), plus the largest row block; a one-step
-    member holds only its block's factors.  An NTK member (``l0`` None, depth
-    ``l``) holds its forward record, ``_NTK_RECORD`` vectors of N per
-    layer; stepping down the layers, it adds six k x N arrays (gradient
-    rows, draws, temporaries) and one block's factors, up to 8 N entries
-    per unit of their rank 2 g while they are composed (both measured at
-    width 256).
+    It draws layers l0 + 1 .. l - 1; layer l is integrated out.  If it
+    draws any, it holds per configuration its two tangent buffers (2 N x
+    N_{l0} with N the widest layer from l0 to l), plus the largest row
+    block; a one-step member holds only its block's factors.  An NTK member
+    (``l0`` None, depth ``l``) holds its forward record, ``_NTK_RECORD``
+    vectors of N per layer; stepping down the layers, it adds six k x N
+    arrays (gradient rows, draws, temporaries) and one block's factors, up
+    to 8 N entries per unit of their rank 2 g while they are composed (both
+    measured at width 256).
     """
     dims = cfgs[0].layer_dims
     if l0 is None:
@@ -808,19 +806,19 @@ def _member_bytes(cfgs: list, l0: int | None, l: int, profile: bool = False) -> 
         k, rank = min(_NTK_ROWS, dims[-1]), 2 * cfg.groups if cfg.norm.normalizes else 0
         return 8 * n * (_NTK_RECORD * l + 6 * k + 8 * rank)
     k = dims[l0]  # the tangent's columns
-    drawn = range(l0 + 1, (l if profile else l - 1) + 1)
+    drawn = range(l0 + 1, l)
     if not drawn:
         return 0
     draw = max(_block_rows(dims[j], dims[j - 1], k) * dims[j - 1] for j in drawn)
     return 8 * (len(cfgs) * 2 * max(dims[l0:l + 1]) * k + draw)
 
 
-def _check_fits(cfgs: list, l0: int | None, l: int, profile: bool = False) -> None:
+def _check_fits(cfgs: list, l0: int | None, l: int) -> None:
     """Refuse a measurement of J^{l0, l} (the NTK with ``l0`` None) whose
     members would not fit in physical memory, before any is drawn: every
     worker thread holds one member (:func:`_member_bytes`)."""
     workers = _workers()
-    need = _member_bytes(cfgs, l0, l, profile) * workers
+    need = _member_bytes(cfgs, l0, l) * workers
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
@@ -829,35 +827,36 @@ def _check_fits(cfgs: list, l0: int | None, l: int, profile: bool = False) -> No
         )
 
 
-def _swept(cfgs: list, l0: int, l: int, profile: bool = False) -> list:
-    """Per-config member values of J^{l0, l}, all configs in one sweep per member.
+def _swept(cfgs: list, l0: int, l: int) -> list:
+    """Per-config member values of J^{l0, m} for every m in (l0, l], all
+    configs in one sweep per member: one array per config, a row per member
+    indexed by layer, NaN outside (l0, l].
 
-    A profile sweeps every layer up to l.  A single J^{l0, l} sweeps up to
-    l - 1 and takes each member's mean over W^l (module docstring).
+    Each value is the member's conditional mean over W^m (module
+    docstring), so a single J^{l0, l} is column l, and layer l is never
+    drawn.
     """
-    _check_fits(cfgs, l0, l, profile)
+    _check_fits(cfgs, l0, l)
 
     def measure(params, xs):
         probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
-                         cfg.groups, x, l, l0, profile)
+                         cfg.groups, x, l, l0, mean=True)
                   for cfg, x in zip(cfgs, xs)]
-        if profile:
-            _sweep(params.rows, probes, params)
-            return [p.value for p in probes]
-        _sweep(params.rows, probes, params, stop=l - 1)
-        return [p.mean_over_last() for p in probes]
+        _sweep(params.rows, probes, params)
+        return [p.value for p in probes]
 
     return _members(cfgs, measure)
 
 
 def _estimate(values: np.ndarray):
-    """Mean and standard error over the members (axis 0); one member has no
-    standard error, so it reads NaN."""
-    n = values.shape[0]
-    mean = values.mean(axis=0)
+    """Mean and standard error over the members (axis 0), each column with
+    the bits of its own 1-D estimate; one member has no standard error, so
+    it reads NaN."""
+    n, columns = values.shape[0], np.ascontiguousarray(values.T)
+    mean = columns.mean(axis=-1)
     if n == 1:
         return mean, np.full_like(mean, np.nan)
-    return mean, values.std(axis=0, ddof=1) / math.sqrt(n)
+    return mean, columns.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
 def _scalar_estimate(values: np.ndarray) -> JacobianEstimate:
@@ -879,7 +878,7 @@ def empirical_chi(cfg: EnsembleConfig | Sequence[EnsembleConfig]):
     """
     cfgs, single = _batch(cfg)
     L = cfgs[0].depth
-    ests = [_scalar_estimate(v) for v in _swept(cfgs, L - 2, L - 1)]
+    ests = [_scalar_estimate(v[:, L - 1]) for v in _swept(cfgs, L - 2, L - 1)]
     return ests[0] if single else ests
 
 
@@ -920,18 +919,20 @@ def _ntk_members(cfg: EnsembleConfig) -> np.ndarray:
 def jacobian_profile(cfg: EnsembleConfig | Sequence[EnsembleConfig], l0: int = 0):
     """Ensemble-averaged J^{l0, l} for every layer l in (l0, L].
 
-    Given a sequence of configs that share a draw, returns one estimate
-    per config.
+    Each member's value at layer l is the single J^{l0, l}'s, its
+    conditional mean over W^l (module docstring), so layer L is never
+    drawn, and ``mean``/``stderr`` are layer L's entries.  Given a sequence
+    of configs that share a draw, returns one estimate per config.
     """
     cfgs, single = _batch(cfg)
     L = cfgs[0].depth
     if not 0 <= l0 < L:
         raise ValueError(f"l0 must satisfy 0 <= l0 < depth ({L}), got {l0}")
     ests = []
-    for rows in _swept(cfgs, l0, L, profile=True):
-        per_layer, per_stderr = _estimate(rows)
-        est = _scalar_estimate(rows[:, L])
-        ests.append(JacobianEstimate(est.mean, est.stderr, est.n, per_layer, per_stderr))
+    for rows in _swept(cfgs, l0, L):
+        mean, stderr = _estimate(rows)
+        ests.append(JacobianEstimate(float(mean[L]), float(stderr[L]), rows.shape[0],
+                                     mean, stderr))
     return ests[0] if single else ests
 
 
@@ -969,7 +970,7 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
     if cfg.norm.normalizes:
         raise ValueError("the input correction is derived for the vanilla mode")
     (values,) = _swept([cfg], 0, 2)
-    est = _scalar_estimate(values)
+    est = _scalar_estimate(values[:, 2])
 
     corrected, uncorrected = [], []
     for i in range(cfg.n_init if cfg.resample_inputs else 1):

@@ -41,7 +41,7 @@ from jacprop.ensemble import (
     resolve_input,
 )
 from jacprop.meanfield import Hyper, NormMode, chi_jacobian, trace
-from test_ensemble import dense_block
+from test_ensemble import dense_block, mini_forward
 
 RELU = Activation.relu()
 SI21 = Activation.scale_invariant(2.0, 1.0)
@@ -399,34 +399,8 @@ def test_criterion_9_brute_force_oracles():
         fast = partial_jacobian_norm(params, GELU, hp, mode, x, 1, 4)
         worst_dense = max(worst_dense, abs(fast - dense) / dense)
 
-    # NTK against parameter finite differences at width 2, depth 2,
-    # using a self-contained forward pass with explicit gain/shift
-    def mini_forward(ws, bs, gammas, betas, act, hp, norm, x, groups=1):
-        z = np.asarray(x, dtype=float)
-        L = len(ws)
-        for l in range(L):
-            n_in = ws[l].shape[1]
-            h = (hp.sigma_w / math.sqrt(n_in)) * (ws[l] @ z) + hp.sigma_b * bs[l]
-            if l == L - 1:
-                return h
-            if norm is NormMode.VANILLA:
-                z = act(h)
-            elif norm is NormMode.PRE_LN:
-                m = h.size // groups
-                hg = h.reshape(groups, m)
-                y = (hg - hg.mean(1, keepdims=True)) / np.sqrt(
-                    hg.var(1, keepdims=True) + 1e-12
-                )
-                z = act(gammas[l] * y.reshape(-1) + betas[l])
-            else:
-                a = act(h)
-                m = a.size // groups
-                ag = a.reshape(groups, m)
-                y = (ag - ag.mean(1, keepdims=True)) / np.sqrt(
-                    ag.var(1, keepdims=True) + 1e-12
-                )
-                z = gammas[l] * y.reshape(-1) + betas[l]
-
+    # NTK against parameter finite differences at width 2, depth 2, using
+    # mini_forward, a self-contained forward pass with explicit gain/shift
     worst_ntk = 0.0
     for mode in MODES:
         p2 = NetworkParams.draw([3, 2, 2], seed=8)

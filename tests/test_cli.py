@@ -329,6 +329,22 @@ class TestMonteCarlo:
         assert header == ["l", "J_mean", "J_stderr"]
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("seed", ["3", "4", "5"])
+    def test_profile_json_is_the_series_last_row(self, capsys, tmp_path, seed):
+        # the JSON once recomputed layer L's estimate apart from the series:
+        # at seed 4 the two means differed in the last bit, at seed 5 the
+        # two standard errors
+        series = tmp_path / "s.csv"
+        code, out, _ = run_cli(
+            ["mc", "profile", "--act", "erf", "--sw", "1.2", "--sb", "0.1", "--width", "64",
+             "--input-dim", "16", "--depth", "6", "--n-init", "25", "--seed", seed,
+             "--series-out", str(series)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        _, _, rows = parse_csv(series.read_text())
+        assert rows[-1][0] == "6"
+        assert (doc["mean"], doc["stderr"]) == (float(rows[-1][1]), float(rows[-1][2]))
+
     def test_profile_l0_outside_the_network_fails(self, capsys):
         # it once exited with "list index out of range"
         for l0 in ("7", "6", "-1"):

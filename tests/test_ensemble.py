@@ -10,7 +10,7 @@ gain/shift parameters.
 
 import math
 import os
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -354,8 +354,7 @@ class TestPartialJacobianNorm:
     @pytest.mark.parametrize("norm", ALL_MODES)
     def test_block_tangent_updates_the_block_in_place(self, shape, groups, order, norm):
         # one order for every block size: the caller's, kept by working in
-        # place; 1200 and 200 columns take several row blocks of the rank
-        # update, the last one shorter
+        # place; the rank update goes through the spare buffer of T's shape
         n, k = shape
         rng = np.random.default_rng(3)
         h = rng.normal(size=n)
@@ -363,7 +362,7 @@ class TestPartialJacobianNorm:
         B, lam = dense_block(GELU, norm, groups, h)
         want, size = B @ T, np.max(np.abs(lam)) * np.max(np.abs(T))
         strides = T.strides
-        got = _Block(GELU, norm, groups, h).tangent(T)
+        got = _Block(GELU, norm, groups, h).tangent(T, np.empty((n, k)))
         assert np.shares_memory(got, T) and got.strides == strides
         # entries that cancel (all of them in two-unit groups) are held to
         # 1e-12 of the size of the terms that cancel
@@ -590,10 +589,10 @@ class TestDriverGoldenBits:
 
     def test_single_jacobians_are_bit_identical(self):
         cfg = self._cfg(act=GELU, norm=NormMode.POST_LN, groups=2)
-        assert [float(v).hex() for v in _swept([cfg], 2, 5)[0]] == [
+        assert [float(v).hex() for v in _swept([cfg], 2, 5)[0][:, 5]] == [
             "0x1.1194f30012956p+4", "0x1.2b04103dd476ep+8", "0x1.c308e2efdcef0p+5"]
         thin = self._cfg(width=40, input_dim=3, act=ERF, norm=NormMode.PRE_LN)
-        assert [float(v).hex() for v in _swept([thin], 0, 5)[0]] == [
+        assert [float(v).hex() for v in _swept([thin], 0, 5)[0][:, 5]] == [
             "0x1.a01707678655dp-2", "0x1.4e21331b7a5aep-3", "0x1.d0ec107d6c274p-2"]
 
     def test_batch_is_bit_identical(self):
@@ -608,9 +607,9 @@ class TestDriverGoldenBits:
         ]
         assert [[float(v).hex() for v in e.per_layer[3:]]
                 for e in jacobian_profile(batch, l0=2)] == [
-            ["0x1.d34a56a187fa4p-1", "0x1.8c8e827b62ea9p-1", "0x1.9a49b06277c38p-1"],
-            ["0x1.427d51f94e140p+0", "0x1.e092f9524e9cbp+0", "0x1.a6e233f3a7cfbp-2"],
-            ["0x1.1437bad59da7bp+0", "0x1.b03637b99e8cfp+0", "0x1.eb4ce5672cc9dp-2"],
+            ["0x1.b4f28c5bf6549p-1", "0x1.865275f32864dp-1", "0x1.bf1c4202b453dp-1"],
+            ["0x1.2a133592fbd89p+0", "0x1.f79e73930b58dp+0", "0x1.39c41e203c10dp-1"],
+            ["0x1.0e401a1f616a8p+0", "0x1.9b0354a2a7671p+0", "0x1.f3778df34dd09p-2"],
         ]
 
     @pytest.mark.parametrize("groups", [1, 2, 4])
@@ -657,7 +656,7 @@ class TestEnsembleDrivers:
         est = jacobian_profile(self._cfg(), l0=0)
         assert est.per_layer is not None
         assert np.isnan(est.per_layer[0])
-        assert est.per_layer[8] == pytest.approx(est.mean)
+        assert (est.mean, est.stderr) == (est.per_layer[8], est.per_layer_stderr[8])
 
     def test_shared_vs_resampled_inputs(self):
         shared = self._cfg()
@@ -811,14 +810,12 @@ class TestEnsembleDrivers:
         assert peak < 64 * 1024
 
     def test_memory_estimate_prices_the_drawn_layers(self):
-        # the input check's shape: a single J^{0,2} draws only the 4096 x 16
-        # layer 1, where a profile also holds a 1 MB row block of layer 2
+        # the input check's shape: J^{0,2} draws only the 4096 x 16 layer 1
         n, k = 4096, 16
         cfg = self._cfg(width=n, input_dim=k, depth=2)
-        assert _member_bytes([cfg], 0, 2, False) == 8 * (2 * n * k + n * k)
-        assert _member_bytes([cfg], 0, 2, True) == 8 * (2 * n * k + _block_rows(n, n, k) * n)
+        assert _member_bytes([cfg], 0, 2) == 8 * (2 * n * k + n * k)
         # a one-step mean draws no layer above l0
-        assert _member_bytes([cfg], 1, 2, False) == 0
+        assert _member_bytes([cfg], 1, 2) == 0
         # a thin run too large for the machine is still refused, naming the size
         huge = self._cfg(width=2**32, input_dim=k, depth=2)
         with pytest.raises(ValueError, match=r"about [0-9.e+]+ GiB .* physical memory"):
@@ -847,7 +844,9 @@ class TestPostLnAgainstTheory:
     def test_profile_within_four_stderr(self, act):
         cfg = self._cfg(act, width=128, input_dim=64, depth=6, n_init=20, seed=5)
         est, tr = jacobian_profile(cfg), self._trace(cfg)
-        z = (est.per_layer[1:] - tr.J[1:]) / est.per_layer_stderr[1:]
+        # every member's J^{0,1} is its mean over W^1, sigma_w^2 exactly
+        assert est.per_layer[1] == tr.J[1] and est.per_layer_stderr[1] == 0.0
+        z = (est.per_layer[2:] - tr.J[2:]) / est.per_layer_stderr[2:]
         assert np.all(np.abs(z) <= 4.0), z
 
     @pytest.mark.parametrize("act", [RELU, ERF], ids=["relu", "erf"])
@@ -930,8 +929,11 @@ class TestStreaming:
     @pytest.mark.parametrize("norm", ALL_MODES)
     def test_profile_peak_memory_is_two_tangents_and_a_row_block(self, norm):
         # width 1024 takes two row blocks per layer; the tangent's rank
-        # update adds less than one block of _BLOCK_MIN entries, and
-        # a buffer kept past its layer would add the first layer's block
+        # update is formed in the dead tangent buffer, so the rest (the
+        # block's factors and the forward vectors) measured about 22 N
+        # entries in the normalizing modes, within the bound's _BLOCK_MIN +
+        # 64 N, and a buffer kept past its layer would add the first
+        # layer's block
         import tracemalloc
 
         n, k = 1024, 512
@@ -991,9 +993,9 @@ class TestStreaming:
 
     @pytest.mark.parametrize("l0, l", [(4, 5), (0, 6), (2, 6), (0, 1), (1, 3)])
     def test_shared_draw_counts(self, l0, l, monkeypatch):
-        # 2 members, three configs: a single J^{l0,l} takes a lean step on
-        # layers 1..l0, draws layers l0+1..l-1 whole and averages over layer
-        # l, in all three modes; layer l and above are never drawn
+        # 2 members, three configs: J^{l0,l} takes a lean step on layers
+        # 1..l0, draws layers l0+1..l-1 whole and averages over layer l, in
+        # all three modes; layer l and above are never drawn
         calls = self._count_draws(monkeypatch)
         _swept(self._batch(), l0, l)
         assert sorted(calls["conditional"]) == sorted(list(range(1, l0 + 1)) * 2)
@@ -1001,9 +1003,9 @@ class TestStreaming:
         for name in calls:
             calls[name].clear()
         jacobian_profile(self._batch(), l0=l0)
-        # a profile draws every layer above l0 whole
+        # a profile draws layers l0+1..L-1 whole, and never layer L
         assert sorted(calls["conditional"]) == sorted(list(range(1, l0 + 1)) * 2)
-        assert sorted(calls["rows"]) == sorted(list(range(l0 + 1, 7)) * 2)
+        assert sorted(calls["rows"]) == sorted(list(range(l0 + 1, 6)) * 2)
 
     def test_explicit_networks_draw_every_weight(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
@@ -1179,10 +1181,17 @@ def dense_carried(net, cfg, x, l0, l):
     return block(l - 1) @ M
 
 
+def dense_mean(net, cfg, x, l0, l):
+    """The mean of J^{l0, l} over W^l given an explicit network's layers
+    below l, (sigma_w^2 / N_{l-1}) |B T|_F^2 from :func:`dense_carried`."""
+    BT = dense_carried(net, cfg, x, l0, l)
+    return cfg.hyper.sw2 * float(np.sum(BT * BT)) / net.layer_dims[l - 1]
+
+
 class TestConditionalLaw:
     """Each drawn layer is an exact sample of what the drivers read off it:
-    its single-input law up to l0, the whole layer above; a single J^{l0, l}
-    is its exact mean over its last layer."""
+    its single-input law up to l0, the whole layer above; every J^{l0, l}
+    is its exact mean over layer l."""
 
     def _cfg(self, **kw):
         base = dict(width=24, input_dim=10, depth=6, n_init=1, seed=41,
@@ -1217,20 +1226,41 @@ class TestConditionalLaw:
         B = dense_block(cfg.act, norm, groups, h)[0]
         want = cfg.hyper.sw2 * float(np.sum(B * B)) / cfg.width
         assert empirical_chi(cfg).mean == pytest.approx(want, rel=1e-10)
-        # jacobian_profile from l0 = 2: the tangent carried layer by layer,
-        # 24 columns wide, so every layer above l0 is drawn whole
+        # jacobian_profile from l0 = 2 and a single J^{l0,l}: at every layer
+        # l, the member network's (sigma_w^2 / N) |B T|_F^2, composed densely
+        # below layer l; exactly sigma_w^2 for J^{0,1}
         dense = MemberNetwork(cfg, 2)
-        want = partial_jacobian_norm(dense, *args, 2, L, groups, profile=True)
         got = jacobian_profile(cfg, l0=2).per_layer
         assert np.isnan(got[:3]).all()
-        np.testing.assert_allclose(got[3:], want[3:], rtol=1e-10)
-        # a single J^{l0,l}: the member network's (sigma_w^2 / N) |B T|_F^2,
-        # composed densely below its last layer; exactly sigma_w^2 for J^{0,1}
-        assert _swept([cfg], 0, 1)[0][0] == cfg.hyper.sw2
+        for l in range(3, L + 1):
+            assert got[l] == pytest.approx(dense_mean(dense, cfg, x, 2, l), rel=1e-10), l
+        assert _swept([cfg], 0, 1)[0][0, 1] == cfg.hyper.sw2
         for l0, l in ((2, L), (0, 2), (0, L), (3, 5)):
-            BT = dense_carried(MemberNetwork(cfg, l0), cfg, x, l0, l)
-            want = cfg.hyper.sw2 * float(np.sum(BT * BT)) / cfg.width
-            assert _swept([cfg], l0, l)[0][0] == pytest.approx(want, rel=1e-10), (l0, l)
+            want = dense_mean(MemberNetwork(cfg, l0), cfg, x, l0, l)
+            assert _swept([cfg], l0, l)[0][0, l] == pytest.approx(want, rel=1e-10), (l0, l)
+
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_profile_entries_are_the_single_jacobians(self, norm, groups):
+        # one rule for every driver measurement: a profile's entry l is the
+        # single J^{l0,l}, member by member and in its estimate, bit for bit;
+        # nine members sum pairwise, not in one running sum
+        cfg = self._cfg(norm=norm, groups=groups, n_init=9)
+        L = cfg.depth
+        for l0 in range(L):
+            (rows,) = _swept([cfg], l0, L)
+            prof = jacobian_profile(cfg, l0=l0)
+            for l in range(l0 + 1, L + 1):
+                single = _swept([cfg], l0, l)[0][:, l]
+                assert rows[:, l].tobytes() == single.tobytes(), (l0, l)
+                est = _scalar_estimate(single)
+                assert (prof.per_layer[l], prof.per_layer_stderr[l]) == (est.mean, est.stderr)
+        chi = empirical_chi(cfg)
+        prof = jacobian_profile(cfg, l0=L - 2)
+        assert (prof.per_layer[L - 1], prof.per_layer_stderr[L - 1]) == (chi.mean, chi.stderr)
+        # at l0 = 0, B^0 = T^0 = I: every member reads sigma_w^2 at layer 1
+        prof = jacobian_profile(cfg)
+        assert (prof.per_layer[1], prof.per_layer_stderr[1]) == (cfg.hyper.sw2, 0.0)
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     @pytest.mark.parametrize("groups", [1, 2])
@@ -1247,15 +1277,12 @@ class TestConditionalLaw:
         cfg = self._cfg(width=48, input_dim=4, act=act, hyper=hp, norm=norm,
                         groups=groups, input_source=source)
         x = resolve_input(cfg, 0)
-        dims, L = cfg.layer_dims, cfg.depth
         dense = MemberNetwork(cfg, 0)
-        for l in range(1, L + 1):
-            BT = dense_carried(dense, cfg, x, 0, l)
-            want = hp.sw2 * float(np.sum(BT * BT)) / dims[l - 1]
-            assert _swept([cfg], 0, l)[0][0] == pytest.approx(want, rel=1e-10), l
-        # a profile of the same network draws every layer whole
-        want = partial_jacobian_norm(dense, act, hp, norm, x, 0, L, groups, profile=True)
-        np.testing.assert_allclose(jacobian_profile(cfg).per_layer[1:], want[1:], rtol=1e-10)
+        profile = jacobian_profile(cfg).per_layer
+        for l in range(1, cfg.depth + 1):
+            want = dense_mean(dense, cfg, x, 0, l)
+            assert _swept([cfg], 0, l)[0][0, l] == pytest.approx(want, rel=1e-10), l
+            assert profile[l] == pytest.approx(want, rel=1e-10), l
 
     @staticmethod
     def _dense_members(cfg, l0, l):
@@ -1279,18 +1306,13 @@ class TestConditionalLaw:
         (NormMode.POST_LN, GELU, Hyper(1.2, 0.2)),
     ])
     def test_member_law_matches_materialized_networks(self, norm, act, hp):
-        # J^{3,5} depends on layers 1..3 only through h^3.  A profile samples
-        # every layer, so its members share the dense members' law; a single
-        # J^{3,5} is a conditional mean over W^5, narrower by design, so only
-        # the means compare
+        # J^{3,5} depends on layers 1..3 only through h^3.  A member is a
+        # conditional mean over W^5, narrower than a dense member by design,
+        # so only the means compare
         cfg = EnsembleConfig(width=12, input_dim=6, depth=5, n_init=400, seed=3,
                              hyper=hp, norm=norm, act=act)
-        dense = self._dense_members(cfg, 3, 5)
-        (profile,) = _swept([cfg], 3, 5, profile=True)
-        self._same_mean(profile[:, 5], dense)
-        assert ks_2samp(profile[:, 5], dense).pvalue > 1e-3
-        (single,) = _swept([cfg], 3, 5)
-        self._same_mean(single, dense)
+        (members,) = _swept([cfg], 3, 5)
+        self._same_mean(members[:, 5], self._dense_members(cfg, 3, 5))
 
     @pytest.mark.parametrize("act, hp, l0", [
         (ERF, Hyper(2.0, 0.3), 3),
@@ -1303,7 +1325,7 @@ class TestConditionalLaw:
         cfg = EnsembleConfig(width=12, input_dim=6, depth=5, n_init=400, seed=3,
                              hyper=hp, act=act)
         (members,) = _swept([cfg], l0, l0 + 1)
-        self._same_mean(members, self._dense_members(cfg, l0, l0 + 1))
+        self._same_mean(members[:, l0 + 1], self._dense_members(cfg, l0, l0 + 1))
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     @pytest.mark.parametrize("act", [RELU, ERF, GELU], ids=["relu", "erf", "gelu"])
@@ -1328,7 +1350,7 @@ class TestConditionalLaw:
         BT = dense_carried(MemberNetwork(cfg, l0), cfg, resolve_input(cfg, 0), l0, l)
         W = np.random.default_rng(16).standard_normal((2000, n, n))
         J = cfg.hyper.sw2 / n * np.sum((W @ BT) ** 2, axis=(1, 2)) / n
-        got = empirical_chi(cfg).mean if l0 == cfg.depth - 2 else _swept([cfg], l0, l)[0][0]
+        got = empirical_chi(cfg).mean if l0 == cfg.depth - 2 else _swept([cfg], l0, l)[0][0, l]
         assert abs(J.mean() - got) <= 4 * J.std(ddof=1) / math.sqrt(J.size), (J.mean(), got)
 
 
@@ -1472,12 +1494,17 @@ def _with_workers(workers: int, fn):
             os.environ["JACPROP_WORKERS"] = old
 
 
-def _end_to_end(cfg):
-    """The driver estimate of J^{0,L} alone (not a profile), for a config
-    or a batch."""
+def _single(cfg, l0, l):
+    """The driver estimate of a single J^{l0,l}, for a config or a batch."""
     cfgs, single = ([cfg], True) if isinstance(cfg, EnsembleConfig) else (cfg, False)
-    ests = [_scalar_estimate(v) for v in _swept(cfgs, 0, cfgs[0].depth)]
+    ests = [_scalar_estimate(v[:, l]) for v in _swept(cfgs, l0, l)]
     return ests[0] if single else ests
+
+
+def _end_to_end(cfg):
+    """The driver estimate of J^{0,L} alone, for a config or a batch."""
+    depth = (cfg if isinstance(cfg, EnsembleConfig) else cfg[0]).depth
+    return _single(cfg, 0, depth)
 
 
 def _bits(est):
@@ -1512,6 +1539,7 @@ def test_drivers_bit_identical_across_workers_and_batches(
     runs = {
         "chi": empirical_chi,
         "profile": lambda c: jacobian_profile(c, l0=l0),
+        "single": lambda c: _single(c, l0, max(l0 + 1, depth - 1)),
     }
     for name, run in runs.items():
         want = [_bits(run(cfg)) for cfg in cfgs]
@@ -1520,6 +1548,12 @@ def test_drivers_bit_identical_across_workers_and_batches(
             assert [_bits(e) for e in batch] == want, (name, workers)
         alone = _with_workers(3, lambda: [_bits(run(cfg)) for cfg in cfgs])
         assert alone == want, name
+    # the input check takes one vanilla config, so only the worker count varies
+    vanilla = replace(cfgs[0], norm=NormMode.VANILLA)
+    want = np.array(astuple(n0_correction_check(vanilla))).tobytes()
+    for workers in (2, 3):
+        got = _with_workers(workers, lambda: n0_correction_check(vanilla))
+        assert np.array(astuple(got)).tobytes() == want, workers
 
 
 @settings(max_examples=60, deadline=None)
