@@ -151,9 +151,19 @@ def find_fixed_point(
 #: from a near miss, and Picard crawls through both alike.
 DOUBLE_ROOT = 1e-10
 #: Brent's absolute tolerance on a kernel, far below :data:`ZERO_FLOOR`, so
-#: its relative one, 4 eps, rules every kernel above that.  Any smaller,
-#: and a root near 1e-168 in [0, 1] outlasts Brent's 100 iterations.
+#: its relative one, 4 eps, rules every kernel above that.  Bisecting a
+#: bracket [lo, 4] to it takes about 100 halvings; without it, a root near
+#: 1e-168 in [0, 1] would take about 600, past :data:`_KERNEL_MAXITER`.
 _KERNEL_XTOL = 1e-30
+#: Brent's iteration cap on a kernel.  Next to the erf critical point
+#: (sigma_w a few ulps above sqrt(pi / 4), sigma_b = 0), zero is barely
+#: repelling, so a climb from a tiny k_init meets a root near 1e-16 to
+#: 1e-13 where g - K is rounding: Brent interpolates on noise and bisects
+#: [k_init, 4] down to 4 eps relative, in up to 172 iterations over 800 000
+#: solves of erf and GELU next to their critical sigma_w (a cap of 100, as
+#: scipy's, left 3 % of them unsolved).  A solve that converges within 100
+#: iterations is unchanged.
+_KERNEL_MAXITER = 400
 
 #: The one zero of each smooth family's curvature moments, filled on first use.
 _MOMENT_ZERO: dict = {}
@@ -290,7 +300,7 @@ def _root(fn, a: float, f_a: float, b: float = OVERFLOW, f_b: float | None = Non
             hi, f_hi = x, fx
             break
         lo, f_lo, x = x, fx, 4.0 * x
-    return _brentq(fn, lo, f_lo, hi, f_hi, xtol=_KERNEL_XTOL)[0]
+    return _brentq(fn, lo, f_lo, hi, f_hi, xtol=_KERNEL_XTOL, maxiter=_KERNEL_MAXITER)[0]
 
 
 def _saturated_chi(act: Activation, hp: Hyper) -> float:

@@ -40,17 +40,16 @@ block is one block.  The tangent ping-pongs between two buffers, the dead
 one taking its rank update U C and the squares for the norm.  Configurations that share a draw --
 same width, input dimension, depth, members, seed, groups and input
 resampling -- ride one sweep, so each layer is drawn once for all of them.
-Only the explicit :func:`empirical_ntk`, the dense oracle of
-:func:`ensemble_ntk` (at most 256 wide, 12 deep; it passes each layer to
-the sweep as one block), and the ``weights``/``biases`` oracle properties
-materialize a whole network.
+Only the ``weights``/``biases`` oracle properties materialize a whole
+network.
 
 The ensemble drivers draw only what a measurement reads.  Given the
 layers below it, W^l is independent of what it multiplies, so the rows of
 W^l A for any N_{l-1}-row A are iid N(0, A^T A): the conditional
 Gaussianity of Lee et al. (2018), "Deep Neural Networks as Gaussian
 Processes".  A driver measures J^{l0, m} at every layer m in (l0, l], a
-single J^{l0, l} being the last of them, in one rule:
+single J^{l0, l} being the last of them, in one rule, which its probes'
+one private flag (``driver``) switches on:
 
 - the lean step on every layer at or below l0, which carries only the
   forward vector: A = z^{l-1}, so ``|z^{l-1}| xi^l`` stands in for W^l
@@ -80,9 +79,11 @@ h^L / d h^l down from the output.  Given the forward pass, W^l = v z^T /
 and fresh, and G Xi has the law of M Xi'' for M M^T = G G^T, so the
 reverse span draw ``G W^l = (G v) z^T / |z|^2 + M Xi'' (I - P_z)`` is
 exact from k x N_{l-1} normals of a stream of its own
-(:func:`_reverse_span`, :meth:`NetworkParams.reverse`).  A member so
-averages Theta_ii over k output units, not all N_L: it has the mean of
-the dense member's average, and a wider spread.
+(:func:`_reverse_span`, :meth:`NetworkParams.reverse`).  The forward pass
+records only h^l and v per layer; each block is rebuilt from h^{l-1} as
+the rows pass it.  A member so averages Theta_ii over k output units, not
+all N_L: it has the mean of the dense member's average, and a wider
+spread.
 
 So ``empirical_chi`` draws 2 N_l normals per layer up to L - 2 and no
 weight matrix, ``ensemble_ntk`` (2 + k) N normals per layer and no weight
@@ -95,8 +96,8 @@ the depth, where one whole layer is 8 MB.  Before the first member, a
 driver refuses (``ValueError``) a run whose members, times
 ``JACPROP_WORKERS``, would not fit in physical memory
 (:func:`_member_bytes`); a one-step member holds only its forward state,
-and an NTK member its forward record, about 5 N_l entries per layer, plus
-k x N gradient rows.
+and an NTK member its forward record, 2 N_l entries per layer, plus k x N
+gradient rows and one block.
 
 Determinism: every (seed, member, layer) draws from its own seed-derived
 RNG stream (and the NTK's reverse draws from another) and every
@@ -161,9 +162,9 @@ _BLOCK_MIN = 1 << 17
 _NTK_ROWS = 8
 
 #: Vectors of N entries that an NTK member keeps per layer for its
-#: backward pass: h^l, W^l z^{l-1}, its block's stage outputs and their
-#: bookkeeping (4.8 measured in the normalizing modes at width 256).
-_NTK_RECORD = 5
+#: backward pass: h^l, W^l z^{l-1} and their bookkeeping (2.1-2.7 measured
+#: at width 256, 1.7-2.1 at width 1024).
+_NTK_RECORD = 3
 
 _WORKERS_ENV = "JACPROP_WORKERS"
 
@@ -516,13 +517,14 @@ class _Probe:
     Carries the forward state of one input and, once the sweep passes
     layer ``l0``, the tangent block T^m = d h^m / d h^{l0}.  It needs layers
     1..``last``.  ``value`` ends as J^{l0, m} at every layer m in (l0,
-    last], NaN elsewhere; with ``keep`` every preactivation and block is
-    recorded in ``hs`` and ``blocks`` instead.  Layers at or below ``l0``
-    (every layer, without ``l0``) only carry its forward pass: under the
-    drivers, each is one :meth:`lean` step.
+    last], NaN elsewhere; with ``keep`` every preactivation h^l is
+    recorded in ``hs`` instead, and a driver's scaled W^l z^{l-1} in
+    ``wzs``.  Layers at or below ``l0`` (every layer, without ``l0``) only
+    carry its forward pass.
 
-    An explicit network's probe records (1/N_m) |T^m|_F^2 of every layer
-    it draws.  A driver's (``mean``) records, as it readies layer m, the
+    An explicit network's probe draws every layer it needs and records
+    (1/N_m) |T^m|_F^2 of each.  A ``driver`` probe takes each forward-only
+    layer as one :meth:`lean` step and records, as it readies layer m, the
     conditional mean over W^m, (sigma_w^2 / N_{m-1}) |B^{m-1}
     T^{m-1}|_F^2 (module docstring), so it never draws layer ``last``.
 
@@ -533,7 +535,7 @@ class _Probe:
     """
 
     def __init__(self, dims, act, hp, norm, groups, x, last,
-                 l0=None, mean=False, keep=False):
+                 l0=None, driver=False, keep=False):
         if l0 is not None and not 0 <= l0 < last <= len(dims) - 1:
             raise ValueError(f"need 0 <= l0 < l <= {len(dims) - 1}, got l0={l0}, l={last}")
         x = np.asarray(x, dtype=float)
@@ -542,16 +544,15 @@ class _Probe:
         if not np.isfinite(x).all():
             raise ValueError("input must be finite, got NaN or inf entries")
         self.dims, self.act, self.hp, self.norm, self.groups = dims, act, hp, norm, groups
-        self.last, self.l0, self.mean, self.keep = last, l0, mean, keep
+        self.last, self.l0, self.driver, self.keep = last, l0, driver, keep
         self.z = x
         self.block = None  # block on the latest preactivation
         self.T = None      # d h^{l-1} / d h^{l0}, in buffer ``pair[cur]``
         self.pair, self.cur = None, 0
         self.wz = self.out = self.F = None  # the drawn layer's products
         self.value = None if l0 is None else np.full(len(dims), np.nan)
-        self.hs: list = [None]      # hs[l] = h^l, 1-indexed (with keep)
-        self.wzs: list = [None]     # wzs[l], its scaled W^l z^{l-1} (with keep)
-        self.blocks: list = [None]  # blocks[l] built on h^l (with keep)
+        self.hs: list = [None]   # hs[l] = h^l, 1-indexed (with keep)
+        self.wzs: list = [None]  # wzs[l], its scaled W^l z^{l-1} (a driver's, with keep)
 
     def lean(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
         """Advance through forward-only layer ``l`` given (xi^l, b^l) of
@@ -570,9 +571,9 @@ class _Probe:
         if self.l0 is None or l <= self.l0:
             return 0 if self.wz is None else 1
         k, sw2 = self.dims[self.l0], self.hp.sw2
-        drawn = l < self.last or not self.mean  # a driver integrates out its last layer
+        drawn = l < self.last or not self.driver  # a driver integrates out its last layer
         if m == self.l0:  # T^{l0} = I, and B^0 = I
-            if self.mean:
+            if self.driver:
                 self.value[l] = sw2 * (self.block.frobenius_sq() / self.dims[m] if m else 1.0)
             if not drawn:
                 return 0
@@ -587,7 +588,7 @@ class _Probe:
                 np.fill_diagonal(self.T, 1.0)
             dead = _view(self.pair[1 - self.cur], *self.T.shape)
             self.F = self.block.tangent(self.T, dead)
-            if self.mean and m > self.l0:
+            if self.driver and m > self.l0:
                 F = self.F
                 self.value[l] = sw2 * (float(np.sum(np.multiply(F, F, out=dead))) / self.dims[m])
             if not drawn:
@@ -615,7 +616,7 @@ class _Probe:
         if self.out is not None:
             T = self.out
             T *= scale
-            if not self.mean:
+            if not self.driver:
                 TT = _view(self.pair[self.cur], *T.shape)  # the dead buffer
                 self.value[l] = float(np.sum(np.multiply(T, T, out=TT))) / n
             self.T, self.cur = T, 1 - self.cur
@@ -629,25 +630,25 @@ class _Probe:
         h = wz + self.hp.sigma_b * b
         if self.keep:
             self.hs.append(h)
-            self.wzs.append(wz)
+            if self.driver:
+                self.wzs.append(wz)
         if l < self.last:
             self.block = _Block(self.act, self.norm, self.groups, h)
             self.z = self.block.z
-            if self.keep:
-                self.blocks.append(self.block)
 
 
-def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None) -> None:
-    """Advance every probe through layers 1.. of one network in one pass.
+def _sweep(net: NetworkParams, probes: list) -> None:
+    """Advance every probe through layers 1.. of the network ``net`` in one
+    pass.
 
-    ``rows(l, buf, b)`` is :meth:`NetworkParams.rows` or follows it: it
-    yields layer l's row blocks and fills ``b``.  It is called at most once
-    per layer, only for a layer whose products some probe takes, with one
+    The driver probes that only carry the forward vector through layer l
+    share one lean step on ``net.conditional(l)``; the others take layer
+    l's row blocks from ``net.rows(l, buf, b)``, as
+    :meth:`NetworkParams.rows` gives them.  That is called at most once per
+    layer, only for a layer whose products some probe takes, with one
     buffer that every layer reuses, of :func:`_block_rows` rows for the
-    widest product a probe takes.  Given ``draws`` (the ensemble drivers),
-    the probes that only carry the forward vector through layer l share
-    one lean step on ``draws.conditional(l)``, and the others take the row
-    blocks.  Every draw reads layer l's stream from the start.
+    widest product a probe takes.  Every draw reads layer l's stream from
+    the start.
     """
     dims = probes[0].dims
     flat = np.empty(0)
@@ -655,10 +656,10 @@ def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None) -> 
         lean, active = [], []
         for p in probes:
             if l <= p.last:
-                forward_only = draws is not None and (p.l0 is None or l <= p.l0)
+                forward_only = p.driver and (p.l0 is None or l <= p.l0)
                 (lean if forward_only else active).append(p)
         if lean:
-            xi, b = draws.conditional(l)
+            xi, b = net.conditional(l)
             for p in lean:
                 p.lean(l, xi, b)
         widths = [p.start(l) for p in active]
@@ -672,7 +673,7 @@ def _sweep(rows: Callable, probes: list, draws: NetworkParams | None = None) -> 
             flat = None  # released before its successor is allocated
             flat = np.empty(h * m)
         b = np.empty(n)
-        for i, blk in rows(l, _view(flat, h, m), b):
+        for i, blk in net.rows(l, _view(flat, h, m), b):
             for p in active:
                 p.take(i, blk)
         del blk  # a view that would keep a replaced buffer alive
@@ -696,7 +697,7 @@ def forward(
     """
     probe = _Probe(params.layer_dims, act, hp, norm, groups, x,
                    last=params.depth, keep=True)
-    _sweep(params.rows, [probe])
+    _sweep(params, [probe])
     return probe.hs
 
 
@@ -721,7 +722,7 @@ def partial_jacobian_norm(
     after ``l`` are never drawn.
     """
     probe = _Probe(params.layer_dims, act, hp, norm, groups, x, l, l0)
-    _sweep(params.rows, [probe])
+    _sweep(params, [probe])
     return probe.value if profile else float(probe.value[l])
 
 
@@ -794,10 +795,11 @@ def _member_bytes(cfgs: list, l0: int | None, l: int) -> int:
     draws any, it holds per configuration its two tangent buffers (2 N x
     N_{l0} with N the widest layer from l0 to l), plus the largest row
     block; a one-step member holds only its block's factors.  An NTK member
-    (``l0`` None, depth ``l``) holds its forward record, ``_NTK_RECORD``
-    vectors of N per layer; stepping down the layers, it adds six k x N
-    arrays (gradient rows, draws, temporaries) and one block's factors, up
-    to 8 N entries per unit of their rank 2 g while they are composed (both
+    (``l0`` None, depth ``l``) holds its forward record, h^l and W^l
+    z^{l-1}, priced at ``_NTK_RECORD`` vectors of N per layer; stepping
+    down the layers, it adds six k x N arrays (gradient rows, draws,
+    temporaries) and the one block it rebuilds, whose factors take up to 8
+    N entries per unit of their rank 2 g while they are composed (both
     measured at width 256).
     """
     dims = cfgs[0].layer_dims
@@ -840,9 +842,9 @@ def _swept(cfgs: list, l0: int, l: int) -> list:
 
     def measure(params, xs):
         probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
-                         cfg.groups, x, l, l0, mean=True)
+                         cfg.groups, x, l, l0, driver=True)
                   for cfg, x in zip(cfgs, xs)]
-        _sweep(params.rows, probes, params)
+        _sweep(params, probes)
         return [p.value for p in probes]
 
     return _members(cfgs, measure)
@@ -904,8 +906,8 @@ def _ntk_members(cfg: EnsembleConfig) -> np.ndarray:
 
     def measure(params, xs):
         probe = _Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm, cfg.groups,
-                       xs[0], last=L, keep=True)
-        _sweep(params.rows, [probe], params)
+                       xs[0], last=L, driver=True, keep=True)
+        _sweep(params, [probe])
 
         def gw(l, G, z):
             scale = cfg.hyper.sigma_w / math.sqrt(params.layer_dims[l - 1])
@@ -1002,13 +1004,15 @@ def _ntk_sum(probe: _Probe, x: np.ndarray, G: np.ndarray, gw: Callable) -> float
     Steps G = d h^L / d h^l down from l = L, adding each layer's squared
     gradients of W^l, b^l and the norm's gain and shift; ``gw(l, G, z)``
     gives d h^L / d z^{l-1} = (sigma_w / sqrt(N_{l-1})) G W^l, z being
-    z^{l-1}.  The probe's blocks are released as they are passed.
+    z^{l-1}.  Each block is rebuilt from the probe's h^{l-1}, with the bits
+    of the forward pass's, and the record is released as it is passed.
     """
-    hp, dims, blocks = probe.hp, probe.dims, probe.blocks
+    hp, dims, hs = probe.hp, probe.dims, probe.hs
     total = 0.0
     for l in range(len(dims) - 1, 0, -1):
         g_sq = float(np.sum(G * G))
-        block = blocks.pop() if l > 1 else None
+        hs.pop()  # h^l, passed
+        block = _Block(probe.act, probe.norm, probe.groups, hs[-1]) if l > 1 else None
         z = x if block is None else block.z
         total += (hp.sw2 / dims[l - 1]) * g_sq * float(np.dot(z, z))
         total += hp.sb2 * g_sq
@@ -1052,8 +1056,10 @@ def empirical_ntk(
     Sums squared gradients over every weight, bias and (for LayerNorm
     modes) gain/shift parameter via one backward sweep of all N_L rows of
     the partial Jacobians through every drawn weight, each block stepped
-    through its factors; it holds the whole network and its cost grows
-    with width^3, so networks wider than 256 or deeper than 12 are refused.
+    through its factors.  The forward pass streams the layers as
+    :func:`forward` does, and the way down draws each W^l again, so it
+    holds one weight matrix at a time; its cost grows with width^3, so
+    networks wider than 256 or deeper than 12 are refused.
     """
     L = params.depth
     dims = params.layer_dims
@@ -1062,14 +1068,8 @@ def empirical_ntk(
             f"the exact NTK takes at most width {_NTK_MAX_WIDTH} and depth "
             f"{_NTK_MAX_DEPTH}, got width {max(dims)} and depth {L}"
         )
-    drawn = [params.layer(l) for l in range(1, L + 1)]  # reused by both sweeps
-
-    def whole(l, buf, b):  # each drawn layer as one block
-        W, b[:] = drawn[l - 1]
-        yield 0, W
-
     probe = _Probe(dims, act, hp, norm, groups, x, last=L, keep=True)
-    _sweep(whole, [probe])
+    _sweep(params, [probe])
     return _ntk_sum(probe, np.asarray(x, dtype=float), np.eye(dims[L]),
                     lambda l, G, z: (hp.sigma_w / math.sqrt(dims[l - 1]))
-                    * (G @ drawn[l - 1][0]))
+                    * (G @ params.layer(l)[0]))

@@ -350,12 +350,18 @@ class TestFixedPointOracles:
     @settings(max_examples=300, deadline=None)
     @given(
         act=st.sampled_from([ERF, GELU]),
-        sigma_w=st.floats(0.0, 3.0),
+        sigma_w=st.one_of(st.floats(0.0, 3.0), st.builds(
+            lambda base, ulps: base + ulps * math.ulp(base),
+            st.sampled_from([math.sqrt(PI / 4), 2.0, math.sqrt(2.0)]), st.integers(-8, 8))),
         sigma_b=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
         k_init=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 10.0),
-                         st.floats(10.0, 1e3), st.floats(1e3, 1e6)),
+                         st.floats(10.0, 1e3), st.floats(1e3, 1e6),
+                         st.floats(-300.0, 0.0).map(lambda e: 10.0**e)),
     )
     def test_picards_attractor_or_its_divergence(self, act, sigma_w, sigma_b, k_init):
+        # sigma_w also lands within 8 ulps of erf's critical sqrt(pi / 4)
+        # and GELU's 2 and sqrt 2, where zero or infinity is barely
+        # repelling, with k_init down to 1e-300
         assert_same_attractor(act, Hyper(sigma_w, sigma_b), k_init)
 
     @pytest.mark.parametrize("k_double", [0.5, 1.0, 2.0, 10.0])
@@ -389,7 +395,10 @@ class TestFixedPointOracles:
         (ERF, 1.0, 0.0, 5e-82, 0.14192376531379713),
         (GELU, 1.9999986203467428, 4.156468984727962e-06, 0.0, math.inf),
         (GELU, 2.0, 6.37700620870634e-35, 0.0, math.inf),
-    ], ids=["runaway", "slow-fall", "off-zero", "ghost", "neutral-zero"])
+        (ERF, float.fromhex("0x1.c5bf891b4ef6cp-1"), 0.0, 1e-20, 0.0),
+        (ERF, float.fromhex("0x1.c5bf891b4ef6cp-1"), 0.0, 1e-300, 0.0),
+    ], ids=["runaway", "slow-fall", "off-zero", "ghost", "neutral-zero",
+            "near-erf-critical-20", "near-erf-critical-300"])
     def test_where_picard_gave_no_verdict(self, act, sigma_w, sigma_b, k_init, k_star):
         # The former solver reported a root that Picard moves away from:
         # its Newton polish jumped back to 9.98 (runaway) and to 1404.7
@@ -399,7 +408,11 @@ class TestFixedPointOracles:
         # an absolute tolerance of 1e-10 (ghost).  At sigma_w = 2 the GELU
         # map's slope at zero is one, and g - K = sigma_b^2 + 6 K^2 / pi is
         # lost in rounding from K = 4e-53 to 6e-17, where Picard's step rule
-        # stops at once (neutral-zero).
+        # stops at once (neutral-zero).  Two ulps above erf's critical
+        # sqrt(pi / 4), zero is barely repelling and the climb meets a root
+        # below ZERO_FLOOR where g - K is rounding; the solver's Brent solve
+        # on [k_init, 4] outlasted 100 iterations there and raised
+        # (near-erf-critical).
         hp = Hyper(sigma_w, sigma_b)
         fp = find_fixed_point(act, NormMode.VANILLA, hp, k_init=k_init)
         assert picard_fixed_point(act, hp, k_init) is None

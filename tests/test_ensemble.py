@@ -546,7 +546,8 @@ class TestDriverGoldenBits:
     carry only the forward vector), a single J^{2,5} above two
     forward-only layers, a three-config batch; J^{0,5} on a 3-column input
     at width 40 (row blocks for layers 1..4, layer 5 integrated out); the
-    n0 check.
+    n0 check; and ``ensemble_ntk``'s members at groups 2 (lean steps up,
+    reverse span draws down).
     """
 
     CHI = {
@@ -570,6 +571,27 @@ class TestDriverGoldenBits:
         ("gelu", "POST_LN", 2): ("0x1.3ac6ab7392283p+1", "0x1.48c90f2c8ed58p+0"),
     }
 
+    NTK = {
+        ("relu", "VANILLA"): (
+            "0x1.55621b2a104d0p+3", "0x1.a0d58368b359cp+0", "0x1.65d9297d897f9p+5"),
+        ("relu", "PRE_LN"): (
+            "0x1.c94dfcc17cf81p+3", "0x1.9805796b5b548p+3", "0x1.6e88eca239c21p+2"),
+        ("relu", "POST_LN"): (
+            "0x1.f9be44f732727p+5", "0x1.d8f61752f58d6p+2", "0x1.d57d1497e9217p+7"),
+        ("erf", "VANILLA"): (
+            "0x1.88ff144477afcp+1", "0x1.0592b4c45aa4cp+2", "0x1.83260ccdca354p+1"),
+        ("erf", "PRE_LN"): (
+            "0x1.d8ab25ed64dbdp+3", "0x1.49d9d943d88dap+6", "0x1.7b9e7dcfbd34ap+2"),
+        ("erf", "POST_LN"): (
+            "0x1.2b8345e11f848p+4", "0x1.64d9a6082070bp+4", "0x1.1c4fae49670c1p+4"),
+        ("gelu", "VANILLA"): (
+            "0x1.2e2cf8b9b6837p+3", "0x1.408bfd1434bc3p+0", "0x1.5ec0c4529007fp+5"),
+        ("gelu", "PRE_LN"): (
+            "0x1.745854d363e2bp+4", "0x1.abd06d1817731p+2", "0x1.5760f3194aa5bp+2"),
+        ("gelu", "POST_LN"): (
+            "0x1.31f8db747f106p+6", "0x1.7be76b138f529p+6", "0x1.54cf57ae26d0fp+7"),
+    }
+
     @staticmethod
     def _cfg(**kw):
         base = dict(width=8, input_dim=5, depth=5, n_init=3, seed=29, hyper=Hyper(1.3, 0.4))
@@ -586,6 +608,13 @@ class TestDriverGoldenBits:
         cfg = self._cfg(act=getattr(Activation, act_name)(), norm=NormMode[mode_name],
                         groups=groups)
         assert self._hex(empirical_chi(cfg)) == self.CHI[key]
+
+    @pytest.mark.parametrize("key", sorted(NTK), ids=lambda k: "-".join(k))
+    def test_ntk_members_are_bit_identical(self, key):
+        act_name, mode_name = key
+        cfg = self._cfg(act=getattr(Activation, act_name)(), norm=NormMode[mode_name],
+                        groups=2)
+        assert tuple(float(v).hex() for v in _ntk_members(cfg)) == self.NTK[key]
 
     def test_single_jacobians_are_bit_identical(self):
         cfg = self._cfg(act=GELU, norm=NormMode.POST_LN, groups=2)
@@ -909,6 +938,30 @@ class TestStreaming:
                 tracemalloc.stop()
             assert peak < 8 * layer_bytes, (run.__name__, peak / layer_bytes)
 
+    @pytest.mark.parametrize("norm, bits", [
+        (NormMode.VANILLA, "0x1.4c641ea1fd521p+0"), (NormMode.PRE_LN, "0x1.4fb78f2878d88p+4"),
+        (NormMode.POST_LN, "0x1.57fe567ff9264p+8"),
+    ], ids=["vanilla", "pre-ln", "post-ln"])
+    def test_explicit_ntk_peak_memory_below_eight_layers(self, norm, bits):
+        # the dense NTK streams its forward pass and reads each W^l again on
+        # the way down, so it holds one weight matrix at a time: 3.1 layers
+        # measured vanilla and 5.2 in the normalizing modes (the forward
+        # record and all N_L gradient rows), where a copy of the network
+        # held 14-17; the value keeps the bits it had with that copy
+        import tracemalloc
+
+        params = NetworkParams.draw([256] + [256] * 12, seed=3)
+        x = np.random.default_rng(1).normal(size=256)
+        layer_bytes = 256 * 256 * 8
+        tracemalloc.start()
+        try:
+            got = empirical_ntk(params, GELU, Hyper(1.3, 0.4), norm, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == bits
+        assert peak < 8 * layer_bytes, peak / layer_bytes
+
     @pytest.mark.parametrize("norm", ALL_MODES)
     def test_one_step_peak_memory_below_a_fifth_of_a_layer(self, norm):
         # the one-step mean draws no layer above l0 and needs only the thin
@@ -966,7 +1019,8 @@ class TestStreaming:
         assert peak < 1024 * 1024 * 8 / 16, peak / (1024 * 1024 * 8)
 
     def test_width_4096_input_check_peak_below_8_mb(self):
-        # a 4096 x 4096 layer is 134 MB; its row blocks are 1 MB
+        # the check draws only layer 1, 4096 x 16 (0.5 MB) in one block,
+        # and integrates layer 2 out
         import tracemalloc
 
         cfg = EnsembleConfig(width=4096, input_dim=16, depth=2, n_init=1, seed=3,
@@ -974,6 +1028,23 @@ class TestStreaming:
         tracemalloc.start()
         try:
             n0_correction_check(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
+
+    def test_width_4096_profile_streams_a_square_layer_below_8_mb(self):
+        # a depth-3 profile draws layer 2, 4096 x 4096 (134 MB), in blocks
+        # of 32 rows (1 MB) beside two 0.5 MB tangents: 2.3 MB measured
+        import tracemalloc
+
+        assert _block_rows(4096, 4096, 16) * 4096 * 8 == 2**20
+        cfg = EnsembleConfig(width=4096, input_dim=16, depth=3, n_init=1, seed=3,
+                             hyper=Hyper(1.0, 0.0), act=ERF)
+        ERF(np.zeros(1))  # scipy's erf loads outside the traced run
+        tracemalloc.start()
+        try:
+            jacobian_profile(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1129,7 +1200,19 @@ class TestRowBlocks:
             assert got.hex() == want.hex(), l0
 
 
-class MemberNetwork:
+class DenseNetwork:
+    """A network held as ``drawn[l] = (W^l, b^l)``, each layer reaching the
+    sweep whole, as one row block."""
+
+    def layer(self, l):
+        return self.drawn[l]
+
+    def rows(self, l, buf, b):
+        W, b[:] = self.drawn[l]
+        yield 0, W
+
+
+class MemberNetwork(DenseNetwork):
     """A driver's member made dense, from the member's own draws.
 
     Layers up to l0 are W^l = xi^l zhat^{l-1 T}, with (xi^l, b^l) the
@@ -1155,13 +1238,6 @@ class MemberNetwork:
             self.drawn[l] = (W, b)
             h = hp.sigma_w / math.sqrt(dims[l - 1]) * (W @ z) + hp.sigma_b * b
             z = _Block(cfg.act, cfg.norm, cfg.groups, h).z
-
-    def layer(self, l):
-        return self.drawn[l]
-
-    def rows(self, l, buf, b):
-        W, b[:] = self.drawn[l]
-        yield 0, W
 
 
 def dense_carried(net, cfg, x, l0, l):
@@ -1354,7 +1430,7 @@ class TestConditionalLaw:
         assert abs(J.mean() - got) <= 4 * J.std(ddof=1) / math.sqrt(J.size), (J.mean(), got)
 
 
-class NtkMemberNetwork:
+class NtkMemberNetwork(DenseNetwork):
     """An ``ensemble_ntk`` member made dense from its own draws, on a net
     whose k rows of d h^L / d h^l are all N_L of them.
 
@@ -1392,9 +1468,6 @@ class NtkMemberNetwork:
                 B = dense_block(cfg.act, cfg.norm, cfg.groups, hs[l - 1])[0]
                 G = hp.sigma_w / math.sqrt(dims[l - 1]) * (G @ W) @ B
             self.drawn[l] = (W, bs[l])
-
-    def layer(self, l):
-        return self.drawn[l]
 
 
 class TestReverseSpanNtk:
