@@ -402,13 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chi: the multiplier J^{L-2,L-1}, each member's value its "
                         "conditional expectation over W^{L-1} (layers L-1 and L are "
                         "never drawn); profile: J^{l0,l} for every l > l0, each "
-                        "member's value at l its conditional expectation over W^l, "
-                        "as chi's is (layer L is never drawn); ntk: the "
+                        "member's tangent carrying min(8, N_l0) sketched input "
+                        "directions through span draws of layers l0+1..L-1 and its "
+                        "value at l its conditional expectation over W^l, as chi's "
+                        "is (layer L is never drawn; l0+1 is exact); ntk: the "
                         "NTK diagonal at any size, each member's value averaged over "
                         "min(8, width) output units (the mean of all of them, with a "
                         "wider spread), no weight matrix drawn; n0check: J^{0,2}, "
-                        "each member's value its conditional expectation over W^2 "
-                        "(layer 2 is never drawn), against the finite-N0 prediction, "
+                        "sketched and drawn as a profile is, each member's value its "
+                        "conditional expectation over W^2 (layer 2 is never drawn), "
+                        "against the finite-N0 prediction, "
                         "averaged over the members' inputs with --resample-inputs")
     add_common(m, mc=True)
     m.add_argument("--width", type=int, required=True)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +60,8 @@ __all__ = [
     "gelu_parametric_line",
 ]
 
-#: A fixed kernel below this is reported as exactly zero when zero is fixed.
+#: Below this kernel the solver takes ``g(K) - K`` as its Taylor
+#: polynomial about zero (:func:`_zero_taylor`), whose roots it resolves.
 ZERO_FLOOR = 1e-14
 
 
@@ -112,9 +114,9 @@ def find_fixed_point(
     An affine kernel map -- a scale-invariant phi, or any block with a
     norm, whose map is constant -- takes the closed form ``K* = g(0) / (1 -
     chi_k)``.  A smooth phi without a norm has its root solved for on the
-    map's convex and concave pieces (:func:`_attractor`), to rounding; a
-    root below :data:`ZERO_FLOOR` is reported as exactly zero when zero is
-    fixed.  ``chi_k_star`` is the exact map derivative
+    map's convex and concave pieces (:func:`_attractor`), to rounding, and
+    below :data:`ZERO_FLOOR` on the map's Taylor polynomial about zero.
+    ``chi_k_star`` is the exact map derivative
     :func:`~jacprop.meanfield.chi_kernel`, never a finite difference.
     Divergence yields an infinite ``k_star`` rather than an exception.
     ``iterations`` counts the evaluations of the map and of its slope; the
@@ -137,8 +139,6 @@ def find_fixed_point(
         evals = 0
     else:
         k_star, evals = _attractor(act, hp, float(k_init))
-        if 0 < k_star < ZERO_FLOOR and kernel_step(act, mode, hp, 0.0) == 0.0:
-            k_star = 0.0
     if math.isinf(k_star):
         return FixedPoint(math.inf, math.inf, _saturated_chi(act, hp), evals)
     chi_k = chi_kernel(act, mode, hp, k_star)
@@ -148,7 +148,8 @@ def find_fixed_point(
 
 #: An extremum of ``g(K) - K`` within this many K of zero is a double
 #: (half-stable) root: there the map's rounding cannot tell a tangent root
-#: from a near miss, and Picard crawls through both alike.
+#: from a near miss, and Picard crawls through both alike.  Below
+#: :data:`ZERO_FLOOR` the Taylor polynomial tells them apart.
 DOUBLE_ROOT = 1e-10
 #: Brent's absolute tolerance on a kernel, far below :data:`ZERO_FLOOR`, so
 #: its relative one, 4 eps, rules every kernel above that.  Bisecting a
@@ -158,11 +159,13 @@ _KERNEL_XTOL = 1e-30
 #: Brent's iteration cap on a kernel.  Next to the erf critical point
 #: (sigma_w a few ulps above sqrt(pi / 4), sigma_b = 0), zero is barely
 #: repelling, so a climb from a tiny k_init meets a root near 1e-16 to
-#: 1e-13 where g - K is rounding: Brent interpolates on noise and bisects
-#: [k_init, 4] down to 4 eps relative, in up to 172 iterations over 800 000
-#: solves of erf and GELU next to their critical sigma_w (a cap of 100, as
-#: scipy's, left 3 % of them unsolved).  A solve that converges within 100
-#: iterations is unchanged.
+#: 1e-13: Brent bisects [k_init, 4] down to it, and where g - K is rounding
+#: (above :data:`ZERO_FLOOR`) interpolates on noise, to 4 eps relative.
+#: Over 800 000 solves of erf and GELU next to their critical sigma_w that
+#: took up to 172 iterations on the float map throughout, and takes up to
+#: 135 over 20 000 with its Taylor polynomial below ZERO_FLOOR (a cap of
+#: 100, as scipy's, left 3 % of the former unsolved).  A solve that
+#: converges within 100 iterations is unchanged.
 _KERNEL_MAXITER = 400
 
 #: The one zero of each smooth family's curvature moments, filled on first use.
@@ -199,19 +202,25 @@ def _attractor(act: Activation, hp: Hyper, k0: float) -> tuple[float, int]:
     :func:`_piece_root` settles whether a root lies ahead.  On the last,
     unbounded piece, ``f'`` falls toward ``chi_k(inf) - 1``: a climb there
     diverges at once if that limit is not negative, and otherwise meets
-    the one root where ``f`` turns negative, up to ``OVERFLOW``.
+    the one root where ``f`` turns negative, up to ``OVERFLOW``.  Below
+    :data:`ZERO_FLOOR`, ``f`` and ``f'`` come from :func:`_zero_taylor`.
     """
     mode = NormMode.VANILLA
     evals = 0
+    sb2, d0, c2 = _zero_taylor(act, hp)
 
     def f(k):
         nonlocal evals
         evals += 1
+        if k < ZERO_FLOOR:
+            return sb2 + k * (d0 + c2 * k)
         return kernel_step(act, mode, hp, k) - k
 
     def slope(k):
         nonlocal evals
         evals += 1
+        if k < ZERO_FLOOR:
+            return d0 + 2.0 * c2 * k
         return chi_kernel(act, mode, hp, k) - 1.0
 
     f0 = f(k0)
@@ -239,6 +248,30 @@ def _attractor(act: Activation, hp: Hyper, k0: float) -> tuple[float, int]:
     if f_top > 0:  # the root lies beyond any finite kernel
         return math.inf, evals
     return _root(f, k, fk, OVERFLOW, f_top), evals
+
+
+#: pi to about 32 digits: ``math.pi`` plus its rounding error, ``sin(math.pi)``.
+_PI = Fraction(math.pi) + Fraction(math.sin(math.pi))
+
+
+def _zero_taylor(act: Activation, hp: Hyper) -> tuple[float, float, float]:
+    """``(sigma_b^2, d, c)`` of ``f(K) = g(K) - K = sigma_b^2 + d K + c K^2 +
+    O(K^3)`` for erf or GELU, the expansion the solver takes below
+    :data:`ZERO_FLOOR`, where the cubic term is a few K^3.
+
+    Within a few ulps of a critical sigma_w (erf's sqrt(pi / 4), GELU's 2)
+    the slope ``d = sigma_w^2 <phi^2>'(0) - 1`` is smaller than the float
+    map's relative rounding, which then decides the sign of ``f`` next to
+    zero and misplaces its roots there.  So a ``d`` below 1e-6, where its
+    few eps of rounding would pass 1e-9 relative, is taken in exact
+    rationals: ``<phi^2>'(0)`` is 4 / pi for erf and 1 / 4 for GELU.
+    """
+    d0 = hp.sw2 * moment_closed(act, MomentKind.PHI2_D1, 0.0) - 1.0
+    if abs(d0) < 1e-6:
+        sw2 = Fraction(hp.sigma_w) ** 2
+        d0 = float(sw2 * 4 / _PI - 1 if act.family == "erf" else sw2 / 4 - 1)
+    c2 = 0.5 * hp.sw2 * moment_closed(act, MomentKind.PHI2_D2, 0.0)
+    return hp.sb2, d0, c2
 
 
 def _piece_root(f, slope, start: float, f_start: float, end: float, bends: bool):
@@ -270,7 +303,7 @@ def _piece_root(f, slope, start: float, f_start: float, end: float, bends: bool)
         f_ext = f(ext)
     else:
         return at_end  # f nears zero all the way to end
-    if abs(f_ext) <= DOUBLE_ROOT * ext:
+    if abs(f_ext) <= DOUBLE_ROOT * ext and ext >= ZERO_FLOOR:
         return ext, f_end
     if (f_ext < 0) != (f_start < 0):
         return _root(f, start, f_start, ext, f_ext), f_end

@@ -9,9 +9,11 @@ Jacobians, the near-output multiplier estimating the fixed-point
 ``chi``, depth profiles, the O(1/N0) input correction, and the NTK
 diagonal.
 
-Jacobians are computed by propagating a full tangent basis through the
-same forward pass, with the normalization differentiated exactly
-(dropping its mean/variance coupling terms is deliberately not offered).
+Jacobians are computed by propagating tangent columns through the same
+forward pass -- a full basis on an explicit network, k sketched input
+directions in the drivers -- with the normalization differentiated
+exactly (dropping its mean/variance coupling terms is deliberately not
+offered).
 
 A hidden block h^l -> z^l is a chain of stages whose order is the
 normalization mode, as :attr:`NormMode.stages` lists it: phi (vanilla),
@@ -28,49 +30,61 @@ Every measurement is one forward sweep over the layers.  A member's
 draws layer l just before it uses it, carries the tangent block from l0
 in the same pass and stops at the last layer the measurement needs.
 
-A layer drawn whole is never held whole: its stream fills one reused
-buffer a row block at a time (:meth:`NetworkParams.rows`, the bits of
-:meth:`NetworkParams.layer`), and each block gives its rows of W z and of
-W (B T) before the next block is drawn.  A block has at least as many
+The functions that take an explicit :class:`NetworkParams`
+(:func:`forward`, :func:`partial_jacobian_norm`, :func:`empirical_ntk`)
+draw every weight, and never hold a layer whole: its stream fills one
+reused buffer a row block at a time (:meth:`NetworkParams.rows`, the bits
+of :meth:`NetworkParams.layer`), and each block gives its rows of W z and
+of W (B T) before the next block is drawn.  A block has at least as many
 rows as the tangent has columns (so the tangent GEMM stays square or
 taller) and at least 1 MB of entries; the layer splits into equal blocks
 rounded up to a multiple of 8 rows, because OpenBLAS sums a GEMV over a
 block of another height in another order, and a layer that fits in one
 block is one block.  The tangent ping-pongs between two buffers, the dead
-one taking its rank update U C and the squares for the norm.  Configurations that share a draw --
-same width, input dimension, depth, members, seed, groups and input
-resampling -- ride one sweep, so each layer is drawn once for all of them.
-Only the ``weights``/``biases`` oracle properties materialize a whole
-network.
+one taking its rank update U C and the squares for the norm.  Only the
+``weights``/``biases`` oracle properties materialize a whole network.
 
-The ensemble drivers draw only what a measurement reads.  Given the
-layers below it, W^l is independent of what it multiplies, so the rows of
-W^l A for any N_{l-1}-row A are iid N(0, A^T A): the conditional
-Gaussianity of Lee et al. (2018), "Deep Neural Networks as Gaussian
-Processes".  A driver measures J^{l0, m} at every layer m in (l0, l], a
-single J^{l0, l} being the last of them, in one rule, which its probes'
-one private flag (``driver``) switches on:
+The ensemble drivers draw only what a measurement reads, and no layer
+whole.  Given the layers below it, W^l is independent of what it
+multiplies, so the rows of W^l A for any N_{l-1}-row A are iid N(0, A^T
+A): the conditional Gaussianity of Lee et al. (2018), "Deep Neural
+Networks as Gaussian Processes".  A driver measures J^{l0, m} at every
+layer m in (l0, l], a single J^{l0, l} being the last of them, in one
+rule, which its probes' one private flag (``driver``) switches on:
 
 - the lean step on every layer at or below l0, which carries only the
   forward vector: A = z^{l-1}, so ``|z^{l-1}| xi^l`` stands in for W^l
   z^{l-1}, and ``h^l = (sigma_w / sqrt(N_{l-1})) |z^{l-1}| xi^l + sigma_b
-  b^l`` from 2 N_l normals (:meth:`NetworkParams.conditional`,
+  b^l`` from 2 N_l normals (:meth:`NetworkParams.conditional` at k = 0,
   :meth:`_Probe.lean`).  Every probe on it shares one draw (xi^l, b^l), and
   none readies products or buffers.
+- the sketch: the tangent starts at T^{l0} = V = sqrt(N_{l0} / k) Q, not
+  at I, with Q's k = min(``_SKETCH``, N_{l0}) columns Haar-orthonormal
+  (:meth:`NetworkParams.sketch`).  Then E_V V V^T = I, so E_V |M V|_F^2 =
+  |M|_F^2 for every M, Hutchinson's trace estimator (Hutchinson 1990): a
+  member keeps the mean of J^{l0, m}.  At k = N_{l0}, Q is orthogonal and
+  |M V|_F = |M|_F exactly.
+- the span draw on every layer l0 + 1 .. l - 1, which carries the forward
+  vector and the k tangent columns: with A = [z^{l-1}, B^{l-1} T^{l-1}],
+  ``Xi^l R`` stands in for W^l A, with Xi^l of N_l x (k + 1) normals and
+  then b^l from the layer's stream (:meth:`NetworkParams.conditional`) and
+  R^T R = A^T A the principal root of the (k + 1)-square Gram
+  (:func:`_span_root`, :meth:`_Probe.sample`): N_l (k + 2) normals
+  instead of N_l (N_{l-1} + 1).  Every probe on it shares one draw Xi^l.
 - the conditional mean over W^m at every layer m above l0.  J^{l0, m}
-  reads W^m only through |W^m B^{m-1} T^{m-1}|_F^2, with T^{m-1} = d
-  h^{m-1} / d h^{l0}, and over the N_m x N_{m-1} standard-normal W^m that
-  has the mean N_m |B^{m-1} T^{m-1}|_F^2, so
+  reads W^m only through |W^m B^{m-1} T^{m-1}|_F^2, with T^{m-1} = (d
+  h^{m-1} / d h^{l0}) V, and over the N_m x N_{m-1} standard-normal W^m
+  that has the mean N_m |B^{m-1} T^{m-1}|_F^2, so
 
-      E[J^{l0, m} | layers < m] = (sigma_w^2 / N_{m-1}) |B^{m-1} T^{m-1}|_F^2.
+      E[J^{l0, m} | layers < m, V] = (sigma_w^2 / N_{m-1}) |B^{m-1} T^{m-1}|_F^2.
 
-  At m = l0 + 1, T = I and this is :meth:`_Block.frobenius_sq` read off the
-  block's factors, exactly sigma_w^2 at l0 = 0 (B = I); above, it is the
-  norm of the carried tangent pushed through the block's factors, which
-  :meth:`_Probe.start` forms for layer m's product anyway.  A member's
-  value is this conditional mean, not a sample: it has the mean of J^{l0,
-  m}, and no larger a variance.  Layers l0 + 1 .. l - 1 are drawn whole, in
-  row blocks, to carry the tangent; layer l never is.
+  At m = l0 + 1 this is read with T = I instead, as
+  :meth:`_Block.frobenius_sq` off the block's factors, exactly sigma_w^2
+  at l0 = 0 (B = I); above, it is the norm of the carried tangent pushed
+  through the block's factors, which :meth:`_Probe.ready` forms for layer
+  m's span draw anyway.  A member's value is this conditional mean, not a
+  sample: it has the mean of J^{l0, m}, and no larger a variance than the
+  sketched sample.  Layer l is never drawn.
 
 The NTK diagonal reads every layer backwards too.  :func:`ensemble_ntk`
 runs the lean step on every layer, then steps k = min(8, N_L) rows G of d
@@ -85,39 +99,41 @@ the rows pass it.  A member so averages Theta_ii over k output units, not
 all N_L: it has the mean of the dense member's average, and a wider
 spread.
 
-So ``empirical_chi`` draws 2 N_l normals per layer up to L - 2 and no
-weight matrix, ``ensemble_ntk`` (2 + k) N normals per layer and no weight
-matrix, and ``n0_correction_check`` draws only layer 1 whole.  A member
-holds, per configuration, two N x N_{l0} tangent buffers (a measurement
-that draws a layer above l0), plus one row block.  At width 1000 a profile
-member holds about 17 MB at N0 784 (a 4 MB block and two 6.3 MB tangents)
-and about 3 MB at N0 128 (a 1 MB block and two 1 MB tangents), whatever
-the depth, where one whole layer is 8 MB.  Before the first member, a
-driver refuses (``ValueError``) a run whose members, times
-``JACPROP_WORKERS``, would not fit in physical memory
+So ``empirical_chi`` draws 2 N_l normals per layer up to L - 2, a profile
+or ``n0_correction_check`` N_l (k + 2) per layer above l0, and
+``ensemble_ntk`` (2 + k) N per layer: no driver draws a weight matrix.  A
+member of a measurement that draws a layer above l0 holds O(N k) (its V,
+one span draw, and per configuration three N x k arrays and its block's
+factors): at width 1000 and N0 784 about 0.4 MB, vanilla, whatever the
+depth, where one whole layer is 8 MB and a full tangent 6.3 MB.  Before
+the first member, a driver refuses (``ValueError``) a run whose members,
+times ``JACPROP_WORKERS``, would not fit in physical memory
 (:func:`_member_bytes`); a one-step member holds only its forward state,
 and an NTK member its forward record, 2 N_l entries per layer, plus k x N
 gradient rows and one block.
 
 Determinism: every (seed, member, layer) draws from its own seed-derived
-RNG stream (and the NTK's reverse draws from another) and every
-configuration keeps its own matrix products.  A driver's member is an
-exact sample of the network's law (of J^{l0, m}'s conditional mean over
-W^m at every layer m; an NTK member, of the diagonal averaged over its k
-output units), not a materialized network.  Each draw reads its
-layer's stream from the start, and configurations share the lean draw
-(xi^l, b^l), so only each one's own law is exact, not their joint law
-under one dense W^l.  The functions that take an explicit
-:class:`NetworkParams` (:func:`forward`, :func:`partial_jacobian_norm`,
-:func:`empirical_ntk`) draw every weight, the last layer of J^{l0, l}
-included, record the sample (1/N_m) |T^m|_F^2 at every layer they draw,
-and give the same bits whether the layers arrive in row blocks or whole.
-Which layers a driver draws, and how, depends only on what its
-configurations share, so a driver's result is bit-identical whether its
-configuration runs alone or with others sharing the draw, and however
-many worker threads evaluate the members.  Set ``JACPROP_WORKERS`` to a
-positive integer to parallelize over members; the process keeps one
-thread pool per worker count.
+RNG stream, and the NTK's reverse draws and each member's sketch from
+streams of their own; every configuration keeps its own matrix products.
+A driver's member is an exact sample of the network's law (of J^{l0,
+m}'s conditional mean over W^m given its sketch, at every layer m; an
+NTK member, of the diagonal averaged over its k output units), not a
+materialized network.  Configurations that share a draw -- same width,
+input dimension, depth, members, seed, groups and input resampling --
+ride one sweep, so each layer is drawn once for all of them.  Each draw
+reads its layer's stream from the start, and configurations share the
+sketch and the draws (xi^l, b^l) and Xi^l, so only each one's own law is
+exact, not their joint law under one dense W^l.  The explicit-network
+functions record the sample (1/N_m) |T^m|_F^2 at every layer they draw,
+the last layer of J^{l0, l} included, and give the same bits whether the
+layers arrive in row blocks or whole.  Which layers a driver draws, and
+how, depends only on what its configurations share, so a driver's result
+is bit-identical whether its configuration runs alone or with others
+sharing the draw, and however many worker threads evaluate the members;
+the sketch's products are small enough that it is also bit-identical on
+one BLAS thread or two (tested at width 1000, N0 784).  Set
+``JACPROP_WORKERS`` to a positive integer to parallelize over members;
+the process keeps one thread pool per worker count.
 """
 
 from __future__ import annotations
@@ -156,6 +172,19 @@ LN_EPS = 1e-12
 #: Least entries of a row block (1 MB): below it, per-block call overhead
 #: outgrows the memory saved.  See :func:`_block_rows`.
 _BLOCK_MIN = 1 << 17
+
+#: Input directions a driver's tangent carries above l0 (every one of a
+#: narrower layer l0): the sketch V of :meth:`NetworkParams.sketch`.  At
+#: width 1000, N0 128, depth 250 (ReLU and erf critical, both on one draw,
+#: 200-300 members at each of two seeds, one BLAS thread) a member cost
+#: 0.08, 0.10, 0.18 and 0.34-0.37 s at k = 4, 8, 16 and 32, and a member's
+#: spread on the fitted exponents (l >= 101) did not shrink beyond noise
+#: from k = 4 on: ReLU 0.90-0.93, 0.82-0.99, 1.01-1.03 and 0.79-0.98, erf
+#: 0.51-0.57, 0.51-0.54, 0.37-0.44 and 0.43-0.44.  So variance times cost
+#: is least at 4-8, about twice that at 16.  8 halves 4's sketch variance
+#: where the network's own is small: shallow layers, and the input check's
+#: J^{0,2} at N0 16.
+_SKETCH = 8
 
 #: Output units whose NTK diagonal an :func:`ensemble_ntk` member averages
 #: (every unit of a narrower output layer).  See ROADMAP item 5.
@@ -260,18 +289,34 @@ class NetworkParams:
             yield i, blk
         rng.standard_normal(out=b)
 
-    def conditional(self, l: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (xi^l, b^l), each of N_l entries, xi first, from layer l's
-        stream.
+    def conditional(self, l: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Draw (Xi^l, b^l) of shapes (N_l, k + 1) and (N_l,), Xi first, from
+        layer l's stream.
 
-        Given the layers below, ``W^l z`` for any vector z is N(0, |z|^2 I),
-        the law of ``|z| xi^l``: a layer that only carries the forward
-        vector needs 2 N_l normals instead of N_l (N_{l-1} + 1).  Both come
-        from one call on the stream, which reads it as two calls would.
+        Given the layers below, the rows of ``W^l A`` for any N_{l-1} x (k + 1)
+        matrix A are iid N(0, A^T A), which is the law of the rows of ``Xi^l
+        R`` for any R with R^T R = A^T A (:func:`_span_root`): a layer that
+        acts on k + 1 columns needs N_l (k + 2) normals instead of N_l
+        (N_{l-1} + 1).  At k = 0, A = z and R = |z|.  Both come from one
+        call on the stream, which reads it as two calls would.
         """
         n = self.layer_dims[l]
-        both = self._rng(l).standard_normal(2 * n)
-        return both[:n], both[n:]
+        both = self._rng(l).standard_normal(n * (k + 2))
+        return both[:n * (k + 1)].reshape(n, k + 1), both[n * (k + 1):]
+
+    def sketch(self, l0: int, k: int) -> np.ndarray:
+        """V = sqrt(N_{l0} / k) Q of shape (N_{l0}, k), Q's columns
+        Haar-orthonormal, from a stream of its own, one per (seed, member)
+        that shares nothing with the layer, input or reverse streams.
+
+        Q is the QR factor of a Gaussian draw, its column signs set by R's
+        diagonal, so V V^T has mean I, and V^T V = (N_{l0} / k) I.
+        """
+        s, n = self.streams[0], self.layer_dims[l0]
+        own = np.random.SeedSequence(s.entropy, spawn_key=(3, s.spawn_key[1]))
+        Q, R = np.linalg.qr(np.random.Generator(np.random.PCG64(own)).standard_normal((n, k)))
+        Q *= np.where(np.diag(R) < 0.0, -1.0, 1.0) * math.sqrt(n / k)
+        return Q
 
     def reverse(self, l: int, k: int) -> np.ndarray:
         """Draw Xi''^l of shape (k, N_{l-1}) from a stream of its own, one
@@ -420,12 +465,13 @@ class _Block:
 
     def factors(self) -> tuple:
         """d z^l / d h^l as (lam, U, V), equal to diag(lam) + U V^T, of rank
-        at most 2 g: the stages' factors composed in order, once."""
+        at most 2 g: the stages' factors composed in order, once (one stage
+        is its own factors)."""
         if self._factors is None:
-            out = _diagonal(np.ones(self.z.size))
+            out = None
             for name, stage in self._stages:
                 part = stage()
-                out = _compose(out, part)
+                out = part if out is None else _compose(out, part)
                 if self._behind is not None:  # a stage behind the norm: diagonal
                     self._behind = self._behind * part[0]
                 elif name == "norm":
@@ -490,20 +536,43 @@ def _block_rows(n: int, m: int, k: int) -> int:
     return min(n, -(-n // (8 * count)) * 8)
 
 
-def _gram_root(G: np.ndarray, n: int) -> np.ndarray:
-    """R with R^T R = G for the Gram G = A^T A of n-row columns A.
-
-    The Gram is scaled to a unit diagonal, D^-1 G D^-1 = V diag(e) V^T with
-    D = diag(|A e_j|), so every column keeps its own relative accuracy, and
-    R = diag(sqrt(e)) V^T D.  Eigenvalues within n c eps of the largest (c
-    columns), the rounding that n-term sums leave in the scaled Gram, count
-    as zero, so a rank-deficient A gives exactly zero rows.
-    """
+def _scaled_eigh(G: np.ndarray, n: int) -> tuple:
+    """(e, V, d) for the Gram G = A^T A of n-row columns A: the Gram scaled
+    to a unit diagonal, D^-1 G D^-1 = V diag(e) V^T with D = diag(d) and d
+    the column norms |A e_j|, so every column keeps its own relative
+    accuracy.  Eigenvalues within n c eps of the largest (c columns), the
+    rounding that n-term sums leave in the scaled Gram, count as zero."""
     d = np.sqrt(np.diag(G))
     inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
     e, V = np.linalg.eigh(G * np.outer(inv, inv))
     e[e <= n * G.shape[0] * np.finfo(float).eps * e[-1]] = 0.0
+    return e, V, d
+
+
+def _gram_root(G: np.ndarray, n: int) -> np.ndarray:
+    """R with R^T R = G for the Gram G = A^T A of n-row columns A: R =
+    diag(sqrt(e)) V^T D from :func:`_scaled_eigh`, so a rank-deficient A
+    gives exactly zero rows."""
+    e, V, d = _scaled_eigh(G, n)
     return (np.sqrt(e)[:, None] * V.T) * d
+
+
+def _span_root(z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """R with R^T R = A^T A for A = [z, F], from the (k + 1)-square Gram:
+    R = V diag(sqrt(e)) V^T D (:func:`_scaled_eigh`), the principal root of
+    the scaled Gram, which is unique, so R moves with A by as little as A
+    moves.  A root that kept eigh's eigenvector signs would not: post-LN
+    leaves z orthogonal to every tangent column, the Gram's z row is then
+    rounding, and its signs choose the eigenvectors'.  A zero column gives
+    exactly a zero column, and z in the span of F (ReLU at sigma_b = 0)
+    gives R of A's rank."""
+    k = F.shape[1]
+    G = np.empty((k + 1, k + 1))
+    G[0, 0] = z @ z
+    G[0, 1:] = G[1:, 0] = z @ F
+    G[1:, 1:] = F.T @ F
+    e, V, d = _scaled_eigh(G, z.size)
+    return ((V * np.sqrt(e)) @ V.T) * d
 
 
 def _view(flat: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -515,27 +584,29 @@ class _Probe:
     """One measurement riding a sweep over one network's layers.
 
     Carries the forward state of one input and, once the sweep passes
-    layer ``l0``, the tangent block T^m = d h^m / d h^{l0}.  It needs layers
-    1..``last``.  ``value`` ends as J^{l0, m} at every layer m in (l0,
-    last], NaN elsewhere; with ``keep`` every preactivation h^l is
-    recorded in ``hs`` instead, and a driver's scaled W^l z^{l-1} in
-    ``wzs``.  Layers at or below ``l0`` (every layer, without ``l0``) only
-    carry its forward pass.
+    layer ``l0``, the tangent block T^m = d h^m / d h^{l0} (times V, for a
+    driver).  It needs layers 1..``last``.  ``value`` ends as J^{l0, m} at
+    every layer m in (l0, last], NaN elsewhere; with ``keep`` every
+    preactivation h^l is recorded in ``hs`` instead, and a driver's scaled
+    W^l z^{l-1} in ``wzs``.  Layers at or below ``l0`` (every layer,
+    without ``l0``) only carry its forward pass.
 
-    An explicit network's probe draws every layer it needs and records
-    (1/N_m) |T^m|_F^2 of each.  A ``driver`` probe takes each forward-only
-    layer as one :meth:`lean` step and records, as it readies layer m, the
-    conditional mean over W^m, (sigma_w^2 / N_{m-1}) |B^{m-1}
-    T^{m-1}|_F^2 (module docstring), so it never draws layer ``last``.
+    An explicit network's probe draws every layer it needs in row blocks:
+    :meth:`start` readies a layer's products, :meth:`take` fills their rows
+    for one block and :meth:`finish` completes them, recording (1/N_m)
+    |T^m|_F^2.  The tangent lives in one of two buffers and the next
+    layer's is written into the other.
 
-    :meth:`start` readies a layer's products and :meth:`finish` completes
-    them.  A layer drawn whole reaches it in row blocks, :meth:`take`
-    filling the products' rows for one block.  The tangent lives in one of
-    two buffers and the next layer's is written into the other.
+    A ``driver`` probe takes each forward-only layer as one :meth:`lean`
+    step.  Above l0 it starts its tangent at the ``sketch`` V, records at
+    layer m the conditional mean over W^m, (sigma_w^2 / N_{m-1}) |B^{m-1}
+    T^{m-1}|_F^2, as :meth:`ready` forms F = B^{m-1} T^{m-1}, and takes
+    every layer below ``last`` as one span draw (:meth:`sample`), so it
+    never draws layer ``last`` (module docstring).
     """
 
     def __init__(self, dims, act, hp, norm, groups, x, last,
-                 l0=None, driver=False, keep=False):
+                 l0=None, driver=False, keep=False, sketch=None):
         if l0 is not None and not 0 <= l0 < last <= len(dims) - 1:
             raise ValueError(f"need 0 <= l0 < l <= {len(dims) - 1}, got l0={l0}, l={last}")
         x = np.asarray(x, dtype=float)
@@ -545,38 +616,67 @@ class _Probe:
             raise ValueError("input must be finite, got NaN or inf entries")
         self.dims, self.act, self.hp, self.norm, self.groups = dims, act, hp, norm, groups
         self.last, self.l0, self.driver, self.keep = last, l0, driver, keep
+        self.sketch = sketch
         self.z = x
         self.block = None  # block on the latest preactivation
-        self.T = None      # d h^{l-1} / d h^{l0}, in buffer ``pair[cur]``
-        self.pair, self.cur = None, 0
-        self.wz = self.out = self.F = None  # the drawn layer's products
+        self.T = None      # d h^{l-1} / d h^{l0} (times V)
+        self.pair, self.cur = None, 0  # an explicit tangent's buffers, T in pair[cur]
+        self.wz = self.out = self.F = None  # the layer's products, and B T
         self.value = None if l0 is None else np.full(len(dims), np.nan)
         self.hs: list = [None]   # hs[l] = h^l, 1-indexed (with keep)
         self.wzs: list = [None]  # wzs[l], its scaled W^l z^{l-1} (a driver's, with keep)
 
     def lean(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
         """Advance through forward-only layer ``l`` given (xi^l, b^l) of
-        :meth:`NetworkParams.conditional`: ``|z^{l-1}| xi^l`` stands in for
-        ``W^l z^{l-1}``, with exactly its law given the past."""
+        :meth:`NetworkParams.conditional` at k = 0: ``|z^{l-1}| xi^l`` stands
+        in for ``W^l z^{l-1}``, with exactly its law given the past."""
         wz = math.sqrt(float(self.z @ self.z)) * xi
         wz *= self.hp.sigma_w / math.sqrt(self.dims[l - 1])
         self._advance(l, wz, b)
 
+    def ready(self, l: int) -> bool:
+        """Record J^{l0, l} for a driver's layer ``l`` > l0, its conditional
+        mean over W^l, and form F = B^{l-1} T^{l-1} for the span draw, with
+        T^{l0} = V and B^0 = I.  Returns whether layer l is drawn (l <
+        ``last``)."""
+        m, sw2 = l - 1, self.hp.sw2
+        if m == self.l0:
+            # exact whatever V: (sigma_w^2 / N_{l0}) |B^{l0}|_F^2 off the factors
+            self.value[l] = sw2 * (self.block.frobenius_sq() / self.dims[m] if m else 1.0)
+            if l == self.last:
+                return False
+            T = self.sketch if m == 0 else self.sketch.copy()
+        else:
+            T = self.T
+        self.F = T if m == 0 else self.block.tangent(T, np.empty_like(T))
+        if m > self.l0:
+            self.value[l] = sw2 * (float(np.sum(self.F * self.F)) / self.dims[m])
+        return l < self.last
+
+    def sample(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
+        """Advance through layer ``l`` > l0 given (Xi^l, b^l) of
+        :meth:`NetworkParams.conditional`: with A = [z^{l-1}, F] and R =
+        :func:`_span_root`, ``Xi^l R`` stands in for ``W^l A``, with exactly
+        its law given the past."""
+        R = _span_root(self.z, self.F)
+        scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
+        self.T = xi @ R[:, 1:]
+        self.T *= scale
+        wz = xi @ R[:, 0]
+        wz *= scale
+        self.F = self.block = None
+        self._advance(l, wz, b)
+
     def start(self, l: int) -> int:
-        """Ready the products of layer ``l``: W z, and W (B T) above l0,
-        recording J^{l0, l} first with ``mean``.  Returns the widest
-        product's column count, 0 if it takes none of the layer."""
+        """Ready the products of layer ``l`` of an explicit network: W z,
+        and W (B T) above l0.  Returns the widest product's column count, 0
+        if it takes none of the layer."""
         n, m = self.dims[l], l - 1
         self.wz = np.empty(n) if l < self.last or self.keep else None
         if self.l0 is None or l <= self.l0:
             return 0 if self.wz is None else 1
-        k, sw2 = self.dims[self.l0], self.hp.sw2
-        drawn = l < self.last or not self.driver  # a driver integrates out its last layer
+        k = self.dims[self.l0]
         if m == self.l0:  # T^{l0} = I, and B^0 = I
-            if self.driver:
-                self.value[l] = sw2 * (self.block.frobenius_sq() / self.dims[m] if m else 1.0)
-            if not drawn:
-                return 0
             size = max(self.dims[self.l0:self.last + 1]) * k
             self.pair = (np.empty(size), np.empty(size))
         if m == 0:
@@ -586,13 +686,7 @@ class _Probe:
                 self.T = _view(self.pair[self.cur], k, k)
                 self.T.fill(0.0)
                 np.fill_diagonal(self.T, 1.0)
-            dead = _view(self.pair[1 - self.cur], *self.T.shape)
-            self.F = self.block.tangent(self.T, dead)
-            if self.driver and m > self.l0:
-                F = self.F
-                self.value[l] = sw2 * (float(np.sum(np.multiply(F, F, out=dead))) / self.dims[m])
-            if not drawn:
-                return 0
+            self.F = self.block.tangent(self.T, _view(self.pair[1 - self.cur], *self.T.shape))
             # used up; holding its factors through the draw cost 2 MB of peak RSS
             self.block = None
         self.out = _view(self.pair[1 - self.cur], n, k)
@@ -616,9 +710,8 @@ class _Probe:
         if self.out is not None:
             T = self.out
             T *= scale
-            if not self.driver:
-                TT = _view(self.pair[self.cur], *T.shape)  # the dead buffer
-                self.value[l] = float(np.sum(np.multiply(T, T, out=TT))) / n
+            TT = _view(self.pair[self.cur], *T.shape)  # the dead buffer
+            self.value[l] = float(np.sum(np.multiply(T, T, out=TT))) / n
             self.T, self.cur = T, 1 - self.cur
         if self.wz is not None:
             self.wz *= scale
@@ -642,26 +735,36 @@ def _sweep(net: NetworkParams, probes: list) -> None:
     pass.
 
     The driver probes that only carry the forward vector through layer l
-    share one lean step on ``net.conditional(l)``; the others take layer
-    l's row blocks from ``net.rows(l, buf, b)``, as
-    :meth:`NetworkParams.rows` gives them.  That is called at most once per
-    layer, only for a layer whose products some probe takes, with one
-    buffer that every layer reuses, of :func:`_block_rows` rows for the
-    widest product a probe takes.  Every draw reads layer l's stream from
-    the start.
+    share one lean step on ``net.conditional(l)``, and those that carry
+    the k tangent columns of their shared sketch through it share one span
+    draw ``net.conditional(l, k)``.  The explicit probes take layer l's row blocks from ``net.rows(l,
+    buf, b)``, as :meth:`NetworkParams.rows` gives them.  That is called at
+    most once per layer, only for a layer whose products some probe takes,
+    with one buffer that every layer reuses, of :func:`_block_rows` rows
+    for the widest product a probe takes.  Every draw reads layer l's
+    stream from the start.
     """
     dims = probes[0].dims
     flat = np.empty(0)
     for l in range(1, max(p.last for p in probes) + 1):
-        lean, active = [], []
+        lean, span, active = [], [], []
         for p in probes:
-            if l <= p.last:
-                forward_only = p.driver and (p.l0 is None or l <= p.l0)
-                (lean if forward_only else active).append(p)
+            if l > p.last:
+                continue
+            if not p.driver:
+                active.append(p)
+            elif p.l0 is None or l <= p.l0:
+                lean.append(p)
+            elif p.ready(l):
+                span.append(p)
         if lean:
             xi, b = net.conditional(l)
             for p in lean:
-                p.lean(l, xi, b)
+                p.lean(l, xi[:, 0], b)
+        if span:  # one sketch, so one column count: its probes share V
+            xi, b = net.conditional(l, span[0].F.shape[1])
+            for p in span:
+                p.sample(l, xi, b)
         widths = [p.start(l) for p in active]
         active = [p for p, k in zip(active, widths) if k]
         if not active:
@@ -789,30 +892,37 @@ def _members(cfgs: list, measure: Callable) -> list:
 
 def _member_bytes(cfgs: list, l0: int | None, l: int) -> int:
     """What one driver member measuring J^{l0, m} for m in (l0, l] holds
-    at its peak beyond its forward state.
+    at its peak.
 
-    It draws layers l0 + 1 .. l - 1; layer l is integrated out.  If it
-    draws any, it holds per configuration its two tangent buffers (2 N x
-    N_{l0} with N the widest layer from l0 to l), plus the largest row
-    block; a one-step member holds only its block's factors.  An NTK member
-    (``l0`` None, depth ``l``) holds its forward record, h^l and W^l
-    z^{l-1}, priced at ``_NTK_RECORD`` vectors of N per layer; stepping
-    down the layers, it adds six k x N arrays (gradient rows, draws,
-    temporaries) and the one block it rebuilds, whose factors take up to 8
-    N entries per unit of their rank 2 g while they are composed (both
-    measured at width 256).
+    It draws layers l0 + 1 .. l - 1 in the span of k = min(``_SKETCH``,
+    N_{l0}) tangent columns; layer l is integrated out.  If it draws any,
+    it holds its sketch V (N_{l0} x k) and one span draw (N (k + 2)
+    normals), plus per configuration three N x k arrays (the tangent, B T
+    and the rank update), eight vectors of N for its forward state and its
+    block's factors, up to 8 N entries per unit of their rank 2 g while
+    they are composed; N is the widest layer from l0 to l.  A one-step
+    member holds only its forward state and its block's factors.  An NTK
+    member (``l0`` None, depth ``l``) holds its forward record, h^l and
+    W^l z^{l-1}, priced at ``_NTK_RECORD`` vectors of N per layer;
+    stepping down the layers, it adds six k x N arrays (gradient rows,
+    draws, temporaries) and the one block it rebuilds (both measured at
+    width 256).
     """
     dims = cfgs[0].layer_dims
     if l0 is None:
         cfg, n = cfgs[0], max(dims)
-        k, rank = min(_NTK_ROWS, dims[-1]), 2 * cfg.groups if cfg.norm.normalizes else 0
-        return 8 * n * (_NTK_RECORD * l + 6 * k + 8 * rank)
-    k = dims[l0]  # the tangent's columns
-    drawn = range(l0 + 1, l)
-    if not drawn:
+        k = min(_NTK_ROWS, dims[-1])
+        return 8 * n * (_NTK_RECORD * l + 6 * k + 8 * _rank(cfg))
+    if l == l0 + 1:
         return 0
-    draw = max(_block_rows(dims[j], dims[j - 1], k) * dims[j - 1] for j in drawn)
-    return 8 * (len(cfgs) * 2 * max(dims[l0:l + 1]) * k + draw)
+    n, k = max(dims[l0:l + 1]), min(_SKETCH, dims[l0])
+    per_cfg = sum(3 * k + 8 + 8 * _rank(c) for c in cfgs)
+    return 8 * (dims[l0] * k + n * (k + 2 + per_cfg))
+
+
+def _rank(cfg: EnsembleConfig) -> int:
+    """The rank 2 g of a block's factors, 0 without a norm."""
+    return 2 * cfg.groups if cfg.norm.normalizes else 0
 
 
 def _check_fits(cfgs: list, l0: int | None, l: int) -> None:
@@ -834,15 +944,18 @@ def _swept(cfgs: list, l0: int, l: int) -> list:
     configs in one sweep per member: one array per config, a row per member
     indexed by layer, NaN outside (l0, l].
 
-    Each value is the member's conditional mean over W^m (module
-    docstring), so a single J^{l0, l} is column l, and layer l is never
-    drawn.
+    Each value is the member's conditional mean over W^m given the layers
+    below and the member's sketch V (module docstring), so a single J^{l0,
+    l} is column l, and layer l is never drawn.  Every config of a member
+    shares its V and its span draws.
     """
     _check_fits(cfgs, l0, l)
+    k = min(_SKETCH, cfgs[0].layer_dims[l0])
 
     def measure(params, xs):
+        V = params.sketch(l0, k) if l > l0 + 1 else None
         probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
-                         cfg.groups, x, l, l0, driver=True)
+                         cfg.groups, x, l, l0, driver=True, sketch=V)
                   for cfg, x in zip(cfgs, xs)]
         _sweep(params, probes)
         return [p.value for p in probes]
@@ -922,9 +1035,12 @@ def jacobian_profile(cfg: EnsembleConfig | Sequence[EnsembleConfig], l0: int = 0
     """Ensemble-averaged J^{l0, l} for every layer l in (l0, L].
 
     Each member's value at layer l is the single J^{l0, l}'s, its
-    conditional mean over W^l (module docstring), so layer L is never
-    drawn, and ``mean``/``stderr`` are layer L's entries.  Given a sequence
-    of configs that share a draw, returns one estimate per config.
+    conditional mean over W^l given its tangent of k = min(8, N_{l0})
+    sketched input directions (module docstring): it has the mean of J^{l0,
+    l}, and layer l0 + 1's is exact.  Layers l0 + 1 .. L - 1 are span
+    draws, layer L is never drawn, and ``mean``/``stderr`` are layer L's
+    entries.  Given a sequence of configs that share a draw, returns one
+    estimate per config.
     """
     cfgs, single = _batch(cfg)
     L = cfgs[0].depth
@@ -964,8 +1080,10 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
     curvature (erf, GELU) at small input dimension.  Vanilla mode only.
 
     Each member's value is its conditional mean over W^2 given layer 1,
-    (sigma_w^2 / N_1) |B^1 T^1|_F^2 (module docstring): the mean of
-    J^{0,2}, with no larger a variance.  With ``resample_inputs`` each
+    a span draw, and the sketch V, (sigma_w^2 / N_1) |B^1 T^1|_F^2 with
+    T^1 = (sigma_w / sqrt(N0)) W^1 V (module docstring): the mean of
+    J^{0,2}.  Up to N0 = 8 the sketch keeps every input direction, and
+    |B^1 T^1|_F is the unsketched tangent's.  With ``resample_inputs`` each
     member sees its own input, and both predictions are averaged over the
     members' inputs.
     """

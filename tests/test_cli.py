@@ -491,7 +491,7 @@ class TestMonteCarlo:
         out = tmp_path / "profile.json"
         series = tmp_path / "profile.csv"
         args = ["mc", "profile", "--act", "erf", "--mode", "vanilla", "--sw", "1", "--sb", "0",
-                "--width", "2000000", "--input-dim", "1000000", "--depth", "3",
+                "--width", str(2**31), "--input-dim", "1000000", "--depth", "3",
                 "--n-init", "1", "--seed", "1", "--series-out", str(series), "-o", str(out)]
         code, _, err = run_cli(args, capsys)
         assert code == 1

@@ -65,6 +65,10 @@ def picard_fixed_point(act, hp, k_init):
       unless it starts on it, or a climb through a point neutral to
       rounding (slope one), which ``f``'s second order decides; the step
       rule stops at both next to zero;
+    * a stop below 1e-14 but a fall by more than 1e-14 relative, about the
+      map's rounding.  The absolute step rule stops a climb there at once,
+      and within a few ulps of a critical sigma_w rounding hides whether
+      Picard climbs or falls;
     * a polish that is no root, or lands behind the last iterate.  Picard
       moves monotonically and never crosses a root, so such a root is one
       it moved away from.  The former solver returned it, or inf.
@@ -80,6 +84,8 @@ def picard_fixed_point(act, hp, k_init):
         if abs(k_next - k) <= 1e-12 * max(1.0, k_next):
             s = slope(k_next)
             if k_next != k and (s > 1.0 or s == 1.0 and k_next > k):
+                return None
+            if 0 < k_next < 1e-14 and k - k_next <= 1e-14 * k_next:
                 return None
             return 0.0 if k_next < 1e-14 else k_next
         k = k_next
@@ -110,20 +116,25 @@ def assert_first_root_on_the_way(act, hp, k_init, fp):
     K* is a root.  A divergent kernel climbs, with ``f > 0`` on the scan up
     to 1e10, and a K -> inf slope of at least one, without which ``f``
     falls to -inf.  Where ``|f| <= 1e-9 K``, which bounds the rounding of g
-    and K up to 1e10 (GELU's arcsine loses about eps sqrt(K) there), its
-    sign is read at 50 digits (:func:`mp_map_gap`)."""
+    and K up to 1e10 (GELU's arcsine loses about eps sqrt(K) there), and
+    below K = 1e-300, where g underflows, its sign is read at 50 digits or
+    more (:func:`mp_map_gap`)."""
     f = lambda k: kernel_step(act, NormMode.VANILLA, hp, k) - k  # noqa: E731
-    up = f(k_init) > 0
+
+    def rises(k):
+        fk = f(k)
+        if abs(fk) > 1e-9 * k and k > 1e-300:
+            return fk > 0
+        return mp_map_gap(act, hp, k) > 0
+
+    up = rises(k_init)
     end = max(k_init, 1e10) if fp.diverged else fp.k_star
     if fp.diverged:
         assert up and chi_kernel(act, NormMode.VANILLA, hp, math.inf) >= 1.0
 
-    def rises(k):
-        fk = f(k)
-        return fk > 0 if abs(fk) > 1e-9 * k else mp_map_gap(act, hp, k) > 0
-
+    lo, hi = sorted((k_init, end))
     scan = np.geomspace(max(k_init, 1e-30), max(end, 1e-30), 4000)[:-1]
-    assert all(rises(k) == up for k in scan), (act.family, hp, k_init, fp)
+    assert all(rises(k) == up for k in scan if lo <= k <= hi), (act.family, hp, k_init, fp)
     if not fp.diverged:
         assert abs(f(fp.k_star)) <= 1e-12 * max(1.0, fp.k_star)
 
@@ -155,11 +166,14 @@ def saddle_node(k_star):
 
 
 def mp_map_gap(act, hp, k):
-    """Oracle: ``g(K) - K`` of the vanilla map at 50 digits, from the
-    closed-form ``<phi^2>`` of erf (the arcsine kernel) or of GELU."""
+    """Oracle: ``g(K) - K`` of the vanilla map at 50 digits plus one for
+    each decade of K below one, from the closed-form ``<phi^2>`` of erf
+    (the arcsine kernel) or of GELU.  At a critical sigma_w and sigma_b = 0
+    the gap is second order, K times smaller than K itself, so a fixed 50
+    digits would round it away below K = 1e-50."""
     import mpmath as mp
 
-    with mp.workdps(50):
+    with mp.workdps(50 + (max(0, -math.floor(math.log10(k))) if k > 0 else 0)):
         sw2, sb2, k = mp.mpf(hp.sigma_w) ** 2, mp.mpf(hp.sigma_b) ** 2, mp.mpf(k)
         if act.family == "erf":
             phi2 = 2 / mp.pi * mp.asin(2 * k / (1 + 2 * k))
@@ -397,8 +411,12 @@ class TestFixedPointOracles:
         (GELU, 2.0, 6.37700620870634e-35, 0.0, math.inf),
         (ERF, float.fromhex("0x1.c5bf891b4ef6cp-1"), 0.0, 1e-20, 0.0),
         (ERF, float.fromhex("0x1.c5bf891b4ef6cp-1"), 0.0, 1e-300, 0.0),
+        (ERF, float.fromhex("0x1.c5bf891b4ef6cp-1"), 1.2770692017602304e-33, 0.0,
+         1.6852933562737518e-16),
+        (GELU, 2.0, 0.0, 1e-20, math.inf),
     ], ids=["runaway", "slow-fall", "off-zero", "ghost", "neutral-zero",
-            "near-erf-critical-20", "near-erf-critical-300"])
+            "near-erf-critical-20", "near-erf-critical-300", "near-erf-critical-bias",
+            "neutral-climb"])
     def test_where_picard_gave_no_verdict(self, act, sigma_w, sigma_b, k_init, k_star):
         # The former solver reported a root that Picard moves away from:
         # its Newton polish jumped back to 9.98 (runaway) and to 1404.7
@@ -412,7 +430,12 @@ class TestFixedPointOracles:
         # sqrt(pi / 4), zero is barely repelling and the climb meets a root
         # below ZERO_FLOOR where g - K is rounding; the solver's Brent solve
         # on [k_init, 4] outlasted 100 iterations there and raised
-        # (near-erf-critical).
+        # (near-erf-critical).  With a bias, g - K = sigma_b^2 + d K - 2 K^2
+        # climbs to its root d / 2 = 1.69e-16, for d = 3.4e-16, which the
+        # float map rounds: the solver's root was 2.22e-16, past it
+        # (near-erf-critical-bias).  At sigma_w = 2, g - K = 6 K^2 / pi is
+        # lost in rounding at 1e-20, where Picard's first step stops; the
+        # Picard oracle read that stop as a zero root (neutral-climb).
         hp = Hyper(sigma_w, sigma_b)
         fp = find_fixed_point(act, NormMode.VANILLA, hp, k_init=k_init)
         assert picard_fixed_point(act, hp, k_init) is None

@@ -10,7 +10,10 @@ gain/shift parameters.
 
 import math
 import os
+import subprocess
+import sys
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from jacprop.activations import Activation
 from jacprop.ensemble import (
     EnsembleConfig,
     NetworkParams,
-    _BLOCK_MIN,
+    _SKETCH,
     _Block,
     _block_rows,
     _check_fits,
@@ -31,6 +34,7 @@ from jacprop.ensemble import (
     _member_bytes,
     _ntk_members,
     _scalar_estimate,
+    _span_root,
     _swept,
     empirical_chi,
     empirical_ntk,
@@ -329,7 +333,8 @@ class TestPartialJacobianNorm:
                                    rtol=1e-12, atol=1e-12)
 
     def test_each_block_composes_its_factors_once_and_only_when_used(self, monkeypatch):
-        # a pre-LN block composes two stages; forward-only layers compose none
+        # a pre-LN block composes its two stages in one product, a one-stage
+        # block none; forward-only layers compose none
         import jacprop.ensemble as ens
 
         calls = []
@@ -346,7 +351,7 @@ class TestPartialJacobianNorm:
                             (lambda: empirical_ntk(params, GELU, hp, norm, x), 4)):
             calls.clear()
             run()
-            assert len(calls) == 2 * blocks
+            assert len(calls) == blocks
 
     @pytest.mark.parametrize("shape", [(128, 1200), (200, 200), (8, 8)])
     @pytest.mark.parametrize("groups", [1, 2, 4])
@@ -544,10 +549,11 @@ class TestDriverGoldenBits:
 
     At depth 5, seed 29, 3 members, 8 wide: ``empirical_chi`` (layers 1..3
     carry only the forward vector), a single J^{2,5} above two
-    forward-only layers, a three-config batch; J^{0,5} on a 3-column input
-    at width 40 (row blocks for layers 1..4, layer 5 integrated out); the
-    n0 check; and ``ensemble_ntk``'s members at groups 2 (lean steps up,
-    reverse span draws down).
+    forward-only layers, a three-config batch; J^{0,5} on a 3-column and a
+    12-column input at width 40 (span draws for layers 1..4, the second
+    sketched to 8 columns, layer 5 integrated out); the n0 check; and
+    ``ensemble_ntk``'s members at groups 2 (lean steps up, reverse span
+    draws down).
     """
 
     CHI = {
@@ -619,10 +625,14 @@ class TestDriverGoldenBits:
     def test_single_jacobians_are_bit_identical(self):
         cfg = self._cfg(act=GELU, norm=NormMode.POST_LN, groups=2)
         assert [float(v).hex() for v in _swept([cfg], 2, 5)[0][:, 5]] == [
-            "0x1.1194f30012956p+4", "0x1.2b04103dd476ep+8", "0x1.c308e2efdcef0p+5"]
+            "0x1.18819e5edd206p+3", "0x1.02ae284ddc634p+3", "0x1.4e04e51aabbcap+1"]
         thin = self._cfg(width=40, input_dim=3, act=ERF, norm=NormMode.PRE_LN)
         assert [float(v).hex() for v in _swept([thin], 0, 5)[0][:, 5]] == [
-            "0x1.a01707678655dp-2", "0x1.4e21331b7a5aep-3", "0x1.d0ec107d6c274p-2"]
+            "0x1.f843c38677621p-2", "0x1.2043aedc999fbp-3", "0x1.0e4096bb3c7f3p-3"]
+        # 12 input columns, sketched to 8
+        wide = self._cfg(width=40, input_dim=12, act=GELU, norm=NormMode.POST_LN, groups=2)
+        assert [float(v).hex() for v in _swept([wide], 0, 5)[0][:, 5]] == [
+            "0x1.4692b41f77573p-1", "0x1.643c3a880d82fp+1", "0x1.6534e9945afc7p+2"]
 
     def test_batch_is_bit_identical(self):
         batch = [self._cfg(act=GELU),
@@ -636,9 +646,9 @@ class TestDriverGoldenBits:
         ]
         assert [[float(v).hex() for v in e.per_layer[3:]]
                 for e in jacobian_profile(batch, l0=2)] == [
-            ["0x1.b4f28c5bf6549p-1", "0x1.865275f32864dp-1", "0x1.bf1c4202b453dp-1"],
-            ["0x1.2a133592fbd89p+0", "0x1.f79e73930b58dp+0", "0x1.39c41e203c10dp-1"],
-            ["0x1.0e401a1f616a8p+0", "0x1.9b0354a2a7671p+0", "0x1.f3778df34dd09p-2"],
+            ["0x1.b4f28c5bf6549p-1", "0x1.a1e007823f0d3p-1", "0x1.b3ccc72b63dbcp-1"],
+            ["0x1.2a133592fbd89p+0", "0x1.9e2ef8561bfa8p+0", "0x1.95b531610a8cfp+0"],
+            ["0x1.0e401a1f616a8p+0", "0x1.ab89ae5bc86e0p+2", "0x1.70df286c91328p+2"],
         ]
 
     @pytest.mark.parametrize("groups", [1, 2, 4])
@@ -657,7 +667,7 @@ class TestDriverGoldenBits:
                              hyper=Hyper(1.3, 0.4), act=ERF)
         report = n0_correction_check(cfg)
         assert (report.measured.hex(), report.measured_stderr.hex()) == (
-            "0x1.a06bdae7e68b7p-1", "0x1.37bd471b9a5fcp-3")
+            "0x1.c37934520cc73p-1", "0x1.99f9bf4204c47p-3")
 
 
 class TestEnsembleDrivers:
@@ -826,7 +836,8 @@ class TestEnsembleDrivers:
     def test_run_larger_than_memory_refused_before_drawing(self):
         import tracemalloc
 
-        cfg = self._cfg(width=2_000_000, input_dim=1_000_000, depth=3, n_init=2)
+        # a sketched member holds O(N k), so only an N that big is too much
+        cfg = self._cfg(width=2**31, input_dim=1_000_000, depth=3, n_init=2)
         tracemalloc.start()
         try:
             for run in (jacobian_profile, n0_correction_check,
@@ -839,10 +850,21 @@ class TestEnsembleDrivers:
         assert peak < 64 * 1024
 
     def test_memory_estimate_prices_the_drawn_layers(self):
-        # the input check's shape: J^{0,2} draws only the 4096 x 16 layer 1
-        n, k = 4096, 16
-        cfg = self._cfg(width=n, input_dim=k, depth=2)
-        assert _member_bytes([cfg], 0, 2) == 8 * (2 * n * k + n * k)
+        # the input check's shape: J^{0,2} draws only layer 1, in the span of
+        # k = 8 of its 16 input columns: V, one span draw, three N x k
+        # arrays and eight forward vectors of N
+        n, n0, k = 4096, 16, 8
+        assert _SKETCH == k
+        cfg = self._cfg(width=n, input_dim=n0, depth=2)
+        assert _member_bytes([cfg], 0, 2) == 8 * (n0 * k + n * (k + 2) + n * (3 * k + 8))
+        # a thinner input keeps all of its columns
+        thin = self._cfg(width=n, input_dim=4, depth=2)
+        assert _member_bytes([thin], 0, 2) == 8 * (4 * 4 + n * (4 + 2) + n * (3 * 4 + 8))
+        # a wider input is sketched to k columns; each config adds its own
+        # arrays and, with a norm, 8 N per unit of its factors' rank 2 g
+        wide = self._cfg(width=n, input_dim=784, depth=5, norm=NormMode.PRE_LN, groups=2)
+        assert _member_bytes([wide, wide], 0, 5) == \
+            8 * (784 * k + n * (k + 2) + 2 * n * (3 * k + 8 + 8 * 4))
         # a one-step mean draws no layer above l0
         assert _member_bytes([cfg], 1, 2) == 0
         # a thin run too large for the machine is still refused, naming the size
@@ -979,29 +1001,28 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 0.2 * layer_bytes, peak / layer_bytes
 
-    @pytest.mark.parametrize("norm", ALL_MODES)
-    def test_profile_peak_memory_is_two_tangents_and_a_row_block(self, norm):
-        # width 1024 takes two row blocks per layer; the tangent's rank
-        # update is formed in the dead tangent buffer, so the rest (the
-        # block's factors and the forward vectors) measured about 22 N
-        # entries in the normalizing modes, within the bound's _BLOCK_MIN +
-        # 64 N, and a buffer kept past its layer would add the first
-        # layer's block
+    @pytest.mark.parametrize("norm, groups", [
+        (NormMode.VANILLA, 1), (NormMode.PRE_LN, 1), (NormMode.POST_LN, 2),
+    ])
+    def test_profile_member_peaks_below_its_estimate(self, norm, groups):
+        # a sketched member carries k = 8 of the 784 input columns: its
+        # draws, tangents and factors are O(N k), 1.1, 1.4 and 1.9 MB
+        # measured at width 4096 (vanilla, pre-LN, post-LN g 2), where one
+        # layer is 134 MB and an unsketched tangent 26 MB
         import tracemalloc
 
-        n, k = 1024, 512
-        cfg = EnsembleConfig(width=n, input_dim=k, depth=6, n_init=1, seed=3,
-                             hyper=Hyper(1.3, 0.4), act=GELU, norm=norm)
-        block = _block_rows(n, n, k) * n * 8
-        assert block < n * n * 8
-        bound = 2 * n * k * 8 + block + _BLOCK_MIN * 8 + 64 * n * 8
+        cfg = EnsembleConfig(width=4096, input_dim=784, depth=6, n_init=1, seed=3,
+                             hyper=Hyper(1.3, 0.4), act=GELU, norm=norm, groups=groups)
+        need = _member_bytes([cfg], 0, 6)
+        assert need < 4096 * 784 * 8 / 4
+        GELU(np.zeros(1))  # scipy's erf loads outside the traced run
         tracemalloc.start()
         try:
             jacobian_profile(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound, (peak, bound)
+        assert peak <= need, (peak, need)
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     def test_one_step_peak_memory_below_a_sixteenth_of_a_layer(self, norm):
@@ -1019,8 +1040,8 @@ class TestStreaming:
         assert peak < 1024 * 1024 * 8 / 16, peak / (1024 * 1024 * 8)
 
     def test_width_4096_input_check_peak_below_8_mb(self):
-        # the check draws only layer 1, 4096 x 16 (0.5 MB) in one block,
-        # and integrates layer 2 out
+        # the check draws only layer 1, in the span of its 16 input columns
+        # (4096 x 17 normals, 0.6 MB), and integrates layer 2 out
         import tracemalloc
 
         cfg = EnsembleConfig(width=4096, input_dim=16, depth=2, n_init=1, seed=3,
@@ -1034,17 +1055,18 @@ class TestStreaming:
         assert peak < 8e6, peak
 
     def test_width_4096_profile_streams_a_square_layer_below_8_mb(self):
-        # a depth-3 profile draws layer 2, 4096 x 4096 (134 MB), in blocks
-        # of 32 rows (1 MB) beside two 0.5 MB tangents: 2.3 MB measured
+        # an explicit depth-3 profile draws layers 2 and 3, 4096 x 4096 (134
+        # MB) each, in blocks of 32 rows (1 MB) beside two 0.5 MB tangents
         import tracemalloc
 
         assert _block_rows(4096, 4096, 16) * 4096 * 8 == 2**20
-        cfg = EnsembleConfig(width=4096, input_dim=16, depth=3, n_init=1, seed=3,
-                             hyper=Hyper(1.0, 0.0), act=ERF)
+        params = NetworkParams.draw([16, 4096, 4096, 4096], seed=3)
+        x = np.random.default_rng(4).normal(size=16)
         ERF(np.zeros(1))  # scipy's erf loads outside the traced run
         tracemalloc.start()
         try:
-            jacobian_profile(cfg)
+            partial_jacobian_norm(params, ERF, Hyper(1.0, 0.0), NormMode.VANILLA, x, 0, 3,
+                                  profile=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1052,11 +1074,14 @@ class TestStreaming:
 
     @staticmethod
     def _count_draws(monkeypatch) -> dict:
-        """Record the layer of every whole (``rows``) and lean (``conditional``) draw."""
-        calls = {"rows": [], "conditional": []}
-        for name in calls:
+        """Record the layer of every whole (``rows``), lean (``conditional``
+        at k = 0) and span (``span``: ``conditional`` at k > 0) draw, and
+        the l0 of every sketch."""
+        calls = {"rows": [], "conditional": [], "span": [], "sketch": []}
+        for name in ("rows", "conditional", "sketch"):
             def counted(self, l, *args, name=name, draw=getattr(NetworkParams, name)):
-                calls[name].append(l)
+                span = name == "conditional" and args and args[0] > 0
+                calls["span" if span else name].append(l)
                 return draw(self, l, *args)
 
             monkeypatch.setattr(NetworkParams, name, counted)
@@ -1065,18 +1090,23 @@ class TestStreaming:
     @pytest.mark.parametrize("l0, l", [(4, 5), (0, 6), (2, 6), (0, 1), (1, 3)])
     def test_shared_draw_counts(self, l0, l, monkeypatch):
         # 2 members, three configs: J^{l0,l} takes a lean step on layers
-        # 1..l0, draws layers l0+1..l-1 whole and averages over layer l, in
-        # all three modes; layer l and above are never drawn
+        # 1..l0 and a span draw on layers l0+1..l-1, each one draw for all
+        # three configs in all three modes, and averages over layer l; no
+        # layer is drawn whole, and layer l and above are never drawn
         calls = self._count_draws(monkeypatch)
         _swept(self._batch(), l0, l)
         assert sorted(calls["conditional"]) == sorted(list(range(1, l0 + 1)) * 2)
-        assert sorted(calls["rows"]) == sorted(list(range(l0 + 1, l)) * 2)
+        assert sorted(calls["span"]) == sorted(list(range(l0 + 1, l)) * 2)
+        # one sketch per member, and none for a one-step mean
+        assert calls["sketch"] == ([l0] * 2 if l > l0 + 1 else [])
+        assert not calls["rows"]
         for name in calls:
             calls[name].clear()
         jacobian_profile(self._batch(), l0=l0)
-        # a profile draws layers l0+1..L-1 whole, and never layer L
+        # a profile draws layers l0+1..L-1 in their span, and never layer L
         assert sorted(calls["conditional"]) == sorted(list(range(1, l0 + 1)) * 2)
-        assert sorted(calls["rows"]) == sorted(list(range(l0 + 1, 6)) * 2)
+        assert sorted(calls["span"]) == sorted(list(range(l0 + 1, 6)) * 2)
+        assert not calls["rows"]
 
     def test_explicit_networks_draw_every_weight(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
@@ -1091,7 +1121,7 @@ class TestStreaming:
                 partial_jacobian_norm(params, RELU, Hyper(1.4, 0.0), norm, x, l0, l0 + 1)
                 assert calls["rows"] == list(range(1, l0 + 2))
             empirical_ntk(params, GELU, Hyper(1.3, 0.4), norm, x)
-        assert not calls["conditional"]
+        assert not calls["conditional"] and not calls["span"] and not calls["sketch"]
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     @pytest.mark.parametrize("input_dim", [16, 4])
@@ -1216,34 +1246,49 @@ class MemberNetwork(DenseNetwork):
     """A driver's member made dense, from the member's own draws.
 
     Layers up to l0 are W^l = xi^l zhat^{l-1 T}, with (xi^l, b^l) the
-    member's conditional draws and zhat^{l-1} the unit activation that
-    reaches layer l, so W^l z^{l-1} = |z^{l-1}| xi^l.  Other layers are the
-    member's own matrices.  The explicit-network functions run on it as on
-    any ``NetworkParams``.
+    member's lean draws and zhat^{l-1} the unit activation that reaches
+    layer l, so W^l z^{l-1} = |z^{l-1}| xi^l.  Above l0 the member's tangent
+    starts at its sketch ``V``, and W^l = Xi^l R A^+ for A = [z^{l-1},
+    B^{l-1} T^{l-1} V] composed densely, (Xi^l, b^l) the member's span
+    draw and R = ``_span_root`` of A's columns: so W^l A = Xi^l R, the
+    member's sample, whatever the rank of A (R's rows lie in A's row
+    space).  The explicit-network functions run on it as on any
+    ``NetworkParams``.
     """
 
     def __init__(self, cfg: EnsembleConfig, l0: int, member: int = 0):
         self.params = NetworkParams.draw(cfg.layer_dims, cfg.seed, member)
         self.layer_dims, self.depth = self.params.layer_dims, self.params.depth
         dims, hp = self.layer_dims, cfg.hyper
+        k = min(_SKETCH, dims[l0])
+        self.V = self.params.sketch(l0, k)
         self.drawn = {}
-        z = resolve_input(cfg, member)
+        z, M, B = resolve_input(cfg, member), self.V, np.eye(dims[0])
         for l in range(1, self.depth + 1):
+            scale = hp.sigma_w / math.sqrt(dims[l - 1])
             if l <= l0:
                 xi, b = self.params.conditional(l)
                 size = np.linalg.norm(z)
-                W = np.outer(xi, z / size if size else z)
+                W = np.outer(xi[:, 0], z / size if size else z)
             else:
-                W, b = self.params.layer(l)
+                F = B @ M  # B^{l-1} T^{l-1} V, with T^{l0} V = V
+                xi, b = self.params.conditional(l, k)
+                # a rank-deficient A (zero input, z in the span of F) leaves
+                # singular values at rounding: cut them off, as R does
+                W = xi @ _span_root(z, F) @ np.linalg.pinv(np.column_stack([z, F]), rcond=1e-10)
+                M = scale * W @ F
             self.drawn[l] = (W, b)
-            h = hp.sigma_w / math.sqrt(dims[l - 1]) * (W @ z) + hp.sigma_b * b
+            h = scale * (W @ z) + hp.sigma_b * b
             z = _Block(cfg.act, cfg.norm, cfg.groups, h).z
+            B = dense_block(cfg.act, cfg.norm, cfg.groups, h)[0]
 
 
 def dense_carried(net, cfg, x, l0, l):
-    """B^{l-1} T^{l-1} of an explicit network as a dense matrix: T^{l-1} = d
-    h^{l-1} / d h^{l0} composed from :func:`dense_block` and the drawn
-    weights, T^{l0} = I and B^0 = I.  A single J^{l0, l} of the network is
+    """B^{l-1} T^{l-1} of a :class:`MemberNetwork` as a dense matrix: T^{l-1}
+    = (d h^{l-1} / d h^{l0}) V composed from :func:`dense_block` and the
+    drawn weights, with the member's sketch V and B^0 = I, and T^{l0} = I
+    at l = l0 + 1, whose mean the drivers read off the block exactly.  A
+    single J^{l0, l} of the network, with its tangent started there, is
     (sigma_w^2 / N_l) |W^l (B T) / sqrt(N_{l-1})|_F^2."""
     dims, hp = net.layer_dims, cfg.hyper
     hs = forward(net, cfg.act, hp, cfg.norm, x, cfg.groups)
@@ -1251,7 +1296,7 @@ def dense_carried(net, cfg, x, l0, l):
     def block(m):
         return dense_block(cfg.act, cfg.norm, cfg.groups, hs[m])[0] if m else np.eye(dims[0])
 
-    M = np.eye(dims[l0])
+    M = net.V if l > l0 + 1 else np.eye(dims[l0])
     for m in range(l0 + 1, l):
         M = hp.sigma_w / math.sqrt(dims[m - 1]) * net.layer(m)[0] @ (block(m - 1) @ M)
     return block(l - 1) @ M
@@ -1277,17 +1322,79 @@ class TestConditionalLaw:
 
     def test_conditional_draw_is_two_blocks_from_the_layer_stream(self):
         params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
-        xi, b = params.conditional(2)
-        rng = np.random.Generator(np.random.PCG64(params.streams[1]))
-        both = rng.standard_normal(6)
-        assert xi.shape == b.shape == (3,)
-        assert np.array_equal(xi, both[:3]) and np.array_equal(b, both[3:])
-        # the one call reads the stream as a call for xi, then one for b
-        rng = np.random.Generator(np.random.PCG64(params.streams[1]))
-        two = rng.standard_normal(3), rng.standard_normal(3)
-        assert xi.tobytes() == two[0].tobytes() and b.tobytes() == two[1].tobytes()
-        # xi opens the stream the weights open: the first row-major entries of W^2
-        assert np.array_equal(xi, params.layer(2)[0].ravel()[:3])
+        for k in (0, 2):
+            xi, b = params.conditional(2, k)
+            rng = np.random.Generator(np.random.PCG64(params.streams[1]))
+            both = rng.standard_normal(3 * (k + 2))
+            assert xi.shape == (3, k + 1) and b.shape == (3,)
+            assert np.array_equal(xi.ravel(), both[:3 * (k + 1)])
+            assert np.array_equal(b, both[3 * (k + 1):])
+            # the one call reads the stream as a call for Xi, then one for b
+            rng = np.random.Generator(np.random.PCG64(params.streams[1]))
+            two = rng.standard_normal((3, k + 1)), rng.standard_normal(3)
+            assert xi.tobytes() == two[0].tobytes() and b.tobytes() == two[1].tobytes()
+            # Xi opens the stream the weights open: the first entries of W^2
+            assert np.array_equal(xi.ravel(), params.layer(2)[0].ravel()[:3 * (k + 1)])
+        assert params.conditional(2)[0].tobytes() == params.conditional(2, 0)[0].tobytes()
+
+    @pytest.mark.parametrize("zero_column", [False, True])
+    def test_span_root_factors_the_gram(self, zero_column):
+        rng = np.random.default_rng(5)
+        F = rng.normal(size=(40, 6)) * np.logspace(-6, 2, 6)  # graded column scales
+        z = F @ rng.normal(size=6)  # rank-deficient: z in the span of F
+        if zero_column:
+            F[:, 2] = 0.0
+        A = np.column_stack([z, F])
+        R = _span_root(z, F)
+        G = A.T @ A
+        d = np.sqrt(np.diag(G))
+        # every entry to rounding relative to its own columns' sizes
+        assert np.all(np.abs(R.T @ R - G) <= 1e-13 * np.outer(d, d) + 1e-300)
+        # R has A's rank, and a zero column of A gives exactly a zero column
+        scaled = R / np.where(d > 0, d, 1.0)
+        assert np.linalg.matrix_rank(scaled, tol=1e-8) == np.linalg.matrix_rank(A)
+        if zero_column:
+            assert not R[:, 3].any()
+
+    def test_span_root_moves_with_its_columns(self):
+        # z orthogonal to F, as post-LN leaves it, so z^T F is rounding: a
+        # 1e-15 change of z flips eigh's eigenvector signs (an R of the form
+        # diag(sqrt e) V^T moved by up to 30 in 200 draws), the principal
+        # root by rounding only
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            F = rng.normal(size=(40, 6))
+            z = rng.normal(size=40)
+            z -= F @ np.linalg.lstsq(F, z, rcond=None)[0]
+            R = _span_root(z, F)
+            moved = _span_root(z + 1e-15 * rng.normal(size=40), F)
+            assert np.abs(moved - R).max() <= 1e-12 * np.abs(R).max()
+
+    @pytest.mark.parametrize("n, k", [(10, 4), (24, 16), (4, 4)])
+    def test_sketch_is_scaled_orthonormal_from_a_stream_of_its_own(self, n, k):
+        # V^T V = (N_{l0} / k) I, so E V V^T = I; at k = N_{l0}, V is orthogonal
+        params = NetworkParams.draw([n, 7, 6], seed=17, init_index=1)
+        V = params.sketch(0, k)
+        assert V.shape == (n, k)
+        assert np.allclose(V.T @ V, (n / k) * np.eye(k), rtol=0, atol=1e-13 * n / k)
+        if k == n:
+            assert np.allclose(V @ V.T, np.eye(n), rtol=0, atol=1e-13)
+        assert V.tobytes() == params.sketch(0, k).tobytes()
+        # keyed by (seed, member) alone: the same for any l0 of that width
+        assert V.tobytes() == NetworkParams.draw([7, n, 5], seed=17, init_index=1).sketch(1, k).tobytes()
+        # its normals are no layer's, reverse draw's, input's or other member's
+        gauss = np.linalg.qr(V)[0]  # the same columns, up to signs
+        seen = [a.ravel() for l in (1, 2) for a in params.layer(l)]
+        seen += [params.reverse(l, 3).ravel() for l in (1, 2)]
+        cfg = EnsembleConfig(width=7, input_dim=n, depth=2, n_init=1, seed=17,
+                             hyper=Hyper(1.0, 0.0))
+        seen += [resolve_input(cfg, 1), resolve_input(cfg, 0)]
+        seen.append(NetworkParams.draw([n, 7, 6], seed=17, init_index=2).sketch(0, k).ravel())
+        own = np.random.SeedSequence(17, spawn_key=(3, 1))
+        draw = np.random.Generator(np.random.PCG64(own)).standard_normal((n, k))
+        assert np.allclose(np.abs(gauss.T @ np.linalg.qr(draw)[0]), np.eye(k), atol=1e-12)
+        assert not np.isin(draw, np.concatenate(seen)).any()
+        assert not np.isin(V, np.concatenate(seen)).any()
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     @pytest.mark.parametrize("groups", [1, 2])
@@ -1340,17 +1447,19 @@ class TestConditionalLaw:
 
     @pytest.mark.parametrize("norm", ALL_MODES)
     @pytest.mark.parametrize("groups", [1, 2])
-    @pytest.mark.parametrize("act, hp, source", [
-        (GELU, Hyper(1.3, 0.4), ("gaussian", 0.0, 1.0)),
-        (RELU, Hyper(1.4, 0.0), ("gaussian", 0.0, 1.0)),
-        (GELU, Hyper(1.3, 0.4), ("array", (0.0,) * 4)),
-    ], ids=["gelu", "relu-sb0", "zero-input"])
-    def test_thin_network_reproduces_a_member(self, norm, groups, act, hp, source):
+    @pytest.mark.parametrize("act, hp, source, n0", [
+        (GELU, Hyper(1.3, 0.4), ("gaussian", 0.0, 1.0), 4),
+        (RELU, Hyper(1.4, 0.0), ("gaussian", 0.0, 1.0), 4),
+        (GELU, Hyper(1.3, 0.4), ("array", (0.0,) * 4), 4),
+        (RELU, Hyper(1.4, 0.0), ("gaussian", 0.0, 1.0), 40),
+    ], ids=["gelu", "relu-sb0", "zero-input", "relu-sb0-sketched"])
+    def test_thin_network_reproduces_a_member(self, norm, groups, act, hp, source, n0):
         # 4 input columns on width 48: the tangent of J^{0,l} is 4 columns
-        # wide, z lies in their span for a vanilla ReLU, and a zero input
-        # leaves only the biases.  Every single J^{0,l} is the member
-        # network's (sigma_w^2 / N_{l-1}) |B T|_F^2, exactly sigma_w^2 at l = 1
-        cfg = self._cfg(width=48, input_dim=4, act=act, hyper=hp, norm=norm,
+        # wide (V orthogonal), z lies in their span for a vanilla ReLU, and a
+        # zero input leaves only the biases; 40 input columns are sketched
+        # to 8.  Every single J^{0,l} is the member network's (sigma_w^2 /
+        # N_{l-1}) |B T V|_F^2, exactly sigma_w^2 at l = 1
+        cfg = self._cfg(width=48, input_dim=n0, act=act, hyper=hp, norm=norm,
                         groups=groups, input_source=source)
         x = resolve_input(cfg, 0)
         dense = MemberNetwork(cfg, 0)
@@ -1389,6 +1498,27 @@ class TestConditionalLaw:
                              hyper=hp, norm=norm, act=act)
         (members,) = _swept([cfg], 3, 5)
         self._same_mean(members[:, 5], self._dense_members(cfg, 3, 5))
+
+    @pytest.mark.parametrize("norm", ALL_MODES)
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_sketched_profile_means_match_explicit_members(self, norm, groups):
+        # 40 input columns sketched to 8: a member is the conditional mean
+        # over W^l given V and the layers below, so only the means compare,
+        # against explicit row-block members on another seed
+        assert _SKETCH < 40
+        cfg = EnsembleConfig(width=24, input_dim=40, depth=4, n_init=500, seed=3,
+                             hyper=Hyper(1.3, 0.3), act=GELU, norm=norm, groups=groups)
+        x = resolve_input(cfg, 0)
+        est = jacobian_profile(cfg)
+        dense = np.array([
+            partial_jacobian_norm(NetworkParams.draw(cfg.layer_dims, 1003, i), cfg.act,
+                                  cfg.hyper, norm, x, 0, 4, groups, profile=True)
+            for i in range(cfg.n_init)
+        ])
+        assert est.per_layer[1] == cfg.hyper.sw2
+        for l in (2, 3, 4):
+            se = math.hypot(est.per_layer_stderr[l], dense[:, l].std(ddof=1) / math.sqrt(500))
+            assert abs(est.per_layer[l] - dense[:, l].mean()) <= 4 * se, (l, est.per_layer[l])
 
     @pytest.mark.parametrize("act, hp, l0", [
         (ERF, Hyper(2.0, 0.3), 3),
@@ -1450,7 +1580,7 @@ class NtkMemberNetwork(DenseNetwork):
         zs, hs, vs, bs = [z], [None], [None], [None]
         for l in range(1, L + 1):
             xi, b = params.conditional(l)
-            vs.append(np.linalg.norm(z) * xi)
+            vs.append(np.linalg.norm(z) * xi[:, 0])
             bs.append(b)
             hs.append(hp.sigma_w / math.sqrt(dims[l - 1]) * vs[l] + hp.sigma_b * b)
             z = _Block(cfg.act, cfg.norm, cfg.groups, hs[l]).z
@@ -1627,6 +1757,37 @@ def test_drivers_bit_identical_across_workers_and_batches(
     for workers in (2, 3):
         got = _with_workers(workers, lambda: n0_correction_check(vanilla))
         assert np.array(astuple(got)).tobytes() == want, workers
+
+
+_PROFILE_BITS = """
+from jacprop.activations import Activation
+from jacprop.ensemble import EnsembleConfig, jacobian_profile
+from jacprop.meanfield import Hyper, NormMode
+cfgs = [EnsembleConfig(width=1000, input_dim=784, depth=6, n_init=2, seed=5,
+                       hyper=Hyper(1.3, 0.3), act=Activation.gelu(), norm=norm)
+        for norm in (NormMode.VANILLA, NormMode.PRE_LN, NormMode.POST_LN)]
+for est in jacobian_profile(cfgs):
+    print(*(float(v).hex() for v in est.per_layer[1:]),
+          *(float(v).hex() for v in est.per_layer_stderr[1:]))
+"""
+
+
+def test_sketched_profile_bits_ignore_blas_and_worker_threads():
+    # a paper-size profile, each setting in a process of its own: the
+    # sketch's small products and decompositions give the same bits on one
+    # BLAS thread or two, and on one worker or two
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(blas, workers):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, JACPROP_WORKERS=workers,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", _PROFILE_BITS], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    want = run("1", "1")
+    assert len(want.splitlines()) == 3
+    for blas, workers in (("2", "1"), ("1", "2"), ("2", "2")):
+        assert run(blas, workers) == want, (blas, workers)
 
 
 @settings(max_examples=60, deadline=None)
