@@ -213,7 +213,11 @@ def _attractor(act: Activation, hp: Hyper, k0: float) -> tuple[float, int]:
         nonlocal evals
         evals += 1
         if k < ZERO_FLOOR:
-            return sb2 + k * (d0 + c2 * k)
+            q = d0 + c2 * k
+            kq = k * q
+            if kq == 0 and k and q:  # underflowed: f keeps the sign of k q
+                kq = math.copysign(math.ulp(0.0), q)
+            return sb2 + kq
         return kernel_step(act, mode, hp, k) - k
 
     def slope(k):

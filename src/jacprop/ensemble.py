@@ -32,17 +32,13 @@ in the same pass and stops at the last layer the measurement needs.
 
 The functions that take an explicit :class:`NetworkParams`
 (:func:`forward`, :func:`partial_jacobian_norm`, :func:`empirical_ntk`)
-draw every weight, and never hold a layer whole: its stream fills one
-reused buffer a row block at a time (:meth:`NetworkParams.rows`, the bits
-of :meth:`NetworkParams.layer`), and each block gives its rows of W z and
-of W (B T) before the next block is drawn.  A block has at least as many
-rows as the tangent has columns (so the tangent GEMM stays square or
-taller) and at least 1 MB of entries; the layer splits into equal blocks
-rounded up to a multiple of 8 rows, because OpenBLAS sums a GEMV over a
-block of another height in another order, and a layer that fits in one
-block is one block.  The tangent ping-pongs between two buffers, the dead
-one taking its rank update U C and the squares for the norm.  Only the
-``weights``/``biases`` oracle properties materialize a whole network.
+draw every weight, one whole layer at a time (:meth:`NetworkParams.layer`,
+:func:`_explicit`): layer l gives W z and, above l0, W (B T) -- W itself
+at l0 = 0 -- and is released before layer l + 1 is drawn, so a function
+holds one layer and its tangents.  Before the first draw it refuses
+(``ValueError``) a network whose largest layer and full tangents would
+not fit in physical memory.  Only the ``weights``/``biases`` oracle
+properties materialize a whole network.
 
 The ensemble drivers draw only what a measurement reads, and no layer
 whole.  Given the layers below it, W^l is independent of what it
@@ -50,14 +46,13 @@ multiplies, so the rows of W^l A for any N_{l-1}-row A are iid N(0, A^T
 A): the conditional Gaussianity of Lee et al. (2018), "Deep Neural
 Networks as Gaussian Processes".  A driver measures J^{l0, m} at every
 layer m in (l0, l], a single J^{l0, l} being the last of them, in one
-rule, which its probes' one private flag (``driver``) switches on:
+rule:
 
 - the lean step on every layer at or below l0, which carries only the
   forward vector: A = z^{l-1}, so ``|z^{l-1}| xi^l`` stands in for W^l
   z^{l-1}, and ``h^l = (sigma_w / sqrt(N_{l-1})) |z^{l-1}| xi^l + sigma_b
   b^l`` from 2 N_l normals (:meth:`NetworkParams.conditional` at k = 0,
-  :meth:`_Probe.lean`).  Every probe on it shares one draw (xi^l, b^l), and
-  none readies products or buffers.
+  :meth:`_Probe.lean`).  Every probe on it shares one draw (xi^l, b^l).
 - the sketch: the tangent starts at T^{l0} = V = sqrt(N_{l0} / k) Q, not
   at I, with Q's k = min(``_SKETCH``, N_{l0}) columns Haar-orthonormal
   (:meth:`NetworkParams.sketch`).  Then E_V V V^T = I, so E_V |M V|_F^2 =
@@ -125,8 +120,7 @@ reads its layer's stream from the start, and configurations share the
 sketch and the draws (xi^l, b^l) and Xi^l, so only each one's own law is
 exact, not their joint law under one dense W^l.  The explicit-network
 functions record the sample (1/N_m) |T^m|_F^2 at every layer they draw,
-the last layer of J^{l0, l} included, and give the same bits whether the
-layers arrive in row blocks or whole.  Which layers a driver draws, and
+the last layer of J^{l0, l} included.  Which layers a driver draws, and
 how, depends only on what its configurations share, so a driver's result
 is bit-identical whether its configuration runs alone or with others
 sharing the draw, and however many worker threads evaluate the members;
@@ -143,7 +137,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -168,10 +162,6 @@ __all__ = [
 
 #: Guard added under the square root of every finite-width normalization.
 LN_EPS = 1e-12
-
-#: Least entries of a row block (1 MB): below it, per-block call overhead
-#: outgrows the memory saved.  See :func:`_block_rows`.
-_BLOCK_MIN = 1 << 17
 
 #: Input directions a driver's tangent carries above l0 (every one of a
 #: narrower layer l0): the sketch V of :meth:`NetworkParams.sketch`.  At
@@ -272,22 +262,6 @@ class NetworkParams:
         """Draw (W^l, b^l) of shapes (N_l, N_{l-1}) and (N_l,), weights first."""
         rng, dims = self._rng(l), self.layer_dims
         return rng.standard_normal((dims[l], dims[l - 1])), rng.standard_normal(dims[l])
-
-    def rows(self, l: int, buf: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """Draw W^l block by block into ``buf``, then b^l into ``b``.
-
-        Yields (first row, block) for blocks of ``buf.shape[0]`` rows (the
-        last may be shorter), each a view of ``buf`` that the next block
-        overwrites; ``b`` is filled once the last block has been taken.  The
-        stream is read in the order of :meth:`layer`, so the bits are its.
-        """
-        rng, n = self._rng(l), self.layer_dims[l]
-        height = buf.shape[0]
-        for i in range(0, n, height):
-            blk = buf[:min(height, n - i)]
-            rng.standard_normal(out=blk)
-            yield i, blk
-        rng.standard_normal(out=b)
 
     def conditional(self, l: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Draw (Xi^l, b^l) of shapes (N_l, k + 1) and (N_l,), Xi first, from
@@ -520,22 +494,6 @@ class _Block:
         return float(np.sum((G * G) * (self.y**2 + 1.0)))
 
 
-def _block_rows(n: int, m: int, k: int) -> int:
-    """Rows per block of an n x m layer whose widest product has ``k`` columns.
-
-    A block has at least ``k`` rows, so that its product with a k-column
-    tangent is a GEMM at least as tall as it is wide, and at least
-    ``_BLOCK_MIN`` entries.  The layer splits into blocks of equal height,
-    rounded up to a multiple of 8 rows: OpenBLAS sums a GEMV over a block of
-    another height in another order.  A layer that fits in one block is one.
-    """
-    want = max(k, -(-_BLOCK_MIN // m))
-    if want >= n:
-        return n
-    count = -(-n // want)
-    return min(n, -(-n // (8 * count)) * 8)
-
-
 def _scaled_eigh(G: np.ndarray, n: int) -> tuple:
     """(e, V, d) for the Gram G = A^T A of n-row columns A: the Gram scaled
     to a unit diagonal, D^-1 G D^-1 = V diag(e) V^T with D = diag(d) and d
@@ -575,11 +533,6 @@ def _span_root(z: np.ndarray, F: np.ndarray) -> np.ndarray:
     return ((V * np.sqrt(e)) @ V.T) * d
 
 
-def _view(flat: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The leading n x k block of a flat buffer, C-ordered."""
-    return flat[:n * k].reshape(n, k)
-
-
 class _Probe:
     """One measurement riding a sweep over one network's layers.
 
@@ -587,26 +540,22 @@ class _Probe:
     layer ``l0``, the tangent block T^m = d h^m / d h^{l0} (times V, for a
     driver).  It needs layers 1..``last``.  ``value`` ends as J^{l0, m} at
     every layer m in (l0, last], NaN elsewhere; with ``keep`` every
-    preactivation h^l is recorded in ``hs`` instead, and a driver's scaled
-    W^l z^{l-1} in ``wzs``.  Layers at or below ``l0`` (every layer,
-    without ``l0``) only carry its forward pass.
+    preactivation h^l is recorded in ``hs`` instead, and its scaled W^l
+    z^{l-1} in ``wzs``.  Layers at or below ``l0`` (every layer, without
+    ``l0``) only carry its forward pass.
 
-    An explicit network's probe draws every layer it needs in row blocks:
-    :meth:`start` readies a layer's products, :meth:`take` fills their rows
-    for one block and :meth:`finish` completes them, recording (1/N_m)
-    |T^m|_F^2.  The tangent lives in one of two buffers and the next
-    layer's is written into the other.
-
-    A ``driver`` probe takes each forward-only layer as one :meth:`lean`
-    step.  Above l0 it starts its tangent at the ``sketch`` V, records at
-    layer m the conditional mean over W^m, (sigma_w^2 / N_{m-1}) |B^{m-1}
-    T^{m-1}|_F^2, as :meth:`ready` forms F = B^{m-1} T^{m-1}, and takes
-    every layer below ``last`` as one span draw (:meth:`sample`), so it
-    never draws layer ``last`` (module docstring).
+    In a driver's sweep (:func:`_sweep`) a probe takes each forward-only
+    layer as one :meth:`lean` step.  Above l0 it starts its tangent at the
+    ``sketch`` V, records at layer m the conditional mean over W^m,
+    (sigma_w^2 / N_{m-1}) |B^{m-1} T^{m-1}|_F^2, as :meth:`ready` forms F
+    = B^{m-1} T^{m-1}, and takes every layer below ``last`` as one span
+    draw (:meth:`sample`), so it never draws layer ``last`` (module
+    docstring).  On an explicit network (:func:`_explicit`) it takes every
+    layer whole (:meth:`whole`) and records the sample (1/N_m) |T^m|_F^2.
     """
 
     def __init__(self, dims, act, hp, norm, groups, x, last,
-                 l0=None, driver=False, keep=False, sketch=None):
+                 l0=None, keep=False, sketch=None):
         if l0 is not None and not 0 <= l0 < last <= len(dims) - 1:
             raise ValueError(f"need 0 <= l0 < l <= {len(dims) - 1}, got l0={l0}, l={last}")
         x = np.asarray(x, dtype=float)
@@ -615,16 +564,15 @@ class _Probe:
         if not np.isfinite(x).all():
             raise ValueError("input must be finite, got NaN or inf entries")
         self.dims, self.act, self.hp, self.norm, self.groups = dims, act, hp, norm, groups
-        self.last, self.l0, self.driver, self.keep = last, l0, driver, keep
+        self.last, self.l0, self.keep = last, l0, keep
         self.sketch = sketch
         self.z = x
         self.block = None  # block on the latest preactivation
         self.T = None      # d h^{l-1} / d h^{l0} (times V)
-        self.pair, self.cur = None, 0  # an explicit tangent's buffers, T in pair[cur]
-        self.wz = self.out = self.F = None  # the layer's products, and B T
+        self.F = None      # B^{l-1} T^{l-1}, for a driver's span draw
         self.value = None if l0 is None else np.full(len(dims), np.nan)
         self.hs: list = [None]   # hs[l] = h^l, 1-indexed (with keep)
-        self.wzs: list = [None]  # wzs[l], its scaled W^l z^{l-1} (a driver's, with keep)
+        self.wzs: list = [None]  # wzs[l], its scaled W^l z^{l-1} (with keep)
 
     def lean(self, l: int, xi: np.ndarray, b: np.ndarray) -> None:
         """Advance through forward-only layer ``l`` given (xi^l, b^l) of
@@ -667,93 +615,58 @@ class _Probe:
         self.F = self.block = None
         self._advance(l, wz, b)
 
-    def start(self, l: int) -> int:
-        """Ready the products of layer ``l`` of an explicit network: W z,
-        and W (B T) above l0.  Returns the widest product's column count, 0
-        if it takes none of the layer."""
-        n, m = self.dims[l], l - 1
-        self.wz = np.empty(n) if l < self.last or self.keep else None
-        if self.l0 is None or l <= self.l0:
-            return 0 if self.wz is None else 1
-        k = self.dims[self.l0]
-        if m == self.l0:  # T^{l0} = I, and B^0 = I
-            size = max(self.dims[self.l0:self.last + 1]) * k
-            self.pair = (np.empty(size), np.empty(size))
-        if m == 0:
-            self.F = None  # W I is W, bit for bit
-        else:
-            if m == self.l0:
-                self.T = _view(self.pair[self.cur], k, k)
-                self.T.fill(0.0)
-                np.fill_diagonal(self.T, 1.0)
-            self.F = self.block.tangent(self.T, _view(self.pair[1 - self.cur], *self.T.shape))
-            # used up; holding its factors through the draw cost 2 MB of peak RSS
-            self.block = None
-        self.out = _view(self.pair[1 - self.cur], n, k)
-        return k
-
-    def take(self, i: int, blk: np.ndarray) -> None:
-        """Fill rows i.. of the layer's products from its row block ``blk``."""
-        rows = slice(i, i + blk.shape[0])
-        if self.wz is not None:
-            np.matmul(blk, self.z, out=self.wz[rows])
-        if self.out is not None:
-            if self.F is None:
-                self.out[rows] = blk
-            else:
-                np.matmul(blk, self.F, out=self.out[rows])
-
-    def finish(self, l: int, b: np.ndarray) -> None:
-        """Complete layer ``l`` from its bias draw ``b``."""
-        scale = self.hp.sigma_w / math.sqrt(self.dims[l - 1])
-        n = self.dims[l]
-        if self.out is not None:
-            T = self.out
+    def whole(self, l: int, net: NetworkParams) -> None:
+        """Advance through layer ``l`` of the explicit network ``net``,
+        drawn whole: W z (none at ``last`` without ``keep``) and, above l0,
+        T^l = W F for F = B^{l-1} T^{l-1}, formed before W is drawn, with
+        T^{l0} = I (so W itself at l0 = 0, bit for bit).  W is dropped
+        once its products are formed, before the norm (1/N_l) |T^l|_F^2
+        is taken."""
+        m, scale = l - 1, self.hp.sigma_w / math.sqrt(self.dims[l - 1])
+        above = self.l0 is not None and l > self.l0
+        if above and m:
+            T = np.eye(self.dims[m]) if m == self.l0 else self.T
+            F = self.block.tangent(T, np.empty_like(T))
+            self.T = self.block = None  # F is the tangent, updated in place
+        W, b = net.layer(l)
+        wz = W @ self.z if l < self.last or self.keep else None
+        if above:
+            T = W if m == 0 else W @ F
+            W = F = None
             T *= scale
-            TT = _view(self.pair[self.cur], *T.shape)  # the dead buffer
-            self.value[l] = float(np.sum(np.multiply(T, T, out=TT))) / n
-            self.T, self.cur = T, 1 - self.cur
-        if self.wz is not None:
-            self.wz *= scale
-            self._advance(l, self.wz, b)
-        self.wz = self.out = self.F = None
+            self.value[l] = float(np.sum(T * T)) / self.dims[l]
+            self.T = T
+        if wz is not None:
+            wz *= scale
+            self._advance(l, wz, b)
 
     def _advance(self, l: int, wz: np.ndarray, b: np.ndarray) -> None:
         """Set h^l from its scaled weight term ``wz`` and the bias draw."""
         h = wz + self.hp.sigma_b * b
         if self.keep:
             self.hs.append(h)
-            if self.driver:
-                self.wzs.append(wz)
+            self.wzs.append(wz)
         if l < self.last:
             self.block = _Block(self.act, self.norm, self.groups, h)
             self.z = self.block.z
 
 
 def _sweep(net: NetworkParams, probes: list) -> None:
-    """Advance every probe through layers 1.. of the network ``net`` in one
-    pass.
+    """Advance every driver probe through layers 1.. of the network ``net``
+    in one pass.
 
-    The driver probes that only carry the forward vector through layer l
-    share one lean step on ``net.conditional(l)``, and those that carry
-    the k tangent columns of their shared sketch through it share one span
-    draw ``net.conditional(l, k)``.  The explicit probes take layer l's row blocks from ``net.rows(l,
-    buf, b)``, as :meth:`NetworkParams.rows` gives them.  That is called at
-    most once per layer, only for a layer whose products some probe takes,
-    with one buffer that every layer reuses, of :func:`_block_rows` rows
-    for the widest product a probe takes.  Every draw reads layer l's
-    stream from the start.
+    The probes that only carry the forward vector through layer l share
+    one lean step on ``net.conditional(l)``, and those that carry the k
+    tangent columns of their shared sketch through it share one span draw
+    ``net.conditional(l, k)``.  Every draw reads layer l's stream from the
+    start.
     """
-    dims = probes[0].dims
-    flat = np.empty(0)
     for l in range(1, max(p.last for p in probes) + 1):
-        lean, span, active = [], [], []
+        lean, span = [], []
         for p in probes:
             if l > p.last:
                 continue
-            if not p.driver:
-                active.append(p)
-            elif p.l0 is None or l <= p.l0:
+            if p.l0 is None or l <= p.l0:
                 lean.append(p)
             elif p.ready(l):
                 span.append(p)
@@ -765,23 +678,23 @@ def _sweep(net: NetworkParams, probes: list) -> None:
             xi, b = net.conditional(l, span[0].F.shape[1])
             for p in span:
                 p.sample(l, xi, b)
-        widths = [p.start(l) for p in active]
-        active = [p for p, k in zip(active, widths) if k]
-        if not active:
-            flat = np.empty(0)
-            continue
-        n, m = dims[l], dims[l - 1]
-        h = _block_rows(n, m, max(widths))
-        if flat.size < h * m:
-            flat = None  # released before its successor is allocated
-            flat = np.empty(h * m)
-        b = np.empty(n)
-        for i, blk in net.rows(l, _view(flat, h, m), b):
-            for p in active:
-                p.take(i, blk)
-        del blk  # a view that would keep a replaced buffer alive
-        for p in active:
-            p.finish(l, b)
+
+
+def _explicit(net: NetworkParams, probe: _Probe) -> None:
+    """Advance ``probe`` through layers 1..``last`` of the explicit network
+    ``net``, one whole layer at a time (:meth:`_Probe.whole`).
+
+    First it refuses a network that would not fit in physical memory: its
+    largest layer drawn, with the biases, and two N x N_{l0} tangents (F
+    and W F), N the widest layer.
+    """
+    dims, last = probe.dims, probe.last
+    k = 0 if probe.l0 is None else dims[probe.l0]
+    layer = max(dims[l] * (dims[l - 1] + 1) for l in range(1, last + 1))
+    _refuse_beyond_memory(8 * (layer + 2 * k * max(dims[:last + 1])),
+                          "one whole layer and its full tangents")
+    for l in range(1, last + 1):
+        probe.whole(l, net)
 
 
 def forward(
@@ -800,7 +713,7 @@ def forward(
     """
     probe = _Probe(params.layer_dims, act, hp, norm, groups, x,
                    last=params.depth, keep=True)
-    _sweep(params, [probe])
+    _explicit(params, probe)
     return probe.hs
 
 
@@ -825,7 +738,7 @@ def partial_jacobian_norm(
     after ``l`` are never drawn.
     """
     probe = _Probe(params.layer_dims, act, hp, norm, groups, x, l, l0)
-    _sweep(params, [probe])
+    _explicit(params, probe)
     return probe.value if profile else float(probe.value[l])
 
 
@@ -930,12 +843,18 @@ def _check_fits(cfgs: list, l0: int | None, l: int) -> None:
     members would not fit in physical memory, before any is drawn: every
     worker thread holds one member (:func:`_member_bytes`)."""
     workers = _workers()
-    need = _member_bytes(cfgs, l0, l) * workers
+    _refuse_beyond_memory(_member_bytes(cfgs, l0, l) * workers,
+                          f"{workers} worker(s) x one member")
+
+
+def _refuse_beyond_memory(need: int, held: str) -> None:
+    """Raise ``ValueError`` if ``need`` bytes, which ``held`` names, exceed
+    physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
-            f"the run would hold about {need / 2**30:.3g} GiB ({workers} worker(s) "
-            f"x one member), more than the {have / 2**30:.3g} GiB of physical memory"
+            f"the run would hold about {need / 2**30:.3g} GiB ({held}), "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -955,7 +874,7 @@ def _swept(cfgs: list, l0: int, l: int) -> list:
     def measure(params, xs):
         V = params.sketch(l0, k) if l > l0 + 1 else None
         probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
-                         cfg.groups, x, l, l0, driver=True, sketch=V)
+                         cfg.groups, x, l, l0, sketch=V)
                   for cfg, x in zip(cfgs, xs)]
         _sweep(params, probes)
         return [p.value for p in probes]
@@ -1019,7 +938,7 @@ def _ntk_members(cfg: EnsembleConfig) -> np.ndarray:
 
     def measure(params, xs):
         probe = _Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm, cfg.groups,
-                       xs[0], last=L, driver=True, keep=True)
+                       xs[0], last=L, keep=True)
         _sweep(params, [probe])
 
         def gw(l, G, z):
@@ -1174,8 +1093,8 @@ def empirical_ntk(
     Sums squared gradients over every weight, bias and (for LayerNorm
     modes) gain/shift parameter via one backward sweep of all N_L rows of
     the partial Jacobians through every drawn weight, each block stepped
-    through its factors.  The forward pass streams the layers as
-    :func:`forward` does, and the way down draws each W^l again, so it
+    through its factors.  The forward pass draws the layers one at a time
+    as :func:`forward` does, and the way down draws each W^l again, so it
     holds one weight matrix at a time; its cost grows with width^3, so
     networks wider than 256 or deeper than 12 are refused.
     """
@@ -1187,7 +1106,7 @@ def empirical_ntk(
             f"{_NTK_MAX_DEPTH}, got width {max(dims)} and depth {L}"
         )
     probe = _Probe(dims, act, hp, norm, groups, x, last=L, keep=True)
-    _sweep(params, [probe])
+    _explicit(params, probe)
     return _ntk_sum(probe, np.asarray(x, dtype=float), np.eye(dims[L]),
                     lambda l, G, z: (hp.sigma_w / math.sqrt(dims[l - 1]))
                     * (G @ params.layer(l)[0]))

@@ -414,9 +414,13 @@ class TestFixedPointOracles:
         (ERF, float.fromhex("0x1.c5bf891b4ef6cp-1"), 1.2770692017602304e-33, 0.0,
          1.6852933562737518e-16),
         (GELU, 2.0, 0.0, 1e-20, math.inf),
+        (GELU, math.nextafter(2.0, 3.0), 0.0, 5e-324, math.inf),
+        (GELU, math.nextafter(2.0, 3.0), 0.0, 1e-320, math.inf),
+        (GELU, math.nextafter(2.0, 3.0), 0.0, 1e-310, math.inf),
     ], ids=["runaway", "slow-fall", "off-zero", "ghost", "neutral-zero",
             "near-erf-critical-20", "near-erf-critical-300", "near-erf-critical-bias",
-            "neutral-climb"])
+            "neutral-climb", "subnormal-climb-324", "subnormal-climb-320",
+            "subnormal-climb-310"])
     def test_where_picard_gave_no_verdict(self, act, sigma_w, sigma_b, k_init, k_star):
         # The former solver reported a root that Picard moves away from:
         # its Newton polish jumped back to 9.98 (runaway) and to 1404.7
@@ -435,7 +439,11 @@ class TestFixedPointOracles:
         # float map rounds: the solver's root was 2.22e-16, past it
         # (near-erf-critical-bias).  At sigma_w = 2, g - K = 6 K^2 / pi is
         # lost in rounding at 1e-20, where Picard's first step stops; the
-        # Picard oracle read that stop as a zero root (neutral-climb).
+        # Picard oracle read that stop as a zero root (neutral-climb).  One
+        # ulp above sigma_w = 2, g - K = d K + 6 K^2 / pi with d = 4.4e-16
+        # is positive at every K > 0, but at a subnormal k_init the Taylor
+        # branch's K (d + c K) underflowed to zero, which the solver took for
+        # a root at k_init (subnormal-climb).
         hp = Hyper(sigma_w, sigma_b)
         fp = find_fixed_point(act, NormMode.VANILLA, hp, k_init=k_init)
         assert picard_fixed_point(act, hp, k_init) is None

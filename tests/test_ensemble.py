@@ -26,7 +26,6 @@ from jacprop.ensemble import (
     NetworkParams,
     _SKETCH,
     _Block,
-    _block_rows,
     _check_fits,
     _compose,
     _gn_stats,
@@ -965,11 +964,11 @@ class TestStreaming:
         (NormMode.POST_LN, "0x1.57fe567ff9264p+8"),
     ], ids=["vanilla", "pre-ln", "post-ln"])
     def test_explicit_ntk_peak_memory_below_eight_layers(self, norm, bits):
-        # the dense NTK streams its forward pass and reads each W^l again on
-        # the way down, so it holds one weight matrix at a time: 3.1 layers
-        # measured vanilla and 5.2 in the normalizing modes (the forward
-        # record and all N_L gradient rows), where a copy of the network
-        # held 14-17; the value keeps the bits it had with that copy
+        # the dense NTK draws its forward pass a layer at a time and each W^l
+        # again on the way down, so it holds one weight matrix at a time:
+        # 3.1 layers measured vanilla and 5.3 in the normalizing modes (the
+        # forward record and all N_L gradient rows), where a copy of the
+        # network held 14-17; the value keeps the bits it had with that copy
         import tracemalloc
 
         params = NetworkParams.draw([256] + [256] * 12, seed=3)
@@ -1054,31 +1053,61 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 8e6, peak
 
-    def test_width_4096_profile_streams_a_square_layer_below_8_mb(self):
-        # an explicit depth-3 profile draws layers 2 and 3, 4096 x 4096 (134
-        # MB) each, in blocks of 32 rows (1 MB) beside two 0.5 MB tangents
+    @pytest.mark.parametrize("l0, layers", [(0, 1.25), (1, 3.25)])
+    def test_explicit_profile_holds_one_layer_at_a_time(self, l0, layers):
+        # each layer is drawn whole, 1024 x 1024 (8.4 MB), and dropped once
+        # its products are formed, before the next is drawn: 1.03 layers
+        # measured at the peak from l0 = 0.  From l0 = 1 the tangent is
+        # 1024 x 1024 too, and two of them sit beside the layer: 3.0
+        # measured, where W kept through the norm's squares gave 4.0
         import tracemalloc
 
-        assert _block_rows(4096, 4096, 16) * 4096 * 8 == 2**20
-        params = NetworkParams.draw([16, 4096, 4096, 4096], seed=3)
+        params = NetworkParams.draw([16, 1024, 1024, 1024, 1024], seed=3)
         x = np.random.default_rng(4).normal(size=16)
+        layer_bytes = 1024 * 1024 * 8
         ERF(np.zeros(1))  # scipy's erf loads outside the traced run
         tracemalloc.start()
         try:
-            partial_jacobian_norm(params, ERF, Hyper(1.0, 0.0), NormMode.VANILLA, x, 0, 3,
+            partial_jacobian_norm(params, ERF, Hyper(1.0, 0.0), NormMode.VANILLA, x, l0, 4,
                                   profile=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6, peak
+        assert peak < layers * layer_bytes, peak / layer_bytes
+
+    def test_explicit_network_too_large_refused_before_drawing(self, monkeypatch):
+        # a 2^31-wide handle allocates nothing; drawing a layer of it would fail
+        import tracemalloc
+
+        def never(self, l):
+            raise AssertionError(f"layer {l} drawn")
+
+        monkeypatch.setattr(NetworkParams, "layer", never)
+        params = NetworkParams.draw([4, 2**31, 2**31, 4], seed=0)
+        x, hp = np.ones(4), Hyper(1.0, 0.0)
+        tracemalloc.start()
+        try:
+            for run in (lambda: forward(params, ERF, hp, NormMode.VANILLA, x),
+                        lambda: partial_jacobian_norm(params, ERF, hp, NormMode.PRE_LN, x, 0, 3,
+                                                      profile=True),
+                        lambda: partial_jacobian_norm(params, ERF, hp, NormMode.VANILLA, x, 2, 3)):
+                with pytest.raises(ValueError, match=r"about [0-9.e+]+ GiB .* physical memory"):
+                    run()
+            # the exact NTK's size guard refuses it first
+            with pytest.raises(ValueError, match="width 256"):
+                empirical_ntk(params, ERF, hp, NormMode.VANILLA, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @staticmethod
     def _count_draws(monkeypatch) -> dict:
-        """Record the layer of every whole (``rows``), lean (``conditional``
+        """Record the layer of every whole (``layer``), lean (``conditional``
         at k = 0) and span (``span``: ``conditional`` at k > 0) draw, and
         the l0 of every sketch."""
-        calls = {"rows": [], "conditional": [], "span": [], "sketch": []}
-        for name in ("rows", "conditional", "sketch"):
+        calls = {"layer": [], "conditional": [], "span": [], "sketch": []}
+        for name in ("layer", "conditional", "sketch"):
             def counted(self, l, *args, name=name, draw=getattr(NetworkParams, name)):
                 span = name == "conditional" and args and args[0] > 0
                 calls["span" if span else name].append(l)
@@ -1099,14 +1128,14 @@ class TestStreaming:
         assert sorted(calls["span"]) == sorted(list(range(l0 + 1, l)) * 2)
         # one sketch per member, and none for a one-step mean
         assert calls["sketch"] == ([l0] * 2 if l > l0 + 1 else [])
-        assert not calls["rows"]
+        assert not calls["layer"]
         for name in calls:
             calls[name].clear()
         jacobian_profile(self._batch(), l0=l0)
         # a profile draws layers l0+1..L-1 in their span, and never layer L
         assert sorted(calls["conditional"]) == sorted(list(range(1, l0 + 1)) * 2)
         assert sorted(calls["span"]) == sorted(list(range(l0 + 1, 6)) * 2)
-        assert not calls["rows"]
+        assert not calls["layer"]
 
     def test_explicit_networks_draw_every_weight(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
@@ -1117,9 +1146,9 @@ class TestStreaming:
             partial_jacobian_norm(params, GELU, Hyper(1.3, 0.4), norm, x, 0, 3, profile=True)
             for l0 in (0, 1, 2):
                 # the dense oracle of the drivers' means: it draws its last layer
-                calls["rows"].clear()
+                calls["layer"].clear()
                 partial_jacobian_norm(params, RELU, Hyper(1.4, 0.0), norm, x, l0, l0 + 1)
-                assert calls["rows"] == list(range(1, l0 + 2))
+                assert calls["layer"] == list(range(1, l0 + 2))
             empirical_ntk(params, GELU, Hyper(1.3, 0.4), norm, x)
         assert not calls["conditional"] and not calls["span"] and not calls["sketch"]
 
@@ -1168,78 +1197,12 @@ class TestStreaming:
             empirical_chi(self._cfg())
 
 
-class WholeLayers:
-    """A network whose layers reach the sweep whole, each as one row block."""
-
-    def __init__(self, params: NetworkParams):
-        self.params = params
-        self.layer_dims, self.depth = params.layer_dims, params.depth
-
-    def rows(self, l, buf, b):
-        W, b[:] = self.params.layer(l)
-        yield 0, W
-
-
-class TestRowBlocks:
-    """Drawn layers stream in row blocks with the bits of whole layers."""
-
-    DIMS = [24, 200, 904, 1000, 776]
-
-    def test_blocks_reproduce_the_layer_draw(self):
-        params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
-        for l in (1, 2):
-            W, bias = params.layer(l)
-            for height in (1, 3, 8, W.shape[0]):
-                got, b = np.empty_like(W), np.empty(W.shape[0])
-                starts = []
-                for i, blk in params.rows(l, np.empty((height, W.shape[1])), b):
-                    starts.append(i)
-                    got[i:i + blk.shape[0]] = blk
-                assert starts == list(range(0, W.shape[0], height))
-                assert got.tobytes() == W.tobytes() and b.tobytes() == bias.tobytes()
-
-    def test_layers_span_several_blocks(self):
-        # the oracle below sees blocks of equal height with a shorter last
-        # one, on square and non-square layers, for tangents of 24 and 200
-        dims = self.DIMS
-        for k, layers in ((24, (2, 3, 4)), (200, (2, 4))):
-            for l in layers:
-                h = _block_rows(dims[l], dims[l - 1], k)
-                assert h % 8 == 0 and dims[l] % h != 0 and h < dims[l], (k, l, h)
-
-    @pytest.mark.parametrize("norm, groups", [
-        (NormMode.VANILLA, 1), (NormMode.PRE_LN, 1), (NormMode.PRE_LN, 2),
-        (NormMode.PRE_LN, 4), (NormMode.POST_LN, 1), (NormMode.POST_LN, 2),
-        (NormMode.POST_LN, 4),
-    ])
-    def test_streamed_equals_whole_layers(self, norm, groups):
-        params = NetworkParams.draw(self.DIMS, seed=19)
-        whole = WholeLayers(params)
-        x = np.random.default_rng(20).normal(size=self.DIMS[0])
-        hp = Hyper(1.3, 0.4)
-        hs = [forward(p, GELU, hp, norm, x, groups) for p in (params, whole)]
-        assert [h.tobytes() for h in hs[0][1:]] == [h.tobytes() for h in hs[1][1:]]
-        for l0, l, profile in ((0, 4, True), (1, 4, True), (1, 4, False), (0, 3, False)):
-            got, want = (partial_jacobian_norm(p, ERF, hp, norm, x, l0, l, groups,
-                                               profile=profile) for p in (params, whole))
-            assert [float(v).hex() for v in np.ravel(got)] == \
-                [float(v).hex() for v in np.ravel(want)], (l0, l, profile)
-        for l0 in (1, 2, 3):
-            got, want = (partial_jacobian_norm(p, RELU, hp, norm, x, l0, l0 + 1, groups)
-                         for p in (params, whole))
-            assert got.hex() == want.hex(), l0
-
-
 class DenseNetwork:
-    """A network held as ``drawn[l] = (W^l, b^l)``, each layer reaching the
-    sweep whole, as one row block."""
+    """A network held as ``drawn[l] = (W^l, b^l)``, which the
+    explicit-network functions draw as they draw any layer."""
 
     def layer(self, l):
         return self.drawn[l]
-
-    def rows(self, l, buf, b):
-        W, b[:] = self.drawn[l]
-        yield 0, W
 
 
 class MemberNetwork(DenseNetwork):
@@ -1504,7 +1467,7 @@ class TestConditionalLaw:
     def test_sketched_profile_means_match_explicit_members(self, norm, groups):
         # 40 input columns sketched to 8: a member is the conditional mean
         # over W^l given V and the layers below, so only the means compare,
-        # against explicit row-block members on another seed
+        # against explicit members on another seed
         assert _SKETCH < 40
         cfg = EnsembleConfig(width=24, input_dim=40, depth=4, n_init=500, seed=3,
                              hyper=Hyper(1.3, 0.3), act=GELU, norm=norm, groups=groups)
@@ -1661,7 +1624,7 @@ class TestReverseSpanNtk:
         if groups <= 2:  # 32 groups compose 256 x 128 factors
             assert peak < 256 * 256 * 8, peak
         # every layer, in both runs, is a lean step: no weight matrix is drawn
-        assert not calls["rows"]
+        assert not calls["layer"]
         assert sorted(calls["conditional"]) == sorted(list(range(1, 13)) * 2)
 
     def test_oversize_run_refused_naming_its_size(self):
