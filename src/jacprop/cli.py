@@ -8,7 +8,12 @@ file passed via ``--config`` overrides the corresponding flags of the
 chosen subcommand, each value checked by the flag's own type and choices
 (a switch takes only true/false; any other key or a bad value is a usage
 error), and the ``JACPROP_WORKERS`` environment variable (a positive
-integer) caps ensemble worker threads.
+integer, by default the CPUs the process may use) caps the worker
+processes that evaluate an ensemble's members, never more than one per
+member.  The JSON of ``mc chi``, ``mc profile`` and ``mc ntk`` records
+``workers``, the processes that evaluated the members, and
+``members_in_processes``, false when they ran in the calling process
+(one worker, or no pool could start).
 """
 
 from __future__ import annotations
@@ -278,6 +283,8 @@ def _cmd_mc(args) -> int:
             "err_corrected": rep.err_corrected,
             "err_uncorrected": rep.err_uncorrected,
         }
+    if args.task != "n0check":
+        payload.update(workers=est.workers, members_in_processes=est.workers > 1)
     with _open_out(args) as out:
         _emit_json(out, f"mc {args.task}", config, payload)
     return 0

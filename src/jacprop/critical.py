@@ -153,19 +153,21 @@ def find_fixed_point(
 DOUBLE_ROOT = 1e-10
 #: Brent's absolute tolerance on a kernel, far below :data:`ZERO_FLOOR`, so
 #: its relative one, 4 eps, rules every kernel above that.  Bisecting a
-#: bracket [lo, 4] to it takes about 100 halvings; without it, a root near
+#: bracket [0, 4] to it takes about 100 halvings; without it, a root near
 #: 1e-168 in [0, 1] would take about 600, past :data:`_KERNEL_MAXITER`.
 _KERNEL_XTOL = 1e-30
 #: Brent's iteration cap on a kernel.  Next to the erf critical point
-#: (sigma_w a few ulps above sqrt(pi / 4), sigma_b = 0), zero is barely
-#: repelling, so a climb from a tiny k_init meets a root near 1e-16 to
-#: 1e-13: Brent bisects [k_init, 4] down to it, and where g - K is rounding
-#: (above :data:`ZERO_FLOOR`) interpolates on noise, to 4 eps relative.
-#: Over 800 000 solves of erf and GELU next to their critical sigma_w that
-#: took up to 172 iterations on the float map throughout, and takes up to
-#: 135 over 20 000 with its Taylor polynomial below ZERO_FLOOR (a cap of
-#: 100, as scipy's, left 3 % of the former unsolved).  A solve that
-#: converges within 100 iterations is unchanged.
+#: (sigma_w a few ulps above sqrt(pi / 4), sigma_b = 0 or tiny), zero is
+#: barely repelling, so a climb meets a root near 1e-16 to 1e-13, where g -
+#: K is rounding (above :data:`ZERO_FLOOR`) and Brent bisects, to 4 eps
+#: relative.  From a tiny k_init, :func:`_root` first narrows [k_init, 4]
+#: to a span a factor 4 wide, so Brent takes up to 47 iterations there,
+#: where it took up to 135 on all of [k_init, 4]; a bracket from zero (from
+#: k_init = 0, or a fall from above) it still bisects whole, in up to 131.
+#: Over 800 000 solves of erf and GELU next to their critical sigma_w the
+#: whole bracket took up to 172 iterations (a cap of 100, as scipy's, left
+#: 3 % of them unsolved).  A solve that converges within 100 iterations is
+#: unchanged.
 _KERNEL_MAXITER = 400
 
 #: The one zero of each smooth family's curvature moments, filled on first use.
@@ -322,8 +324,13 @@ def _root(fn, a: float, f_a: float, b: float = OVERFLOW, f_b: float | None = Non
     does not know it.  Brent bisects a wide bracket a factor 2 at a time,
     so a bracket wider than ``4 max(lo, 1)`` from its lower end ``lo`` is
     first narrowed to one that wide, by growing from ``lo`` by factors of
-    4.  One Brent solve, given the values at both ends, then finds the
-    root to rounding.
+    4.  If ``lo`` is positive, it is then narrowed toward ``lo`` too, by
+    factors of 4 from its upper end, to the first span a factor 4 wide
+    that holds the root: a root far below the upper end, where ``fn`` may
+    be rounding, would otherwise cost Brent a halving per factor 2.  A
+    bracket from zero gives that walk no end to stop at, and is left to
+    Brent.  One Brent solve, given the values at both ends, then finds
+    the root to rounding.
     """
     if f_b is None:
         f_b = fn(b)
@@ -337,6 +344,14 @@ def _root(fn, a: float, f_a: float, b: float = OVERFLOW, f_b: float | None = Non
             hi, f_hi = x, fx
             break
         lo, f_lo, x = x, fx, 4.0 * x
+    x = hi / 4.0
+    while x > lo > 0:
+        fx = fn(x)
+        if fx == 0 or (fx < 0) != (f_lo < 0):
+            hi, f_hi, x = x, fx, x / 4.0
+        else:
+            lo, f_lo = x, fx
+            break
     return _brentq(fn, lo, f_lo, hi, f_hi, xtol=_KERNEL_XTOL, maxiter=_KERNEL_MAXITER)[0]
 
 

@@ -26,9 +26,10 @@ Jacobian: tangents ``lam T + U (V^T T)``, the NTK's gradient rows ``A lam
 builds each stage as an explicit matrix.
 
 Every measurement is one forward sweep over the layers.  A member's
-:class:`NetworkParams` holds only one seed stream per layer; the sweep
-draws layer l just before it uses it, carries the tangent block from l0
-in the same pass and stops at the last layer the measurement needs.
+:class:`NetworkParams` holds only its seed and index, from which each
+layer derives a seed stream of its own; the sweep draws layer l just
+before it uses it, carries the tangent block from l0 in the same pass
+and stops at the last layer the measurement needs.
 
 The functions that take an explicit :class:`NetworkParams`
 (:func:`forward`, :func:`partial_jacobian_norm`, :func:`empirical_ntk`)
@@ -102,7 +103,7 @@ one span draw, and per configuration three N x k arrays and its block's
 factors): at width 1000 and N0 784 about 0.4 MB, vanilla, whatever the
 depth, where one whole layer is 8 MB and a full tangent 6.3 MB.  Before
 the first member, a driver refuses (``ValueError``) a run whose members,
-times ``JACPROP_WORKERS``, would not fit in physical memory
+one per worker process, would not fit in physical memory
 (:func:`_member_bytes`); a one-step member holds only its forward state,
 and an NTK member its forward record, 2 N_l entries per layer, plus k x N
 gradient rows and one block.
@@ -123,19 +124,23 @@ functions record the sample (1/N_m) |T^m|_F^2 at every layer they draw,
 the last layer of J^{l0, l} included.  Which layers a driver draws, and
 how, depends only on what its configurations share, so a driver's result
 is bit-identical whether its configuration runs alone or with others
-sharing the draw, and however many worker threads evaluate the members;
+sharing the draw, and however many worker processes evaluate the members;
 the sketch's products are small enough that it is also bit-identical on
-one BLAS thread or two (tested at width 1000, N0 784).  Set
-``JACPROP_WORKERS`` to a positive integer to parallelize over members;
-the process keeps one thread pool per worker count.
+one BLAS thread or two (tested at width 1000, N0 784).  A driver's members
+run in worker processes, as many as ``JACPROP_WORKERS`` names (by default
+the CPUs the process may use) and never more than one per member: each
+takes a contiguous range of members, and their rows are joined in member
+order.  The process keeps one forked pool per worker count
+(:func:`_pool`); one worker runs the members in the calling process.
 """
 
 from __future__ import annotations
 
-import functools
+import atexit
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -236,27 +241,34 @@ class EnsembleConfig:
 class NetworkParams:
     """One member's standard-normal draws, produced layer by layer.
 
-    Holds the layer sizes and one seed stream per layer; :meth:`layer`
-    draws a layer's weights and biases from its stream, identically on
-    every call.  Hyperparameter scaling happens at use.
+    Holds the layer sizes and the member's seed and index, from which each
+    layer, and the member's sketch and reverse draws, derive a seed stream
+    of their own; :meth:`layer` draws a layer's weights and biases from its
+    stream, identically on every call.  The handle holds no draw, so it is
+    cheap to make and to send to a worker process.  Hyperparameter scaling
+    happens at use.
     """
 
     layer_dims: list
-    streams: tuple  # streams[l-1] seeds layer l
+    seed: int
+    init_index: int = 0
 
     @classmethod
     def draw(cls, layer_dims: Sequence[int], seed: int, init_index: int = 0):
         """Deterministic handle; every (seed, init, layer) has its own stream."""
-        dims = list(layer_dims)
-        root = np.random.SeedSequence(seed, spawn_key=(0, init_index))
-        return cls(layer_dims=dims, streams=tuple(root.spawn(len(dims) - 1)))
+        return cls(layer_dims=list(layer_dims), seed=seed, init_index=init_index)
 
     @property
     def depth(self) -> int:
-        return len(self.streams)
+        return len(self.layer_dims) - 1
+
+    def stream(self, l: int) -> np.random.SeedSequence:
+        """Layer l's seed stream: spawn key (0, init, l - 1) of the seed, the
+        l-th child that spawning the member's root (0, init) gives."""
+        return np.random.SeedSequence(self.seed, spawn_key=(0, self.init_index, l - 1))
 
     def _rng(self, l: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.streams[l - 1]))
+        return np.random.Generator(np.random.PCG64(self.stream(l)))
 
     def layer(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (W^l, b^l) of shapes (N_l, N_{l-1}) and (N_l,), weights first."""
@@ -286,8 +298,8 @@ class NetworkParams:
         Q is the QR factor of a Gaussian draw, its column signs set by R's
         diagonal, so V V^T has mean I, and V^T V = (N_{l0} / k) I.
         """
-        s, n = self.streams[0], self.layer_dims[l0]
-        own = np.random.SeedSequence(s.entropy, spawn_key=(3, s.spawn_key[1]))
+        n = self.layer_dims[l0]
+        own = np.random.SeedSequence(self.seed, spawn_key=(3, self.init_index))
         Q, R = np.linalg.qr(np.random.Generator(np.random.PCG64(own)).standard_normal((n, k)))
         Q *= np.where(np.diag(R) < 0.0, -1.0, 1.0) * math.sqrt(n / k)
         return Q
@@ -297,8 +309,7 @@ class NetworkParams:
         per (seed, member, layer) that shares nothing with layer l's: the
         part of W^l that its forward product leaves free, as k gradient
         rows see it (:func:`_reverse_span`)."""
-        s = self.streams[l - 1]
-        own = np.random.SeedSequence(s.entropy, spawn_key=(2, *s.spawn_key[1:]))
+        own = np.random.SeedSequence(self.seed, spawn_key=(2, self.init_index, l - 1))
         return np.random.Generator(np.random.PCG64(own)).standard_normal(
             (k, self.layer_dims[l - 1]))
 
@@ -322,6 +333,9 @@ class JacobianEstimate:
     n: int
     per_layer: np.ndarray | None = None
     per_layer_stderr: np.ndarray | None = None
+    #: Processes that evaluated the members: 1 is the calling process alone
+    #: (one worker, or no pool), more are a pool's (:func:`_members`).
+    workers: int = field(default=1, compare=False)
 
 
 def resolve_input(cfg: EnsembleConfig, init_index: int = 0) -> np.ndarray:
@@ -747,8 +761,13 @@ def partial_jacobian_norm(
 
 
 def _workers() -> int:
-    """Worker threads from ``JACPROP_WORKERS`` (default 1); bad values raise."""
-    text = os.environ.get(_WORKERS_ENV, "1")
+    """Worker processes from ``JACPROP_WORKERS``, by default the CPUs this
+    process may use; bad values raise."""
+    text = os.environ.get(_WORKERS_ENV)
+    if text is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         n = int(text)
     except ValueError:
@@ -758,18 +777,137 @@ def _workers() -> int:
     return n
 
 
-@functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """One executor per worker count, kept for the life of the process: its
-    threads, and the allocator arenas they own, serve every driver call."""
-    return ThreadPoolExecutor(max_workers=workers)
+#: (process id, worker count) -> that process's kept pool, or None where
+#: none could start.  A process forked from one that holds pools inherits
+#: their entries, but not their threads: it starts pools of its own.
+_POOLS: dict = {}
+_POOLS_LOCK = threading.Lock()
 
 
-def _ensemble_map(fn: Callable[[int], object], n: int) -> list:
-    w = _workers()
-    if w == 1:
-        return [fn(i) for i in range(n)]
-    return list(_pool(w).map(fn, range(n)))
+@atexit.register
+def _drop_pools() -> None:
+    """Release the pools at exit, once their workers have ended, while the
+    modules that a pool's clean-up calls are still loaded."""
+    _POOLS.clear()
+
+
+def _pool(workers: int):
+    """One pool of ``workers`` forked processes per worker count, started on
+    first use and kept for the life of the process, or None if no pool can
+    start here (no ``fork``, no semaphores, a process limit, a process that
+    multiprocessing started), which is remembered.
+
+    Starting two workers costs 20-40 ms, and a pool started and shut down
+    in each call made the benchmark's ``mc-chi`` round 0.56 s against 0.023
+    s (2 vCPUs), so the pool is kept.  Its workers are forked, not
+    spawned: a spawned worker imports numpy afresh and re-imports the
+    caller's main module, which a script without a main guard cannot
+    survive.  A member reads nothing from the state that the fork copied:
+    its configs and network arrive as arguments.
+    """
+    key = os.getpid(), workers
+    with _POOLS_LOCK:
+        if key not in _POOLS:
+            _POOLS[key] = _start_pool(workers)
+        return _POOLS[key]
+
+
+def _start_pool(workers: int):
+    """A started pool of ``workers`` forked processes, or None."""
+    try:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if multiprocessing.parent_process() is not None:
+            # a process that multiprocessing started: a daemon may not have
+            # children, and any other joins them at exit before it would
+            # shut their pool down
+            return None
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   _end_with_parent)
+    except (ImportError, NotImplementedError, OSError, ValueError):
+        return None
+    try:
+        pool.submit(int).result()  # forks every worker now, so a failure shows here
+    except (OSError, BrokenExecutor):
+        _end(pool)  # and the workers forked before a failed fork
+        return None
+    return pool
+
+
+def _end(pool) -> None:
+    """End ``pool``'s processes now, whatever they are running."""
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
+    pool.shutdown(wait=False)
+
+
+def _end_with_parent() -> None:
+    """Pool initializer: a worker ends once its parent process has ended,
+    normally or killed.  Its parent sentinel is a pipe whose write end the
+    parent holds, with any worker forked after this one, so it reads end of
+    file once they have all ended."""
+    import multiprocessing
+
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=_exit_at_end_of_file, args=(sentinel,), daemon=True).start()
+
+
+def _exit_at_end_of_file(fd: int) -> None:
+    """End this process once ``fd``, a pipe nobody writes to, is closed."""
+    os.read(fd, 1)
+    os._exit(0)
+
+
+def _members(task: Callable, cfgs: list, l0: int | None, l: int) -> tuple[list, int]:
+    """``task(cfgs, l0, l, net)`` for every member's network ``net``, after
+    :func:`_check_fits`: one array per config, rows in member order, and the
+    number of processes that evaluated them.
+
+    ``task`` returns one row of values per config.  With more than one
+    worker (:func:`_workers`, at most one per member), the members are split
+    into contiguous ranges, one for each process of a kept pool
+    (:func:`_pool`), and their rows are joined in member order, so the
+    result has the same bits at any worker count.  Without a pool, or if
+    one of its processes dies, the members run in the calling process,
+    which counts as one worker.  A run that raises, or is interrupted,
+    ends the pool's processes rather than leave them computing members
+    that nobody reads.  The calling process makes every member's
+    :class:`NetworkParams`, a handle that draws nothing.
+    """
+    _check_fits(cfgs, l0, l)
+    first = cfgs[0]
+    n = first.n_init
+
+    def nets(start: int, stop: int):
+        return (NetworkParams.draw(first.layer_dims, first.seed, i) for i in range(start, stop))
+
+    workers = min(_workers(), n)
+    pool = _pool(workers) if workers > 1 else None
+    rows = None
+    if pool is not None:
+        bounds = [n * j // workers for j in range(workers + 1)]
+        try:
+            futures = [pool.submit(_member_rows, task, cfgs, l0, l, list(nets(a, b)))
+                       for a, b in zip(bounds, bounds[1:])]
+            rows = [row for future in futures for row in future.result()]
+        except BaseException as exc:
+            # a worker died, or the run ended early (an error, an interrupt):
+            # end the members in flight, and start afresh next time
+            with _POOLS_LOCK:
+                if _POOLS.get((os.getpid(), workers)) is pool:
+                    del _POOLS[os.getpid(), workers]
+            _end(pool)
+            if not isinstance(exc, BrokenExecutor):
+                raise
+    if rows is None:
+        workers, rows = 1, _member_rows(task, cfgs, l0, l, nets(0, n))
+    return [np.array([row[c] for row in rows]) for c in range(len(cfgs))], workers
+
+
+def _member_rows(task: Callable, cfgs: list, l0: int | None, l: int, nets) -> list:
+    """The rows of ``task`` for the member networks ``nets``, in order."""
+    return [task(cfgs, l0, l, net) for net in nets]
 
 
 #: Fields that configurations sharing one draw per member must agree on.
@@ -788,19 +926,6 @@ def _batch(cfgs) -> tuple[list, bool]:
         if differ:
             raise ValueError(f"configs sharing a draw differ in {', '.join(differ)}")
     return cfgs, False
-
-
-def _members(cfgs: list, measure: Callable) -> list:
-    """``measure(params, xs)`` for every member, ``xs`` holding each config's
-    input; returns one array per config, rows in member order."""
-    first = cfgs[0]
-
-    def one(i: int):
-        params = NetworkParams.draw(first.layer_dims, first.seed, i)
-        return measure(params, [resolve_input(cfg, i) for cfg in cfgs])
-
-    rows = _ensemble_map(one, first.n_init)
-    return [np.array([row[k] for row in rows]) for k in range(len(cfgs))]
 
 
 def _member_bytes(cfgs: list, l0: int | None, l: int) -> int:
@@ -840,9 +965,10 @@ def _rank(cfg: EnsembleConfig) -> int:
 
 def _check_fits(cfgs: list, l0: int | None, l: int) -> None:
     """Refuse a measurement of J^{l0, l} (the NTK with ``l0`` None) whose
-    members would not fit in physical memory, before any is drawn: every
-    worker thread holds one member (:func:`_member_bytes`)."""
-    workers = _workers()
+    members would not fit in physical memory, before any is drawn: each
+    worker process, at most one per member, holds one member at a time
+    (:func:`_member_bytes`)."""
+    workers = min(_workers(), cfgs[0].n_init)
     _refuse_beyond_memory(_member_bytes(cfgs, l0, l) * workers,
                           f"{workers} worker(s) x one member")
 
@@ -861,25 +987,26 @@ def _refuse_beyond_memory(need: int, held: str) -> None:
 def _swept(cfgs: list, l0: int, l: int) -> list:
     """Per-config member values of J^{l0, m} for every m in (l0, l], all
     configs in one sweep per member: one array per config, a row per member
-    indexed by layer, NaN outside (l0, l].
+    indexed by layer, NaN outside (l0, l].  The drivers that report their
+    worker count call :func:`_members` with :func:`_swept_member` directly.
 
     Each value is the member's conditional mean over W^m given the layers
     below and the member's sketch V (module docstring), so a single J^{l0,
     l} is column l, and layer l is never drawn.  Every config of a member
     shares its V and its span draws.
     """
-    _check_fits(cfgs, l0, l)
-    k = min(_SKETCH, cfgs[0].layer_dims[l0])
+    return _members(_swept_member, cfgs, l0, l)[0]
 
-    def measure(params, xs):
-        V = params.sketch(l0, k) if l > l0 + 1 else None
-        probes = [_Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm,
-                         cfg.groups, x, l, l0, sketch=V)
-                  for cfg, x in zip(cfgs, xs)]
-        _sweep(params, probes)
-        return [p.value for p in probes]
 
-    return _members(cfgs, measure)
+def _swept_member(cfgs: list, l0: int, l: int, net: NetworkParams) -> list:
+    """One member's row per config of :func:`_swept`, on the network ``net``."""
+    k = min(_SKETCH, net.layer_dims[l0])
+    V = net.sketch(l0, k) if l > l0 + 1 else None
+    probes = [_Probe(net.layer_dims, cfg.act, cfg.hyper, cfg.norm, cfg.groups,
+                     resolve_input(cfg, net.init_index), l, l0, sketch=V)
+              for cfg in cfgs]
+    _sweep(net, probes)
+    return [p.value for p in probes]
 
 
 def _estimate(values: np.ndarray):
@@ -893,9 +1020,10 @@ def _estimate(values: np.ndarray):
     return mean, columns.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
-def _scalar_estimate(values: np.ndarray) -> JacobianEstimate:
+def _scalar_estimate(values: np.ndarray, workers: int = 1) -> JacobianEstimate:
     mean, stderr = _estimate(values)
-    return JacobianEstimate(mean=float(mean), stderr=float(stderr), n=values.shape[0])
+    return JacobianEstimate(mean=float(mean), stderr=float(stderr), n=values.shape[0],
+                            workers=workers)
 
 
 def empirical_chi(cfg: EnsembleConfig | Sequence[EnsembleConfig]):
@@ -912,7 +1040,8 @@ def empirical_chi(cfg: EnsembleConfig | Sequence[EnsembleConfig]):
     """
     cfgs, single = _batch(cfg)
     L = cfgs[0].depth
-    ests = [_scalar_estimate(v[:, L - 1]) for v in _swept(cfgs, L - 2, L - 1)]
+    values, workers = _members(_swept_member, cfgs, L - 2, L - 1)
+    ests = [_scalar_estimate(v[:, L - 1], workers) for v in values]
     return ests[0] if single else ests
 
 
@@ -928,26 +1057,24 @@ def ensemble_ntk(cfg: EnsembleConfig) -> JacobianEstimate:
     no weight matrix and costs O(k N) normals per layer.
     :func:`empirical_ntk` is its dense counterpart on an explicit network.
     """
-    return _scalar_estimate(_ntk_members(cfg))
+    (values,), workers = _members(_ntk_member, [cfg], None, cfg.depth)
+    return _scalar_estimate(values, workers)
 
 
-def _ntk_members(cfg: EnsembleConfig) -> np.ndarray:
-    """The member values of :func:`ensemble_ntk`, in member order."""
-    L, k = cfg.depth, min(_NTK_ROWS, cfg.width)
-    _check_fits([cfg], None, L)
+def _ntk_member(cfgs: list, l0: None, L: int, net: NetworkParams) -> list:
+    """One member's row of :func:`ensemble_ntk`, on the network ``net``."""
+    (cfg,) = cfgs
+    k = min(_NTK_ROWS, cfg.width)
+    x = resolve_input(cfg, net.init_index)
+    probe = _Probe(net.layer_dims, cfg.act, cfg.hyper, cfg.norm, cfg.groups, x,
+                   last=L, keep=True)
+    _sweep(net, [probe])
 
-    def measure(params, xs):
-        probe = _Probe(params.layer_dims, cfg.act, cfg.hyper, cfg.norm, cfg.groups,
-                       xs[0], last=L, keep=True)
-        _sweep(params, [probe])
+    def gw(l, G, z):
+        scale = cfg.hyper.sigma_w / math.sqrt(net.layer_dims[l - 1])
+        return _reverse_span(G, probe.wzs[l], z, net.reverse(l, k), scale)
 
-        def gw(l, G, z):
-            scale = cfg.hyper.sigma_w / math.sqrt(params.layer_dims[l - 1])
-            return _reverse_span(G, probe.wzs[l], z, params.reverse(l, k), scale)
-
-        return [_ntk_sum(probe, xs[0], np.eye(k, cfg.width), gw)]
-
-    return _members([cfg], measure)[0]
+    return [_ntk_sum(probe, x, np.eye(k, cfg.width), gw)]
 
 
 def jacobian_profile(cfg: EnsembleConfig | Sequence[EnsembleConfig], l0: int = 0):
@@ -965,11 +1092,12 @@ def jacobian_profile(cfg: EnsembleConfig | Sequence[EnsembleConfig], l0: int = 0
     L = cfgs[0].depth
     if not 0 <= l0 < L:
         raise ValueError(f"l0 must satisfy 0 <= l0 < depth ({L}), got {l0}")
+    values, workers = _members(_swept_member, cfgs, l0, L)
     ests = []
-    for rows in _swept(cfgs, l0, L):
+    for rows in values:
         mean, stderr = _estimate(rows)
         ests.append(JacobianEstimate(float(mean[L]), float(stderr[L]), rows.shape[0],
-                                     mean, stderr))
+                                     mean, stderr, workers))
     return ests[0] if single else ests
 
 

@@ -81,11 +81,21 @@ code = main(["mc", "chi", "--act", "erf", "--sw", "1", "--sb", "0", "--width", "
              "--input-dim", "8", "--depth", "4", "--n-init", "2", "-o", os.devnull])
 print(before, code, "scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
 """
-    assert run_fresh(code).split() == ["False", "0", "True", "False"]
+    # one worker: a worker process's imports do not show in this one
+    assert run_fresh(code, JACPROP_WORKERS="1").split() == ["False", "0", "True", "False"]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool is imported on the first run that starts one
+    code = """
+import sys, jacprop, jacprop.cli
+print([m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules])
+"""
+    assert run_fresh(code).strip() == "[]"
 
 
 def test_a_lazy_erf_import_in_worker_threads_keeps_the_bits():
-    # the first scipy.special import happens inside the pool's threads
+    # the first scipy.special import happens inside the pool's processes
     code = """
 import sys
 from jacprop import Activation, EnsembleConfig, Hyper, NormMode, empirical_chi
@@ -311,6 +321,20 @@ class TestMonteCarlo:
         assert 0.2 < doc["mean"] < 3.0
         assert doc["n"] == 4
 
+    @pytest.mark.parametrize("task", ["chi", "profile"])
+    def test_json_records_how_the_members_ran(self, capsys, monkeypatch, tmp_path, task):
+        # never more worker processes than members, and none for one
+        base = ["mc", task, *self.ARGS[2:]]
+        if task == "profile":
+            base += ["--series-out", str(tmp_path / "s.csv")]
+        for workers, n_init, want in (("1", "4", (1, False)), ("2", "4", (2, True)),
+                                      ("3", "2", (2, True)), ("2", "1", (1, False))):
+            monkeypatch.setenv("JACPROP_WORKERS", workers)
+            code, out, _ = run_cli(base + ["--n-init", n_init], capsys)
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["workers"], doc["members_in_processes"]) == want, (workers, n_init)
+
     def test_deterministic_given_seed(self, capsys):
         _, out1, _ = run_cli(self.ARGS, capsys)
         _, out2, _ = run_cli(self.ARGS, capsys)
@@ -410,7 +434,11 @@ class TestMonteCarlo:
             monkeypatch.setenv("JACPROP_WORKERS", workers)
             code, out, _ = run_cli(args, capsys)
             assert code == 0
-            outs.append(out)
+            doc = json.loads(out)
+            # the run record says how the members ran; the rest is the same
+            assert (doc.pop("workers"), doc.pop("members_in_processes")) == \
+                (int(workers), workers != "1")
+            outs.append(doc)
         assert outs[1:] == outs[:1] * 2
 
     def test_malformed_worker_count_is_usage_error(self, capsys, monkeypatch, tmp_path):

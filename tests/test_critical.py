@@ -460,6 +460,40 @@ class TestFixedPointOracles:
         root = mp_fixed_point(act, hp, fp.k_star)
         assert abs(fp.k_star - root) <= 1e-14 * root, (fp.k_star, root)
 
+    def test_near_erf_critical_climbs_take_few_brent_steps(self, monkeypatch):
+        # a few ulps above erf's critical sqrt(pi / 4), sigma_b 0 or tiny, a
+        # climb from below meets a root near 1e-16 .. 1e-13, where g - K is
+        # rounding; Brent bisected [k_init, 4] down to it in up to 135
+        # iterations before the bracket walk also narrowed toward k_init
+        import mpmath as mp
+
+        steps = []
+
+        def counted(*args, **kw):
+            root, iterations = _brentq(*args, **kw)
+            steps.append(iterations)
+            return root, iterations
+
+        monkeypatch.setattr(critical, "_brentq", counted)
+        base = math.sqrt(PI / 4)
+        for ulps in (1, 4, 16, 64, 256, 800):
+            sigma_w = base + ulps * math.ulp(base)
+            for sigma_b in (0.0, 3e-15, 1e-13):
+                hp = Hyper(sigma_w, sigma_b)
+                with mp.workdps(50):
+                    # g - K = sigma_b^2 + d K - c K^2 + O(K^3): start at the quadratic's root
+                    sw2, sb2 = mp.mpf(sigma_w) ** 2, mp.mpf(sigma_b) ** 2
+                    d, c = 4 * sw2 / mp.pi - 1, 8 * sw2 / mp.pi
+                    root = mp_fixed_point(ERF, hp, (d + mp.sqrt(d * d + 4 * c * sb2)) / (2 * c))
+                    slope = abs(4 * sw2 / (mp.pi * (1 + 2 * root) * mp.sqrt(1 + 4 * root)) - 1)
+                assert 4e-17 < root < 2e-13
+                for k_init in (1e-30, 1e-22, 1e-18):
+                    fp = find_fixed_point(ERF, NormMode.VANILLA, hp, k_init)
+                    # as close as the map's 4 eps rounding allows at its slope
+                    assert abs(fp.k_star - root) * slope <= 4 * 2.0**-52 * root, \
+                        (ulps, sigma_b, k_init, fp.k_star, root)
+        assert max(steps) <= 50
+
     @pytest.mark.parametrize("kind, cubic", [
         (MomentKind.PHI2_D2, [5, -11, -18, -6]),  # the map's convex end K_c
         (MomentKind.DELTA, [1, -9, -12, -4]),     # where sigma_w(K*) turns

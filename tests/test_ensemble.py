@@ -31,7 +31,8 @@ from jacprop.ensemble import (
     _gn_stats,
     _gram_root,
     _member_bytes,
-    _ntk_members,
+    _members,
+    _ntk_member,
     _scalar_estimate,
     _span_root,
     _swept,
@@ -53,6 +54,20 @@ GELU = Activation.gelu()
 LINEAR = Activation.scale_invariant(1.0, 1.0)
 
 ALL_MODES = [NormMode.VANILLA, NormMode.PRE_LN, NormMode.POST_LN]
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Members run in the calling process: a forked worker neither sees a
+    monkeypatch made after the fork nor reports what it counted or
+    allocated."""
+    monkeypatch.setenv("JACPROP_WORKERS", "1")
+
+
+def _ntk_members(cfg):
+    """The member values of ``ensemble_ntk(cfg)``, in member order."""
+    (values,), _ = _members(_ntk_member, [cfg], None, cfg.depth)
+    return values
 
 
 def mini_forward(ws, bs, gammas, betas, act, hp, norm, x, groups=1):
@@ -331,6 +346,7 @@ class TestPartialJacobianNorm:
         np.testing.assert_allclose(dense(_compose(first, then)), dense(then) @ dense(first),
                                    rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.usefixtures("in_process")
     def test_each_block_composes_its_factors_once_and_only_when_used(self, monkeypatch):
         # a pre-LN block composes its two stages in one product, a one-stage
         # block none; forward-only layers compose none
@@ -832,6 +848,7 @@ class TestEnsembleDrivers:
         self._cfg(norm=norm, groups=64)
         self._cfg(groups=128)  # vanilla ignores groups
 
+    @pytest.mark.usefixtures("in_process")
     def test_run_larger_than_memory_refused_before_drawing(self):
         import tracemalloc
 
@@ -944,6 +961,7 @@ class TestStreaming:
         assert np.array_equal(params.biases[0], drawn[1])
 
     @pytest.mark.parametrize("norm", ALL_MODES)
+    @pytest.mark.usefixtures("in_process")
     def test_peak_memory_below_eight_layers(self, norm):
         import tracemalloc
 
@@ -963,6 +981,7 @@ class TestStreaming:
         (NormMode.VANILLA, "0x1.4c641ea1fd521p+0"), (NormMode.PRE_LN, "0x1.4fb78f2878d88p+4"),
         (NormMode.POST_LN, "0x1.57fe567ff9264p+8"),
     ], ids=["vanilla", "pre-ln", "post-ln"])
+    @pytest.mark.usefixtures("in_process")
     def test_explicit_ntk_peak_memory_below_eight_layers(self, norm, bits):
         # the dense NTK draws its forward pass a layer at a time and each W^l
         # again on the way down, so it holds one weight matrix at a time:
@@ -984,6 +1003,7 @@ class TestStreaming:
         assert peak < 8 * layer_bytes, peak / layer_bytes
 
     @pytest.mark.parametrize("norm", ALL_MODES)
+    @pytest.mark.usefixtures("in_process")
     def test_one_step_peak_memory_below_a_fifth_of_a_layer(self, norm):
         # the one-step mean draws no layer above l0 and needs only the thin
         # factors of one block; 54 KiB measured in the normalizing modes
@@ -1003,6 +1023,7 @@ class TestStreaming:
     @pytest.mark.parametrize("norm, groups", [
         (NormMode.VANILLA, 1), (NormMode.PRE_LN, 1), (NormMode.POST_LN, 2),
     ])
+    @pytest.mark.usefixtures("in_process")
     def test_profile_member_peaks_below_its_estimate(self, norm, groups):
         # a sketched member carries k = 8 of the 784 input columns: its
         # draws, tangents and factors are O(N k), 1.1, 1.4 and 1.9 MB
@@ -1024,6 +1045,7 @@ class TestStreaming:
         assert peak <= need, (peak, need)
 
     @pytest.mark.parametrize("norm", ALL_MODES)
+    @pytest.mark.usefixtures("in_process")
     def test_one_step_peak_memory_below_a_sixteenth_of_a_layer(self, norm):
         # 258 KiB measured in the normalizing modes
         import tracemalloc
@@ -1038,6 +1060,7 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 1024 * 1024 * 8 / 16, peak / (1024 * 1024 * 8)
 
+    @pytest.mark.usefixtures("in_process")
     def test_width_4096_input_check_peak_below_8_mb(self):
         # the check draws only layer 1, in the span of its 16 input columns
         # (4096 x 17 normals, 0.6 MB), and integrates layer 2 out
@@ -1054,6 +1077,7 @@ class TestStreaming:
         assert peak < 8e6, peak
 
     @pytest.mark.parametrize("l0, layers", [(0, 1.25), (1, 3.25)])
+    @pytest.mark.usefixtures("in_process")
     def test_explicit_profile_holds_one_layer_at_a_time(self, l0, layers):
         # each layer is drawn whole, 1024 x 1024 (8.4 MB), and dropped once
         # its products are formed, before the next is drawn: 1.03 layers
@@ -1075,6 +1099,7 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < layers * layer_bytes, peak / layer_bytes
 
+    @pytest.mark.usefixtures("in_process")
     def test_explicit_network_too_large_refused_before_drawing(self, monkeypatch):
         # a 2^31-wide handle allocates nothing; drawing a layer of it would fail
         import tracemalloc
@@ -1117,6 +1142,7 @@ class TestStreaming:
         return calls
 
     @pytest.mark.parametrize("l0, l", [(4, 5), (0, 6), (2, 6), (0, 1), (1, 3)])
+    @pytest.mark.usefixtures("in_process")
     def test_shared_draw_counts(self, l0, l, monkeypatch):
         # 2 members, three configs: J^{l0,l} takes a lean step on layers
         # 1..l0 and a span draw on layers l0+1..l-1, each one draw for all
@@ -1137,6 +1163,7 @@ class TestStreaming:
         assert sorted(calls["span"]) == sorted(list(range(l0 + 1, 6)) * 2)
         assert not calls["layer"]
 
+    @pytest.mark.usefixtures("in_process")
     def test_explicit_networks_draw_every_weight(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
         params = NetworkParams.draw([4, 48, 48, 48], seed=7)
@@ -1166,14 +1193,19 @@ class TestStreaming:
             assert [_bits(run(cfg)) for cfg in cfgs] == bits
 
     def test_concurrent_drivers_share_one_pool(self, monkeypatch):
-        # every driver call with 3 workers maps its members on the same
-        # kept pool; callers on other threads must still get their own bits
+        # every driver call with 3 workers hands its members' ranges to the
+        # same kept process pool; callers on other threads must still get
+        # their own bits
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
+        import jacprop.ensemble as ens
+
         monkeypatch.setenv("JACPROP_WORKERS", "3")
-        cfgs = self._batch()
+        cfgs = [replace(cfg, n_init=3) for cfg in self._batch()]
         want = [_bits(empirical_chi(cfg)) for cfg in cfgs] * 2
+        pool = ens._pool(3)
+        assert pool is not None and empirical_chi(cfgs[0]).workers == 3
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -1183,6 +1215,148 @@ class TestStreaming:
         finally:
             sys.setswitchinterval(old)
         assert got == want
+        assert ens._pool(3) is pool
+
+    def test_pool_that_cannot_start_leaves_members_in_this_process(self, monkeypatch):
+        import errno
+
+        import jacprop.ensemble as ens
+
+        cfg = self._cfg()
+        monkeypatch.setenv("JACPROP_WORKERS", "1")
+        want = [_bits(jacobian_profile(cfg)), _bits(ensemble_ntk(cfg))]
+
+        def refused():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(ens, "_POOLS", {})  # a cache of this test's own
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setenv("JACPROP_WORKERS", "2")
+        got = [jacobian_profile(cfg), ensemble_ntk(cfg)]
+        assert [_bits(e) for e in got] == want
+        assert [e.workers for e in got] == [1, 1]
+        assert ens._POOLS == {(os.getpid(), 2): None}  # remembered: no second try
+
+    def test_pool_whose_worker_died_is_replaced(self, monkeypatch):
+        import signal
+        import time
+
+        import jacprop.ensemble as ens
+
+        cfg = self._cfg()
+        monkeypatch.setenv("JACPROP_WORKERS", "1")
+        want = _bits(empirical_chi(cfg))
+        monkeypatch.setattr(ens, "_POOLS", {})
+        monkeypatch.setenv("JACPROP_WORKERS", "2")
+        first = ens._pool(2)
+        try:
+            os.kill(next(iter(first._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not first._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # the call that finds the pool broken runs its members here
+            est = empirical_chi(cfg)
+            assert _bits(est) == want and est.workers == 1
+            est = empirical_chi(cfg)
+            assert _bits(est) == want and est.workers == 2
+            assert ens._pool(2) is not first
+        finally:
+            for pool in filter(None, ens._POOLS.values()):
+                pool.shutdown()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("end", ["exit", "kill", "interrupt"])
+    def test_pool_workers_end_with_their_parent(self, end):
+        # a fresh interpreter runs a 2-member driver on 2 workers and prints
+        # their pids; it then exits, is killed, or is interrupted in a run
+        # whose ranges would take minutes, and the workers must not
+        # outlive it
+        import signal
+        import time
+
+        code = (
+            "import multiprocessing, sys\n"
+            "from jacprop import EnsembleConfig, Hyper, jacobian_profile\n"
+            "cfg = EnsembleConfig(width=16, input_dim=4, depth=3, n_init=2, seed=1,\n"
+            "                     hyper=Hyper(1.0, 0.0))\n"
+            "print(jacobian_profile(cfg).workers,\n"
+            "      *(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+            "if sys.stdin.readline() == 'run\\n':\n"
+            "    jacobian_profile(EnsembleConfig(width=1000, input_dim=128, depth=250,\n"
+            "                                    n_init=4000, seed=1, hyper=Hyper(1.0, 0.0)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, JACPROP_WORKERS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        try:
+            workers, *pids = map(int, proc.stdout.readline().split())
+            if end == "exit":
+                proc.stdin.close()
+            elif end == "kill":
+                proc.kill()
+            else:
+                proc.stdin.write("run\n")
+                proc.stdin.flush()
+                time.sleep(1.0)
+                proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=30)
+        finally:
+            proc.kill()
+            proc.stdin.close()
+            proc.stdout.close()
+        assert workers == 2 and len(pids) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    state = f.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"  # a zombie has ended, and waits to be reaped
+
+        deadline = time.monotonic() + 20
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids)), pids
+
+    def test_a_multiprocessing_child_runs_its_members_itself(self):
+        # a child forked by multiprocessing once found its parent's pool
+        # and waited on it forever; a daemon may not start a pool, and any
+        # other child joins its pool's workers at exit before shutting
+        # the pool down
+        code = (
+            "import multiprocessing, os\n"
+            "from jacprop import EnsembleConfig, Hyper, empirical_chi\n"
+            "cfg = EnsembleConfig(width=64, input_dim=16, depth=6, n_init=4, seed=5,\n"
+            "                     hyper=Hyper(1.2, 0.3))\n"
+            "def run(_=None):\n"
+            "    est = empirical_chi(cfg)\n"
+            "    return est.mean.hex(), est.workers\n"
+            "def child(queue):\n"
+            "    queue.put(run())\n"
+            "if __name__ == '__main__':\n"
+            "    ctx = multiprocessing.get_context('fork')\n"
+            "    print(*run())\n"
+            "    with ctx.Pool(1) as daemons:\n"
+            "        print(*daemons.map(run, [0])[0])\n"
+            "    queue = ctx.Queue()\n"
+            "    proc = ctx.Process(target=child, args=(queue,))\n"
+            "    proc.start()\n"
+            "    print(*queue.get(timeout=60))\n"
+            "    proc.join(60)\n"
+            "    print(proc.exitcode)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, JACPROP_WORKERS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        parent, daemon, child, exitcode = done.stdout.splitlines()
+        bits = parent.split()[0]
+        assert parent == f"{bits} 2" and daemon == child == f"{bits} 1" and exitcode == "0"
 
     def test_batch_must_share_the_draw(self):
         with pytest.raises(ValueError, match="seed"):
@@ -1287,13 +1461,13 @@ class TestConditionalLaw:
         params = NetworkParams.draw([5, 7, 3], seed=17, init_index=1)
         for k in (0, 2):
             xi, b = params.conditional(2, k)
-            rng = np.random.Generator(np.random.PCG64(params.streams[1]))
+            rng = np.random.Generator(np.random.PCG64(params.stream(2)))
             both = rng.standard_normal(3 * (k + 2))
             assert xi.shape == (3, k + 1) and b.shape == (3,)
             assert np.array_equal(xi.ravel(), both[:3 * (k + 1)])
             assert np.array_equal(b, both[3 * (k + 1):])
             # the one call reads the stream as a call for Xi, then one for b
-            rng = np.random.Generator(np.random.PCG64(params.streams[1]))
+            rng = np.random.Generator(np.random.PCG64(params.stream(2)))
             two = rng.standard_normal((3, k + 1)), rng.standard_normal(3)
             assert xi.tobytes() == two[0].tobytes() and b.tobytes() == two[1].tobytes()
             # Xi opens the stream the weights open: the first entries of W^2
@@ -1607,6 +1781,7 @@ class TestReverseSpanNtk:
         (NormMode.VANILLA, 1), (NormMode.PRE_LN, 1), (NormMode.POST_LN, 2),
         (NormMode.POST_LN, 32),
     ])
+    @pytest.mark.usefixtures("in_process")
     def test_member_holds_no_layer_and_its_price(self, norm, groups, monkeypatch):
         import tracemalloc
 
@@ -1627,6 +1802,7 @@ class TestReverseSpanNtk:
         assert not calls["layer"]
         assert sorted(calls["conditional"]) == sorted(list(range(1, 13)) * 2)
 
+    @pytest.mark.usefixtures("in_process")
     def test_oversize_run_refused_naming_its_size(self):
         huge = EnsembleConfig(width=2**26, input_dim=4, depth=3, n_init=2, seed=0,
                               hyper=Hyper(1.0, 0.0))
