@@ -10,7 +10,8 @@ chosen subcommand, each value checked by the flag's own type and choices
 error), and the ``JACPROP_WORKERS`` environment variable (a positive
 integer, by default the CPUs the process may use) caps the worker
 processes that evaluate an ensemble's members, never more than one per
-member.  The JSON of ``mc chi``, ``mc profile`` and ``mc ntk`` records
+member; a process keeps one pool of them per value.  The JSON of every
+``mc`` task (``chi``, ``profile``, ``ntk`` and ``n0check``) records
 ``workers``, the processes that evaluated the members, and
 ``members_in_processes``, false when they ran in the calling process
 (one worker, or no pool could start).
@@ -274,17 +275,16 @@ def _cmd_mc(args) -> int:
         payload = {"mean": est.mean, "stderr": est.stderr, "n": est.n,
                    "series": series}
     else:  # n0check
-        rep = n0_correction_check(cfg)
+        est = n0_correction_check(cfg)
         payload = {
-            "measured": rep.measured,
-            "measured_stderr": rep.measured_stderr,
-            "corrected_pred": rep.corrected_pred,
-            "uncorrected_pred": rep.uncorrected_pred,
-            "err_corrected": rep.err_corrected,
-            "err_uncorrected": rep.err_uncorrected,
+            "measured": est.measured,
+            "measured_stderr": est.measured_stderr,
+            "corrected_pred": est.corrected_pred,
+            "uncorrected_pred": est.uncorrected_pred,
+            "err_corrected": est.err_corrected,
+            "err_uncorrected": est.err_uncorrected,
         }
-    if args.task != "n0check":
-        payload.update(workers=est.workers, members_in_processes=est.workers > 1)
+    payload.update(workers=est.workers, members_in_processes=est.workers > 1)
     with _open_out(args) as out:
         _emit_json(out, f"mc {args.task}", config, payload)
     return 0

@@ -130,8 +130,9 @@ one BLAS thread or two (tested at width 1000, N0 784).  A driver's members
 run in worker processes, as many as ``JACPROP_WORKERS`` names (by default
 the CPUs the process may use) and never more than one per member: each
 takes a contiguous range of members, and their rows are joined in member
-order.  The process keeps one forked pool per worker count
-(:func:`_pool`); one worker runs the members in the calling process.
+order.  The process keeps one forked pool per ``JACPROP_WORKERS`` value
+(:func:`_pool`), of which a run of n members uses at most n processes; one
+worker runs the members in the calling process.
 """
 
 from __future__ import annotations
@@ -237,16 +238,29 @@ class EnsembleConfig:
         return [self.input_dim] + [self.width] * self.depth
 
 
+def _generator(seed: int, *key: int) -> np.random.Generator:
+    """A generator on the seed stream that spawn key ``key`` of ``seed``
+    names (:class:`NetworkParams` lists the keys)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """One member's standard-normal draws, produced layer by layer.
 
-    Holds the layer sizes and the member's seed and index, from which each
-    layer, and the member's sketch and reverse draws, derive a seed stream
-    of their own; :meth:`layer` draws a layer's weights and biases from its
-    stream, identically on every call.  The handle holds no draw, so it is
-    cheap to make and to send to a worker process.  Hyperparameter scaling
-    happens at use.
+    Holds the layer sizes and the member's seed and index i, from which
+    every draw derives a seed stream of its own, the spawn key under the
+    seed (:func:`_generator`):
+
+    - layer l's weights and biases, and its conditional draws: (0, i, l - 1);
+    - the member's input (:func:`resolve_input`): (1, i);
+    - layer l's reverse draw (:meth:`reverse`): (2, i, l - 1);
+    - the member's sketch (:meth:`sketch`): (3, i).
+
+    :meth:`layer` draws a layer's weights and biases from its stream,
+    identically on every call.  The handle holds no draw, so it is cheap to
+    make and to send to a worker process.  Hyperparameter scaling happens
+    at use.
     """
 
     layer_dims: list
@@ -263,12 +277,12 @@ class NetworkParams:
         return len(self.layer_dims) - 1
 
     def stream(self, l: int) -> np.random.SeedSequence:
-        """Layer l's seed stream: spawn key (0, init, l - 1) of the seed, the
-        l-th child that spawning the member's root (0, init) gives."""
-        return np.random.SeedSequence(self.seed, spawn_key=(0, self.init_index, l - 1))
+        """Layer l's seed stream, the l-th child that spawning the member's
+        root (0, init) gives."""
+        return self._rng(l).bit_generator.seed_seq
 
     def _rng(self, l: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.stream(l)))
+        return _generator(self.seed, 0, self.init_index, l - 1)
 
     def layer(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (W^l, b^l) of shapes (N_l, N_{l-1}) and (N_l,), weights first."""
@@ -299,8 +313,7 @@ class NetworkParams:
         diagonal, so V V^T has mean I, and V^T V = (N_{l0} / k) I.
         """
         n = self.layer_dims[l0]
-        own = np.random.SeedSequence(self.seed, spawn_key=(3, self.init_index))
-        Q, R = np.linalg.qr(np.random.Generator(np.random.PCG64(own)).standard_normal((n, k)))
+        Q, R = np.linalg.qr(_generator(self.seed, 3, self.init_index).standard_normal((n, k)))
         Q *= np.where(np.diag(R) < 0.0, -1.0, 1.0) * math.sqrt(n / k)
         return Q
 
@@ -309,8 +322,7 @@ class NetworkParams:
         per (seed, member, layer) that shares nothing with layer l's: the
         part of W^l that its forward product leaves free, as k gradient
         rows see it (:func:`_reverse_span`)."""
-        own = np.random.SeedSequence(self.seed, spawn_key=(2, self.init_index, l - 1))
-        return np.random.Generator(np.random.PCG64(own)).standard_normal(
+        return _generator(self.seed, 2, self.init_index, l - 1).standard_normal(
             (k, self.layer_dims[l - 1]))
 
     @property
@@ -349,9 +361,7 @@ def resolve_input(cfg: EnsembleConfig, init_index: int = 0) -> np.ndarray:
     kind = cfg.input_source[0]
     if kind == "gaussian":
         _, mean, std = cfg.input_source
-        ss = np.random.SeedSequence(cfg.seed, spawn_key=(1, idx))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        return mean + std * rng.standard_normal(cfg.input_dim)
+        return mean + std * _generator(cfg.seed, 1, idx).standard_normal(cfg.input_dim)
     if kind == "file":
         x = np.fromfile(cfg.input_source[1], dtype="<f4").astype(float)
         if x.size != cfg.input_dim:
@@ -777,9 +787,9 @@ def _workers() -> int:
     return n
 
 
-#: (process id, worker count) -> that process's kept pool, or None where
-#: none could start.  A process forked from one that holds pools inherits
-#: their entries, but not their threads: it starts pools of its own.
+#: (process id, ``JACPROP_WORKERS`` value) -> that process's kept pool, or
+#: None where none could start.  A process forked from one that holds pools
+#: inherits their entries, but not their threads: it starts pools of its own.
 _POOLS: dict = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -792,10 +802,12 @@ def _drop_pools() -> None:
 
 
 def _pool(workers: int):
-    """One pool of ``workers`` forked processes per worker count, started on
-    first use and kept for the life of the process, or None if no pool can
-    start here (no ``fork``, no semaphores, a process limit, a process that
-    multiprocessing started), which is remembered.
+    """The pool of ``workers`` forked processes, one per ``JACPROP_WORKERS``
+    value (:func:`_workers`) whatever a run's member count, started on first
+    use and kept for the life of the process, or None if no pool can start
+    here (no ``fork``, no semaphores, a process limit, a process that
+    multiprocessing started), which is remembered.  A run uses at most one
+    of its processes per member (:func:`_members`).
 
     Starting two workers costs 20-40 ms, and a pool started and shut down
     in each call made the benchmark's ``mc-chi`` round 0.56 s against 0.023
@@ -817,6 +829,10 @@ def _start_pool(workers: int):
     try:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+
+        # numpy imports its random module on first use: import it before
+        # the fork, not in each worker on its first member (10-30 ms each)
+        import numpy.random  # noqa: F401
 
         if multiprocessing.parent_process() is not None:
             # a process that multiprocessing started: a daemon may not have
@@ -860,30 +876,35 @@ def _exit_at_end_of_file(fd: int) -> None:
 
 
 def _members(task: Callable, cfgs: list, l0: int | None, l: int) -> tuple[list, int]:
-    """``task(cfgs, l0, l, net)`` for every member's network ``net``, after
-    :func:`_check_fits`: one array per config, rows in member order, and the
-    number of processes that evaluated them.
+    """``task(cfgs, l0, l, net)`` for every member's network ``net``: one
+    array per config, rows in member order, and the number of processes
+    that evaluated them.
 
-    ``task`` returns one row of values per config.  With more than one
-    worker (:func:`_workers`, at most one per member), the members are split
-    into contiguous ranges, one for each process of a kept pool
-    (:func:`_pool`), and their rows are joined in member order, so the
-    result has the same bits at any worker count.  Without a pool, or if
-    one of its processes dies, the members run in the calling process,
-    which counts as one worker.  A run that raises, or is interrupted,
-    ends the pool's processes rather than leave them computing members
-    that nobody reads.  The calling process makes every member's
+    ``task`` returns one row of values per config.  With W =
+    :func:`_workers` above one, the n members are split into min(W, n)
+    contiguous ranges, at most one process per member, which the kept pool
+    of W processes (:func:`_pool`) evaluates, and their rows are joined in
+    member order, so the result has the same bits at any worker count.
+    Without a pool, or if one of its processes dies, the members run in the
+    calling process, which counts as one worker.  A run that raises, or is
+    interrupted, ends the pool's processes rather than leave them computing
+    members that nobody reads.  The calling process makes every member's
     :class:`NetworkParams`, a handle that draws nothing.
+
+    Before any member is drawn, a run whose members would not fit in
+    physical memory is refused (``ValueError``): each of the processes that
+    evaluate them holds one member at a time (:func:`_member_bytes`).
     """
-    _check_fits(cfgs, l0, l)
     first = cfgs[0]
-    n = first.n_init
+    n, size = first.n_init, _workers()
+    workers = min(size, n)
+    _refuse_beyond_memory(_member_bytes(cfgs, l0, l) * workers,
+                          f"{workers} worker(s) x one member")
 
     def nets(start: int, stop: int):
         return (NetworkParams.draw(first.layer_dims, first.seed, i) for i in range(start, stop))
 
-    workers = min(_workers(), n)
-    pool = _pool(workers) if workers > 1 else None
+    pool = _pool(size) if workers > 1 else None
     rows = None
     if pool is not None:
         bounds = [n * j // workers for j in range(workers + 1)]
@@ -895,8 +916,8 @@ def _members(task: Callable, cfgs: list, l0: int | None, l: int) -> tuple[list, 
             # a worker died, or the run ended early (an error, an interrupt):
             # end the members in flight, and start afresh next time
             with _POOLS_LOCK:
-                if _POOLS.get((os.getpid(), workers)) is pool:
-                    del _POOLS[os.getpid(), workers]
+                if _POOLS.get((os.getpid(), size)) is pool:
+                    del _POOLS[os.getpid(), size]
             _end(pool)
             if not isinstance(exc, BrokenExecutor):
                 raise
@@ -963,16 +984,6 @@ def _rank(cfg: EnsembleConfig) -> int:
     return 2 * cfg.groups if cfg.norm.normalizes else 0
 
 
-def _check_fits(cfgs: list, l0: int | None, l: int) -> None:
-    """Refuse a measurement of J^{l0, l} (the NTK with ``l0`` None) whose
-    members would not fit in physical memory, before any is drawn: each
-    worker process, at most one per member, holds one member at a time
-    (:func:`_member_bytes`)."""
-    workers = min(_workers(), cfgs[0].n_init)
-    _refuse_beyond_memory(_member_bytes(cfgs, l0, l) * workers,
-                          f"{workers} worker(s) x one member")
-
-
 def _refuse_beyond_memory(need: int, held: str) -> None:
     """Raise ``ValueError`` if ``need`` bytes, which ``held`` names, exceed
     physical memory."""
@@ -984,22 +995,16 @@ def _refuse_beyond_memory(need: int, held: str) -> None:
         )
 
 
-def _swept(cfgs: list, l0: int, l: int) -> list:
-    """Per-config member values of J^{l0, m} for every m in (l0, l], all
-    configs in one sweep per member: one array per config, a row per member
-    indexed by layer, NaN outside (l0, l].  The drivers that report their
-    worker count call :func:`_members` with :func:`_swept_member` directly.
+def _swept_member(cfgs: list, l0: int, l: int, net: NetworkParams) -> list:
+    """The values of J^{l0, m} for every m in (l0, l] on the member network
+    ``net``, all configs in one sweep: one row per config indexed by layer,
+    NaN outside (l0, l].
 
     Each value is the member's conditional mean over W^m given the layers
     below and the member's sketch V (module docstring), so a single J^{l0,
-    l} is column l, and layer l is never drawn.  Every config of a member
-    shares its V and its span draws.
+    l} is column l, and layer l is never drawn.  Every config shares the
+    member's V and its span draws.
     """
-    return _members(_swept_member, cfgs, l0, l)[0]
-
-
-def _swept_member(cfgs: list, l0: int, l: int, net: NetworkParams) -> list:
-    """One member's row per config of :func:`_swept`, on the network ``net``."""
     k = min(_SKETCH, net.layer_dims[l0])
     V = net.sketch(l0, k) if l > l0 + 1 else None
     probes = [_Probe(net.layer_dims, cfg.act, cfg.hyper, cfg.norm, cfg.groups,
@@ -1109,6 +1114,8 @@ class N0CorrectionReport:
     measured_stderr: float
     corrected_pred: float
     uncorrected_pred: float
+    #: Processes that evaluated the members, as :class:`JacobianEstimate`'s.
+    workers: int = field(default=1, compare=False)
 
     @property
     def err_corrected(self) -> float:
@@ -1136,7 +1143,7 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
     """
     if cfg.norm.normalizes:
         raise ValueError("the input correction is derived for the vanilla mode")
-    (values,) = _swept([cfg], 0, 2)
+    (values,), workers = _members(_swept_member, [cfg], 0, 2)
     est = _scalar_estimate(values[:, 2])
 
     corrected, uncorrected = [], []
@@ -1151,6 +1158,7 @@ def n0_correction_check(cfg: EnsembleConfig) -> N0CorrectionReport:
         measured_stderr=est.stderr,
         corrected_pred=math.fsum(corrected) / len(corrected),
         uncorrected_pred=math.fsum(uncorrected) / len(uncorrected),
+        workers=workers,
     )
 
 

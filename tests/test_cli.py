@@ -321,7 +321,7 @@ class TestMonteCarlo:
         assert 0.2 < doc["mean"] < 3.0
         assert doc["n"] == 4
 
-    @pytest.mark.parametrize("task", ["chi", "profile"])
+    @pytest.mark.parametrize("task", ["chi", "profile", "ntk", "n0check"])
     def test_json_records_how_the_members_ran(self, capsys, monkeypatch, tmp_path, task):
         # never more worker processes than members, and none for one
         base = ["mc", task, *self.ARGS[2:]]
